@@ -56,13 +56,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _require_epsilon(args) -> float:
-    epsilon = args.epsilon
-    if epsilon is None:
-        raise ValueError("--forced requires --epsilon")
-    return epsilon
-
-
 def _cmd_bound(args) -> int:
     tols = cfg.from_env()
     sys_, box, file_eps = load_system(args.input)

@@ -3,7 +3,9 @@
 The LP backend is scipy's HiGHS interface.  Vertex enumeration goes
 through qhull's halfspace intersection seeded with a Chebyshev-center
 interior point; a combinatorial active-set sweep serves as a fallback
-when qhull rejects a degenerate instance.
+when qhull rejects a degenerate instance.  Parallelotopes
+{x : -lower <= M x <= upper} with a square nonsingular M have their
+vertices in closed form and need neither LPs nor qhull.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, QhullError
+from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
 from .config import DEFAULT_TOLS, VERTEX_DIM_CAP, Tolerances
 from .errors import LpError, UnboundedPolytopeError
@@ -176,11 +178,23 @@ def bounding_box(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.nd
 
 
 def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for p in points:
-        if all(np.linalg.norm(p - k) > tol for k in kept):
-            kept.append(p)
-    return np.array(kept)
+    """Keep each point unless it lies within tol of an earlier kept point.
+
+    Candidate pairs come from a KD-tree query with a slightly widened
+    radius; each is then confirmed with the same distance test as a
+    plain first-occurrence sweep, so the kept points and their order do
+    not depend on the tree's rounding.
+    """
+    if len(points) == 0:
+        return np.array([])
+    pairs = cKDTree(points).query_pairs(tol * (1.0 + 1e-6), output_type="ndarray")
+    dropped = np.zeros(len(points), dtype=bool)
+    # Sorted by the later index, every earlier point's fate is settled
+    # before it is compared with a later one.
+    for i, j in pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]:
+        if not dropped[i] and not dropped[j] and np.linalg.norm(points[j] - points[i]) <= tol:
+            dropped[j] = True
+    return points[~dropped]
 
 
 def _drop_zero_rows(poly: Polytope, tols: Tolerances) -> Polytope:
@@ -220,6 +234,49 @@ def _brute_force_vertices(poly: Polytope, tols: Tolerances) -> np.ndarray:
     if len(points) == 0:
         return np.empty((0, d))
     return _dedupe(np.asarray(points), tols.vertex_dedup)
+
+
+def parallelotope_vertices(
+    M,
+    lower,
+    upper,
+    dim_cap: int = VERTEX_DIM_CAP,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> np.ndarray | None:
+    """Vertices of {x : -lower <= M x <= upper} for a square nonsingular M.
+
+    They are M^{-1} s over the 2^d corners s of the box [-lower, upper].
+    Returns None, so that the caller can fall back to
+    `enumerate_vertices`, when M is not square or is singular, when a
+    width lower + upper is not positive, when two corners could map to
+    points within `tols.vertex_dedup` of each other, when d exceeds
+    `dim_cap`, or when a vertex fails the feasibility guard.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    d = M.shape[1]
+    if M.shape[0] != d or d > dim_cap:
+        return None
+    width = lower + upper
+    if not np.min(width) > 0.0:
+        return None
+    # Distinct corners are at least min(width) apart, so their images are
+    # at least min(width) / ||M||_2 apart and none would be deduplicated.
+    if np.min(width) <= tols.vertex_dedup * np.linalg.norm(M, 2):
+        return None
+    bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+    corners = np.where(bits == 1, -lower, upper)
+    try:
+        verts = np.linalg.solve(M, corners.T).T
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(verts)):
+        return None
+    Mv = verts @ M.T
+    if np.max(Mv - upper) > tols.vertex_feasibility or np.max(-Mv - lower) > tols.vertex_feasibility:
+        return None
+    return verts
 
 
 def enumerate_vertices(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, VERTEX_DIM_CAP, Tolerances
 from .errors import NumericalError
-from .geometry import Polytope, enumerate_vertices
+from .geometry import Polytope, enumerate_vertices, parallelotope_vertices
 from .linalg import solve_discrete_lyapunov, spectral_radius, sym_eig_extremes
 from .model import LtiSystem, OutputBox, dc_gain
 from .results import BoundReport
@@ -42,6 +42,49 @@ class LevelSetPair:
             )
 
 
+def _prefix_bands(sys: LtiSystem, box: OutputBox, horizon: int, feed=None, epsilon: float = 1.0):
+    """Two-sided constraint bands (M_b, lower_b, upper_b), each -lower_b <= M_b v <= upper_b.
+
+    Without `feed` the variables are the state and the bands are C A^t
+    for t = 0..horizon.  With it they are (z, v): a steady-state band
+    [0, feed] against (1 - epsilon) times the box comes first, then
+    [C A^t, feed] for t = 0..horizon.
+    """
+    bands = []
+    if feed is not None:
+        steady = np.hstack([np.zeros((sys.q, sys.n)), feed])
+        bands.append((steady, (1.0 - epsilon) * box.y_lower, (1.0 - epsilon) * box.y_upper))
+    M = sys.C
+    for _ in range(horizon + 1):
+        bands.append((M if feed is None else np.hstack([M, feed]), box.y_lower, box.y_upper))
+        M = M @ sys.A
+    return bands
+
+
+def _halfspaces(bands) -> Polytope:
+    """Rows +M_b <= upper_b then -M_b <= lower_b, band by band."""
+    rows = []
+    rhs = []
+    for M, lower, upper in bands:
+        rows += [M, -M]
+        rhs += [upper, lower]
+    return Polytope(np.vstack(rows), np.concatenate(rhs))
+
+
+def _prefix_vertices(bands, dim_cap: int, tols: Tolerances) -> np.ndarray:
+    """Closed-form vertices when the stacked bands form a parallelotope, qhull otherwise."""
+    verts = parallelotope_vertices(
+        np.vstack([M for M, _, _ in bands]),
+        np.concatenate([lower for _, lower, _ in bands]),
+        np.concatenate([upper for _, _, upper in bands]),
+        dim_cap=dim_cap,
+        tols=tols,
+    )
+    if verts is None:
+        verts = enumerate_vertices(_halfspaces(bands), dim_cap=dim_cap, tols=tols).vertices
+    return verts
+
+
 def build_O_prefix(sys: LtiSystem, box: OutputBox, horizon: int) -> Polytope:
     """Halfspace form of {x : C A^t x inside the box for t = 0..horizon}.
 
@@ -52,16 +95,7 @@ def build_O_prefix(sys: LtiSystem, box: OutputBox, horizon: int) -> Polytope:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if box.q != sys.q:
         raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
-    rows = []
-    rhs = []
-    M = sys.C
-    for _ in range(horizon + 1):
-        rows.append(M)
-        rows.append(-M)
-        rhs.append(box.y_upper)
-        rhs.append(box.y_lower)
-        M = M @ sys.A
-    return Polytope(np.vstack(rows), np.concatenate(rhs))
+    return _halfspaces(_prefix_bands(sys, box, horizon))
 
 
 def build_O_prefix_forced(
@@ -80,19 +114,7 @@ def build_O_prefix_forced(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if box.q != sys.q:
         raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
-    H0 = dc_gain(sys)
-    zero_z = np.zeros((sys.q, sys.n))
-    rows = [np.hstack([zero_z, H0]), np.hstack([zero_z, -H0])]
-    rhs = [(1.0 - epsilon) * box.y_upper, (1.0 - epsilon) * box.y_lower]
-    M = sys.C
-    for _ in range(horizon + 1):
-        block = np.hstack([M, H0])
-        rows.append(block)
-        rows.append(-block)
-        rhs.append(box.y_upper)
-        rhs.append(box.y_lower)
-        M = M @ sys.A
-    return Polytope(np.vstack(rows), np.concatenate(rhs))
+    return _halfspaces(_prefix_bands(sys, box, horizon, dc_gain(sys), epsilon))
 
 
 def compute_r1(P, C, box: OutputBox, scale: float = 1.0) -> float:
@@ -207,8 +229,7 @@ def bound_m2_unforced(
     """Level-set upper bound for the autonomous system (Q = I)."""
     P, sigma = _lyapunov_pieces(sys, sigma_mode, tols)
     r1 = compute_r1(P, sys.C, box, scale=1.0)
-    prefix = build_O_prefix(sys, box, horizon=sys.n - 1)
-    verts = enumerate_vertices(prefix, dim_cap=dim_cap, tols=tols).vertices
+    verts = _prefix_vertices(_prefix_bands(sys, box, horizon=sys.n - 1), dim_cap, tols)
     r2 = compute_r2(P, verts)
     return _compose_report(sys, P, sigma, sigma_mode, r1, r2, regime="unforced")
 
@@ -223,28 +244,26 @@ def bound_m2_forced(
 ) -> BoundReport:
     """Level-set upper bound for the constant-input system.
 
-    At epsilon = 1 the steady-state tightening pins H0 u to zero, the
-    prefix set degenerates to the unforced one in the z-slice, and the
-    bound coincides exactly with the unforced computation.
+    The prefix set depends on u only through w = H0 u.  With one output
+    it is enumerated in (z, w), where it is a parallelotope for any
+    input count; with several outputs it is enumerated in (z, u).  When
+    H0 u is pinned to zero (epsilon = 1, or a single output with zero DC
+    gain) the prefix set is the unforced one in the z-slice, and at
+    epsilon = 1 the bound coincides exactly with the unforced one.
     """
     if not sys.has_input:
         raise ValueError("forced bound requires a system with an input channel (B)")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     P, sigma = _lyapunov_pieces(sys, sigma_mode, tols)
-    if epsilon == 1.0:
-        r1 = compute_r1(P, sys.C, box, scale=1.0)
-        prefix = build_O_prefix(sys, box, horizon=sys.n - 1)
-        verts = enumerate_vertices(prefix, dim_cap=dim_cap, tols=tols).vertices
-        r2 = compute_r2(P, verts)
-        return _compose_report(sys, P, sigma, sigma_mode, r1, r2, regime="forced", epsilon=epsilon)
-    if sys.n + sys.m_in > dim_cap:
-        raise ValueError(
-            f"joint state-input dimension {sys.n + sys.m_in} exceeds the "
-            f"vertex-enumeration cap {dim_cap}"
-        )
     r1 = compute_r1(P, sys.C, box, scale=epsilon)
-    prefix = build_O_prefix_forced(sys, box, epsilon, horizon=sys.n - 1)
-    verts = enumerate_vertices(prefix, dim_cap=dim_cap, tols=tols).vertices
-    r2 = compute_r2(P, verts, proj_dim=sys.n)
+    H0 = dc_gain(sys)
+    if epsilon == 1.0 or (sys.q == 1 and not np.any(H0)):
+        feed = None  # H0 u is pinned to zero
+    elif sys.q == 1:
+        feed = np.ones((1, 1))  # w = H0 u sweeps the whole tightened band
+    else:
+        feed = H0
+    bands = _prefix_bands(sys, box, sys.n - 1, feed, epsilon)
+    r2 = compute_r2(P, _prefix_vertices(bands, dim_cap, tols), proj_dim=sys.n)
     return _compose_report(sys, P, sigma, sigma_mode, r1, r2, regime="forced", epsilon=epsilon)

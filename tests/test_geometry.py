@@ -8,6 +8,7 @@ from masbound import (
     is_redundant,
     lp_maximize,
 )
+from masbound.geometry import _dedupe, parallelotope_vertices
 from conftest import brute_force_vertices, match_point_sets, random_bounded_polytope
 
 
@@ -144,3 +145,100 @@ class TestVertexEnumeration:
         h = np.concatenate([np.ones(4), np.ones(2)])
         result = enumerate_vertices(Polytope(G, h))
         assert len(result.vertices) == 4
+
+
+def parallelotope(M, lower, upper):
+    M = np.asarray(M, dtype=float)
+    return Polytope(np.vstack([M, -M]), np.concatenate([upper, lower]))
+
+
+class TestParallelotopeVertices:
+    def test_matches_qhull_on_random_instances(self, rng):
+        for _ in range(12):
+            d = int(rng.integers(1, 6))
+            M = rng.standard_normal((d, d))
+            lower = rng.uniform(0.3, 2.0, size=d)
+            upper = rng.uniform(0.3, 2.0, size=d)
+            verts = parallelotope_vertices(M, lower, upper)
+            assert verts.shape == (2**d, d)
+            oracle = enumerate_vertices(parallelotope(M, lower, upper)).vertices
+            assert match_point_sets(verts, oracle, 1e-7)
+
+    def test_unit_box(self):
+        verts = parallelotope_vertices(np.eye(2), np.ones(2), np.ones(2))
+        expected = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
+        assert match_point_sets(verts, expected, 1e-12)
+
+    def test_non_square_declined(self):
+        assert parallelotope_vertices(np.ones((3, 2)), np.ones(3), np.ones(3)) is None
+
+    def test_singular_declined(self):
+        M = np.array([[1.0, 2.0], [2.0, 4.0]])
+        assert parallelotope_vertices(M, np.ones(2), np.ones(2)) is None
+        with pytest.raises(UnboundedPolytopeError):
+            enumerate_vertices(parallelotope(M, np.ones(2), np.ones(2)))
+
+    def test_zero_width_declined(self):
+        lower, upper = np.array([1.0, -1.0]), np.array([1.0, 1.0])
+        assert parallelotope_vertices(np.eye(2), lower, upper) is None
+        with pytest.raises(UnboundedPolytopeError):
+            enumerate_vertices(parallelotope(np.eye(2), lower, upper))
+
+    def test_empty_box_declined(self):
+        lower, upper = np.array([1.0, -2.0]), np.array([1.0, 1.0])
+        assert parallelotope_vertices(np.eye(2), lower, upper) is None
+        with pytest.raises(UnboundedPolytopeError):
+            enumerate_vertices(parallelotope(np.eye(2), lower, upper))
+
+    def test_width_below_dedupe_scale_declined(self):
+        tiny = 1e-9 * np.ones(2)
+        assert parallelotope_vertices(np.eye(2), tiny, tiny) is None
+
+    def test_dimension_cap_declined(self):
+        assert parallelotope_vertices(np.eye(3), np.ones(3), np.ones(3), dim_cap=2) is None
+
+
+def dedupe_oracle(points, tol):
+    """The first-occurrence sweep that `_dedupe` replaces."""
+    kept = []
+    for p in points:
+        if all(np.linalg.norm(p - k) > tol for k in kept):
+            kept.append(p)
+    return np.array(kept)
+
+
+class TestDedupe:
+    tol = 1e-8
+
+    def planted_cloud(self, rng, d):
+        base = rng.uniform(-1.0, 1.0, size=(60, d))
+        extra = []
+        for p in base[:30]:
+            u = rng.standard_normal(d)
+            u /= np.linalg.norm(u)
+            extra += [p + 0.5 * self.tol * u, p + 2.0 * self.tol * u]
+        for p in base[30:40]:
+            # A chain: the middle point goes, the far end stays because
+            # its only close neighbour was itself dropped.
+            u = rng.standard_normal(d)
+            u /= np.linalg.norm(u)
+            extra += [p + 0.6 * self.tol * u, p + 1.2 * self.tol * u]
+        cloud = np.vstack([base, np.array(extra), base[:5]])
+        return cloud[rng.permutation(len(cloud))]
+
+    def test_matches_oracle_on_planted_clouds(self, rng):
+        for d in (1, 2, 3, 6):
+            cloud = self.planted_cloud(rng, d)
+            mine = _dedupe(cloud, self.tol)
+            oracle = dedupe_oracle(cloud, self.tol)
+            assert mine.shape == oracle.shape
+            assert np.array_equal(mine, oracle)
+            assert len(oracle) < len(cloud)
+
+    def test_empty_input(self):
+        empty = np.empty((0, 3))
+        assert _dedupe(empty, self.tol).shape == dedupe_oracle(empty, self.tol).shape
+
+    def test_single_point(self):
+        one = np.array([[0.5, -1.0]])
+        assert np.array_equal(_dedupe(one, self.tol), dedupe_oracle(one, self.tol))

@@ -12,8 +12,14 @@ from masbound import (
     compute_r1,
     compute_r2,
     compute_sigma,
+    exact_t_star_forced,
     solve_discrete_lyapunov,
 )
+from masbound import lyapunov
+from masbound.errors import UnboundedPolytopeError
+from masbound.geometry import enumerate_vertices
+from masbound.model import dc_gain
+from masbound.montecarlo import StudyConfig, random_stable_system
 from conftest import make_siso, random_stable_matrix, unit_box
 
 
@@ -271,3 +277,96 @@ class TestComposedBounds:
         )
         with pytest.raises(ValueError, match="cap"):
             bound_m2_forced(sys, unit_box(), 0.5, dim_cap=5)
+
+
+def qhull_m2(sys, box, epsilon=None):
+    """m2 with r2 from qhull on the (z, u) prefix polytope."""
+    if epsilon is None:
+        rep = bound_m2_unforced(sys, box)
+        prefix = build_O_prefix(sys, box, horizon=sys.n - 1)
+    else:
+        rep = bound_m2_forced(sys, box, epsilon)
+        prefix = build_O_prefix_forced(sys, box, epsilon, horizon=sys.n - 1)
+    r2 = compute_r2(rep.diagnostics["level_set"].P, enumerate_vertices(prefix).vertices, proj_dim=sys.n)
+    return rep, bound_m2(rep.diagnostics["r1"], r2, rep.diagnostics["sigma"]), r2
+
+
+class TestClosedFormPrefix:
+    def test_agrees_with_qhull_on_siso_systems(self, rng):
+        checked = 0
+        for n in range(1, 10):
+            for seed in range(6):
+                sys, box = random_stable_system(1000 * n + seed, StudyConfig(order_min=n, order_max=n))
+                if seed % 2:
+                    box = OutputBox(rng.uniform(0.3, 2.0, size=1), rng.uniform(0.3, 2.0, size=1))
+                for epsilon in (None, 0.05):
+                    rep, m_qhull, r2_qhull = qhull_m2(sys, box, epsilon)
+                    assert rep.m == m_qhull
+                    assert rep.diagnostics["r2"] == pytest.approx(r2_qhull, rel=1e-9)
+                checked += 1
+        assert checked >= 50
+
+    def test_single_input_matches_z_u_path(self, rng):
+        for _ in range(8):
+            n = int(rng.integers(1, 5))
+            sys = LtiSystem(
+                A=random_stable_matrix(rng, n),
+                B=rng.standard_normal((n, 1)),
+                C=rng.standard_normal((1, n)),
+            )
+            box = OutputBox(rng.uniform(0.3, 2.0, size=1), rng.uniform(0.3, 2.0, size=1))
+            rep, m_qhull, _ = qhull_m2(sys, box, float(rng.uniform(0.01, 0.9)))
+            assert rep.m == m_qhull
+
+    def test_forced_more_inputs_than_outputs(self):
+        # The (z, u) prefix set is unbounded along the null space of H0;
+        # in (z, w = H0 u) it is a bounded parallelotope.
+        sys = LtiSystem(A=[[0.5, 0.1], [0.0, 0.3]], B=np.eye(2), C=[[1.0, 1.0]])
+        box = unit_box()
+        with pytest.raises(UnboundedPolytopeError):
+            enumerate_vertices(build_O_prefix_forced(sys, box, 0.01, horizon=1))
+        rep = bound_m2_forced(sys, box, 0.01)
+        assert np.isfinite(rep.diagnostics["r2"])
+        t_star = exact_t_star_forced(sys, box, 0.01).t_star
+        assert t_star == 4
+        assert rep.m >= t_star
+
+    def test_forced_zero_dc_gain(self):
+        A = np.array([[0.5, 0.2], [-0.1, 0.3]])
+        B = np.array([[1.0], [-2.0]])
+        C = np.array([[1.0, 0.5]])
+        D = -(C @ np.linalg.solve(np.eye(2) - A, B))
+        sys = LtiSystem(A=A, B=B, C=C, D=D)
+        assert not np.any(dc_gain(sys))
+        box = unit_box()
+        forced = bound_m2_forced(sys, box, 0.2)
+        unforced = bound_m2_unforced(sys, box)
+        assert forced.diagnostics["r2"] == unforced.diagnostics["r2"]
+        assert forced.m >= unforced.m
+
+    def test_unobservable_system_falls_back_to_qhull(self, monkeypatch):
+        calls = []
+
+        def spy(poly, **kwargs):
+            calls.append(poly)
+            return enumerate_vertices(poly, **kwargs)
+
+        monkeypatch.setattr(lyapunov, "enumerate_vertices", spy)
+        sys = LtiSystem(A=np.diag([0.5, 0.3]), C=[[1.0, 0.0]])
+        with pytest.raises(UnboundedPolytopeError):
+            bound_m2_unforced(sys, unit_box())
+        assert len(calls) == 1
+
+    def test_observable_siso_skips_qhull(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("general vertex path reached")
+
+        monkeypatch.setattr(lyapunov, "enumerate_vertices", refuse)
+        sys = LtiSystem(
+            A=random_stable_matrix(rng, 3),
+            B=rng.standard_normal((3, 2)),
+            C=rng.standard_normal((1, 3)),
+        )
+        bound_m2_unforced(sys, unit_box())
+        bound_m2_forced(sys, unit_box(), 0.1)
+        bound_m2_forced(sys, unit_box(), 1.0)
