@@ -14,71 +14,64 @@ read C A^t z0 + H0 u, and the steady-state output H0 u is tightened to
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .config import DEFAULT_TOLS, EXACT_STEP_CAP, Tolerances
-from .errors import IterationCapError, LpError
-from .geometry import Polytope, is_redundant
+from .errors import IterationCapError
+from .geometry import Polytope, WarmLp
 from .linalg import spectral_radius
-from .model import LtiSystem, OutputBox, dc_gain
+from .model import LtiSystem, OutputBox, band_rows, dc_gain, output_bands
 
 
 @dataclass(frozen=True)
 class MasResult:
-    """Admissibility index plus the pruned halfspace description.
+    """Admissibility index plus the halfspace description of the set.
 
-    For the forced regime the polytope lives in (z0, u) coordinates; add
-    (I - A)^{-1} B u to the first n components to recover x0.
+    `rows` holds every inequality the construction accepted; `polytope`
+    prunes them to the non-redundant ones on first access.  For the
+    forced regime both live in (z0, u) coordinates; add (I - A)^{-1} B u
+    to the first n components to recover x0.
     """
 
     t_star: int
-    polytope: Polytope
+    rows: Polytope
     regime: str
     epsilon: float | None = None
+    tols: Tolerances = DEFAULT_TOLS
+
+    @cached_property
+    def polytope(self) -> Polytope:
+        return _prune(self.rows, self.tols)
 
 
 def _prune(poly: Polytope, tols: Tolerances) -> Polytope:
     """Drop rows that are implied by the remaining ones, one at a time."""
-    G, h = poly.G, poly.h
-    keep = list(range(G.shape[0]))
-    i = 0
-    while i < len(keep):
-        others = keep[:i] + keep[i + 1 :]
-        if len(others) == 0:
+    lp = WarmLp(poly, tols)
+    for i in range(poly.nrows):
+        if lp.active.sum() == 1:
             break
-        idx = keep[i]
-        if is_redundant(G[idx], h[idx], Polytope(G[others], h[others]), tols=tols):
-            keep.pop(i)
-        else:
-            i += 1
-    return Polytope(G[keep], h[keep])
+        lp.relax(i)
+        if not lp.is_redundant(poly.G[i], poly.h[i]):
+            lp.restore(i)
+    return lp.polytope
 
 
-def _iterate(block_at, first_poly: Polytope, step_cap: int, tols: Tolerances):
+def _iterate(bands, first: int, step_cap: int, tols: Tolerances):
     """Shared constraint-addition loop.
 
-    block_at(t) yields the (rows, rhs) pair for time step t; the loop
-    starts from first_poly (time step 0 included) and returns (t_star,
-    pruned polytope).
+    The first `first` bands (time step 0 included) make up the starting
+    set; each later band is one time step.  Returns (t_star, accepted
+    rows).
     """
-    poly = first_poly
+    lp = WarmLp(Polytope(*band_rows(itertools.islice(bands, first))), tols)
     for t in range(step_cap + 1):
-        rows, rhs = block_at(t + 1)
-        fresh_rows = []
-        fresh_rhs = []
-        for row, bound in zip(rows, rhs):
-            if np.linalg.norm(row) < tols.zero_row:
-                if bound >= -tols.redundancy:
-                    continue
-                raise LpError("zero constraint row with negative bound: empty constraint set")
-            if not is_redundant(row, bound, poly, tols=tols):
-                fresh_rows.append(row)
-                fresh_rhs.append(bound)
-        if not fresh_rows:
-            return t, _prune(poly, tols)
-        poly = poly.with_rows(np.array(fresh_rows), np.array(fresh_rhs))
+        rows, rhs = band_rows([next(bands)])
+        fresh = [k for k in range(len(rhs)) if not lp.is_redundant(rows[k], rhs[k])]
+        if not fresh:
+            return t, lp.polytope
+        lp.add_rows(rows[fresh], rhs[fresh])
     raise IterationCapError(
         f"admissibility index not determined within {step_cap} steps",
         cap=step_cap,
@@ -101,20 +94,8 @@ def exact_t_star_unforced(
         raise ValueError(f"exact computation requires spectral radius < 1, got {rho:.6g}")
     if box.q != sys.q:
         raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
-
-    powers = {0: sys.C}
-
-    def output_block(t: int):
-        top = max(powers)
-        while top < t:
-            powers[top + 1] = powers[top] @ sys.A
-            top += 1
-        M = powers[t]
-        return np.vstack([M, -M]), np.concatenate([box.y_upper, box.y_lower])
-
-    G0, h0 = output_block(0)
-    t_star, poly = _iterate(output_block, Polytope(G0, h0), step_cap, tols)
-    return MasResult(t_star=t_star, polytope=poly, regime="unforced")
+    t_star, rows = _iterate(output_bands(sys, box), 1, step_cap, tols)
+    return MasResult(t_star=t_star, rows=rows, regime="unforced", tols=tols)
 
 
 def exact_t_star_forced(
@@ -139,24 +120,6 @@ def exact_t_star_forced(
         raise ValueError(f"exact computation requires spectral radius < 1, got {rho:.6g}")
     if box.q != sys.q:
         raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
-
-    H0 = dc_gain(sys)
-    zero_z = np.zeros((sys.q, sys.n))
-    powers = {0: sys.C}
-
-    def output_block(t: int):
-        top = max(powers)
-        while top < t:
-            powers[top + 1] = powers[top] @ sys.A
-            top += 1
-        block = np.hstack([powers[t], H0])
-        return np.vstack([block, -block]), np.concatenate([box.y_upper, box.y_lower])
-
-    ss_rows = np.vstack([np.hstack([zero_z, H0]), np.hstack([zero_z, -H0])])
-    ss_rhs = np.concatenate(
-        [(1.0 - epsilon) * box.y_upper, (1.0 - epsilon) * box.y_lower]
-    )
-    G0, h0 = output_block(0)
-    first = Polytope(np.vstack([ss_rows, G0]), np.concatenate([ss_rhs, h0]))
-    t_star, poly = _iterate(output_block, first, step_cap, tols)
-    return MasResult(t_star=t_star, polytope=poly, regime="forced", epsilon=epsilon)
+    bands = output_bands(sys, box, dc_gain(sys), epsilon)
+    t_star, rows = _iterate(bands, 2, step_cap, tols)
+    return MasResult(t_star=t_star, rows=rows, regime="forced", epsilon=epsilon, tols=tols)

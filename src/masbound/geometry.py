@@ -1,6 +1,9 @@
 """Polytopes in halfspace form, LP redundancy checks, vertex enumeration.
 
-The LP backend is scipy's HiGHS interface.  Vertex enumeration goes
+The LP backend is scipy's HiGHS interface: `linprog` for one-off LPs,
+and `WarmLp`, one persistent HiGHS model re-solved from its previous
+basis, for the long runs of redundancy checks of the exact index.
+Vertex enumeration goes
 through qhull's halfspace intersection seeded with a Chebyshev-center
 interior point; a combinatorial active-set sweep serves as a fallback
 when qhull rejects a degenerate instance.  Parallelotopes
@@ -19,6 +22,31 @@ from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
 from .config import DEFAULT_TOLS, VERTEX_DIM_CAP, Tolerances
 from .errors import LpError, UnboundedPolytopeError
+
+_HIGHS_METHODS = (
+    "addRows", "addVars", "changeColsCost", "changeObjectiveSense", "changeRowBounds",
+    "clearSolver", "getModelStatus", "getObjectiveValue", "run", "setOptionValue",
+)
+
+
+def _probe_highs():
+    """scipy's private persistent HiGHS class and the enums WarmLp needs, or None if absent."""
+    try:
+        from scipy.optimize._highspy._core import HighsModelStatus, ObjSense, _Highs
+    except ImportError:
+        return None
+    if not all(hasattr(_Highs, name) for name in _HIGHS_METHODS):
+        return None
+    definitive = {
+        HighsModelStatus.kOptimal: "optimal",
+        HighsModelStatus.kUnbounded: "unbounded",
+        HighsModelStatus.kInfeasible: "infeasible",
+    }
+    return _Highs, ObjSense.kMaximize, definitive
+
+
+# (class, maximize sense, {model status: LpOutcome status}) or None.
+_HIGHS = _probe_highs()
 
 
 @dataclass(frozen=True)
@@ -53,11 +81,6 @@ class Polytope:
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return bool(np.all(self.G @ x <= self.h + tol))
-
-    def with_rows(self, G_new, h_new) -> "Polytope":
-        G_new = np.atleast_2d(np.asarray(G_new, dtype=float))
-        h_new = np.atleast_1d(np.asarray(h_new, dtype=float))
-        return Polytope(np.vstack([self.G, G_new]), np.concatenate([self.h, h_new]))
 
 
 @dataclass(frozen=True)
@@ -115,6 +138,21 @@ def lp_maximize(c, poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> LpOutcome
     raise LpError(f"LP solver failed (status {res.status}): {res.message}")
 
 
+def _certify_redundant(row, rhs: float, maximize, tols: Tolerances) -> bool:
+    """The redundancy verdict of {row . x <= rhs}, with `maximize(row)` solving the LP."""
+    row = np.atleast_1d(np.asarray(row, dtype=float))
+    if np.linalg.norm(row) < tols.zero_row:
+        if rhs >= -tols.redundancy:
+            return True
+        raise LpError("all-zero row with negative bound: polytope is empty")
+    out = maximize(row)
+    if out.status == "unbounded":
+        return False
+    if out.status == "infeasible":
+        raise LpError("redundancy check against an empty polytope")
+    return out.optimum <= rhs + tols.redundancy
+
+
 def is_redundant(row, rhs: float, poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True when adding {row . x <= rhs} would not cut the polytope.
 
@@ -122,17 +160,99 @@ def is_redundant(row, rhs: float, poly: Polytope, tols: Tolerances = DEFAULT_TOL
     unbounded maximum means the row does cut, an infeasible polytope is
     reported as an error.
     """
-    row = np.atleast_1d(np.asarray(row, dtype=float))
-    if np.linalg.norm(row) < tols.zero_row:
-        if rhs >= -tols.redundancy:
-            return True
-        raise LpError("all-zero row with negative bound: polytope is empty")
-    out = lp_maximize(row, poly, tols=tols)
-    if out.status == "unbounded":
-        return False
-    if out.status == "infeasible":
-        raise LpError("redundancy check against an empty polytope")
-    return out.optimum <= rhs + tols.redundancy
+    return _certify_redundant(row, rhs, lambda c: lp_maximize(c, poly, tols=tols), tols)
+
+
+class WarmLp:
+    """{x : G x <= h} held as one persistent HiGHS model for repeated LPs.
+
+    Rows are appended with `add_rows` and switched off and on with
+    `relax` and `restore`; between solves only the objective changes, so
+    each solve starts from the previous basis.  Presolve is off and the
+    primal and dual tolerances are `tols.lp_feasibility`.  A solve that
+    ends without a definitive status is re-run cold, and then answered by
+    `lp_maximize`.  Without scipy's private HiGHS class every answer
+    comes from `lp_maximize` and `is_redundant` on the active rows.
+    """
+
+    def __init__(self, poly: Polytope, tols: Tolerances = DEFAULT_TOLS):
+        self.tols = tols
+        self.G = np.empty((0, poly.dim))
+        self.h = np.empty(0)
+        self.active = np.empty(0, dtype=bool)
+        self._highs = None
+        if _HIGHS is not None:
+            highs_cls, maximize, _ = _HIGHS
+            self._highs = highs_cls()
+            for name, value in (
+                ("output_flag", False),
+                ("presolve", "off"),
+                ("primal_feasibility_tolerance", tols.lp_feasibility),
+                ("dual_feasibility_tolerance", tols.lp_feasibility),
+            ):
+                self._highs.setOptionValue(name, value)
+            self._highs.changeObjectiveSense(maximize)
+            self._highs.addVars(poly.dim, np.full(poly.dim, -np.inf), np.full(poly.dim, np.inf))
+            self._cols = np.arange(poly.dim, dtype=np.int32)
+        self.add_rows(poly.G, poly.h)
+
+    @property
+    def polytope(self) -> Polytope:
+        """The active rows, in the order they were added."""
+        return Polytope(self.G[self.active], self.h[self.active])
+
+    def add_rows(self, G, h) -> None:
+        G = np.atleast_2d(np.asarray(G, dtype=float))
+        h = np.atleast_1d(np.asarray(h, dtype=float))
+        self.G = np.vstack([self.G, G])
+        self.h = np.concatenate([self.h, h])
+        self.active = np.concatenate([self.active, np.ones(len(h), dtype=bool)])
+        if self._highs is not None:
+            # Only nonzero entries, as linprog's sparse conversion passes them.
+            rows, cols = np.nonzero(G)
+            starts = np.searchsorted(rows, np.arange(len(h))).astype(np.int32)
+            self._highs.addRows(
+                len(h), np.full(len(h), -np.inf), h, len(rows), starts, cols.astype(np.int32), G[rows, cols]
+            )
+
+    def relax(self, i: int) -> None:
+        """Drop row i from the set; its index stays reserved."""
+        self.active[i] = False
+        if self._highs is not None:
+            self._highs.changeRowBounds(int(i), -np.inf, np.inf)
+
+    def restore(self, i: int) -> None:
+        self.active[i] = True
+        if self._highs is not None:
+            self._highs.changeRowBounds(int(i), -np.inf, float(self.h[i]))
+
+    def maximize(self, c) -> LpOutcome:
+        """Maximize c.x over the active rows: status and optimum as in `lp_maximize`."""
+        c = np.atleast_1d(np.asarray(c, dtype=float))
+        if self._highs is None:
+            return lp_maximize(c, self.polytope, tols=self.tols)
+        if c.shape != (self.G.shape[1],):
+            raise ValueError(f"objective has length {c.size}, polytope dimension is {self.G.shape[1]}")
+        _, _, definitive = _HIGHS
+        self._highs.changeColsCost(len(c), self._cols, c)
+        self._highs.run()
+        status = definitive.get(self._highs.getModelStatus())
+        if status is None:
+            # Not definitive from the warm basis: solve once more without it.
+            self._highs.clearSolver()
+            self._highs.run()
+            status = definitive.get(self._highs.getModelStatus())
+            if status is None:
+                return lp_maximize(c, self.polytope, tols=self.tols)
+        if status != "optimal":
+            return LpOutcome(status=status)
+        return LpOutcome(status="optimal", optimum=float(self._highs.getObjectiveValue()))
+
+    def is_redundant(self, row, rhs: float) -> bool:
+        """`is_redundant` against the active rows."""
+        if self._highs is None:
+            return is_redundant(row, rhs, self.polytope, tols=self.tols)
+        return _certify_redundant(row, rhs, self.maximize, self.tols)
 
 
 def chebyshev_center(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, float]:

@@ -9,16 +9,18 @@ an upper bound on the admissibility index.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .config import DEFAULT_TOLS, VERTEX_DIM_CAP, Tolerances
 from .errors import NumericalError
 from .geometry import Polytope, enumerate_vertices, parallelotope_vertices
 from .linalg import solve_discrete_lyapunov, spectral_radius, sym_eig_extremes
-from .model import LtiSystem, OutputBox, dc_gain
+from .model import LtiSystem, OutputBox, band_rows, dc_gain, output_bands
 from .results import BoundReport
 
 SIGMA_MODES = ("eq25", "paper")
@@ -43,32 +45,12 @@ class LevelSetPair:
 
 
 def _prefix_bands(sys: LtiSystem, box: OutputBox, horizon: int, feed=None, epsilon: float = 1.0):
-    """Two-sided constraint bands (M_b, lower_b, upper_b), each -lower_b <= M_b v <= upper_b.
-
-    Without `feed` the variables are the state and the bands are C A^t
-    for t = 0..horizon.  With it they are (z, v): a steady-state band
-    [0, feed] against (1 - epsilon) times the box comes first, then
-    [C A^t, feed] for t = 0..horizon.
-    """
-    bands = []
-    if feed is not None:
-        steady = np.hstack([np.zeros((sys.q, sys.n)), feed])
-        bands.append((steady, (1.0 - epsilon) * box.y_lower, (1.0 - epsilon) * box.y_upper))
-    M = sys.C
-    for _ in range(horizon + 1):
-        bands.append((M if feed is None else np.hstack([M, feed]), box.y_lower, box.y_upper))
-        M = M @ sys.A
-    return bands
+    """The bands of the prefix set: the steady-state band (with `feed`), then t = 0..horizon."""
+    return list(itertools.islice(output_bands(sys, box, feed, epsilon), horizon + 1 + (feed is not None)))
 
 
 def _halfspaces(bands) -> Polytope:
-    """Rows +M_b <= upper_b then -M_b <= lower_b, band by band."""
-    rows = []
-    rhs = []
-    for M, lower, upper in bands:
-        rows += [M, -M]
-        rhs += [upper, lower]
-    return Polytope(np.vstack(rows), np.concatenate(rhs))
+    return Polytope(*band_rows(bands))
 
 
 def _prefix_vertices(bands, dim_cap: int, tols: Tolerances) -> np.ndarray:
@@ -246,10 +228,14 @@ def bound_m2_forced(
 
     The prefix set depends on u only through w = H0 u.  With one output
     it is enumerated in (z, w), where it is a parallelotope for any
-    input count; with several outputs it is enumerated in (z, u).  When
-    H0 u is pinned to zero (epsilon = 1, or a single output with zero DC
-    gain) the prefix set is the unforced one in the z-slice, and at
-    epsilon = 1 the bound coincides exactly with the unforced one.
+    input count.  With several outputs it is enumerated in (z, u) when
+    H0 has full column rank, and otherwise in (z, s) with w = F s for an
+    orthonormal basis F of the range of H0: the z-projection, which is
+    all r2 reads, does not depend on how w is parametrised, and (z, u)
+    would be unbounded along the null space of H0.  When H0 u is pinned
+    to zero (epsilon = 1, or zero DC gain) the prefix set is the
+    unforced one in the z-slice, and at epsilon = 1 the bound coincides
+    exactly with the unforced one.
     """
     if not sys.has_input:
         raise ValueError("forced bound requires a system with an input channel (B)")
@@ -258,12 +244,13 @@ def bound_m2_forced(
     P, sigma = _lyapunov_pieces(sys, sigma_mode, tols)
     r1 = compute_r1(P, sys.C, box, scale=epsilon)
     H0 = dc_gain(sys)
-    if epsilon == 1.0 or (sys.q == 1 and not np.any(H0)):
+    if epsilon == 1.0 or not np.any(H0):
         feed = None  # H0 u is pinned to zero
     elif sys.q == 1:
         feed = np.ones((1, 1))  # w = H0 u sweeps the whole tightened band
     else:
-        feed = H0
+        span = scipy.linalg.orth(H0)
+        feed = H0 if span.shape[1] == sys.m_in else span  # w = F s when H0 has a null space
     bands = _prefix_bands(sys, box, sys.n - 1, feed, epsilon)
     r2 = compute_r2(P, _prefix_vertices(bands, dim_cap, tols), proj_dim=sys.n)
     return _compose_report(sys, P, sigma, sigma_mode, r1, r2, regime="forced", epsilon=epsilon)

@@ -178,6 +178,33 @@ def dc_gain(sys: LtiSystem) -> np.ndarray:
     return sys.C @ X + sys.D
 
 
+def output_bands(sys: LtiSystem, box: OutputBox, feed=None, epsilon: float = 1.0):
+    """Two-sided output bands (M_b, lower_b, upper_b), each -lower_b <= M_b v <= upper_b.
+
+    Yields without end.  Without `feed` the variables are the state and
+    the bands are C A^t for t = 0, 1, ...  With it they are (z, v): a
+    steady-state band [0, feed] against (1 - epsilon) times the box comes
+    first, then [C A^t, feed] for t = 0, 1, ...
+    """
+    if feed is not None:
+        steady = np.hstack([np.zeros((sys.q, sys.n)), feed])
+        yield steady, (1.0 - epsilon) * box.y_lower, (1.0 - epsilon) * box.y_upper
+    M = sys.C
+    while True:
+        yield (M if feed is None else np.hstack([M, feed])), box.y_lower, box.y_upper
+        M = M @ sys.A
+
+
+def band_rows(bands) -> tuple[np.ndarray, np.ndarray]:
+    """Halfspace rows (G, h) of bands: +M_b <= upper_b then -M_b <= lower_b, band by band."""
+    rows = []
+    rhs = []
+    for M, lower, upper in bands:
+        rows += [M, -M]
+        rhs += [upper, lower]
+    return np.vstack(rows), np.concatenate(rhs)
+
+
 def shift_to_equilibrium(sys: LtiSystem, u) -> tuple[np.ndarray, np.ndarray]:
     """Equilibrium (x_eq, y_eq) for constant input u.
 

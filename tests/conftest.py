@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from masbound import LtiSystem, OutputBox
+from masbound import LtiSystem, OutputBox, geometry
 
 
 def random_stable_matrix(rng, n, rho_max=0.95):
@@ -115,3 +115,39 @@ def make_siso(a, b=None, c=1.0, d=None):
 
 def unit_box(q=1):
     return OutputBox(np.ones(q), np.ones(q))
+
+
+def force_unknown(monkeypatch, cold_resolves: bool) -> list[int]:
+    """Make every warm-started HiGHS solve report a non-definitive status.
+
+    With `cold_resolves` a solve right after `clearSolver` reports its
+    true status; without it every solve stays non-definitive.  Returns a
+    list that gains one entry per cold restart.
+    """
+    if geometry._HIGHS is None:
+        pytest.skip("this scipy has no persistent HiGHS class")
+    from scipy.optimize._highspy._core import HighsModelStatus
+
+    highs_cls, sense, definitive = geometry._HIGHS
+    restarts = []
+
+    class Unsure(highs_cls):
+        cleared = False
+        cold = False
+
+        def clearSolver(self):
+            restarts.append(1)
+            self.cleared = True
+            return super().clearSolver()
+
+        def run(self):
+            self.cold, self.cleared = self.cleared, False
+            return super().run()
+
+        def getModelStatus(self):
+            if cold_resolves and self.cold:
+                return super().getModelStatus()
+            return HighsModelStatus.kUnknown
+
+    monkeypatch.setattr(geometry, "_HIGHS", (Unsure, sense, definitive))
+    return restarts

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from masbound import (
     IterationCapError,
@@ -9,11 +11,14 @@ from masbound import (
     bound_m1_unforced,
     bound_m2_unforced,
     build_O_prefix,
+    dc_gain,
+    demo_system,
     exact_t_star_forced,
     exact_t_star_unforced,
     is_redundant,
 )
-from conftest import make_siso, random_stable_matrix, scalar_interval_t_star, unit_box
+from masbound import exact, geometry
+from conftest import force_unknown, make_siso, random_stable_matrix, scalar_interval_t_star, unit_box
 
 
 def redundant_at_horizon(sys, box, result, t):
@@ -212,3 +217,123 @@ class TestAsymmetryTrend:
         t_high = exact_t_star_unforced(sys, OutputBox([2.0], [1.0])).t_star
         assert t_low >= t_mid
         assert t_high >= t_mid
+
+
+def reference_exact(sys, box, epsilon=None, step_cap=200):
+    """Gilbert-Tan loop with one cold `is_redundant` LP per row, then a cold prune."""
+    feed = np.zeros((sys.q, 0)) if epsilon is None else dc_gain(sys)
+
+    def signed_rows(M, scale=1.0):
+        block = np.hstack([M, feed])
+        return np.vstack([block, -block]), scale * np.concatenate([box.y_upper, box.y_lower])
+
+    G, h = signed_rows(sys.C)
+    if epsilon is not None:
+        steady, steady_rhs = signed_rows(np.zeros((sys.q, sys.n)), 1.0 - epsilon)
+        G, h = np.vstack([steady, G]), np.concatenate([steady_rhs, h])
+    M = sys.C
+    for t in range(step_cap + 1):
+        M = M @ sys.A
+        rows, rhs = signed_rows(M)
+        poly = Polytope(G, h)
+        fresh = [k for k in range(len(rhs)) if not is_redundant(rows[k], rhs[k], poly)]
+        if fresh:
+            G, h = np.vstack([G, rows[fresh]]), np.concatenate([h, rhs[fresh]])
+            continue
+        keep = list(range(len(h)))
+        i = 0
+        while i < len(keep) and len(keep) > 1:
+            others = keep[:i] + keep[i + 1:]
+            if is_redundant(G[keep[i]], h[keep[i]], Polytope(G[others], h[others])):
+                keep.pop(i)
+            else:
+                i += 1
+        return t, Polytope(G[keep], h[keep])
+    raise AssertionError("reference loop hit its cap")
+
+
+def run_exact(sys, box, epsilon=None):
+    if epsilon is None:
+        return exact_t_star_unforced(sys, box)
+    return exact_t_star_forced(sys, box, epsilon)
+
+
+def assert_same_result(res, t_star, poly):
+    assert res.t_star == t_star
+    assert np.array_equal(res.polytope.G, poly.G)
+    assert np.array_equal(res.polytope.h, poly.h)
+
+
+def backend_cases():
+    """A SISO case whose pruning drops rows, and a two-output case with m_in > q."""
+    rng = np.random.default_rng(5)
+    sys = LtiSystem(
+        A=random_stable_matrix(rng, 3, rho_max=0.9),
+        B=rng.standard_normal((3, 3)),
+        C=rng.standard_normal((2, 3)),
+    )
+    box = OutputBox(rng.uniform(0.3, 2.0, size=2), rng.uniform(0.3, 2.0, size=2))
+    return [(demo_system(), OutputBox([0.4], [1.0]), None), (sys, box, None), (sys, box, 0.1)]
+
+
+class TestLpBackends:
+    """Every LP backend of the exact path gives the same index and rows."""
+
+    def test_cold_restart_path(self, monkeypatch):
+        expected = [run_exact(*case) for case in backend_cases()]
+        restarts = force_unknown(monkeypatch, cold_resolves=True)
+        for case, ref in zip(backend_cases(), expected):
+            assert_same_result(run_exact(*case), ref.t_star, ref.polytope)
+        assert restarts
+
+    def test_linprog_fallback_without_private_class(self, monkeypatch):
+        expected = [run_exact(*case) for case in backend_cases()]
+        monkeypatch.setattr(geometry, "_HIGHS", None)
+        calls = []
+        real = geometry.linprog
+        monkeypatch.setattr(geometry, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for case, ref in zip(backend_cases(), expected):
+            assert_same_result(run_exact(*case), ref.t_star, ref.polytope)
+        assert calls
+
+    def test_polytope_is_pruned_once_on_first_access(self, monkeypatch):
+        calls = []
+        real = exact._prune
+        monkeypatch.setattr(exact, "_prune", lambda *a: calls.append(1) or real(*a))
+        res = exact_t_star_unforced(demo_system(), OutputBox([0.4], [1.0]))
+        assert calls == []  # t* alone never pays for pruning
+        first = res.polytope
+        assert res.polytope is first
+        assert calls == [1]
+        eager = real(res.rows, res.tols)
+        assert np.array_equal(first.G, eager.G) and np.array_equal(first.h, eager.h)
+        assert first.nrows < res.rows.nrows
+
+
+@st.composite
+def exact_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 2))
+    m_in = draw(st.integers(0, 3))
+    sys = LtiSystem(
+        A=random_stable_matrix(rng, n, rho_max=0.9),
+        B=rng.standard_normal((n, m_in)) if m_in else None,
+        C=rng.standard_normal((q, n)),
+    )
+    box = OutputBox(rng.uniform(0.2, 2.0, size=q), rng.uniform(0.2, 2.0, size=q))
+    epsilon = draw(st.sampled_from([None, 0.05, 0.3, 1.0])) if m_in else None
+    return sys, box, epsilon
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(exact_cases())
+@example(backend_cases()[0])
+@example(backend_cases()[2])
+@example((  # more inputs than outputs, asymmetric box, forced
+    LtiSystem(A=[[0.5, 0.1], [0.0, 0.3]], B=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], C=np.eye(2)),
+    OutputBox([0.5, 1.0], [1.0, 0.3]),
+    0.1,
+))
+def test_warm_path_matches_cold_reference(case):
+    assert_same_result(run_exact(*case), *reference_exact(*case))

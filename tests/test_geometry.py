@@ -8,12 +8,27 @@ from masbound import (
     is_redundant,
     lp_maximize,
 )
-from masbound.geometry import _dedupe, parallelotope_vertices
-from conftest import brute_force_vertices, match_point_sets, random_bounded_polytope
+from masbound import geometry
+from masbound.errors import LpError
+from masbound.geometry import WarmLp, _dedupe, parallelotope_vertices
+from conftest import brute_force_vertices, force_unknown, match_point_sets, random_bounded_polytope
 
 
 def box2d(limit=1.0):
     return Polytope(np.vstack([np.eye(2), -np.eye(2)]), limit * np.ones(4))
+
+
+def warm_maximize(c, poly):
+    return WarmLp(poly).maximize(c)
+
+
+def warm_is_redundant(row, rhs, poly):
+    return WarmLp(poly).is_redundant(row, rhs)
+
+
+# The one-off linprog path and the persistent HiGHS model answer alike.
+MAXIMIZERS = (lp_maximize, warm_maximize)
+REDUNDANCY_CHECKS = (is_redundant, warm_is_redundant)
 
 
 class TestLp:
@@ -22,14 +37,19 @@ class TestLp:
         assert out.status == "optimal"
         assert out.optimum == pytest.approx(1.0, abs=1e-9)
         assert out.argmax[0] == pytest.approx(1.0, abs=1e-8)
+        warm = warm_maximize([1.0, 0.0], box2d())
+        assert warm.status == "optimal"
+        assert warm.optimum == pytest.approx(1.0, abs=1e-9)
 
     def test_unbounded(self):
         half_line = Polytope([[-1.0]], [0.0])  # x >= 0
-        assert lp_maximize([1.0], half_line).status == "unbounded"
+        for maximize in MAXIMIZERS:
+            assert maximize([1.0], half_line).status == "unbounded"
 
     def test_infeasible(self):
         empty = Polytope([[1.0], [-1.0]], [1.0, -2.0])  # x <= 1 and x >= 2
-        assert lp_maximize([1.0], empty).status == "infeasible"
+        for maximize in MAXIMIZERS:
+            assert maximize([1.0], empty).status == "infeasible"
 
     def test_duality_certificate(self, rng):
         for _ in range(20):
@@ -43,26 +63,40 @@ class TestLp:
             assert np.linalg.norm(G.T @ y - c) <= 1e-6
 
     def test_objective_length_checked(self):
-        with pytest.raises(ValueError):
-            lp_maximize([1.0, 0.0, 0.0], box2d())
+        for maximize in MAXIMIZERS:
+            with pytest.raises(ValueError):
+                maximize([1.0, 0.0, 0.0], box2d())
 
 
 class TestRedundancy:
     def test_loose_row_redundant(self):
-        assert is_redundant([1.0, 0.0], 2.0, box2d()) is True
+        for redundant in REDUNDANCY_CHECKS:
+            assert redundant([1.0, 0.0], 2.0, box2d()) is True
 
     def test_cutting_row_not_redundant(self):
-        assert is_redundant([1.0, 0.0], 0.5, box2d()) is False
+        for redundant in REDUNDANCY_CHECKS:
+            assert redundant([1.0, 0.0], 0.5, box2d()) is False
 
     def test_duplicate_row_redundant(self):
-        assert is_redundant([1.0, 0.0], 1.0, box2d()) is True
+        for redundant in REDUNDANCY_CHECKS:
+            assert redundant([1.0, 0.0], 1.0, box2d()) is True
 
     def test_unbounded_direction_not_redundant(self):
         half_plane = Polytope([[1.0, 0.0]], [1.0])
-        assert is_redundant([0.0, 1.0], 10.0, half_plane) is False
+        for redundant in REDUNDANCY_CHECKS:
+            assert redundant([0.0, 1.0], 10.0, half_plane) is False
 
     def test_zero_row(self):
-        assert is_redundant([0.0, 0.0], 0.5, box2d()) is True
+        for redundant in REDUNDANCY_CHECKS:
+            assert redundant([0.0, 0.0], 0.5, box2d()) is True
+            with pytest.raises(LpError):
+                redundant([0.0, 0.0], -0.5, box2d())
+
+    def test_empty_polytope_raises(self):
+        empty = Polytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, -2.0])
+        for redundant in REDUNDANCY_CHECKS:
+            with pytest.raises(LpError, match="empty"):
+                redundant([0.0, 1.0], 1.0, empty)
 
     def test_agrees_with_vertex_oracle(self, rng):
         for _ in range(15):
@@ -75,7 +109,66 @@ class TestRedundancy:
             # skip knife-edge instances where the oracle itself is ambiguous
             if abs(np.max(verts @ row) - rhs) < 1e-7:
                 continue
-            assert is_redundant(row, rhs, Polytope(G, h)) == expected
+            for redundant in REDUNDANCY_CHECKS:
+                assert redundant(row, rhs, Polytope(G, h)) == expected
+
+
+class TestWarmLp:
+    def test_warm_sequence_matches_cold_solves(self, rng):
+        # One model, many objectives, rows added and relaxed in between:
+        # every optimum equals a cold solve over the active rows.
+        for _ in range(10):
+            d = int(rng.integers(2, 5))
+            G, h = random_bounded_polytope(rng, d, 2 * d + 4)
+            lp = WarmLp(Polytope(G[: 2 * d], h[: 2 * d]))
+            lp.add_rows(G[2 * d :], h[2 * d :])
+            for step in range(12):
+                if step == 4:
+                    lp.relax(2 * d)
+                    lp.relax(0)
+                if step == 8:
+                    lp.restore(0)
+                c = rng.standard_normal(d)
+                warm = lp.maximize(c)
+                cold = lp_maximize(c, lp.polytope)
+                assert warm.status == cold.status == "optimal"
+                assert warm.optimum == pytest.approx(cold.optimum, abs=1e-9)
+            assert lp.polytope.nrows == G.shape[0] - 1
+
+    def test_relaxed_row_no_longer_bounds(self):
+        lp = WarmLp(box2d())
+        assert lp.maximize([1.0, 0.0]).optimum == pytest.approx(1.0)
+        lp.relax(0)
+        assert lp.maximize([1.0, 0.0]).status == "unbounded"
+        lp.restore(0)
+        assert lp.maximize([1.0, 0.0]).optimum == pytest.approx(1.0)
+
+    def test_cold_restart_on_unknown_status(self, monkeypatch):
+        restarts = force_unknown(monkeypatch, cold_resolves=True)
+        lp = WarmLp(box2d())
+        assert lp.is_redundant([1.0, 1.0], 2.0) is True
+        assert lp.is_redundant([1.0, 1.0], 1.5) is False
+        assert restarts == [1, 1]
+
+    def test_linprog_answers_when_cold_restart_fails(self, monkeypatch):
+        force_unknown(monkeypatch, cold_resolves=False)
+        calls = []
+        real = geometry.linprog
+        monkeypatch.setattr(geometry, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+        out = WarmLp(box2d()).maximize([1.0, 1.0])
+        assert out.status == "optimal" and out.optimum == pytest.approx(2.0)
+        assert calls
+
+    def test_without_private_highs_class(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_HIGHS", None)
+        calls = []
+        real = geometry.is_redundant
+        monkeypatch.setattr(geometry, "is_redundant", lambda *a, **k: calls.append(1) or real(*a, **k))
+        lp = WarmLp(box2d())
+        lp.relax(0)
+        assert lp.maximize([1.0, 0.0]).status == "unbounded"
+        assert lp.is_redundant([1.0, 0.0], 0.5) is False
+        assert calls == [1]
 
 
 class TestVertexEnumeration:
@@ -91,7 +184,7 @@ class TestVertexEnumeration:
         assert match_point_sets(result.vertices, expected, 1e-8)
 
     def test_cut_corner_has_five_vertices(self):
-        cut = box2d().with_rows([[1.0, 1.0]], [1.0])
+        cut = Polytope(np.vstack([box2d().G, [[1.0, 1.0]]]), np.append(box2d().h, 1.0))
         result = enumerate_vertices(cut)
         assert len(result.vertices) == 5
         expected = brute_force_vertices(cut.G, cut.h)

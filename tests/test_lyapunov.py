@@ -4,6 +4,7 @@ import pytest
 from masbound import (
     LtiSystem,
     OutputBox,
+    bound_m1_forced,
     bound_m2,
     bound_m2_forced,
     bound_m2_unforced,
@@ -331,18 +332,37 @@ class TestClosedFormPrefix:
         assert t_star == 4
         assert rep.m >= t_star
 
+    def test_forced_rank_deficient_dc_gain_several_outputs(self):
+        # Three inputs, two outputs: H0 has a null space, so the (z, u)
+        # prefix set is unbounded; it is enumerated in (z, s), w = F s.
+        sys = LtiSystem(A=[[0.5, 0.1], [0.0, 0.3]], B=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], C=np.eye(2))
+        box = unit_box(q=2)
+        rep = bound_m2_forced(sys, box, 0.1)
+        t_star = exact_t_star_forced(sys, box, 0.1).t_star
+        assert t_star == 2
+        assert bound_m1_forced(sys, box, 0.1).m == 6
+        assert rep.m >= t_star
+        # The z-projection does not depend on the parametrisation of w:
+        # the first two columns of H0 already span its range.
+        H0 = dc_gain(sys)
+        bands = lyapunov._prefix_bands(sys, box, sys.n - 1, H0[:, :2], 0.1)
+        verts = enumerate_vertices(lyapunov._halfspaces(bands)).vertices
+        P = rep.diagnostics["level_set"].P
+        assert rep.diagnostics["r2"] == pytest.approx(compute_r2(P, verts, proj_dim=sys.n), rel=1e-9)
+
     def test_forced_zero_dc_gain(self):
         A = np.array([[0.5, 0.2], [-0.1, 0.3]])
         B = np.array([[1.0], [-2.0]])
-        C = np.array([[1.0, 0.5]])
-        D = -(C @ np.linalg.solve(np.eye(2) - A, B))
-        sys = LtiSystem(A=A, B=B, C=C, D=D)
-        assert not np.any(dc_gain(sys))
-        box = unit_box()
-        forced = bound_m2_forced(sys, box, 0.2)
-        unforced = bound_m2_unforced(sys, box)
-        assert forced.diagnostics["r2"] == unforced.diagnostics["r2"]
-        assert forced.m >= unforced.m
+        for q in (1, 2):
+            C = np.array([[1.0, 0.5], [-0.5, 2.0]])[:q]
+            D = -(C @ np.linalg.solve(np.eye(2) - A, B))
+            sys = LtiSystem(A=A, B=B, C=C, D=D)
+            assert not np.any(dc_gain(sys))
+            box = unit_box(q=q)
+            forced = bound_m2_forced(sys, box, 0.2)
+            unforced = bound_m2_unforced(sys, box)
+            assert forced.diagnostics["r2"] == unforced.diagnostics["r2"]
+            assert forced.m >= unforced.m
 
     def test_unobservable_system_falls_back_to_qhull(self, monkeypatch):
         calls = []
