@@ -1,5 +1,10 @@
 """masbound: admissibility-index bounds and exact maximal admissible sets
-for constrained discrete-time LTI systems."""
+for constrained discrete-time LTI systems.
+
+The namespace holds the quickstart and CLI calls and the result,
+configuration and error types they return or raise; every other name
+lives in its module.
+"""
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
@@ -10,118 +15,39 @@ from .errors import (
     UnboundedPolytopeError,
 )
 from .exact import MasResult, exact_t_star_forced, exact_t_star_unforced
-from .geometry import LpOutcome, Polytope, enumerate_vertices, is_redundant, lp_maximize
-from .linalg import (
-    Spectrum,
-    char_poly_coeffs,
-    eigenvalues,
-    min_singular_value,
-    solve_discrete_lyapunov,
-    spectral_radius,
-    sym_eig_extremes,
-)
-from .lyapunov import (
-    LevelSetPair,
-    bound_m2,
-    bound_m2_forced,
-    bound_m2_unforced,
-    build_O_prefix,
-    build_O_prefix_forced,
-    compute_r1,
-    compute_r2,
-    compute_sigma,
-)
-from .model import (
-    LtiSystem,
-    OutputBox,
-    ValidationReport,
-    dc_gain,
-    gamma,
-    load_system,
-    observability_matrix,
-    shift_to_equilibrium,
-    system_from_dict,
-    validate,
-)
-from .montecarlo import (
-    StudyConfig,
-    StudyRow,
-    SweepRow,
-    asymmetry_sweep,
-    demo_system,
-    random_stable_system,
-    run_study,
-    summarize,
-)
-from .powerseries import (
-    BetaState,
-    beta_init,
-    beta_step,
-    bound_m1_forced,
-    bound_m1_unforced,
-    condition_forced,
-    condition_unforced,
-)
+from .geometry import Polytope
+from .lyapunov import bound_m2_forced, bound_m2_unforced
+from .model import LtiSystem, OutputBox, load_system
+from .montecarlo import StudyConfig, StudyRow, SweepRow, asymmetry_sweep, demo_system, run_study
+from .powerseries import bound_m1_forced, bound_m1_unforced
 from .results import BoundReport
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaState",
     "BoundReport",
     "DEFAULT_TOLS",
     "IterationCapError",
-    "LevelSetPair",
     "LpError",
-    "LpOutcome",
     "LtiSystem",
     "MasResult",
     "MasboundError",
     "NumericalError",
     "OutputBox",
     "Polytope",
-    "Spectrum",
     "StudyConfig",
     "StudyRow",
     "SweepRow",
     "Tolerances",
     "UnboundedPolytopeError",
-    "ValidationReport",
     "asymmetry_sweep",
-    "beta_init",
-    "beta_step",
     "bound_m1_forced",
     "bound_m1_unforced",
-    "bound_m2",
     "bound_m2_forced",
     "bound_m2_unforced",
-    "build_O_prefix",
-    "build_O_prefix_forced",
-    "char_poly_coeffs",
-    "compute_r1",
-    "compute_r2",
-    "compute_sigma",
-    "condition_forced",
-    "condition_unforced",
-    "dc_gain",
     "demo_system",
-    "eigenvalues",
-    "enumerate_vertices",
     "exact_t_star_forced",
     "exact_t_star_unforced",
-    "gamma",
-    "is_redundant",
     "load_system",
-    "lp_maximize",
-    "min_singular_value",
-    "observability_matrix",
-    "random_stable_system",
     "run_study",
-    "shift_to_equilibrium",
-    "solve_discrete_lyapunov",
-    "spectral_radius",
-    "summarize",
-    "sym_eig_extremes",
-    "system_from_dict",
-    "validate",
 ]

@@ -30,9 +30,6 @@ class Tolerances:
     lyapunov_residual: float = 1e-8
     # Divergence guard for the power-series coefficient recursion.
     beta_growth_limit: float = 1e12
-    # Default rejection thresholds for system validation.
-    stability_threshold: float = 0.999
-    observability_threshold: float = 1e-4
 
 
 DEFAULT_TOLS = Tolerances()
@@ -41,6 +38,10 @@ DEFAULT_TOLS = Tolerances()
 POWER_SERIES_STEP_CAP = 10**6
 EXACT_STEP_CAP = 10**5
 VERTEX_DIM_CAP = 12
+
+# Default rejection thresholds for system validation and the study generator.
+STABILITY_THRESHOLD = 0.999
+OBSERVABILITY_THRESHOLD = 1e-4
 
 
 def from_env(base: Tolerances = DEFAULT_TOLS) -> Tolerances:

@@ -3,12 +3,12 @@
 The LP backend is scipy's HiGHS interface: `linprog` for one-off LPs,
 and `WarmLp`, one persistent HiGHS model re-solved from its previous
 basis, for the long runs of redundancy checks of the exact index.
-Vertex enumeration goes
-through qhull's halfspace intersection seeded with a Chebyshev-center
-interior point; a combinatorial active-set sweep serves as a fallback
-when qhull rejects a degenerate instance.  Parallelotopes
-{x : -lower <= M x <= upper} with a square nonsingular M have their
-vertices in closed form and need neither LPs nor qhull.
+Vertex enumeration goes through qhull's halfspace intersection seeded
+with a Chebyshev-center interior point; a combinatorial active-set
+sweep serves as a fallback when qhull rejects a degenerate instance.
+Parallelotopes {x : -lower <= M x <= upper} with a square nonsingular M
+have their vertices in closed form and need neither LPs nor qhull.
+Both vertex paths refuse dimensions above `VERTEX_DIM_CAP`.
 """
 
 from __future__ import annotations
@@ -356,13 +356,7 @@ def _brute_force_vertices(poly: Polytope, tols: Tolerances) -> np.ndarray:
     return _dedupe(np.asarray(points), tols.vertex_dedup)
 
 
-def parallelotope_vertices(
-    M,
-    lower,
-    upper,
-    dim_cap: int = VERTEX_DIM_CAP,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> np.ndarray | None:
+def parallelotope_vertices(M, lower, upper, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray | None:
     """Vertices of {x : -lower <= M x <= upper} for a square nonsingular M.
 
     They are M^{-1} s over the 2^d corners s of the box [-lower, upper].
@@ -370,13 +364,13 @@ def parallelotope_vertices(
     `enumerate_vertices`, when M is not square or is singular, when a
     width lower + upper is not positive, when two corners could map to
     points within `tols.vertex_dedup` of each other, when d exceeds
-    `dim_cap`, or when a vertex fails the feasibility guard.
+    `VERTEX_DIM_CAP`, or when a vertex fails the feasibility guard.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     d = M.shape[1]
-    if M.shape[0] != d or d > dim_cap:
+    if M.shape[0] != d or d > VERTEX_DIM_CAP:
         return None
     width = lower + upper
     if not np.min(width) > 0.0:
@@ -399,21 +393,17 @@ def parallelotope_vertices(
     return verts
 
 
-def enumerate_vertices(
-    poly: Polytope,
-    dim_cap: int = VERTEX_DIM_CAP,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> Polytope:
+def enumerate_vertices(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> Polytope:
     """Convert a bounded halfspace description to its vertex set.
 
     Returns a copy of the polytope with `vertices` filled in
     (deduplicated, each verified feasible).  Raises
     UnboundedPolytopeError for unbounded or empty input and ValueError
-    above the dimension cap.
+    above `VERTEX_DIM_CAP`.
     """
     d = poly.dim
-    if d > dim_cap:
-        raise ValueError(f"dimension {d} exceeds the vertex-enumeration cap {dim_cap}")
+    if d > VERTEX_DIM_CAP:
+        raise ValueError(f"dimension {d} exceeds the vertex-enumeration cap {VERTEX_DIM_CAP}")
     work = _drop_zero_rows(poly, tols)
     lo, hi = bounding_box(work, tols=tols)  # also certifies boundedness
     if d == 1:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT_TOLS, VERTEX_DIM_CAP, Tolerances
+from .config import DEFAULT_TOLS, Tolerances
 from .errors import NumericalError
 from .geometry import Polytope, enumerate_vertices, parallelotope_vertices
 from .linalg import solve_discrete_lyapunov, spectral_radius, sym_eig_extremes
@@ -24,24 +23,6 @@ from .model import LtiSystem, OutputBox, band_rows, dc_gain, output_bands
 from .results import BoundReport
 
 SIGMA_MODES = ("eq25", "paper")
-
-
-@dataclass(frozen=True)
-class LevelSetPair:
-    """Lyapunov data (P, Q), decay factor sigma, and level radii r1 <= r2."""
-
-    P: np.ndarray
-    Q: np.ndarray
-    sigma: float
-    r1: float
-    r2: float
-
-    def __post_init__(self):
-        if self.r2 < self.r1 - 1e-9 * max(1.0, abs(self.r1)):
-            raise NumericalError(
-                f"circumscribing level {self.r2:.6g} fell below inscribed level "
-                f"{self.r1:.6g}; vertex enumeration or the Lyapunov solve is suspect"
-            )
 
 
 def _prefix_bands(sys: LtiSystem, box: OutputBox, horizon: int, feed=None, epsilon: float = 1.0):
@@ -53,17 +34,16 @@ def _halfspaces(bands) -> Polytope:
     return Polytope(*band_rows(bands))
 
 
-def _prefix_vertices(bands, dim_cap: int, tols: Tolerances) -> np.ndarray:
+def _prefix_vertices(bands, tols: Tolerances) -> np.ndarray:
     """Closed-form vertices when the stacked bands form a parallelotope, qhull otherwise."""
     verts = parallelotope_vertices(
         np.vstack([M for M, _, _ in bands]),
         np.concatenate([lower for _, lower, _ in bands]),
         np.concatenate([upper for _, _, upper in bands]),
-        dim_cap=dim_cap,
         tols=tols,
     )
     if verts is None:
-        verts = enumerate_vertices(_halfspaces(bands), dim_cap=dim_cap, tols=tols).vertices
+        verts = enumerate_vertices(_halfspaces(bands), tols=tols).vertices
     return verts
 
 
@@ -171,9 +151,13 @@ def bound_m2(r1: float, r2: float, sigma: float) -> int:
     return max(0, math.floor(math.log(r1 / r2) / math.log(sigma)))
 
 
-def _compose_report(sys, P, sigma, sigma_mode, r1, r2, regime, epsilon=None) -> BoundReport:
+def _compose_report(P, sigma, sigma_mode, r1, r2, regime, epsilon=None) -> BoundReport:
     m = bound_m2(r1, r2, sigma)
-    pair = LevelSetPair(P=P, Q=np.eye(sys.n), sigma=sigma, r1=r1, r2=r2)
+    if r2 < r1 - 1e-9 * max(1.0, abs(r1)):
+        raise NumericalError(
+            f"circumscribing level {r2:.6g} fell below inscribed level "
+            f"{r1:.6g}; vertex enumeration or the Lyapunov solve is suspect"
+        )
     boundary = False
     if 0.0 < sigma < 1.0 and r1 < r2:
         ratio = math.log(r1 / r2) / math.log(sigma)
@@ -183,7 +167,7 @@ def _compose_report(sys, P, sigma, sigma_mode, r1, r2, regime, epsilon=None) -> 
         "sigma_mode": sigma_mode,
         "r1": r1,
         "r2": r2,
-        "level_set": pair,
+        "P": P,
         "boundary_integer": boundary,
     }
     if epsilon is not None:
@@ -205,15 +189,14 @@ def bound_m2_unforced(
     sys: LtiSystem,
     box: OutputBox,
     sigma_mode: str = "eq25",
-    dim_cap: int = VERTEX_DIM_CAP,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> BoundReport:
     """Level-set upper bound for the autonomous system (Q = I)."""
     P, sigma = _lyapunov_pieces(sys, sigma_mode, tols)
     r1 = compute_r1(P, sys.C, box, scale=1.0)
-    verts = _prefix_vertices(_prefix_bands(sys, box, horizon=sys.n - 1), dim_cap, tols)
+    verts = _prefix_vertices(_prefix_bands(sys, box, horizon=sys.n - 1), tols)
     r2 = compute_r2(P, verts)
-    return _compose_report(sys, P, sigma, sigma_mode, r1, r2, regime="unforced")
+    return _compose_report(P, sigma, sigma_mode, r1, r2, regime="unforced")
 
 
 def bound_m2_forced(
@@ -221,21 +204,16 @@ def bound_m2_forced(
     box: OutputBox,
     epsilon: float,
     sigma_mode: str = "eq25",
-    dim_cap: int = VERTEX_DIM_CAP,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> BoundReport:
     """Level-set upper bound for the constant-input system.
 
-    The prefix set depends on u only through w = H0 u.  With one output
-    it is enumerated in (z, w), where it is a parallelotope for any
-    input count.  With several outputs it is enumerated in (z, u) when
-    H0 has full column rank, and otherwise in (z, s) with w = F s for an
-    orthonormal basis F of the range of H0: the z-projection, which is
-    all r2 reads, does not depend on how w is parametrised, and (z, u)
-    would be unbounded along the null space of H0.  When H0 u is pinned
-    to zero (epsilon = 1, or zero DC gain) the prefix set is the
-    unforced one in the z-slice, and at epsilon = 1 the bound coincides
-    exactly with the unforced one.
+    The prefix set depends on u only through w = H0 u, so it is
+    enumerated in (z, s) with w = F s for an orthonormal basis F of the
+    range of H0; r2 reads only the z-projection, which does not depend
+    on how w is parametrised.  When H0 u is pinned to zero (epsilon = 1,
+    or zero DC gain) the prefix set is the unforced one, and at
+    epsilon = 1 the bound coincides exactly with the unforced one.
     """
     if not sys.has_input:
         raise ValueError("forced bound requires a system with an input channel (B)")
@@ -244,13 +222,7 @@ def bound_m2_forced(
     P, sigma = _lyapunov_pieces(sys, sigma_mode, tols)
     r1 = compute_r1(P, sys.C, box, scale=epsilon)
     H0 = dc_gain(sys)
-    if epsilon == 1.0 or not np.any(H0):
-        feed = None  # H0 u is pinned to zero
-    elif sys.q == 1:
-        feed = np.ones((1, 1))  # w = H0 u sweeps the whole tightened band
-    else:
-        span = scipy.linalg.orth(H0)
-        feed = H0 if span.shape[1] == sys.m_in else span  # w = F s when H0 has a null space
+    feed = None if epsilon == 1.0 or not np.any(H0) else scipy.linalg.orth(H0)
     bands = _prefix_bands(sys, box, sys.n - 1, feed, epsilon)
-    r2 = compute_r2(P, _prefix_vertices(bands, dim_cap, tols), proj_dim=sys.n)
-    return _compose_report(sys, P, sigma, sigma_mode, r1, r2, regime="forced", epsilon=epsilon)
+    r2 = compute_r2(P, _prefix_vertices(bands, tols), proj_dim=sys.n)
+    return _compose_report(P, sigma, sigma_mode, r1, r2, regime="forced", epsilon=epsilon)

@@ -2,8 +2,8 @@
 
 Holds the LTI system description (autonomous or with a constant input
 channel), the box output constraint, validation against the stability
-and observability rejection thresholds, and the equilibrium shift used
-by the constant-input computations.
+and observability rejection thresholds, the DC gain and the output
+constraint bands used by the exact and level-set computations.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import OBSERVABILITY_THRESHOLD, STABILITY_THRESHOLD
 from .linalg import min_singular_value, spectral_radius
 
 
@@ -135,9 +135,8 @@ def observability_matrix(sys: LtiSystem) -> np.ndarray:
 def validate(
     sys: LtiSystem,
     box: OutputBox,
-    stability_threshold: float | None = None,
-    observability_threshold: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
+    stability_threshold: float = STABILITY_THRESHOLD,
+    observability_threshold: float = OBSERVABILITY_THRESHOLD,
 ) -> ValidationReport:
     """Check the rejection rules: spectral radius and observability margin.
 
@@ -145,10 +144,6 @@ def validate(
     unobservable when the smallest singular value of the observability
     matrix falls below observability_threshold.
     """
-    if stability_threshold is None:
-        stability_threshold = tols.stability_threshold
-    if observability_threshold is None:
-        observability_threshold = tols.observability_threshold
     if box.q != sys.q:
         raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
     rho = spectral_radius(sys.A)
@@ -203,22 +198,6 @@ def band_rows(bands) -> tuple[np.ndarray, np.ndarray]:
         rows += [M, -M]
         rhs += [upper, lower]
     return np.vstack(rows), np.concatenate(rhs)
-
-
-def shift_to_equilibrium(sys: LtiSystem, u) -> tuple[np.ndarray, np.ndarray]:
-    """Equilibrium (x_eq, y_eq) for constant input u.
-
-    x_eq = (I - A)^{-1} B u and y_eq = C x_eq + D u; the shifted state
-    z = x - x_eq evolves autonomously with output y = C z + y_eq.
-    """
-    if not sys.has_input:
-        raise ValueError("shift_to_equilibrium requires a system with an input channel (B)")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (sys.m_in,):
-        raise ValueError(f"u must have length {sys.m_in}, got shape {u.shape}")
-    x_eq = np.linalg.solve(np.eye(sys.n) - sys.A, sys.B @ u)
-    y_eq = sys.C @ x_eq + sys.D @ u
-    return x_eq, y_eq
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import block_diag
 
-from .config import DEFAULT_TOLS, EXACT_STEP_CAP, POWER_SERIES_STEP_CAP, VERTEX_DIM_CAP, Tolerances
+from .config import DEFAULT_TOLS, OBSERVABILITY_THRESHOLD, STABILITY_THRESHOLD, Tolerances
 from .errors import IterationCapError, MasboundError
 from .exact import exact_t_star_forced, exact_t_star_unforced
 from .linalg import spectral_radius
@@ -29,6 +29,8 @@ from .powerseries import bound_m1_forced, bound_m1_unforced
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = "system_id,seed,n,rho,t_star,m1,m2,t_star_forced,m1_forced,m2_forced,epsilon,status"
+# Consecutive rejected draws after which the generator gives up.
+MAX_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -38,13 +40,8 @@ class StudyConfig:
     epsilon: float = 0.01
     order_min: int = 1
     order_max: int = 8
-    stability_threshold: float = 0.999
-    observability_threshold: float = 1e-4
-    sigma_mode: str = "eq25"
-    exact_cap: int = EXACT_STEP_CAP
-    m1_cap: int = POWER_SERIES_STEP_CAP
-    vertex_dim_cap: int = VERTEX_DIM_CAP
-    max_attempts: int = 1000
+    stability_threshold: float = STABILITY_THRESHOLD
+    observability_threshold: float = OBSERVABILITY_THRESHOLD
 
     def __post_init__(self):
         if self.count < 1:
@@ -99,7 +96,7 @@ def random_stable_system(seed: int, config: StudyConfig = StudyConfig()) -> tupl
     # high orders harder through the observability rule) cannot skew the
     # order distribution away from uniform.
     n = int(rng.integers(config.order_min, config.order_max + 1))
-    for _ in range(config.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         blocks = []
         rem = n
         while rem > 0:
@@ -131,7 +128,7 @@ def random_stable_system(seed: int, config: StudyConfig = StudyConfig()) -> tupl
         if report.ok:
             return sys, box
     raise MasboundError(
-        f"system generation rejected {config.max_attempts} consecutive draws (seed {seed})"
+        f"system generation rejected {MAX_ATTEMPTS} consecutive draws (seed {seed})"
     )
 
 
@@ -175,15 +172,11 @@ def compute_study_row(
             tags.append(f"unavailable:{cap_tag}")
         return None
 
-    res = stage("t_star", lambda: exact_t_star_unforced(sys, box, step_cap=config.exact_cap, tols=tols), "t_star")
+    res = stage("t_star", lambda: exact_t_star_unforced(sys, box, tols=tols), "t_star")
     row.t_star = None if res is None else res.t_star
-    res = stage("m1", lambda: bound_m1_unforced(sys, box, step_cap=config.m1_cap, tols=tols), "m1")
+    res = stage("m1", lambda: bound_m1_unforced(sys, box, tols=tols), "m1")
     row.m1 = None if res is None else res.m
-    res = stage(
-        "m2",
-        lambda: bound_m2_unforced(sys, box, sigma_mode=config.sigma_mode, dim_cap=config.vertex_dim_cap, tols=tols),
-        "m2",
-    )
+    res = stage("m2", lambda: bound_m2_unforced(sys, box, tols=tols), "m2")
     if res is not None:
         row.m2 = res.m
         row.m2_paper = bound_m2(
@@ -192,23 +185,11 @@ def compute_study_row(
 
     if sys.has_input:
         eps = config.epsilon
-        res = stage(
-            "t_star_forced",
-            lambda: exact_t_star_forced(sys, box, eps, step_cap=config.exact_cap, tols=tols),
-            "t_star_forced",
-        )
+        res = stage("t_star_forced", lambda: exact_t_star_forced(sys, box, eps, tols=tols), "t_star_forced")
         row.t_star_forced = None if res is None else res.t_star
-        res = stage(
-            "m1_forced",
-            lambda: bound_m1_forced(sys, box, eps, step_cap=config.m1_cap, tols=tols),
-            "m1_forced",
-        )
+        res = stage("m1_forced", lambda: bound_m1_forced(sys, box, eps, tols=tols), "m1_forced")
         row.m1_forced = None if res is None else res.m
-        res = stage(
-            "m2_forced",
-            lambda: bound_m2_forced(sys, box, eps, sigma_mode=config.sigma_mode, dim_cap=config.vertex_dim_cap, tols=tols),
-            "m2_forced",
-        )
+        res = stage("m2_forced", lambda: bound_m2_forced(sys, box, eps, tols=tols), "m2_forced")
         if res is not None:
             row.m2_forced = res.m
             row.m2_paper_forced = bound_m2(
@@ -368,7 +349,6 @@ def asymmetry_sweep(
     y_upper: float,
     y_lower_grid,
     sigma_mode: str = "eq25",
-    exact_cap: int = EXACT_STEP_CAP,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> list[SweepRow]:
     """Exact index and both bounds while the lower limit sweeps a grid.
@@ -381,7 +361,7 @@ def asymmetry_sweep(
     out = []
     for y_l in y_lower_grid:
         box = OutputBox(np.array([float(y_l)]), np.array([float(y_upper)]))
-        t_star = exact_t_star_unforced(sys, box, step_cap=exact_cap, tols=tols).t_star
+        t_star = exact_t_star_unforced(sys, box, tols=tols).t_star
         m1 = bound_m1_unforced(sys, box, tols=tols).m
         m2 = bound_m2_unforced(sys, box, sigma_mode=sigma_mode, tols=tols).m
         out.append(SweepRow(y_lower=float(y_l), t_star=t_star, m1=m1, m2=m2))

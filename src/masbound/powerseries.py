@@ -62,17 +62,17 @@ def _split_sums(beta: np.ndarray) -> tuple[float, float]:
     return pos, neg
 
 
-def condition_unforced(beta, g: float, margin: float = 0.0) -> bool:
+def condition_unforced(beta, g: float) -> bool:
     """Stop rule: sum of positive coefficients minus g times the sum of
     negative ones must not exceed 1."""
     if g < 1.0:
         raise ValueError(f"asymmetry ratio must be >= 1, got {g}")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     pos, neg = _split_sums(beta)
-    return pos - g * neg <= 1.0 - margin
+    return pos - g * neg <= 1.0
 
 
-def condition_forced(beta, g: float, epsilon: float, margin: float = 0.0) -> bool:
+def condition_forced(beta, g: float, epsilon: float) -> bool:
     """Tightened stop rule for the constant-input case.
 
     (1 + g(1-eps)) * pos_sum - (g + (1-eps)) * neg_sum <= eps.
@@ -85,7 +85,7 @@ def condition_forced(beta, g: float, epsilon: float, margin: float = 0.0) -> boo
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     pos, neg = _split_sums(beta)
     lhs = (1.0 + g * (1.0 - epsilon)) * pos - (g + (1.0 - epsilon)) * neg
-    return lhs <= epsilon - margin
+    return lhs <= epsilon
 
 
 def _run_recursion(sys: LtiSystem, box: OutputBox, predicate, step_cap, tols: Tolerances):
@@ -121,7 +121,6 @@ def bound_m1_unforced(
     sys: LtiSystem,
     box: OutputBox,
     step_cap: int = POWER_SERIES_STEP_CAP,
-    margin: float = 0.0,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> BoundReport:
     """Upper bound m on the admissibility index for the autonomous system.
@@ -131,7 +130,7 @@ def bound_m1_unforced(
     """
     g = gamma(box)
     state, _, rho = _run_recursion(
-        sys, box, lambda b: condition_unforced(b, g, margin), step_cap, tols
+        sys, box, lambda b: condition_unforced(b, g), step_cap, tols
     )
     return BoundReport(
         method="power-series",
@@ -147,7 +146,6 @@ def bound_m1_forced(
     box: OutputBox,
     epsilon: float,
     step_cap: int = POWER_SERIES_STEP_CAP,
-    margin: float = 0.0,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> BoundReport:
     """Upper bound for the constant-input system with steady-state margin epsilon.
@@ -161,7 +159,7 @@ def bound_m1_forced(
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     g = gamma(box)
     state, _, rho = _run_recursion(
-        sys, box, lambda b: condition_forced(b, g, epsilon, margin), step_cap, tols
+        sys, box, lambda b: condition_forced(b, g, epsilon), step_cap, tols
     )
     return BoundReport(
         method="power-series",

@@ -10,9 +10,10 @@ class BoundReport:
     """Upper bound on the admissibility index, with method diagnostics.
 
     method is "power-series" or "lyapunov"; regime is "unforced" or
-    "forced".  diagnostics carries method-specific extras (for the
-    power-series method the stopping step, for the level-set method
-    sigma, r1, r2 and the Lyapunov matrix).
+    "forced".  diagnostics carries method-specific extras: for the
+    power-series method "stop_t", "gamma" and "rho"; for the level-set
+    method "sigma", "sigma_mode", "r1", "r2", the Lyapunov matrix "P"
+    and "boundary_integer"; in the forced regime also "epsilon".
     """
 
     method: str

@@ -10,7 +10,11 @@ import pytest
 from scipy.stats import spearmanr
 
 import masbound as mb
-from masbound.montecarlo import StudyConfig, asymmetry_sweep, run_study
+from masbound.geometry import enumerate_vertices
+from masbound.linalg import solve_discrete_lyapunov, spectral_radius
+from masbound.lyapunov import bound_m2, compute_sigma
+from masbound.model import gamma
+from masbound.montecarlo import StudyConfig, asymmetry_sweep, random_stable_system, run_study
 from conftest import (
     brute_force_vertices,
     make_siso,
@@ -134,7 +138,7 @@ def test_criterion_6_degeneracy_checks():
     rng = np.random.default_rng(7)
     eps_one_ok = True
     for seed in range(20):
-        sys, box = mb.random_stable_system(seed)
+        sys, box = random_stable_system(seed)
         if (
             mb.bound_m1_forced(sys, box, 1.0).m != mb.bound_m1_unforced(sys, box).m
             or mb.bound_m2_forced(sys, box, 1.0).m != mb.bound_m2_unforced(sys, box).m
@@ -143,7 +147,7 @@ def test_criterion_6_degeneracy_checks():
             print(f"  epsilon=1 degeneracy failed on generator seed {seed}")
     scaling_ok = True
     for seed in range(20, 40):
-        sys, box = mb.random_stable_system(seed)
+        sys, box = random_stable_system(seed)
         t_ref = mb.exact_t_star_unforced(sys, box).t_star
         m_ref = mb.bound_m1_unforced(sys, box).m
         for k in (0.1, 10.0):
@@ -173,7 +177,7 @@ def test_criterion_7_closed_form_unit_suite():
     for _ in range(20):
         n = int(rng.integers(1, 7))
         A = random_stable_matrix(rng, n, rho_max=0.95)
-        P = mb.solve_discrete_lyapunov(A, np.eye(n))
+        P = solve_discrete_lyapunov(A, np.eye(n))
         residual = np.linalg.norm(A.T @ P @ A - P + np.eye(n), "fro")
         residual_ok &= residual <= 1e-8 * np.sqrt(n)
     checks.append(("lyapunov residual <= 1e-8*||Q||", residual_ok))
@@ -182,7 +186,7 @@ def test_criterion_7_closed_form_unit_suite():
     diag_ok = True
     for _ in range(10):
         a = rng.uniform(-0.95, 0.95, size=int(rng.integers(1, 6)))
-        P = mb.solve_discrete_lyapunov(np.diag(a), np.eye(a.size))
+        P = solve_discrete_lyapunov(np.diag(a), np.eye(a.size))
         diag_ok &= np.allclose(P, np.diag(1.0 / (1.0 - a**2)), atol=1e-10)
     checks.append(("P = diag(1/(1-a_i^2)) for diagonal A", diag_ok))
 
@@ -193,14 +197,14 @@ def test_criterion_7_closed_form_unit_suite():
         S = rng.standard_normal((n, n))
         S = 0.5 * (S + S.T)
         A = S * (rng.uniform(0.2, 0.95) / np.max(np.abs(np.linalg.eigvalsh(S))))
-        P = mb.solve_discrete_lyapunov(A, np.eye(n))
-        sigma = mb.compute_sigma(A, P, np.eye(n), mode="eq25")
-        normal_ok &= abs(sigma - mb.spectral_radius(A) ** 2) <= 1e-8
+        P = solve_discrete_lyapunov(A, np.eye(n))
+        sigma = compute_sigma(A, P, np.eye(n), mode="eq25")
+        normal_ok &= abs(sigma - spectral_radius(A) ** 2) <= 1e-8
     checks.append(("sigma_eq25 = rho^2 on normal A", normal_ok))
 
     # Floor-formula worked values.
-    checks.append(("floor formula m=0", mb.bound_m2(4.0 / 3.0, 8.0 / 3.0, 0.25) == 0))
-    checks.append(("floor formula m=43", mb.bound_m2(1.0, 100.0, 0.9) == 43))
+    checks.append(("floor formula m=0", bound_m2(4.0 / 3.0, 8.0 / 3.0, 0.25) == 0))
+    checks.append(("floor formula m=43", bound_m2(1.0, 100.0, 0.9) == 43))
 
     # Power-series worked values.
     checks.append(("power series m=0", mb.bound_m1_unforced(make_siso(0.5), unit_box()).m == 0))
@@ -240,7 +244,7 @@ def test_criterion_8_oracle_equivalence():
         d = int(rng.integers(2, 4))
         k = int(rng.integers(2 * d, 13))
         G, h = random_bounded_polytope(rng, d, k)
-        mine = mb.enumerate_vertices(mb.Polytope(G, h)).vertices
+        mine = enumerate_vertices(mb.Polytope(G, h)).vertices
         oracle = brute_force_vertices(G, h)
         if not match_point_sets(mine, oracle, 1e-6):
             vertex_ok = False
@@ -258,7 +262,7 @@ def test_criterion_9_first_order_shortcuts():
         lo = float(rng.uniform(0.1, 2.0))
         hi = float(rng.uniform(0.1, 2.0))
         box = mb.OutputBox([lo], [hi])
-        g = mb.gamma(box)
+        g = gamma(box)
         a = float(rng.uniform(-1.0 / g + 1e-9, 0.999))
         sys = make_siso(a, b=1.0)
         if mb.bound_m1_unforced(sys, box).m != 0 or mb.exact_t_star_unforced(sys, box).t_star != 0:
@@ -270,7 +274,7 @@ def test_criterion_9_first_order_shortcuts():
         lo = float(rng.uniform(0.1, 2.0))
         hi = float(rng.uniform(0.1, 2.0))
         box = mb.OutputBox([lo], [hi])
-        g = mb.gamma(box)
+        g = gamma(box)
         eps = float(rng.uniform(0.05, 0.95))
         low = -eps / (g + (1.0 - eps))
         high = eps / (1.0 + g * (1.0 - eps))

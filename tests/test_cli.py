@@ -111,7 +111,7 @@ class TestExact:
         G = np.array([[float(v) for v in r[:-1]] for r in rows])
         h = np.array([float(r[-1]) for r in rows])
         assert G.shape[0] == report["rows"]
-        from masbound import Polytope, is_redundant
+        from masbound.geometry import Polytope, is_redundant
 
         for i in range(G.shape[0]):
             others = [j for j in range(G.shape[0]) if j != i]

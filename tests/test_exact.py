@@ -8,16 +8,18 @@ from masbound import (
     LtiSystem,
     OutputBox,
     Polytope,
+    bound_m1_forced,
     bound_m1_unforced,
+    bound_m2_forced,
     bound_m2_unforced,
-    build_O_prefix,
-    dc_gain,
     demo_system,
     exact_t_star_forced,
     exact_t_star_unforced,
-    is_redundant,
 )
 from masbound import exact, geometry
+from masbound.geometry import is_redundant
+from masbound.lyapunov import build_O_prefix
+from masbound.model import dc_gain
 from conftest import force_unknown, make_siso, random_stable_matrix, scalar_interval_t_star, unit_box
 
 
@@ -25,8 +27,6 @@ def redundant_at_horizon(sys, box, result, t):
     """All signed output rows of time step t are implied by the returned set."""
     M = sys.C @ np.linalg.matrix_power(sys.A, t)
     if result.regime == "forced":
-        from masbound import dc_gain
-
         H0 = dc_gain(sys)
         M = np.hstack([M, H0])
     for j in range(sys.q):
@@ -128,7 +128,7 @@ class TestUnforced:
             box = unit_box()
             res = exact_t_star_unforced(sys, box)
             rep = bound_m2_unforced(sys, box)
-            P = rep.diagnostics["level_set"].P
+            P = rep.diagnostics["P"]
             r1 = rep.diagnostics["r1"]
             prefix = build_O_prefix(sys, box, horizon=sys.n - 1)
             for _ in range(50):
@@ -200,7 +200,7 @@ class TestForced:
         sys = make_siso(0.5, b=1.0)
         res = exact_t_star_forced(sys, unit_box(), 0.25)
         # (z0, u) polytope must cap |H0 u| at (1 - eps): max 2u = 0.75
-        from masbound import lp_maximize
+        from masbound.geometry import lp_maximize
 
         out = lp_maximize(np.array([0.0, 2.0]), res.polytope)
         assert out.status == "optimal"
@@ -337,3 +337,17 @@ def exact_cases(draw):
 ))
 def test_warm_path_matches_cold_reference(case):
     assert_same_result(run_exact(*case), *reference_exact(*case))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(exact_cases())
+@example(backend_cases()[2])
+def test_bounds_dominate_exact_index(case):
+    sys, box, epsilon = case
+    t_star = run_exact(*case).t_star
+    if epsilon is None:
+        m1, m2 = bound_m1_unforced(sys, box).m, bound_m2_unforced(sys, box).m
+    else:
+        m1, m2 = bound_m1_forced(sys, box, epsilon).m, bound_m2_forced(sys, box, epsilon).m
+    assert t_star <= m1
+    assert t_star <= m2

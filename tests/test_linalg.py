@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from masbound import (
-    NumericalError,
+from masbound.linalg import (
     char_poly_coeffs,
     eigenvalues,
     min_singular_value,

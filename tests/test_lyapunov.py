@@ -3,22 +3,26 @@ import pytest
 
 from masbound import (
     LtiSystem,
+    NumericalError,
     OutputBox,
+    UnboundedPolytopeError,
     bound_m1_forced,
-    bound_m2,
     bound_m2_forced,
     bound_m2_unforced,
+    exact_t_star_forced,
+)
+from masbound import lyapunov
+from masbound.config import VERTEX_DIM_CAP
+from masbound.geometry import enumerate_vertices
+from masbound.linalg import solve_discrete_lyapunov
+from masbound.lyapunov import (
+    bound_m2,
     build_O_prefix,
     build_O_prefix_forced,
     compute_r1,
     compute_r2,
     compute_sigma,
-    exact_t_star_forced,
-    solve_discrete_lyapunov,
 )
-from masbound import lyapunov
-from masbound.errors import UnboundedPolytopeError
-from masbound.geometry import enumerate_vertices
 from masbound.model import dc_gain
 from masbound.montecarlo import StudyConfig, random_stable_system
 from conftest import make_siso, random_stable_matrix, unit_box
@@ -53,8 +57,6 @@ class TestPrefixSets:
         n = 2
         A = random_stable_matrix(rng, n)
         sys = LtiSystem(A=A, B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)))
-        from masbound import dc_gain
-
         H0 = dc_gain(sys)
         eps = 0.3
         poly = build_O_prefix_forced(sys, unit_box(), epsilon=eps, horizon=1)
@@ -234,7 +236,7 @@ class TestComposedBounds:
             sys = LtiSystem(A=random_stable_matrix(rng, n), C=rng.standard_normal((1, n)))
             box = OutputBox(rng.uniform(0.3, 2.0, size=1), rng.uniform(0.3, 2.0, size=1))
             rep = bound_m2_unforced(sys, box)
-            P = rep.diagnostics["level_set"].P
+            P = rep.diagnostics["P"]
             r1 = rep.diagnostics["r1"]
             for _ in range(100):
                 direction = rng.standard_normal(n)
@@ -256,7 +258,7 @@ class TestComposedBounds:
             eps = float(rng.uniform(0.05, 0.9))
             box = unit_box()
             rep = bound_m2_forced(sys, box, eps)
-            P = rep.diagnostics["level_set"].P
+            P = rep.diagnostics["P"]
             r1 = rep.diagnostics["r1"]
             for _ in range(50):
                 direction = rng.standard_normal(n)
@@ -270,14 +272,20 @@ class TestComposedBounds:
             bound_m2_forced(make_siso(0.5), unit_box(), 0.5)
 
     def test_dim_cap_refused(self, rng):
-        n = 5
+        # Single output, forced: the prefix set lives in (z, s), d = n + 1.
+        n = VERTEX_DIM_CAP
         sys = LtiSystem(
             A=random_stable_matrix(rng, n),
             B=rng.standard_normal((n, 1)),
             C=rng.standard_normal((1, n)),
         )
         with pytest.raises(ValueError, match="cap"):
-            bound_m2_forced(sys, unit_box(), 0.5, dim_cap=5)
+            bound_m2_forced(sys, unit_box(), 0.5)
+
+    def test_circumscribing_level_below_inscribed_raises(self, monkeypatch):
+        monkeypatch.setattr(lyapunov, "compute_r2", lambda *args, **kwargs: 0.5)
+        with pytest.raises(NumericalError, match="fell below"):
+            bound_m2_unforced(make_siso(0.5), unit_box())
 
 
 def qhull_m2(sys, box, epsilon=None):
@@ -288,7 +296,7 @@ def qhull_m2(sys, box, epsilon=None):
     else:
         rep = bound_m2_forced(sys, box, epsilon)
         prefix = build_O_prefix_forced(sys, box, epsilon, horizon=sys.n - 1)
-    r2 = compute_r2(rep.diagnostics["level_set"].P, enumerate_vertices(prefix).vertices, proj_dim=sys.n)
+    r2 = compute_r2(rep.diagnostics["P"], enumerate_vertices(prefix).vertices, proj_dim=sys.n)
     return rep, bound_m2(rep.diagnostics["r1"], r2, rep.diagnostics["sigma"]), r2
 
 
@@ -319,6 +327,23 @@ class TestClosedFormPrefix:
             rep, m_qhull, _ = qhull_m2(sys, box, float(rng.uniform(0.01, 0.9)))
             assert rep.m == m_qhull
 
+    def test_full_rank_dc_gain_several_outputs_matches_z_u_path(self, rng):
+        # H0 of full column rank: the (z, u) prefix set is bounded, and the
+        # z-projection of its vertices must give the r2 of the orth(H0) feed.
+        for m_in in (1, 2):
+            for _ in range(4):
+                n = int(rng.integers(2, 5))
+                sys = LtiSystem(
+                    A=random_stable_matrix(rng, n),
+                    B=rng.standard_normal((n, m_in)),
+                    C=rng.standard_normal((2, n)),
+                )
+                assert np.linalg.matrix_rank(dc_gain(sys)) == m_in
+                box = OutputBox(rng.uniform(0.3, 2.0, size=2), rng.uniform(0.3, 2.0, size=2))
+                rep, m_qhull, r2_qhull = qhull_m2(sys, box, float(rng.uniform(0.01, 0.5)))
+                assert rep.m == m_qhull
+                assert rep.diagnostics["r2"] == pytest.approx(r2_qhull, rel=1e-9)
+
     def test_forced_more_inputs_than_outputs(self):
         # The (z, u) prefix set is unbounded along the null space of H0;
         # in (z, w = H0 u) it is a bounded parallelotope.
@@ -347,7 +372,7 @@ class TestClosedFormPrefix:
         H0 = dc_gain(sys)
         bands = lyapunov._prefix_bands(sys, box, sys.n - 1, H0[:, :2], 0.1)
         verts = enumerate_vertices(lyapunov._halfspaces(bands)).vertices
-        P = rep.diagnostics["level_set"].P
+        P = rep.diagnostics["P"]
         assert rep.diagnostics["r2"] == pytest.approx(compute_r2(P, verts, proj_dim=sys.n), rel=1e-9)
 
     def test_forced_zero_dc_gain(self):

@@ -3,16 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from masbound import (
-    LtiSystem,
-    OutputBox,
-    dc_gain,
-    gamma,
-    observability_matrix,
-    shift_to_equilibrium,
-    system_from_dict,
-    validate,
-)
+from masbound import LtiSystem, OutputBox
+from masbound.model import dc_gain, gamma, observability_matrix, system_from_dict, validate
 from conftest import make_siso, random_stable_matrix, unit_box
 
 
@@ -115,26 +107,9 @@ class TestDcGain:
             sys = LtiSystem(A=A, B=rng.standard_normal((n, 2)), C=rng.standard_normal((2, n)),
                             D=rng.standard_normal((2, 2)))
             u = rng.standard_normal(2)
-            x_eq, y_eq = shift_to_equilibrium(sys, u)
+            x_eq = np.linalg.solve(np.eye(n) - A, sys.B @ u)
             assert np.allclose(sys.A @ x_eq + sys.B @ u, x_eq, atol=1e-10)
             assert np.allclose(sys.C @ x_eq + sys.D @ u, dc_gain(sys) @ u, atol=1e-10)
-            assert np.allclose(y_eq, dc_gain(sys) @ u, atol=1e-12)
-
-
-class TestShift:
-    def test_first_order(self):
-        x_eq, y_eq = shift_to_equilibrium(make_siso(0.5, b=1.0), [1.0])
-        assert x_eq[0] == pytest.approx(2.0)
-        assert y_eq[0] == pytest.approx(2.0)
-
-    def test_zero_input(self):
-        x_eq, y_eq = shift_to_equilibrium(make_siso(0.5, b=1.0), [0.0])
-        assert x_eq[0] == 0.0 and y_eq[0] == 0.0
-
-    def test_integrator_free(self):
-        x_eq, y_eq = shift_to_equilibrium(make_siso(0.0, b=2.0), [3.0])
-        assert x_eq[0] == pytest.approx(6.0)
-        assert y_eq[0] == pytest.approx(6.0)
 
 
 class TestJsonSchema:

@@ -2,20 +2,16 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from masbound import (
-    LtiSystem,
-    OutputBox,
-    demo_system,
-    random_stable_system,
-    run_study,
-    spectral_radius,
-    validate,
-)
+from masbound import IterationCapError, LtiSystem, OutputBox, demo_system, run_study
+from masbound import montecarlo
+from masbound.linalg import spectral_radius
+from masbound.model import validate
 from masbound.montecarlo import (
     CSV_HEADER,
     StudyConfig,
     asymmetry_sweep,
     compute_study_row,
+    random_stable_system,
     rows_to_csv_text,
     system_seed,
 )
@@ -93,8 +89,12 @@ class TestStudy:
                 assert r.t_star_forced >= r.t_star
         assert summary["frac_m1_le_m2"] == 1.0
 
-    def test_capped_system_recorded_not_raised(self):
-        cfg = StudyConfig(count=1, seed=0, exact_cap=0)
+    def test_capped_system_recorded_not_raised(self, monkeypatch):
+        def capped(*args, **kwargs):
+            raise IterationCapError("admissibility index not determined within 0 steps", cap=0)
+
+        monkeypatch.setattr(montecarlo, "exact_t_star_unforced", capped)
+        cfg = StudyConfig(count=1, seed=0)
         rows, summary = run_study(
             cfg, systems=[(make_siso(-0.9), OutputBox([0.1], [1.0]))]
         )

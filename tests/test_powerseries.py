@@ -5,14 +5,12 @@ from masbound import (
     IterationCapError,
     LtiSystem,
     OutputBox,
-    beta_init,
-    beta_step,
     bound_m1_forced,
     bound_m1_unforced,
-    char_poly_coeffs,
     exact_t_star_unforced,
 )
-from masbound.powerseries import condition_forced, condition_unforced
+from masbound.linalg import char_poly_coeffs
+from masbound.powerseries import beta_init, beta_step, condition_forced, condition_unforced
 from conftest import make_siso, random_stable_matrix, unit_box
 
 
