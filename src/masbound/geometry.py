@@ -3,9 +3,12 @@
 The LP backend is scipy's HiGHS interface: `linprog` for one-off LPs,
 and `WarmLp`, one persistent HiGHS model re-solved from its previous
 basis, for the long runs of redundancy checks of the exact index.
-Vertex enumeration goes through qhull's halfspace intersection seeded
-with a Chebyshev-center interior point; a combinatorial active-set
-sweep serves as a fallback when qhull rejects a degenerate instance.
+Vertex enumeration goes through qhull's halfspace intersection, seeded
+at the origin when it lies strictly inside and at the Chebyshev center
+otherwise.  Boundedness is certified without LPs: the rows must have
+full rank, and the origin must lie strictly inside qhull's dual hull.
+A combinatorial active-set sweep, behind an LP bounding box, serves as
+a fallback when qhull rejects a degenerate instance.
 Parallelotopes {x : -lower <= M x <= upper} with a square nonsingular M
 have their vertices in closed form and need neither LPs nor qhull.
 Both vertex paths refuse dimensions above `VERTEX_DIM_CAP`.
@@ -47,6 +50,13 @@ def _probe_highs():
 
 # (class, maximize sense, {model status: LpOutcome status}) or None.
 _HIGHS = _probe_highs()
+
+# An interior point whose inscribed radius is below _FLAT times the
+# scale of the data does not make the set full-dimensional.
+_FLAT = 1e-10
+# A vertex more than _FAR inscribed radii from the qhull seed is taken
+# to lie at infinity.
+_FAR = 1e12
 
 
 @dataclass(frozen=True)
@@ -262,14 +272,15 @@ def chebyshev_center(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> tuple[n
     A_ub = np.hstack([poly.G, norms[:, None]])
     c = np.zeros(d + 1)
     c[-1] = -1.0  # maximize the radius
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=poly.h,
-        bounds=[(None, None)] * d + [(0, None)],
-        method="highs",
-        options=_highs_options(tols),
+    kwargs = dict(
+        A_ub=A_ub, b_ub=poly.h, bounds=[(None, None)] * d + [(0, None)], method="highs"
     )
+    res = linprog(c, **kwargs, options=_highs_options(tols))
+    if res.status != 0:
+        # As in `lp_maximize`: classify without presolve.
+        res = linprog(c, **kwargs, options={**_highs_options(tols), "presolve": False})
+    if res.status == 2:
+        raise UnboundedPolytopeError("polytope is empty")
     if res.status == 3:
         raise UnboundedPolytopeError("polytope has unbounded inscribed balls")
     if res.status != 0:
@@ -393,40 +404,65 @@ def parallelotope_vertices(M, lower, upper, tols: Tolerances = DEFAULT_TOLS) -> 
     return verts
 
 
+def _interval_vertices(poly: Polytope, tols: Tolerances) -> np.ndarray:
+    """End points of the one-dimensional {x : g x <= h}, rows nonzero."""
+    g, h = poly.G[:, 0], poly.h
+    if not (np.any(g < 0.0) and np.any(g > 0.0)):
+        raise UnboundedPolytopeError("interval is unbounded on one side")
+    lo = np.max(h[g < 0.0] / g[g < 0.0])
+    hi = np.min(h[g > 0.0] / g[g > 0.0])
+    if lo > hi:
+        raise UnboundedPolytopeError("polytope is empty")
+    return _dedupe(np.array([[lo], [hi]]), tols.vertex_dedup)
+
+
 def enumerate_vertices(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> Polytope:
     """Convert a bounded halfspace description to its vertex set.
 
     Returns a copy of the polytope with `vertices` filled in
     (deduplicated, each verified feasible).  Raises
     UnboundedPolytopeError for unbounded or empty input and ValueError
-    above `VERTEX_DIM_CAP`.
+    above `VERTEX_DIM_CAP`.  No LP runs when the origin lies strictly
+    inside: boundedness comes from the rank of G and qhull's dual hull.
     """
     d = poly.dim
     if d > VERTEX_DIM_CAP:
         raise ValueError(f"dimension {d} exceeds the vertex-enumeration cap {VERTEX_DIM_CAP}")
     work = _drop_zero_rows(poly, tols)
-    lo, hi = bounding_box(work, tols=tols)  # also certifies boundedness
     if d == 1:
-        verts = np.array([[lo[0]], [hi[0]]])
-        verts = _dedupe(verts, tols.vertex_dedup)
-        return Polytope(poly.G, poly.h, vertices=verts)
+        return Polytope(poly.G, poly.h, vertices=_interval_vertices(work, tols))
 
     # Normalize rows for qhull conditioning; the feasible set is unchanged.
     norms = np.linalg.norm(work.G, axis=1)
     Gn = work.G / norms[:, None]
     hn = work.h / norms
-    center, radius = chebyshev_center(Polytope(Gn, hn), tols=tols)
-    if radius <= 1e-10 * max(1.0, np.max(np.abs(hi - lo))):
-        raise UnboundedPolytopeError(
-            "polytope is not full-dimensional within tolerance; no interior point found"
-        )
+    if np.linalg.matrix_rank(Gn) < d:
+        # The null space of G lies in the recession cone.
+        raise UnboundedPolytopeError(f"constraint rows have rank below the dimension {d}")
+    scale = max(1.0, np.max(np.abs(hn)))
+    if np.min(hn) > _FLAT * scale:
+        center, radius = np.zeros(d), float(np.min(hn))
+    else:
+        center, radius = chebyshev_center(Polytope(Gn, hn), tols=tols)
+        if radius <= _FLAT * scale:
+            raise UnboundedPolytopeError(
+                "polytope is not full-dimensional within tolerance; no interior point found"
+            )
     halfspaces = np.hstack([Gn, -hn[:, None]])
     try:
-        inter = HalfspaceIntersection(halfspaces, center)
-        verts = np.asarray(inter.intersections, dtype=float)
+        # Unbounded input divides by zero offsets in scipy's intersections.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inter = HalfspaceIntersection(halfspaces, center)
     except QhullError:
+        bounding_box(work, tols=tols)  # brute force cannot see unboundedness
         verts = _brute_force_vertices(work, tols)
-    verts = verts[np.all(np.isfinite(verts), axis=1)]
+    else:
+        # Each dual facet has offset -1 / |v - center| for a vertex v; the
+        # set is bounded iff every offset is negative, that is iff the
+        # origin is strictly inside the dual hull.
+        if not np.all(inter.dual_equations[:, -1] < -1.0 / (_FAR * radius)):
+            raise UnboundedPolytopeError("polytope is unbounded: qhull's dual hull misses the origin")
+        verts = np.asarray(inter.intersections, dtype=float)
     if verts.size == 0:
         raise UnboundedPolytopeError("vertex enumeration produced no finite vertices")
     verts = _dedupe(verts, tols.vertex_dedup)

@@ -34,17 +34,20 @@ def _halfspaces(bands) -> Polytope:
     return Polytope(*band_rows(bands))
 
 
-def _prefix_vertices(bands, tols: Tolerances) -> np.ndarray:
-    """Closed-form vertices when the stacked bands form a parallelotope, qhull otherwise."""
+def _prefix_vertices(bands, tols: Tolerances) -> tuple[np.ndarray, str]:
+    """Closed-form vertices when the stacked bands form a parallelotope, qhull otherwise.
+
+    Returns the vertices and the path that found them, "closed_form" or "qhull".
+    """
     verts = parallelotope_vertices(
         np.vstack([M for M, _, _ in bands]),
         np.concatenate([lower for _, lower, _ in bands]),
         np.concatenate([upper for _, _, upper in bands]),
         tols=tols,
     )
-    if verts is None:
-        verts = enumerate_vertices(_halfspaces(bands), tols=tols).vertices
-    return verts
+    if verts is not None:
+        return verts, "closed_form"
+    return enumerate_vertices(_halfspaces(bands), tols=tols).vertices, "qhull"
 
 
 def build_O_prefix(sys: LtiSystem, box: OutputBox, horizon: int) -> Polytope:
@@ -151,7 +154,7 @@ def bound_m2(r1: float, r2: float, sigma: float) -> int:
     return max(0, math.floor(math.log(r1 / r2) / math.log(sigma)))
 
 
-def _compose_report(P, sigma, sigma_mode, r1, r2, regime, epsilon=None) -> BoundReport:
+def _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime, epsilon=None) -> BoundReport:
     m = bound_m2(r1, r2, sigma)
     if r2 < r1 - 1e-9 * max(1.0, abs(r1)):
         raise NumericalError(
@@ -169,6 +172,8 @@ def _compose_report(P, sigma, sigma_mode, r1, r2, regime, epsilon=None) -> Bound
         "r2": r2,
         "P": P,
         "boundary_integer": boundary,
+        "vertices": len(verts),
+        "vertex_path": path,
     }
     if epsilon is not None:
         diagnostics["epsilon"] = epsilon
@@ -194,9 +199,9 @@ def bound_m2_unforced(
     """Level-set upper bound for the autonomous system (Q = I)."""
     P, sigma = _lyapunov_pieces(sys, sigma_mode, tols)
     r1 = compute_r1(P, sys.C, box, scale=1.0)
-    verts = _prefix_vertices(_prefix_bands(sys, box, horizon=sys.n - 1), tols)
+    verts, path = _prefix_vertices(_prefix_bands(sys, box, horizon=sys.n - 1), tols)
     r2 = compute_r2(P, verts)
-    return _compose_report(P, sigma, sigma_mode, r1, r2, regime="unforced")
+    return _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime="unforced")
 
 
 def bound_m2_forced(
@@ -224,5 +229,6 @@ def bound_m2_forced(
     H0 = dc_gain(sys)
     feed = None if epsilon == 1.0 or not np.any(H0) else scipy.linalg.orth(H0)
     bands = _prefix_bands(sys, box, sys.n - 1, feed, epsilon)
-    r2 = compute_r2(P, _prefix_vertices(bands, tols), proj_dim=sys.n)
-    return _compose_report(P, sigma, sigma_mode, r1, r2, regime="forced", epsilon=epsilon)
+    verts, path = _prefix_vertices(bands, tols)
+    r2 = compute_r2(P, verts, proj_dim=sys.n)
+    return _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime="forced", epsilon=epsilon)

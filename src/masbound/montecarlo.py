@@ -144,7 +144,6 @@ def compute_study_row(
     system_id: int,
     config: StudyConfig,
     system: tuple[LtiSystem, OutputBox] | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> StudyRow:
     """All six indices for one system; failures are tagged, never raised."""
     seed = system_seed(config.seed, system_id)
@@ -172,11 +171,11 @@ def compute_study_row(
             tags.append(f"unavailable:{cap_tag}")
         return None
 
-    res = stage("t_star", lambda: exact_t_star_unforced(sys, box, tols=tols), "t_star")
+    res = stage("t_star", lambda: exact_t_star_unforced(sys, box), "t_star")
     row.t_star = None if res is None else res.t_star
-    res = stage("m1", lambda: bound_m1_unforced(sys, box, tols=tols), "m1")
+    res = stage("m1", lambda: bound_m1_unforced(sys, box), "m1")
     row.m1 = None if res is None else res.m
-    res = stage("m2", lambda: bound_m2_unforced(sys, box, tols=tols), "m2")
+    res = stage("m2", lambda: bound_m2_unforced(sys, box), "m2")
     if res is not None:
         row.m2 = res.m
         row.m2_paper = bound_m2(
@@ -185,11 +184,11 @@ def compute_study_row(
 
     if sys.has_input:
         eps = config.epsilon
-        res = stage("t_star_forced", lambda: exact_t_star_forced(sys, box, eps, tols=tols), "t_star_forced")
+        res = stage("t_star_forced", lambda: exact_t_star_forced(sys, box, eps), "t_star_forced")
         row.t_star_forced = None if res is None else res.t_star
-        res = stage("m1_forced", lambda: bound_m1_forced(sys, box, eps, tols=tols), "m1_forced")
+        res = stage("m1_forced", lambda: bound_m1_forced(sys, box, eps), "m1_forced")
         row.m1_forced = None if res is None else res.m
-        res = stage("m2_forced", lambda: bound_m2_forced(sys, box, eps, tols=tols), "m2_forced")
+        res = stage("m2_forced", lambda: bound_m2_forced(sys, box, eps), "m2_forced")
         if res is not None:
             row.m2_forced = res.m
             row.m2_paper_forced = bound_m2(

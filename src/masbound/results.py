@@ -12,8 +12,10 @@ class BoundReport:
     method is "power-series" or "lyapunov"; regime is "unforced" or
     "forced".  diagnostics carries method-specific extras: for the
     power-series method "stop_t", "gamma" and "rho"; for the level-set
-    method "sigma", "sigma_mode", "r1", "r2", the Lyapunov matrix "P"
-    and "boundary_integer"; in the forced regime also "epsilon".
+    method "sigma", "sigma_mode", "r1", "r2", the Lyapunov matrix "P",
+    "boundary_integer", the prefix-set vertex count "vertices" and the
+    "vertex_path" that enumerated them ("closed_form" or "qhull"); in
+    the forced regime also "epsilon".
     """
 
     method: str

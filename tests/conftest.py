@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import HalfspaceIntersection
 
 from masbound import LtiSystem, OutputBox, geometry
 
@@ -70,6 +71,27 @@ def brute_force_vertices(G, h, feas_tol=1e-6, dedup_tol=1e-6):
         if all(np.linalg.norm(p - q) > dedup_tol for q in kept):
             kept.append(p)
     return np.array(kept) if kept else np.empty((0, d))
+
+
+def lp_seeded_vertices(G, h):
+    """Vertices the LP way: a bounding box proves boundedness, qhull runs
+    from the Chebyshev center, and the result is deduplicated."""
+    poly = geometry.Polytope(G, h)
+    geometry.bounding_box(poly)
+    norms = np.linalg.norm(poly.G, axis=1)
+    Gn, hn = poly.G / norms[:, None], poly.h / norms
+    center, _ = geometry.chebyshev_center(geometry.Polytope(Gn, hn))
+    inter = HalfspaceIntersection(np.hstack([Gn, -hn[:, None]]), center)
+    return geometry._dedupe(np.asarray(inter.intersections), geometry.DEFAULT_TOLS.vertex_dedup)
+
+
+def refuse_lps(monkeypatch):
+    """Make every one-off LP of the geometry module fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(geometry, "linprog", refuse)
 
 
 def match_point_sets(P1, P2, tol):

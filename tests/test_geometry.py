@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 from masbound import LpError, Polytope, UnboundedPolytopeError
 from masbound import geometry
@@ -11,7 +14,14 @@ from masbound.geometry import (
     lp_maximize,
     parallelotope_vertices,
 )
-from conftest import brute_force_vertices, force_unknown, match_point_sets, random_bounded_polytope
+from conftest import (
+    brute_force_vertices,
+    force_unknown,
+    lp_seeded_vertices,
+    match_point_sets,
+    random_bounded_polytope,
+    refuse_lps,
+)
 
 
 def box2d(limit=1.0):
@@ -196,8 +206,11 @@ class TestVertexEnumeration:
         assert match_point_sets(result.vertices, np.array([[2.0], [-0.5]]), 1e-9)
 
     def test_unbounded_detected(self):
-        with pytest.raises(UnboundedPolytopeError):
-            enumerate_vertices(Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0]))
+        # qhull divides by zero on this input; no warning may escape.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnboundedPolytopeError):
+                enumerate_vertices(Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0]))
 
     def test_dimension_cap(self):
         d = 13
@@ -224,7 +237,8 @@ class TestVertexEnumeration:
                 active = np.abs(G @ v - h) <= 1e-7 * np.maximum(1.0, np.abs(h))
                 assert np.linalg.matrix_rank(G[active], tol=1e-9) == d
 
-    def test_completeness_against_brute_force(self, rng):
+    def test_completeness_against_brute_force(self, monkeypatch, rng):
+        refuse_lps(monkeypatch)  # the origin is inside: no LP is needed
         for _ in range(10):
             d = int(rng.integers(2, 4))
             k = int(rng.integers(2 * d, 13))
@@ -238,6 +252,93 @@ class TestVertexEnumeration:
         h = np.concatenate([np.ones(4), np.ones(2)])
         result = enumerate_vertices(Polytope(G, h))
         assert len(result.vertices) == 4
+
+
+class TestUnboundednessWithoutLps:
+    def test_rank_deficient_rows(self, monkeypatch):
+        # A slab in 3-D: bounded along (1, 1, 0) only.
+        refuse_lps(monkeypatch)
+        slab = Polytope([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], np.ones(4))
+        with pytest.raises(UnboundedPolytopeError, match="rank"):
+            enumerate_vertices(slab)
+
+    def test_full_rank_unbounded_set(self, monkeypatch):
+        # A cone around the origin: full rank, every vertex but one at infinity.
+        refuse_lps(monkeypatch)
+        cone = Polytope([[-1.0, 0.5], [-1.0, -0.5], [1.0, 3.0]], [1.0, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnboundedPolytopeError, match="unbounded"):
+                enumerate_vertices(cone)
+
+    def test_qhull_failure_falls_back_through_bounding_box(self, monkeypatch):
+        def reject(*args, **kwargs):
+            raise QhullError("rejected")
+
+        boxes = []
+        real_box = geometry.bounding_box
+        monkeypatch.setattr(geometry, "HalfspaceIntersection", reject)
+        monkeypatch.setattr(geometry, "bounding_box", lambda *a, **k: boxes.append(1) or real_box(*a, **k))
+        half_strip = Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0])
+        with pytest.raises(UnboundedPolytopeError, match="unbounded"):
+            enumerate_vertices(half_strip)
+        assert boxes == [1]
+        # A bounded set still gets its vertices from the brute-force sweep.
+        result = enumerate_vertices(box2d())
+        assert match_point_sets(result.vertices, brute_force_vertices(box2d().G, box2d().h), 1e-9)
+        assert boxes == [1, 1]
+
+    def test_interval_closed_form(self, monkeypatch):
+        refuse_lps(monkeypatch)
+        seg = Polytope([[2.0], [-1.0], [1.0], [-4.0]], [4.0, 0.5, 3.0, 1.0])
+        assert match_point_sets(enumerate_vertices(seg).vertices, np.array([[2.0], [-0.25]]), 1e-12)
+        point = Polytope([[1.0], [-1.0]], [0.5, -0.5])
+        assert enumerate_vertices(point).vertices.shape == (1, 1)
+
+    @pytest.mark.parametrize(
+        "G, h, message",
+        [
+            ([[1.0], [2.0]], [1.0, 1.0], "unbounded"),
+            ([[-1.0]], [3.0], "unbounded"),
+            ([[1.0], [-1.0]], [1.0, -2.0], "empty"),
+            ([[0.0], [0.0]], [1.0, 1.0], "unbounded"),
+        ],
+    )
+    def test_interval_unbounded_or_empty(self, monkeypatch, G, h, message):
+        refuse_lps(monkeypatch)
+        with pytest.raises(UnboundedPolytopeError, match=message):
+            enumerate_vertices(Polytope(G, h))
+
+    def test_origin_outside_uses_one_chebyshev_lp(self, monkeypatch):
+        calls = []
+        real = geometry.linprog
+        monkeypatch.setattr(geometry, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+        shifted = Polytope(box2d().G, np.array([3.0, 3.0, -1.0, -1.0]))  # [1, 3]^2
+        expected = np.array([[1, 1], [1, 3], [3, 1], [3, 3]], dtype=float)
+        assert match_point_sets(enumerate_vertices(shifted).vertices, expected, 1e-9)
+        assert calls == [1]
+
+
+def band_polytope(rng, d, k):
+    """{x : -lower <= M x <= upper} for a tall random M, upper / lower in [1/100, 100]."""
+    M = rng.standard_normal((k, d))
+    lower = rng.uniform(0.1, 1.0, size=k)
+    upper = lower * 10.0 ** rng.uniform(-2.0, 2.0, size=k)
+    return Polytope(np.vstack([M, -M]), np.concatenate([upper, lower]))
+
+
+class TestOriginSeededEnumeration:
+    def test_band_polytopes_match_lp_seeded_path(self, monkeypatch, rng):
+        cases = []
+        for _ in range(30):
+            d = int(rng.integers(2, 6))
+            poly = band_polytope(rng, d, int(rng.integers(d + 1, 3 * d + 1)))
+            cases.append((poly, lp_seeded_vertices(poly.G, poly.h)))
+        refuse_lps(monkeypatch)
+        for poly, oracle in cases:
+            mine = enumerate_vertices(poly).vertices
+            scale = max(1.0, np.max(np.abs(oracle)))
+            assert match_point_sets(mine, oracle, 1e-9 * scale)
 
 
 def parallelotope(M, lower, upper):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from masbound import (
     LtiSystem,
@@ -25,7 +26,7 @@ from masbound.lyapunov import (
 )
 from masbound.model import dc_gain
 from masbound.montecarlo import StudyConfig, random_stable_system
-from conftest import make_siso, random_stable_matrix, unit_box
+from conftest import lp_seeded_vertices, make_siso, random_stable_matrix, refuse_lps, unit_box
 
 
 class TestPrefixSets:
@@ -415,3 +416,48 @@ class TestClosedFormPrefix:
         bound_m2_unforced(sys, unit_box())
         bound_m2_forced(sys, unit_box(), 0.1)
         bound_m2_forced(sys, unit_box(), 1.0)
+
+
+def two_output_systems(rng):
+    """Two outputs, asymmetric boxes, orders 2-5, one and two inputs."""
+    for n in range(2, 6):
+        for m_in in (1, 2):
+            sys = LtiSystem(
+                A=random_stable_matrix(rng, n),
+                B=rng.standard_normal((n, m_in)),
+                C=rng.standard_normal((2, n)),
+            )
+            yield sys, OutputBox(rng.uniform(0.3, 2.0, size=2), rng.uniform(0.3, 2.0, size=2))
+
+
+class TestSeveralOutputsWithoutLps:
+    def test_matches_lp_seeded_enumeration(self, monkeypatch, rng):
+        # The oracle enumerates the same prefix bands with a bounding box
+        # and a Chebyshev-seeded qhull; the bounds must not see the switch.
+        cases = []
+        for sys, box in two_output_systems(rng):
+            H0 = dc_gain(sys)
+            for epsilon, feed in ((None, None), (0.01, scipy.linalg.orth(H0))):
+                bands = lyapunov._prefix_bands(sys, box, sys.n - 1, feed, 1.0 if epsilon is None else epsilon)
+                poly = lyapunov._halfspaces(bands)
+                cases.append((sys, box, epsilon, lp_seeded_vertices(poly.G, poly.h)))
+        refuse_lps(monkeypatch)
+        for sys, box, epsilon, oracle in cases:
+            if epsilon is None:
+                rep = bound_m2_unforced(sys, box)
+            else:
+                rep = bound_m2_forced(sys, box, epsilon)
+            r2 = compute_r2(rep.diagnostics["P"], oracle, proj_dim=sys.n)
+            assert rep.m == bound_m2(rep.diagnostics["r1"], r2, rep.diagnostics["sigma"])
+            assert rep.diagnostics["r2"] == pytest.approx(r2, rel=1e-9)
+            assert rep.diagnostics["vertex_path"] == "qhull"
+            assert rep.diagnostics["vertices"] == len(oracle)
+
+
+class TestVertexDiagnostics:
+    def test_closed_form_path_reported(self):
+        sys = LtiSystem(A=[[0.5, 0.1], [0.0, 0.3]], B=[[1.0], [1.0]], C=[[1.0, 1.0]])
+        for rep in (bound_m2_unforced(sys, unit_box()), bound_m2_forced(sys, unit_box(), 0.1)):
+            assert rep.diagnostics["vertex_path"] == "closed_form"
+        assert bound_m2_unforced(sys, unit_box()).diagnostics["vertices"] == 4
+        assert bound_m2_forced(sys, unit_box(), 0.1).diagnostics["vertices"] == 8
