@@ -4,9 +4,10 @@ The LP backend is scipy's HiGHS interface: `linprog` for one-off LPs,
 and `WarmLp`, one persistent HiGHS model re-solved from its previous
 basis, for the long runs of redundancy checks of the exact index.
 Vertex enumeration goes through qhull's halfspace intersection, seeded
-at the origin when it lies strictly inside and at the Chebyshev center
-otherwise.  Boundedness is certified without LPs: the rows must have
-full rank, and the origin must lie strictly inside qhull's dual hull.
+at the origin when it lies well inside and at the Chebyshev center
+(one LP) otherwise.  Boundedness is certified without LPs: the rows
+must have full rank, and the origin must lie strictly inside qhull's
+dual hull.
 A combinatorial active-set sweep, behind an LP bounding box, serves as
 a fallback when qhull rejects a degenerate instance.
 Parallelotopes {x : -lower <= M x <= upper} with a square nonsingular M
@@ -51,9 +52,12 @@ def _probe_highs():
 # (class, maximize sense, {model status: LpOutcome status}) or None.
 _HIGHS = _probe_highs()
 
-# An interior point whose inscribed radius is below _FLAT times the
-# scale of the data does not make the set full-dimensional.
+# An interior point whose inscribed radius is below _FLAT times
+# max(1, extent of the set) does not make the set full-dimensional.
 _FLAT = 1e-10
+# The origin seeds qhull only when it lies farther than _CENTRED times
+# the set's extent from every facet.
+_CENTRED = 1e-6
 # A vertex more than _FAR inscribed radii from the qhull seed is taken
 # to lie at infinity.
 _FAR = 1e12
@@ -108,6 +112,19 @@ def _highs_options(tols: Tolerances) -> dict:
     }
 
 
+def _linprog(c, A_ub, b_ub, bounds, tols: Tolerances):
+    """HiGHS on min c.x subject to A_ub x <= b_ub, re-solved without presolve on failure.
+
+    HiGHS presolve can report "infeasible" for unbounded instances; the
+    simplex classification without presolve is trustworthy.
+    """
+    kwargs = dict(A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, **kwargs, options=_highs_options(tols))
+    if res.status != 0:
+        res = linprog(c, **kwargs, options={**_highs_options(tols), "presolve": False})
+    return res
+
+
 def lp_maximize(c, poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> LpOutcome:
     """Maximize c.x over the polytope, classifying the outcome."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -115,25 +132,7 @@ def lp_maximize(c, poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> LpOutcome
         raise ValueError(f"objective has length {c.size}, polytope dimension is {poly.dim}")
     if poly.nrows == 0:
         raise ValueError("polytope has no inequalities")
-    res = linprog(
-        -c,
-        A_ub=poly.G,
-        b_ub=poly.h,
-        bounds=(None, None),
-        method="highs",
-        options=_highs_options(tols),
-    )
-    if res.status != 0:
-        # HiGHS presolve can report "infeasible" for unbounded instances;
-        # the simplex classification without presolve is trustworthy.
-        res = linprog(
-            -c,
-            A_ub=poly.G,
-            b_ub=poly.h,
-            bounds=(None, None),
-            method="highs",
-            options={**_highs_options(tols), "presolve": False},
-        )
+    res = _linprog(-c, poly.G, poly.h, (None, None), tols)
     if res.status == 0:
         return LpOutcome(
             status="optimal",
@@ -269,16 +268,9 @@ def chebyshev_center(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> tuple[n
     """Center and radius of the largest inscribed ball."""
     norms = np.linalg.norm(poly.G, axis=1)
     d = poly.dim
-    A_ub = np.hstack([poly.G, norms[:, None]])
     c = np.zeros(d + 1)
     c[-1] = -1.0  # maximize the radius
-    kwargs = dict(
-        A_ub=A_ub, b_ub=poly.h, bounds=[(None, None)] * d + [(0, None)], method="highs"
-    )
-    res = linprog(c, **kwargs, options=_highs_options(tols))
-    if res.status != 0:
-        # As in `lp_maximize`: classify without presolve.
-        res = linprog(c, **kwargs, options={**_highs_options(tols), "presolve": False})
+    res = _linprog(c, np.hstack([poly.G, norms[:, None]]), poly.h, [(None, None)] * d + [(0, None)], tols)
     if res.status == 2:
         raise UnboundedPolytopeError("polytope is empty")
     if res.status == 3:
@@ -416,6 +408,45 @@ def _interval_vertices(poly: Polytope, tols: Tolerances) -> np.ndarray:
     return _dedupe(np.array([[lo], [hi]]), tols.vertex_dedup)
 
 
+def _require_full_dimension(radius: float, extent: float) -> None:
+    if radius <= _FLAT * max(1.0, extent):
+        raise UnboundedPolytopeError(
+            "polytope is not full-dimensional within tolerance; no interior point found"
+        )
+
+
+def _qhull_vertices(Gn, hn, center, radius: float) -> np.ndarray | None:
+    """qhull's vertices seen from `center`, or None when its dual hull leaves the set unbounded.
+
+    Each dual facet has offset -1 / |v - center| for a vertex v; the set
+    is bounded iff every offset is negative, that is iff the origin is
+    strictly inside the dual hull.  Raises QhullError as qhull does.
+    """
+    # Unbounded input divides by zero offsets in scipy's intersections.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inter = HalfspaceIntersection(np.hstack([Gn, -hn[:, None]]), center)
+    if not np.all(inter.dual_equations[:, -1] < -1.0 / (_FAR * radius)):
+        return None
+    return np.asarray(inter.intersections, dtype=float)
+
+
+def _origin_seeded_vertices(Gn, hn) -> np.ndarray | None:
+    """qhull's vertices seen from the origin, which lies inside at distance min(hn).
+
+    None, so that the caller seeds at the Chebyshev center instead, when
+    qhull fails, when the set looks unbounded, or when the origin sits
+    closer than `_CENTRED` times the set's extent to a facet.
+    """
+    radius = float(np.min(hn))
+    try:
+        verts = _qhull_vertices(Gn, hn, np.zeros(Gn.shape[1]), radius)
+    except QhullError:
+        return None
+    if verts is None or radius <= _CENTRED * np.max(np.linalg.norm(verts, axis=1)):
+        return None
+    return verts
+
+
 def enumerate_vertices(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> Polytope:
     """Convert a bounded halfspace description to its vertex set.
 
@@ -439,30 +470,22 @@ def enumerate_vertices(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> Polyt
     if np.linalg.matrix_rank(Gn) < d:
         # The null space of G lies in the recession cone.
         raise UnboundedPolytopeError(f"constraint rows have rank below the dimension {d}")
-    scale = max(1.0, np.max(np.abs(hn)))
-    if np.min(hn) > _FLAT * scale:
-        center, radius = np.zeros(d), float(np.min(hn))
-    else:
+    verts = None
+    if np.min(hn) > _FLAT:
+        verts = _origin_seeded_vertices(Gn, hn)
+    if verts is None:
         center, radius = chebyshev_center(Polytope(Gn, hn), tols=tols)
-        if radius <= _FLAT * scale:
-            raise UnboundedPolytopeError(
-                "polytope is not full-dimensional within tolerance; no interior point found"
-            )
-    halfspaces = np.hstack([Gn, -hn[:, None]])
-    try:
-        # Unbounded input divides by zero offsets in scipy's intersections.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inter = HalfspaceIntersection(halfspaces, center)
-    except QhullError:
-        bounding_box(work, tols=tols)  # brute force cannot see unboundedness
-        verts = _brute_force_vertices(work, tols)
-    else:
-        # Each dual facet has offset -1 / |v - center| for a vertex v; the
-        # set is bounded iff every offset is negative, that is iff the
-        # origin is strictly inside the dual hull.
-        if not np.all(inter.dual_equations[:, -1] < -1.0 / (_FAR * radius)):
-            raise UnboundedPolytopeError("polytope is unbounded: qhull's dual hull misses the origin")
-        verts = np.asarray(inter.intersections, dtype=float)
+        _require_full_dimension(radius, 0.0)
+        try:
+            verts = _qhull_vertices(Gn, hn, center, radius)
+        except QhullError:
+            lo, hi = bounding_box(work, tols=tols)  # brute force cannot see unboundedness
+            _require_full_dimension(radius, np.max(hi - lo))
+            verts = _brute_force_vertices(work, tols)
+        else:
+            if verts is None:
+                raise UnboundedPolytopeError("polytope is unbounded: qhull's dual hull misses the origin")
+            _require_full_dimension(radius, np.max(np.linalg.norm(verts - center, axis=1)))
     if verts.size == 0:
         raise UnboundedPolytopeError("vertex enumeration produced no finite vertices")
     verts = _dedupe(verts, tols.vertex_dedup)

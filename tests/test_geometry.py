@@ -254,7 +254,7 @@ class TestVertexEnumeration:
         assert len(result.vertices) == 4
 
 
-class TestUnboundednessWithoutLps:
+class TestUnboundedness:
     def test_rank_deficient_rows(self, monkeypatch):
         # A slab in 3-D: bounded along (1, 1, 0) only.
         refuse_lps(monkeypatch)
@@ -262,9 +262,8 @@ class TestUnboundednessWithoutLps:
         with pytest.raises(UnboundedPolytopeError, match="rank"):
             enumerate_vertices(slab)
 
-    def test_full_rank_unbounded_set(self, monkeypatch):
+    def test_full_rank_unbounded_set(self):
         # A cone around the origin: full rank, every vertex but one at infinity.
-        refuse_lps(monkeypatch)
         cone = Polytope([[-1.0, 0.5], [-1.0, -0.5], [1.0, 3.0]], [1.0, 1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -339,6 +338,32 @@ class TestOriginSeededEnumeration:
             mine = enumerate_vertices(poly).vertices
             scale = max(1.0, np.max(np.abs(oracle)))
             assert match_point_sets(mine, oracle, 1e-9 * scale)
+
+    def test_far_redundant_row(self, monkeypatch):
+        # The row x1 <= 1e11 is far from the box and must not make it look flat.
+        refuse_lps(monkeypatch)
+        far = Polytope(np.vstack([box2d().G, [1.0, 0.0]]), np.append(box2d().h, 1e11))
+        assert match_point_sets(enumerate_vertices(far).vertices, enumerate_vertices(box2d()).vertices, 1e-12)
+
+    @pytest.mark.parametrize("gap, lps", [(1e-3, 0), (1e-6, None), (1e-9, 10)])
+    def test_off_centre_origin(self, monkeypatch, rng, gap, lps):
+        # The origin lies `gap` from the first facet; far below the set's
+        # extent it no longer seeds qhull and one Chebyshev LP runs instead.
+        calls = []
+        for _ in range(10):
+            d = int(rng.integers(2, 6))
+            poly = band_polytope(rng, d, int(rng.integers(d + 1, 3 * d + 1)))
+            h = poly.h.copy()
+            h[len(h) // 2] = gap * np.linalg.norm(poly.G[len(h) // 2])
+            poly = Polytope(poly.G, h)
+            oracle = lp_seeded_vertices(poly.G, poly.h)
+            real = geometry.linprog
+            monkeypatch.setattr(geometry, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+            mine = enumerate_vertices(poly).vertices
+            monkeypatch.undo()
+            scale = max(1.0, np.max(np.abs(oracle)))
+            assert match_point_sets(mine, oracle, 1e-9 * scale)
+        assert lps is None or len(calls) == lps
 
 
 def parallelotope(M, lower, upper):

@@ -453,6 +453,21 @@ class TestSeveralOutputsWithoutLps:
             assert rep.diagnostics["vertex_path"] == "qhull"
             assert rep.diagnostics["vertices"] == len(oracle)
 
+    def test_fast_modes_shrink_prefix_rows(self, monkeypatch):
+        # The rows C A^2 have norm about 1e-11, so their normalised bounds
+        # lie far out; the prefix set is still full-dimensional.
+        sys = LtiSystem(A=np.diag([0.5, 3e-6, 3e-6]), B=np.ones((3, 1)), C=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        box = unit_box(2)
+        oracles = []
+        for epsilon, feed in ((1.0, None), (0.01, scipy.linalg.orth(dc_gain(sys)))):
+            poly = lyapunov._halfspaces(lyapunov._prefix_bands(sys, box, sys.n - 1, feed, epsilon))
+            oracles.append(lp_seeded_vertices(poly.G, poly.h))
+        refuse_lps(monkeypatch)
+        for rep, oracle in zip((bound_m2_unforced(sys, box), bound_m2_forced(sys, box, 0.01)), oracles):
+            r2 = compute_r2(rep.diagnostics["P"], oracle, proj_dim=sys.n)
+            assert rep.diagnostics["r2"] == pytest.approx(r2, rel=1e-9)
+            assert rep.m == bound_m2(rep.diagnostics["r1"], r2, rep.diagnostics["sigma"])
+
 
 class TestVertexDiagnostics:
     def test_closed_form_path_reported(self):
