@@ -3,7 +3,8 @@
 Every comparison against zero in the package goes through an explicit
 tolerance from this record, so the whole stack can be loosened or
 tightened coherently.  The MASBOUND_TOL environment variable overrides
-the shared LP feasibility / redundancy tolerance (see :func:`from_env`).
+the shared LP feasibility / redundancy tolerance (see :func:`from_env`)
+of the CLI commands that read it: bound, exact and sweep-asymmetry.
 """
 
 from __future__ import annotations

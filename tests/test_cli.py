@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ def asym_file(tmp_path):
         )
     )
     return str(path)
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_json(capsys, argv):
@@ -116,6 +120,17 @@ class TestExact:
         for i in range(G.shape[0]):
             others = [j for j in range(G.shape[0]) if j != i]
             assert not is_redundant(G[i], h[i], Polytope(G[others], h[others]))
+
+    @pytest.mark.parametrize(
+        "flags, fixture",
+        [([], "sym_box_polytope.csv"), (["--forced", "--epsilon", "0.1"], "sym_box_polytope_forced.csv")],
+    )
+    def test_symmetric_box_polytope_fixture(self, capsys, tmp_path, flags, fixture):
+        # Recorded with one LP per row (no mirrored verdicts); the bytes must not move.
+        out = tmp_path / "mas.csv"
+        code, _ = run_json(capsys, ["exact", str(DATA / "sym_box.json"), *flags, "--emit-polytope", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (DATA / fixture).read_bytes()
 
     def test_forced(self, capsys, scalar_file):
         code, report = run_json(
@@ -206,6 +221,17 @@ class TestEnvTolerance:
     def test_env_reaches_cli(self, monkeypatch, capsys, scalar_file):
         monkeypatch.setenv(cfg.ENV_TOL_VAR, "-1.0")
         assert main(["exact", scalar_file]) == 1
+
+    def test_montecarlo_uses_default_tolerances(self, monkeypatch, capsys, tmp_path):
+        argv = ["montecarlo", "--count", "5", "--seed", "3", "--out"]
+        monkeypatch.delenv(cfg.ENV_TOL_VAR, raising=False)
+        code, default_summary = run_json(capsys, argv + [str(tmp_path / "default.csv")])
+        assert code == 0
+        monkeypatch.setenv(cfg.ENV_TOL_VAR, "0.2")
+        code, summary = run_json(capsys, argv + [str(tmp_path / "env.csv")])
+        assert code == 0
+        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+        assert summary == default_summary
 
     def test_unset_returns_defaults(self, monkeypatch):
         monkeypatch.delenv(cfg.ENV_TOL_VAR, raising=False)

@@ -276,6 +276,85 @@ def backend_cases():
     return [(demo_system(), OutputBox([0.4], [1.0]), None), (sys, box, None), (sys, box, 0.1)]
 
 
+def symmetric_cases():
+    """Symmetric boxes: SISO in both regimes, two outputs with one input in both regimes."""
+    rng = np.random.default_rng(17)
+    sys = LtiSystem(
+        A=random_stable_matrix(rng, 4, rho_max=0.9),
+        B=rng.standard_normal((4, 1)),
+        C=rng.standard_normal((2, 4)),
+    )
+    siso = LtiSystem(A=sys.A, B=sys.B, C=sys.C[:1])
+    box = OutputBox([1.0, 0.5], [1.0, 0.5])
+    return [(demo_system(), unit_box(), None), (siso, unit_box(), 1.0), (sys, box, None), (sys, box, 0.05)]
+
+
+def asymmetric_cases():
+    """The two-output system of `symmetric_cases` under a box symmetric on one output or none."""
+    sys = symmetric_cases()[2][0]
+    return [
+        (sys, OutputBox([1.0, 0.5], [0.8, 0.5]), None),
+        (sys, OutputBox([1.0, 0.5], [0.8, 0.5]), 0.05),
+        (sys, OutputBox([1.0, 0.5], [0.8, 0.4]), None),
+    ]
+
+
+def prune_one_at_a_time(poly, tols):
+    """The pruning loop without mirrored pairs: relax each row, keep it when it cuts."""
+    lp = geometry.WarmLp(poly, tols)
+    for i in range(poly.nrows):
+        if lp.active.sum() == 1:
+            break
+        lp.relax(i)
+        if not lp.is_redundant(poly.G[i], poly.h[i]):
+            lp.restore(i)
+    return lp.polytope
+
+
+def count_lps(monkeypatch) -> list[int]:
+    """A list that gains one entry per `WarmLp.maximize` call."""
+    if geometry._HIGHS is None:
+        pytest.skip("this scipy has no persistent HiGHS class")
+    calls = []
+    real = geometry.WarmLp.maximize
+    monkeypatch.setattr(geometry.WarmLp, "maximize", lambda self, c: calls.append(1) or real(self, c))
+    return calls
+
+
+class TestMirroredRows:
+    """On a symmetric box one LP decides a row and its mirror."""
+
+    @pytest.mark.parametrize("case", symmetric_cases())
+    def test_symmetric_box_spends_q_lps_per_step(self, monkeypatch, case):
+        calls = count_lps(monkeypatch)
+        res = run_exact(*case)
+        assert res.t_star > 0
+        assert len(calls) == case[0].q * (res.t_star + 1)
+
+    @pytest.mark.parametrize("case", asymmetric_cases())
+    def test_asymmetric_box_spends_2q_lps_per_step(self, monkeypatch, case):
+        calls = count_lps(monkeypatch)
+        res = run_exact(*case)
+        assert len(calls) == 2 * case[0].q * (res.t_star + 1)
+
+    @pytest.mark.parametrize("case", symmetric_cases() + asymmetric_cases())
+    def test_paired_prune_matches_one_at_a_time(self, monkeypatch, case):
+        res = run_exact(*case)
+        calls = count_lps(monkeypatch)
+        paired = exact._prune(res.rows, res.tols)
+        paired_lps = len(calls)
+        oracle = prune_one_at_a_time(res.rows, res.tols)
+        oracle_lps = len(calls) - paired_lps
+        assert np.array_equal(paired.G, oracle.G) and np.array_equal(paired.h, oracle.h)
+        symmetric = np.array_equal(case[1].y_lower, case[1].y_upper)
+        assert paired_lps == (res.rows.nrows // 2 if symmetric else oracle_lps)
+
+    def test_pruning_drops_mirrored_pairs(self):
+        res = run_exact(*symmetric_cases()[2])
+        assert res.polytope.nrows < res.rows.nrows
+        assert exact._mirrors(res.polytope) is not None
+
+
 class TestLpBackends:
     """Every LP backend of the exact path gives the same index and rows."""
 
@@ -321,12 +400,14 @@ def exact_cases(draw):
         B=rng.standard_normal((n, m_in)) if m_in else None,
         C=rng.standard_normal((q, n)),
     )
-    box = OutputBox(rng.uniform(0.2, 2.0, size=q), rng.uniform(0.2, 2.0, size=q))
+    lower = rng.uniform(0.2, 2.0, size=q)
     epsilon = draw(st.sampled_from([None, 0.05, 0.3, 1.0])) if m_in else None
+    symmetric = draw(st.booleans())
+    box = OutputBox(lower, lower if symmetric else rng.uniform(0.2, 2.0, size=q))
     return sys, box, epsilon
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=80, deadline=None)
 @given(exact_cases())
 @example(backend_cases()[0])
 @example(backend_cases()[2])
@@ -335,6 +416,13 @@ def exact_cases(draw):
     OutputBox([0.5, 1.0], [1.0, 0.3]),
     0.1,
 ))
+@example((demo_system(), unit_box(), None))  # SISO, symmetric box
+@example((  # more inputs than outputs, symmetric box, forced at epsilon = 1
+    LtiSystem(A=[[0.5, 0.1], [0.0, 0.3]], B=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], C=np.eye(2)),
+    OutputBox([0.5, 1.0], [0.5, 1.0]),
+    1.0,
+))
+@example(symmetric_cases()[3])
 def test_warm_path_matches_cold_reference(case):
     assert_same_result(run_exact(*case), *reference_exact(*case))
 
