@@ -14,9 +14,7 @@ read C A^t z0 + H0 u, and the steady-state output H0 u is tightened to
 On a symmetric box (lower == upper) every band, and so every set built,
 is symmetric about the origin: max(-r.x) = max(r.x), so one LP decides a
 row and its mirror.  The accepted rows are the same rows in the same
-order as with one LP per row.  Pruning relaxes a mirrored pair together;
-the origin is interior (box limits are positive), so the mirror never
-bounds the row's maximum and the paired verdict is the one-at-a-time one.
+order as with one LP per row.
 """
 
 from __future__ import annotations
@@ -55,44 +53,15 @@ class MasResult:
         return _prune(self.rows, self.tols)
 
 
-def _mirrors(poly: Polytope):
-    """Index of the mirror (-g, h) of every row (g, h), or None when some row has none."""
-    G = poly.G + 0.0  # fold -0.0 into 0.0
-    rows_of = {}
-    for i, (g, h) in enumerate(zip(G, poly.h)):
-        rows_of.setdefault((g.tobytes(), h), []).append(i)
-    mirror = [None] * poly.nrows
-    for i in range(poly.nrows):
-        if mirror[i] is not None:
-            continue
-        partners = rows_of.get(((0.0 - G[i]).tobytes(), poly.h[i]), [])
-        j = next((j for j in partners if j != i and mirror[j] is None), None)
-        if j is None:
-            return None
-        mirror[i], mirror[j] = j, i
-    return mirror
-
-
 def _prune(poly: Polytope, tols: Tolerances) -> Polytope:
-    """Drop rows that are implied by the remaining ones, one at a time.
-
-    On a set symmetric about the origin a row and its mirror are dropped
-    or kept together: with both relaxed the rest is still symmetric, so
-    one LP decides both.
-    """
+    """Drop rows that are implied by the remaining ones, one at a time."""
     lp = WarmLp(poly, tols)
-    mirror = _mirrors(poly)
     for i in range(poly.nrows):
-        group = [i] if mirror is None else [i, mirror[i]]
-        if min(group) < i:
-            continue  # decided together with its mirror
-        if lp.active.sum() == len(group):
+        if lp.active.sum() == 1:
             break
-        for k in group:
-            lp.relax(k)
+        lp.relax(i)
         if not lp.is_redundant(poly.G[i], poly.h[i]):
-            for k in group:
-                lp.restore(k)
+            lp.restore(i)
     return lp.polytope
 
 
@@ -100,19 +69,18 @@ def _iterate(bands, first: int, step_cap: int, tols: Tolerances):
     """Shared constraint-addition loop.
 
     The first `first` bands (time step 0 included) make up the starting
-    set; each later band is one time step.  While every band so far is
-    symmetric (lower == upper) so is the set, and a "-" row takes the
-    verdict of its "+" row.  Returns (t_star, accepted rows).
+    set; each later band is one time step.  When the starting bands are
+    symmetric (lower == upper) so is every band and every set built, and
+    a "-" row takes the verdict of its "+" row.  Returns (t_star,
+    accepted rows).
     """
     start = list(itertools.islice(bands, first))
+    # Every later band has the limits of the starting set's last band.
     symmetric = all(np.array_equal(lower, upper) for _, lower, upper in start)
+    q = len(start[-1][1])
     lp = WarmLp(Polytope(*band_rows(start)), tols)
     for t in range(step_cap + 1):
-        band = next(bands)
-        _, lower, upper = band
-        symmetric = symmetric and np.array_equal(lower, upper)
-        q = len(lower)
-        rows, rhs = band_rows([band])
+        rows, rhs = band_rows([next(bands)])
         fresh = [k for k in range(q if symmetric else 2 * q) if not lp.is_redundant(rows[k], rhs[k])]
         if symmetric:
             fresh += [k + q for k in fresh]

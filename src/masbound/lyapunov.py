@@ -13,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import NumericalError
@@ -179,12 +180,6 @@ def _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime, epsilon=N
     return BoundReport(method="lyapunov", regime=regime, m=m, diagnostics=diagnostics)
 
 
-def _range_basis(H0: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of H0, with `scipy.linalg.orth`'s rank cutoff."""
-    U, s, _ = np.linalg.svd(H0, full_matrices=False)
-    return U[:, s > s.max() * (np.finfo(float).eps * max(H0.shape))]
-
-
 def _lyapunov_pieces(sys: LtiSystem, sigma_mode: str, tols: Tolerances):
     rho = spectral_radius(sys.A)
     if rho >= 1.0:
@@ -232,7 +227,7 @@ def bound_m2_forced(
     P, sigma = _lyapunov_pieces(sys, sigma_mode, tols)
     r1 = compute_r1(P, sys.C, box, scale=epsilon)
     H0 = dc_gain(sys)
-    feed = None if epsilon == 1.0 or not np.any(H0) else _range_basis(H0)
+    feed = None if epsilon == 1.0 or not np.any(H0) else scipy.linalg.orth(H0)
     bands = _prefix_bands(sys, box, sys.n - 1, feed, epsilon)
     verts, path = _prefix_vertices(bands, tols)
     r2 = compute_r2(P, verts, proj_dim=sys.n)

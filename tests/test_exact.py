@@ -299,18 +299,6 @@ def asymmetric_cases():
     ]
 
 
-def prune_one_at_a_time(poly, tols):
-    """The pruning loop without mirrored pairs: relax each row, keep it when it cuts."""
-    lp = geometry.WarmLp(poly, tols)
-    for i in range(poly.nrows):
-        if lp.active.sum() == 1:
-            break
-        lp.relax(i)
-        if not lp.is_redundant(poly.G[i], poly.h[i]):
-            lp.restore(i)
-    return lp.polytope
-
-
 def count_lps(monkeypatch) -> list[int]:
     """A list that gains one entry per `WarmLp.maximize` call."""
     if geometry._HIGHS is None:
@@ -336,23 +324,6 @@ class TestMirroredRows:
         calls = count_lps(monkeypatch)
         res = run_exact(*case)
         assert len(calls) == 2 * case[0].q * (res.t_star + 1)
-
-    @pytest.mark.parametrize("case", symmetric_cases() + asymmetric_cases())
-    def test_paired_prune_matches_one_at_a_time(self, monkeypatch, case):
-        res = run_exact(*case)
-        calls = count_lps(monkeypatch)
-        paired = exact._prune(res.rows, res.tols)
-        paired_lps = len(calls)
-        oracle = prune_one_at_a_time(res.rows, res.tols)
-        oracle_lps = len(calls) - paired_lps
-        assert np.array_equal(paired.G, oracle.G) and np.array_equal(paired.h, oracle.h)
-        symmetric = np.array_equal(case[1].y_lower, case[1].y_upper)
-        assert paired_lps == (res.rows.nrows // 2 if symmetric else oracle_lps)
-
-    def test_pruning_drops_mirrored_pairs(self):
-        res = run_exact(*symmetric_cases()[2])
-        assert res.polytope.nrows < res.rows.nrows
-        assert exact._mirrors(res.polytope) is not None
 
 
 class TestLpBackends:
