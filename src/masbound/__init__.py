@@ -6,7 +6,6 @@ configuration and error types they return or raise; every other name
 lives in its module.
 """
 
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     IterationCapError,
     LpError,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "DEFAULT_TOLS",
     "IterationCapError",
     "LpError",
     "LtiSystem",
@@ -38,7 +36,6 @@ __all__ = [
     "StudyConfig",
     "StudyRow",
     "SweepRow",
-    "Tolerances",
     "UnboundedPolytopeError",
     "asymmetry_sweep",
     "bound_m1_forced",

@@ -56,29 +56,35 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _cmd_bound(args) -> int:
-    tols = cfg.from_env()
+def _load_input(args):
+    """System, box and epsilon: `--epsilon`, else the file's, and one is required under `--forced`."""
     sys_, box, file_eps = load_system(args.input)
-    report: dict = {"regime": "forced" if args.forced else "unforced"}
     epsilon = args.epsilon if args.epsilon is not None else file_eps
+    if args.forced and epsilon is None:
+        raise ValueError("--forced requires --epsilon (or an 'epsilon' key in the input file)")
+    return sys_, box, epsilon
+
+
+def _cmd_bound(args) -> int:
+    lp_tol = cfg.from_env()
+    sys_, box, epsilon = _load_input(args)
+    report: dict = {"regime": "forced" if args.forced else "unforced"}
     if args.forced:
-        if epsilon is None:
-            raise ValueError("--forced requires --epsilon (or an 'epsilon' key in the input file)")
         report["epsilon"] = epsilon
     if args.method in ("power-series", "both"):
         t0 = time.perf_counter()
         if args.forced:
-            res = bound_m1_forced(sys_, box, epsilon, tols=tols)
+            res = bound_m1_forced(sys_, box, epsilon)
         else:
-            res = bound_m1_unforced(sys_, box, tols=tols)
+            res = bound_m1_unforced(sys_, box)
         report["m1"] = res.m
         report["m1_wall_time_s"] = time.perf_counter() - t0
     if args.method in ("lyapunov", "both"):
         t0 = time.perf_counter()
         if args.forced:
-            res = bound_m2_forced(sys_, box, epsilon, sigma_mode=args.sigma_mode, tols=tols)
+            res = bound_m2_forced(sys_, box, epsilon, sigma_mode=args.sigma_mode, lp_tol=lp_tol)
         else:
-            res = bound_m2_unforced(sys_, box, sigma_mode=args.sigma_mode, tols=tols)
+            res = bound_m2_unforced(sys_, box, sigma_mode=args.sigma_mode, lp_tol=lp_tol)
         report["m2"] = res.m
         report["m2_wall_time_s"] = time.perf_counter() - t0
         report["sigma"] = res.diagnostics["sigma"]
@@ -97,16 +103,13 @@ def _polytope_csv(poly) -> str:
 
 
 def _cmd_exact(args) -> int:
-    tols = cfg.from_env()
-    sys_, box, file_eps = load_system(args.input)
+    lp_tol = cfg.from_env()
+    sys_, box, epsilon = _load_input(args)
     t0 = time.perf_counter()
     if args.forced:
-        epsilon = args.epsilon if args.epsilon is not None else file_eps
-        if epsilon is None:
-            raise ValueError("--forced requires --epsilon (or an 'epsilon' key in the input file)")
-        result = exact_t_star_forced(sys_, box, epsilon, tols=tols)
+        result = exact_t_star_forced(sys_, box, epsilon, lp_tol=lp_tol)
     else:
-        result = exact_t_star_unforced(sys_, box, tols=tols)
+        result = exact_t_star_unforced(sys_, box, lp_tol=lp_tol)
     wall = time.perf_counter() - t0
     if args.emit_polytope:
         _atomic_write(args.emit_polytope, _polytope_csv(result.polytope))
@@ -147,7 +150,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    tols = cfg.from_env()
+    lp_tol = cfg.from_env()
     if args.input is not None:
         sys_, box, _ = load_system(args.input)
         y_upper = float(box.y_upper[0])
@@ -155,7 +158,7 @@ def _cmd_sweep(args) -> int:
         sys_ = demo_system()
         y_upper = 1.0
     grid = _parse_grid(args.grid)
-    rows = asymmetry_sweep(sys_, y_upper, grid, sigma_mode=args.sigma_mode, tols=tols)
+    rows = asymmetry_sweep(sys_, y_upper, grid, sigma_mode=args.sigma_mode, lp_tol=lp_tol)
     _atomic_write(args.out, sweep_to_csv_text(rows))
     print(json.dumps({"points": len(rows), "out": args.out}))
     return 0

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, EXACT_STEP_CAP, Tolerances
+from .config import EXACT_STEP_CAP, LP_TOL
 from .errors import IterationCapError
 from .geometry import Polytope, WarmLp
 from .linalg import spectral_radius
@@ -37,7 +37,8 @@ class MasResult:
     """Admissibility index plus the halfspace description of the set.
 
     `rows` holds every inequality the construction accepted; `polytope`
-    prunes them to the non-redundant ones on first access.  For the
+    prunes them to the non-redundant ones on first access, with the LP
+    tolerance `lp_tol` the construction used.  For the
     forced regime both live in (z0, u) coordinates; add (I - A)^{-1} B u
     to the first n components to recover x0.
     """
@@ -46,16 +47,16 @@ class MasResult:
     rows: Polytope
     regime: str
     epsilon: float | None = None
-    tols: Tolerances = DEFAULT_TOLS
+    lp_tol: float = LP_TOL
 
     @cached_property
     def polytope(self) -> Polytope:
-        return _prune(self.rows, self.tols)
+        return _prune(self.rows, self.lp_tol)
 
 
-def _prune(poly: Polytope, tols: Tolerances) -> Polytope:
+def _prune(poly: Polytope, lp_tol: float) -> Polytope:
     """Drop rows that are implied by the remaining ones, one at a time."""
-    lp = WarmLp(poly, tols)
+    lp = WarmLp(poly, lp_tol)
     for i in range(poly.nrows):
         if lp.active.sum() == 1:
             break
@@ -65,7 +66,7 @@ def _prune(poly: Polytope, tols: Tolerances) -> Polytope:
     return lp.polytope
 
 
-def _iterate(bands, first: int, step_cap: int, tols: Tolerances):
+def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     """Shared constraint-addition loop.
 
     The first `first` bands (time step 0 included) make up the starting
@@ -78,7 +79,7 @@ def _iterate(bands, first: int, step_cap: int, tols: Tolerances):
     # Every later band has the limits of the starting set's last band.
     symmetric = all(np.array_equal(lower, upper) for _, lower, upper in start)
     q = len(start[-1][1])
-    lp = WarmLp(Polytope(*band_rows(start)), tols)
+    lp = WarmLp(Polytope(*band_rows(start)), lp_tol)
     for t in range(step_cap + 1):
         rows, rhs = band_rows([next(bands)])
         fresh = [k for k in range(q if symmetric else 2 * q) if not lp.is_redundant(rows[k], rhs[k])]
@@ -97,7 +98,7 @@ def exact_t_star_unforced(
     sys: LtiSystem,
     box: OutputBox,
     step_cap: int = EXACT_STEP_CAP,
-    tols: Tolerances = DEFAULT_TOLS,
+    lp_tol: float = LP_TOL,
 ) -> MasResult:
     """Exact admissibility index of the autonomous system.
 
@@ -109,8 +110,8 @@ def exact_t_star_unforced(
         raise ValueError(f"exact computation requires spectral radius < 1, got {rho:.6g}")
     if box.q != sys.q:
         raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
-    t_star, rows = _iterate(output_bands(sys, box), 1, step_cap, tols)
-    return MasResult(t_star=t_star, rows=rows, regime="unforced", tols=tols)
+    t_star, rows = _iterate(output_bands(sys, box), 1, step_cap, lp_tol)
+    return MasResult(t_star=t_star, rows=rows, regime="unforced", lp_tol=lp_tol)
 
 
 def exact_t_star_forced(
@@ -118,7 +119,7 @@ def exact_t_star_forced(
     box: OutputBox,
     epsilon: float,
     step_cap: int = EXACT_STEP_CAP,
-    tols: Tolerances = DEFAULT_TOLS,
+    lp_tol: float = LP_TOL,
 ) -> MasResult:
     """Exact admissibility index of the epsilon-tightened constant-input set.
 
@@ -136,5 +137,5 @@ def exact_t_star_forced(
     if box.q != sys.q:
         raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
     bands = output_bands(sys, box, dc_gain(sys), epsilon)
-    t_star, rows = _iterate(bands, 2, step_cap, tols)
-    return MasResult(t_star=t_star, rows=rows, regime="forced", epsilon=epsilon, tols=tols)
+    t_star, rows = _iterate(bands, 2, step_cap, lp_tol)
+    return MasResult(t_star=t_star, rows=rows, regime="forced", epsilon=epsilon, lp_tol=lp_tol)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
-from .config import DEFAULT_TOLS, VERTEX_DIM_CAP, Tolerances
+from .config import LP_TOL, VERTEX_DEDUP, VERTEX_DIM_CAP, VERTEX_FEASIBILITY, ZERO_ROW
 from .errors import LpError, UnboundedPolytopeError
 
 _HIGHS_METHODS = (
@@ -36,7 +36,7 @@ _HIGHS_METHODS = (
 def _probe_highs():
     """scipy's private persistent HiGHS class and the enums WarmLp needs, or None if absent."""
     try:
-        from scipy.optimize._highspy._core import HighsModelStatus, ObjSense, _Highs
+        from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, ObjSense, _Highs
     except ImportError:
         return None
     if not all(hasattr(_Highs, name) for name in _HIGHS_METHODS):
@@ -46,10 +46,10 @@ def _probe_highs():
         HighsModelStatus.kUnbounded: "unbounded",
         HighsModelStatus.kInfeasible: "infeasible",
     }
-    return _Highs, ObjSense.kMaximize, definitive
+    return _Highs, ObjSense.kMaximize, definitive, HighsStatus.kOk
 
 
-# (class, maximize sense, {model status: LpOutcome status}) or None.
+# (class, maximize sense, {model status: LpOutcome status}, ok status) or None.
 _HIGHS = _probe_highs()
 
 # An interior point whose inscribed radius is below _FLAT times
@@ -105,34 +105,31 @@ class LpOutcome:
     dual: np.ndarray | None = None
 
 
-def _highs_options(tols: Tolerances) -> dict:
-    return {
-        "primal_feasibility_tolerance": tols.lp_feasibility,
-        "dual_feasibility_tolerance": tols.lp_feasibility,
-    }
+def _highs_options(lp_tol: float) -> dict:
+    return {"primal_feasibility_tolerance": lp_tol, "dual_feasibility_tolerance": lp_tol}
 
 
-def _linprog(c, A_ub, b_ub, bounds, tols: Tolerances):
+def _linprog(c, A_ub, b_ub, bounds, lp_tol: float):
     """HiGHS on min c.x subject to A_ub x <= b_ub, re-solved without presolve on failure.
 
     HiGHS presolve can report "infeasible" for unbounded instances; the
     simplex classification without presolve is trustworthy.
     """
     kwargs = dict(A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    res = linprog(c, **kwargs, options=_highs_options(tols))
+    res = linprog(c, **kwargs, options=_highs_options(lp_tol))
     if res.status != 0:
-        res = linprog(c, **kwargs, options={**_highs_options(tols), "presolve": False})
+        res = linprog(c, **kwargs, options={**_highs_options(lp_tol), "presolve": False})
     return res
 
 
-def lp_maximize(c, poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> LpOutcome:
+def lp_maximize(c, poly: Polytope, lp_tol: float = LP_TOL) -> LpOutcome:
     """Maximize c.x over the polytope, classifying the outcome."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.shape != (poly.dim,):
         raise ValueError(f"objective has length {c.size}, polytope dimension is {poly.dim}")
     if poly.nrows == 0:
         raise ValueError("polytope has no inequalities")
-    res = _linprog(-c, poly.G, poly.h, (None, None), tols)
+    res = _linprog(-c, poly.G, poly.h, (None, None), lp_tol)
     if res.status == 0:
         return LpOutcome(
             status="optimal",
@@ -147,11 +144,11 @@ def lp_maximize(c, poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> LpOutcome
     raise LpError(f"LP solver failed (status {res.status}): {res.message}")
 
 
-def _certify_redundant(row, rhs: float, maximize, tols: Tolerances) -> bool:
+def _certify_redundant(row, rhs: float, maximize, lp_tol: float) -> bool:
     """The redundancy verdict of {row . x <= rhs}, with `maximize(row)` solving the LP."""
     row = np.atleast_1d(np.asarray(row, dtype=float))
-    if np.linalg.norm(row) < tols.zero_row:
-        if rhs >= -tols.redundancy:
+    if np.linalg.norm(row) < ZERO_ROW:
+        if rhs >= -lp_tol:
             return True
         raise LpError("all-zero row with negative bound: polytope is empty")
     out = maximize(row)
@@ -159,17 +156,17 @@ def _certify_redundant(row, rhs: float, maximize, tols: Tolerances) -> bool:
         return False
     if out.status == "infeasible":
         raise LpError("redundancy check against an empty polytope")
-    return out.optimum <= rhs + tols.redundancy
+    return out.optimum <= rhs + lp_tol
 
 
-def is_redundant(row, rhs: float, poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> bool:
+def is_redundant(row, rhs: float, poly: Polytope, lp_tol: float = LP_TOL) -> bool:
     """True when adding {row . x <= rhs} would not cut the polytope.
 
     Certified by maximizing the row over the current polytope; an
     unbounded maximum means the row does cut, an infeasible polytope is
     reported as an error.
     """
-    return _certify_redundant(row, rhs, lambda c: lp_maximize(c, poly, tols=tols), tols)
+    return _certify_redundant(row, rhs, lambda c: lp_maximize(c, poly, lp_tol=lp_tol), lp_tol)
 
 
 class WarmLp:
@@ -178,28 +175,27 @@ class WarmLp:
     Rows are appended with `add_rows` and switched off and on with
     `relax` and `restore`; between solves only the objective changes, so
     each solve starts from the previous basis.  Presolve is off and the
-    primal and dual tolerances are `tols.lp_feasibility`.  A solve that
-    ends without a definitive status is re-run cold, and then answered by
-    `lp_maximize`.  Without scipy's private HiGHS class every answer
-    comes from `lp_maximize` and `is_redundant` on the active rows.
+    primal and dual tolerances are `lp_tol`; ValueError is raised when
+    HiGHS refuses an option (a tolerance below 1e-10, say) instead of
+    solving at its own default.  A solve that ends without a definitive
+    status is re-run cold, and then answered by `lp_maximize`.  Without
+    scipy's private HiGHS class every answer comes from `lp_maximize`
+    and `is_redundant` on the active rows.
     """
 
-    def __init__(self, poly: Polytope, tols: Tolerances = DEFAULT_TOLS):
-        self.tols = tols
+    def __init__(self, poly: Polytope, lp_tol: float = LP_TOL):
+        self.lp_tol = lp_tol
         self.G = np.empty((0, poly.dim))
         self.h = np.empty(0)
         self.active = np.empty(0, dtype=bool)
         self._highs = None
         if _HIGHS is not None:
-            highs_cls, maximize, _ = _HIGHS
+            highs_cls, maximize, _, ok = _HIGHS
             self._highs = highs_cls()
-            for name, value in (
-                ("output_flag", False),
-                ("presolve", "off"),
-                ("primal_feasibility_tolerance", tols.lp_feasibility),
-                ("dual_feasibility_tolerance", tols.lp_feasibility),
-            ):
-                self._highs.setOptionValue(name, value)
+            options = {"output_flag": False, "presolve": "off", **_highs_options(lp_tol)}
+            for name, value in options.items():
+                if self._highs.setOptionValue(name, value) != ok:
+                    raise ValueError(f"HiGHS refused option {name} = {value!r}")
             self._highs.changeObjectiveSense(maximize)
             self._highs.addVars(poly.dim, np.full(poly.dim, -np.inf), np.full(poly.dim, np.inf))
             self._cols = np.arange(poly.dim, dtype=np.int32)
@@ -239,10 +235,10 @@ class WarmLp:
         """Maximize c.x over the active rows: status and optimum as in `lp_maximize`."""
         c = np.atleast_1d(np.asarray(c, dtype=float))
         if self._highs is None:
-            return lp_maximize(c, self.polytope, tols=self.tols)
+            return lp_maximize(c, self.polytope, lp_tol=self.lp_tol)
         if c.shape != (self.G.shape[1],):
             raise ValueError(f"objective has length {c.size}, polytope dimension is {self.G.shape[1]}")
-        _, _, definitive = _HIGHS
+        _, _, definitive, _ = _HIGHS
         self._highs.changeColsCost(len(c), self._cols, c)
         self._highs.run()
         status = definitive.get(self._highs.getModelStatus())
@@ -252,7 +248,7 @@ class WarmLp:
             self._highs.run()
             status = definitive.get(self._highs.getModelStatus())
             if status is None:
-                return lp_maximize(c, self.polytope, tols=self.tols)
+                return lp_maximize(c, self.polytope, lp_tol=self.lp_tol)
         if status != "optimal":
             return LpOutcome(status=status)
         return LpOutcome(status="optimal", optimum=float(self._highs.getObjectiveValue()))
@@ -260,17 +256,17 @@ class WarmLp:
     def is_redundant(self, row, rhs: float) -> bool:
         """`is_redundant` against the active rows."""
         if self._highs is None:
-            return is_redundant(row, rhs, self.polytope, tols=self.tols)
-        return _certify_redundant(row, rhs, self.maximize, self.tols)
+            return is_redundant(row, rhs, self.polytope, lp_tol=self.lp_tol)
+        return _certify_redundant(row, rhs, self.maximize, self.lp_tol)
 
 
-def chebyshev_center(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, float]:
+def chebyshev_center(poly: Polytope, lp_tol: float = LP_TOL) -> tuple[np.ndarray, float]:
     """Center and radius of the largest inscribed ball."""
     norms = np.linalg.norm(poly.G, axis=1)
     d = poly.dim
     c = np.zeros(d + 1)
     c[-1] = -1.0  # maximize the radius
-    res = _linprog(c, np.hstack([poly.G, norms[:, None]]), poly.h, [(None, None)] * d + [(0, None)], tols)
+    res = _linprog(c, np.hstack([poly.G, norms[:, None]]), poly.h, [(None, None)] * d + [(0, None)], lp_tol)
     if res.status == 2:
         raise UnboundedPolytopeError("polytope is empty")
     if res.status == 3:
@@ -280,7 +276,7 @@ def chebyshev_center(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> tuple[n
     return np.asarray(res.x[:d], dtype=float), float(res.x[-1])
 
 
-def bounding_box(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
+def bounding_box(poly: Polytope, lp_tol: float = LP_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise (lower, upper) bounds; raises if any direction is unbounded."""
     d = poly.dim
     lo = np.empty(d)
@@ -289,8 +285,8 @@ def bounding_box(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.nd
     for i in range(d):
         e[:] = 0.0
         e[i] = 1.0
-        up = lp_maximize(e, poly, tols=tols)
-        down = lp_maximize(-e, poly, tols=tols)
+        up = lp_maximize(e, poly, lp_tol=lp_tol)
+        down = lp_maximize(-e, poly, lp_tol=lp_tol)
         if up.status == "infeasible" or down.status == "infeasible":
             raise UnboundedPolytopeError("polytope is empty")
         if up.status == "unbounded" or down.status == "unbounded":
@@ -320,17 +316,17 @@ def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     return points[~dropped]
 
 
-def _drop_zero_rows(poly: Polytope, tols: Tolerances) -> Polytope:
+def _drop_zero_rows(poly: Polytope, lp_tol: float) -> Polytope:
     norms = np.linalg.norm(poly.G, axis=1)
-    zero = norms < tols.zero_row
+    zero = norms < ZERO_ROW
     if not zero.any():
         return poly
-    if np.any(poly.h[zero] < -tols.redundancy):
+    if np.any(poly.h[zero] < -lp_tol):
         raise UnboundedPolytopeError("zero row with negative bound: polytope is empty")
     return Polytope(poly.G[~zero], poly.h[~zero])
 
 
-def _brute_force_vertices(poly: Polytope, tols: Tolerances) -> np.ndarray:
+def _brute_force_vertices(poly: Polytope) -> np.ndarray:
     """Enumerate basic feasible points over all d-subsets of active rows.
 
     Exponential in the row count; used as a fallback for small systems
@@ -352,21 +348,21 @@ def _brute_force_vertices(poly: Polytope, tols: Tolerances) -> np.ndarray:
     points = []
     if ok.any():
         sols = np.linalg.solve(sub_G[ok], h[combos[ok]][..., None])[..., 0]
-        feas = np.all(G @ sols.T <= h[:, None] + tols.vertex_feasibility, axis=0)
+        feas = np.all(G @ sols.T <= h[:, None] + VERTEX_FEASIBILITY, axis=0)
         points = sols[feas]
     if len(points) == 0:
         return np.empty((0, d))
-    return _dedupe(np.asarray(points), tols.vertex_dedup)
+    return _dedupe(np.asarray(points), VERTEX_DEDUP)
 
 
-def parallelotope_vertices(M, lower, upper, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray | None:
+def parallelotope_vertices(M, lower, upper) -> np.ndarray | None:
     """Vertices of {x : -lower <= M x <= upper} for a square nonsingular M.
 
     They are M^{-1} s over the 2^d corners s of the box [-lower, upper].
     Returns None, so that the caller can fall back to
     `enumerate_vertices`, when M is not square or is singular, when a
     width lower + upper is not positive, when two corners could map to
-    points within `tols.vertex_dedup` of each other, when d exceeds
+    points within `VERTEX_DEDUP` of each other, when d exceeds
     `VERTEX_DIM_CAP`, or when a vertex fails the feasibility guard.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -380,7 +376,7 @@ def parallelotope_vertices(M, lower, upper, tols: Tolerances = DEFAULT_TOLS) -> 
         return None
     # Distinct corners are at least min(width) apart, so their images are
     # at least min(width) / ||M||_2 apart and none would be deduplicated.
-    if np.min(width) <= tols.vertex_dedup * np.linalg.norm(M, 2):
+    if np.min(width) <= VERTEX_DEDUP * np.linalg.norm(M, 2):
         return None
     bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
     corners = np.where(bits == 1, -lower, upper)
@@ -391,12 +387,12 @@ def parallelotope_vertices(M, lower, upper, tols: Tolerances = DEFAULT_TOLS) -> 
     if not np.all(np.isfinite(verts)):
         return None
     Mv = verts @ M.T
-    if np.max(Mv - upper) > tols.vertex_feasibility or np.max(-Mv - lower) > tols.vertex_feasibility:
+    if np.max(Mv - upper) > VERTEX_FEASIBILITY or np.max(-Mv - lower) > VERTEX_FEASIBILITY:
         return None
     return verts
 
 
-def _interval_vertices(poly: Polytope, tols: Tolerances) -> np.ndarray:
+def _interval_vertices(poly: Polytope) -> np.ndarray:
     """End points of the one-dimensional {x : g x <= h}, rows nonzero."""
     g, h = poly.G[:, 0], poly.h
     if not (np.any(g < 0.0) and np.any(g > 0.0)):
@@ -405,7 +401,7 @@ def _interval_vertices(poly: Polytope, tols: Tolerances) -> np.ndarray:
     hi = np.min(h[g > 0.0] / g[g > 0.0])
     if lo > hi:
         raise UnboundedPolytopeError("polytope is empty")
-    return _dedupe(np.array([[lo], [hi]]), tols.vertex_dedup)
+    return _dedupe(np.array([[lo], [hi]]), VERTEX_DEDUP)
 
 
 def _require_full_dimension(radius: float, extent: float) -> None:
@@ -447,7 +443,7 @@ def _origin_seeded_vertices(Gn, hn) -> np.ndarray | None:
     return verts
 
 
-def enumerate_vertices(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> Polytope:
+def enumerate_vertices(poly: Polytope, lp_tol: float = LP_TOL) -> Polytope:
     """Convert a bounded halfspace description to its vertex set.
 
     Returns a copy of the polytope with `vertices` filled in
@@ -459,9 +455,9 @@ def enumerate_vertices(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> Polyt
     d = poly.dim
     if d > VERTEX_DIM_CAP:
         raise ValueError(f"dimension {d} exceeds the vertex-enumeration cap {VERTEX_DIM_CAP}")
-    work = _drop_zero_rows(poly, tols)
+    work = _drop_zero_rows(poly, lp_tol)
     if d == 1:
-        return Polytope(poly.G, poly.h, vertices=_interval_vertices(work, tols))
+        return Polytope(poly.G, poly.h, vertices=_interval_vertices(work))
 
     # Normalize rows for qhull conditioning; the feasible set is unchanged.
     norms = np.linalg.norm(work.G, axis=1)
@@ -474,25 +470,25 @@ def enumerate_vertices(poly: Polytope, tols: Tolerances = DEFAULT_TOLS) -> Polyt
     if np.min(hn) > _FLAT:
         verts = _origin_seeded_vertices(Gn, hn)
     if verts is None:
-        center, radius = chebyshev_center(Polytope(Gn, hn), tols=tols)
+        center, radius = chebyshev_center(Polytope(Gn, hn), lp_tol=lp_tol)
         _require_full_dimension(radius, 0.0)
         try:
             verts = _qhull_vertices(Gn, hn, center, radius)
         except QhullError:
-            lo, hi = bounding_box(work, tols=tols)  # brute force cannot see unboundedness
+            lo, hi = bounding_box(work, lp_tol=lp_tol)  # brute force cannot see unboundedness
             _require_full_dimension(radius, np.max(hi - lo))
-            verts = _brute_force_vertices(work, tols)
+            verts = _brute_force_vertices(work)
         else:
             if verts is None:
                 raise UnboundedPolytopeError("polytope is unbounded: qhull's dual hull misses the origin")
             _require_full_dimension(radius, np.max(np.linalg.norm(verts - center, axis=1)))
     if verts.size == 0:
         raise UnboundedPolytopeError("vertex enumeration produced no finite vertices")
-    verts = _dedupe(verts, tols.vertex_dedup)
+    verts = _dedupe(verts, VERTEX_DEDUP)
     # Guard against qhull round-off escaping the feasible set.
     slack = work.G @ verts.T - work.h[:, None]
-    if np.max(slack) > tols.vertex_feasibility:
-        verts = _brute_force_vertices(work, tols)
+    if np.max(slack) > VERTEX_FEASIBILITY:
+        verts = _brute_force_vertices(work)
         if verts.size == 0:
             raise UnboundedPolytopeError("vertex enumeration failed feasibility screening")
     return Polytope(poly.G, poly.h, vertices=verts)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov as _scipy_dlyap
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import LYAPUNOV_RESIDUAL, SYMMETRY
 from .errors import NumericalError
 
 
@@ -68,7 +68,7 @@ def char_poly_coeffs(M) -> np.ndarray:
     return coeffs[::-1].copy()
 
 
-def solve_discrete_lyapunov(A, Q, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def solve_discrete_lyapunov(A, Q) -> np.ndarray:
     """Solve A^T P A - P = -Q for symmetric positive-definite P.
 
     Requires a strictly stable A and symmetric positive-definite Q; the
@@ -79,7 +79,7 @@ def solve_discrete_lyapunov(A, Q, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray
     if A.shape != Q.shape:
         raise ValueError(f"A and Q must have equal shapes, got {A.shape} and {Q.shape}")
     q_scale = np.linalg.norm(Q, "fro")
-    if np.linalg.norm(Q - Q.T, "fro") > tols.symmetry * max(1.0, q_scale):
+    if np.linalg.norm(Q - Q.T, "fro") > SYMMETRY * max(1.0, q_scale):
         raise ValueError("Q is not symmetric")
     if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) <= 0.0:
         raise ValueError("Q is not positive definite")
@@ -89,7 +89,7 @@ def solve_discrete_lyapunov(A, Q, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray
     # Kronecker (column-stacking) solve; fine at the orders handled here.
     P = _scipy_dlyap(A.T, Q, method="direct")
     P = 0.5 * (P + P.T)
-    target = tols.lyapunov_residual * max(1.0, q_scale)
+    target = LYAPUNOV_RESIDUAL * max(1.0, q_scale)
     for _ in range(2):
         R = A.T @ P @ A - P + Q
         if np.linalg.norm(R, "fro") <= target:
@@ -104,16 +104,16 @@ def solve_discrete_lyapunov(A, Q, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray
     eval_floor = 64.0 * np.finfo(float).eps * A.shape[0] * np.linalg.norm(P, "fro")
     if residual > target + eval_floor:
         raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds {tols.lyapunov_residual:.1e} * ||Q||"
+            f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL:.1e} * ||Q||"
         )
     return P
 
 
-def sym_eig_extremes(P, tols: Tolerances = DEFAULT_TOLS) -> tuple[float, float]:
+def sym_eig_extremes(P) -> tuple[float, float]:
     """(smallest, largest) eigenvalue of a symmetric matrix."""
     P = _as_square(P, "P")
     scale = max(1.0, float(np.max(np.abs(P))))
-    if np.max(np.abs(P - P.T)) > tols.symmetry * scale:
+    if np.max(np.abs(P - P.T)) > SYMMETRY * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     vals = np.linalg.eigvalsh(0.5 * (P + P.T))
     return float(vals[0]), float(vals[-1])

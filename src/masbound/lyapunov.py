@@ -4,7 +4,9 @@ Two ellipsoidal level sets of V(x) = x'Px are computed: the largest one
 inscribed in the state-space constraint set and the smallest one
 circumscribing the n-step admissible prefix set.  The worst-case decay
 factor of V along trajectories converts the ratio of their levels into
-an upper bound on the admissibility index.
+an upper bound on the admissibility index.  No LP runs unless the vertex
+enumeration needs its Chebyshev center or fallback; `lp_tol` is their
+tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import LP_TOL
 from .errors import NumericalError
 from .geometry import Polytope, enumerate_vertices, parallelotope_vertices
 from .linalg import solve_discrete_lyapunov, spectral_radius, sym_eig_extremes
@@ -34,7 +36,7 @@ def _halfspaces(bands) -> Polytope:
     return Polytope(*band_rows(bands))
 
 
-def _prefix_vertices(bands, tols: Tolerances) -> tuple[np.ndarray, str]:
+def _prefix_vertices(bands, lp_tol: float) -> tuple[np.ndarray, str]:
     """Closed-form vertices when the stacked bands form a parallelotope, qhull otherwise.
 
     Returns the vertices and the path that found them, "closed_form" or "qhull".
@@ -43,11 +45,10 @@ def _prefix_vertices(bands, tols: Tolerances) -> tuple[np.ndarray, str]:
         np.vstack([M for M, _, _ in bands]),
         np.concatenate([lower for _, lower, _ in bands]),
         np.concatenate([upper for _, _, upper in bands]),
-        tols=tols,
     )
     if verts is not None:
         return verts, "closed_form"
-    return enumerate_vertices(_halfspaces(bands), tols=tols).vertices, "qhull"
+    return enumerate_vertices(_halfspaces(bands), lp_tol=lp_tol).vertices, "qhull"
 
 
 def build_O_prefix(sys: LtiSystem, box: OutputBox, horizon: int) -> Polytope:
@@ -180,12 +181,12 @@ def _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime, epsilon=N
     return BoundReport(method="lyapunov", regime=regime, m=m, diagnostics=diagnostics)
 
 
-def _lyapunov_pieces(sys: LtiSystem, sigma_mode: str, tols: Tolerances):
+def _lyapunov_pieces(sys: LtiSystem, sigma_mode: str):
     rho = spectral_radius(sys.A)
     if rho >= 1.0:
         raise ValueError(f"level-set bound requires spectral radius < 1, got {rho:.6g}")
     Q = np.eye(sys.n)
-    P = solve_discrete_lyapunov(sys.A, Q, tols=tols)
+    P = solve_discrete_lyapunov(sys.A, Q)
     sigma = compute_sigma(sys.A, P, Q, mode=sigma_mode)
     return P, sigma
 
@@ -194,12 +195,12 @@ def bound_m2_unforced(
     sys: LtiSystem,
     box: OutputBox,
     sigma_mode: str = "eq25",
-    tols: Tolerances = DEFAULT_TOLS,
+    lp_tol: float = LP_TOL,
 ) -> BoundReport:
     """Level-set upper bound for the autonomous system (Q = I)."""
-    P, sigma = _lyapunov_pieces(sys, sigma_mode, tols)
+    P, sigma = _lyapunov_pieces(sys, sigma_mode)
     r1 = compute_r1(P, sys.C, box, scale=1.0)
-    verts, path = _prefix_vertices(_prefix_bands(sys, box, horizon=sys.n - 1), tols)
+    verts, path = _prefix_vertices(_prefix_bands(sys, box, horizon=sys.n - 1), lp_tol)
     r2 = compute_r2(P, verts)
     return _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime="unforced")
 
@@ -209,7 +210,7 @@ def bound_m2_forced(
     box: OutputBox,
     epsilon: float,
     sigma_mode: str = "eq25",
-    tols: Tolerances = DEFAULT_TOLS,
+    lp_tol: float = LP_TOL,
 ) -> BoundReport:
     """Level-set upper bound for the constant-input system.
 
@@ -224,11 +225,11 @@ def bound_m2_forced(
         raise ValueError("forced bound requires a system with an input channel (B)")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    P, sigma = _lyapunov_pieces(sys, sigma_mode, tols)
+    P, sigma = _lyapunov_pieces(sys, sigma_mode)
     r1 = compute_r1(P, sys.C, box, scale=epsilon)
     H0 = dc_gain(sys)
     feed = None if epsilon == 1.0 or not np.any(H0) else scipy.linalg.orth(H0)
     bands = _prefix_bands(sys, box, sys.n - 1, feed, epsilon)
-    verts, path = _prefix_vertices(bands, tols)
+    verts, path = _prefix_vertices(bands, lp_tol)
     r2 = compute_r2(P, verts, proj_dim=sys.n)
     return _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime="forced", epsilon=epsilon)

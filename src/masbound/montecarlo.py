@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import block_diag
 
-from .config import DEFAULT_TOLS, OBSERVABILITY_THRESHOLD, STABILITY_THRESHOLD, Tolerances
+from .config import LP_TOL, OBSERVABILITY_THRESHOLD, STABILITY_THRESHOLD
 from .errors import IterationCapError, MasboundError
 from .exact import exact_t_star_forced, exact_t_star_unforced
 from .linalg import spectral_radius
@@ -348,7 +348,7 @@ def asymmetry_sweep(
     y_upper: float,
     y_lower_grid,
     sigma_mode: str = "eq25",
-    tols: Tolerances = DEFAULT_TOLS,
+    lp_tol: float = LP_TOL,
 ) -> list[SweepRow]:
     """Exact index and both bounds while the lower limit sweeps a grid.
 
@@ -360,9 +360,9 @@ def asymmetry_sweep(
     out = []
     for y_l in y_lower_grid:
         box = OutputBox(np.array([float(y_l)]), np.array([float(y_upper)]))
-        t_star = exact_t_star_unforced(sys, box, tols=tols).t_star
-        m1 = bound_m1_unforced(sys, box, tols=tols).m
-        m2 = bound_m2_unforced(sys, box, sigma_mode=sigma_mode, tols=tols).m
+        t_star = exact_t_star_unforced(sys, box, lp_tol=lp_tol).t_star
+        m1 = bound_m1_unforced(sys, box).m
+        m2 = bound_m2_unforced(sys, box, sigma_mode=sigma_mode, lp_tol=lp_tol).m
         out.append(SweepRow(y_lower=float(y_l), t_star=t_star, m1=m1, m2=m2))
     return out
 

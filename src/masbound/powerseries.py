@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, POWER_SERIES_STEP_CAP, Tolerances
+from .config import BETA_GROWTH_LIMIT, POWER_SERIES_STEP_CAP
 from .errors import IterationCapError, NumericalError
 from .linalg import char_poly_coeffs, spectral_radius
 from .model import LtiSystem, OutputBox, gamma
@@ -88,7 +88,7 @@ def condition_forced(beta, g: float, epsilon: float) -> bool:
     return lhs <= epsilon
 
 
-def _run_recursion(sys: LtiSystem, box: OutputBox, predicate, step_cap, tols: Tolerances):
+def _run_recursion(sys: LtiSystem, box: OutputBox, predicate, step_cap):
     rho = spectral_radius(sys.A)
     if rho >= 1.0:
         raise ValueError(
@@ -109,19 +109,18 @@ def _run_recursion(sys: LtiSystem, box: OutputBox, predicate, step_cap, tols: To
             )
         state = beta_step(state, c)
         steps += 1
-        if np.max(np.abs(state.beta)) > tols.beta_growth_limit:
+        if np.max(np.abs(state.beta)) > BETA_GROWTH_LIMIT:
             raise NumericalError(
                 f"coefficient recursion diverged (||beta({state.t})||_inf > "
-                f"{tols.beta_growth_limit:.1e}) despite spectral radius {rho:.6g} < 1"
+                f"{BETA_GROWTH_LIMIT:.1e}) despite spectral radius {rho:.6g} < 1"
             )
-    return state, c, rho
+    return state, rho
 
 
 def bound_m1_unforced(
     sys: LtiSystem,
     box: OutputBox,
     step_cap: int = POWER_SERIES_STEP_CAP,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> BoundReport:
     """Upper bound m on the admissibility index for the autonomous system.
 
@@ -129,9 +128,7 @@ def bound_m1_unforced(
     the first t at which the weighted-sum stop rule holds.
     """
     g = gamma(box)
-    state, _, rho = _run_recursion(
-        sys, box, lambda b: condition_unforced(b, g), step_cap, tols
-    )
+    state, rho = _run_recursion(sys, box, lambda b: condition_unforced(b, g), step_cap)
     return BoundReport(
         method="power-series",
         regime="unforced",
@@ -146,7 +143,6 @@ def bound_m1_forced(
     box: OutputBox,
     epsilon: float,
     step_cap: int = POWER_SERIES_STEP_CAP,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> BoundReport:
     """Upper bound for the constant-input system with steady-state margin epsilon.
 
@@ -158,9 +154,7 @@ def bound_m1_forced(
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     g = gamma(box)
-    state, _, rho = _run_recursion(
-        sys, box, lambda b: condition_forced(b, g, epsilon), step_cap, tols
-    )
+    state, rho = _run_recursion(sys, box, lambda b: condition_forced(b, g, epsilon), step_cap)
     return BoundReport(
         method="power-series",
         regime="forced",

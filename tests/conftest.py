@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import HalfspaceIntersection
 
-from masbound import LtiSystem, OutputBox, geometry
+from masbound import LtiSystem, OutputBox, config, geometry
 
 
 def random_stable_matrix(rng, n, rho_max=0.95):
@@ -82,7 +82,7 @@ def lp_seeded_vertices(G, h):
     Gn, hn = poly.G / norms[:, None], poly.h / norms
     center, _ = geometry.chebyshev_center(geometry.Polytope(Gn, hn))
     inter = HalfspaceIntersection(np.hstack([Gn, -hn[:, None]]), center)
-    return geometry._dedupe(np.asarray(inter.intersections), geometry.DEFAULT_TOLS.vertex_dedup)
+    return geometry._dedupe(np.asarray(inter.intersections), config.VERTEX_DEDUP)
 
 
 def refuse_lps(monkeypatch):
@@ -150,7 +150,7 @@ def force_unknown(monkeypatch, cold_resolves: bool) -> list[int]:
         pytest.skip("this scipy has no persistent HiGHS class")
     from scipy.optimize._highspy._core import HighsModelStatus
 
-    highs_cls, sense, definitive = geometry._HIGHS
+    highs_cls, *rest = geometry._HIGHS
     restarts = []
 
     class Unsure(highs_cls):
@@ -171,5 +171,5 @@ def force_unknown(monkeypatch, cold_resolves: bool) -> list[int]:
                 return super().getModelStatus()
             return HighsModelStatus.kUnknown
 
-    monkeypatch.setattr(geometry, "_HIGHS", (Unsure, sense, definitive))
+    monkeypatch.setattr(geometry, "_HIGHS", (Unsure, *rest))
     return restarts

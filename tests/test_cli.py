@@ -208,10 +208,7 @@ class TestSweep:
 class TestEnvTolerance:
     def test_env_override_applied(self, monkeypatch):
         monkeypatch.setenv(cfg.ENV_TOL_VAR, "1e-6")
-        tols = cfg.from_env()
-        assert tols.redundancy == 1e-6
-        assert tols.lp_feasibility == 1e-6
-        assert tols.vertex_dedup == cfg.DEFAULT_TOLS.vertex_dedup
+        assert cfg.from_env() == 1e-6
 
     def test_env_invalid_rejected(self, monkeypatch):
         monkeypatch.setenv(cfg.ENV_TOL_VAR, "banana")
@@ -221,6 +218,21 @@ class TestEnvTolerance:
     def test_env_reaches_cli(self, monkeypatch, capsys, scalar_file):
         monkeypatch.setenv(cfg.ENV_TOL_VAR, "-1.0")
         assert main(["exact", scalar_file]) == 1
+
+    @pytest.mark.parametrize("raw", ["0.2", "1e-13"])
+    def test_env_out_of_range_rejected(self, monkeypatch, capsys, scalar_file, raw):
+        # Above the range the exact index fails with non-definitive LP
+        # statuses; below it HiGHS refuses the tolerance.
+        monkeypatch.setenv(cfg.ENV_TOL_VAR, raw)
+        assert main(["exact", scalar_file]) == 1
+        assert "[1e-10, 0.0001]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["1e-10", "1e-4"])
+    def test_env_range_ends_accepted(self, monkeypatch, capsys, scalar_file, raw):
+        monkeypatch.setenv(cfg.ENV_TOL_VAR, raw)
+        assert cfg.from_env() == float(raw)
+        code, out = run_json(capsys, ["exact", scalar_file])
+        assert code == 0 and out["t_star"] == 0
 
     def test_montecarlo_uses_default_tolerances(self, monkeypatch, capsys, tmp_path):
         argv = ["montecarlo", "--count", "5", "--seed", "3", "--out"]
@@ -235,7 +247,7 @@ class TestEnvTolerance:
 
     def test_unset_returns_defaults(self, monkeypatch):
         monkeypatch.delenv(cfg.ENV_TOL_VAR, raising=False)
-        assert cfg.from_env() == cfg.DEFAULT_TOLS
+        assert cfg.from_env() == cfg.LP_TOL
 
 
 class TestUsage:

@@ -355,7 +355,7 @@ class TestLpBackends:
         first = res.polytope
         assert res.polytope is first
         assert calls == [1]
-        eager = real(res.rows, res.tols)
+        eager = real(res.rows, res.lp_tol)
         assert np.array_equal(first.G, eager.G) and np.array_equal(first.h, eager.h)
         assert first.nrows < res.rows.nrows
 

@@ -145,6 +145,20 @@ class TestWarmLp:
                 assert warm.optimum == pytest.approx(cold.optimum, abs=1e-9)
             assert lp.polytope.nrows == G.shape[0] - 1
 
+    def test_lp_tol_reaches_highs(self):
+        if geometry._HIGHS is None:
+            pytest.skip("this scipy has no persistent HiGHS class")
+        lp = WarmLp(box2d(), lp_tol=1e-6)
+        for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+            assert lp._highs.getOptionValue(name)[1] == 1e-6
+
+    def test_refused_lp_tol_raises(self):
+        # HiGHS keeps its own 1e-7 for a tolerance below 1e-10.
+        if geometry._HIGHS is None:
+            pytest.skip("this scipy has no persistent HiGHS class")
+        with pytest.raises(ValueError, match="primal_feasibility_tolerance"):
+            WarmLp(box2d(), lp_tol=1e-13)
+
     def test_relaxed_row_no_longer_bounds(self):
         lp = WarmLp(box2d())
         assert lp.maximize([1.0, 0.0]).optimum == pytest.approx(1.0)
