@@ -18,10 +18,11 @@ Both vertex paths refuse dimensions above `VERTEX_DIM_CAP`.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
 from .config import LP_TOL, VERTEX_DEDUP, VERTEX_DIM_CAP, VERTEX_FEASIBILITY, ZERO_ROW
@@ -113,12 +114,20 @@ def _linprog(c, A_ub, b_ub, bounds, lp_tol: float):
     """HiGHS on min c.x subject to A_ub x <= b_ub, re-solved without presolve on failure.
 
     HiGHS presolve can report "infeasible" for unbounded instances; the
-    simplex classification without presolve is trustworthy.
+    simplex classification without presolve is trustworthy.  `linprog`
+    only warns when HiGHS refuses an option and then solves at HiGHS's
+    default; that warning is raised as ValueError here, as in `WarmLp`.
     """
     kwargs = dict(A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    res = linprog(c, **kwargs, options=_highs_options(lp_tol))
-    if res.status != 0:
-        res = linprog(c, **kwargs, options={**_highs_options(lp_tol), "presolve": False})
+    options = _highs_options(lp_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OptimizeWarning)
+        try:
+            res = linprog(c, **kwargs, options=options)
+            if res.status != 0:
+                res = linprog(c, **kwargs, options={**options, "presolve": False})
+        except OptimizeWarning as exc:
+            raise ValueError(f"HiGHS refused lp_tol = {lp_tol!r} for {', '.join(options)}: {exc}") from None
     return res
 
 

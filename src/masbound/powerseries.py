@@ -7,6 +7,13 @@ stable A.  Once the coefficients are small enough (in a weighted sense
 that accounts for constraint asymmetry), every output constraint beyond
 that step is implied by the earlier ones, which yields an upper bound on
 the admissibility index without solving any LPs.
+
+The bounds run the recursion on a list of plain floats with the
+operations of `beta_step`, so every beta(t) is bitwise its value, and
+test the stop rule on plain sums.  A left side near the threshold is
+decided by `condition_unforced` / `condition_forced` on the numpy array,
+so every stop decision is theirs.  `beta_init`, `beta_step` and the
+`condition_*` rules are the definition the plain-float loop follows.
 """
 
 from __future__ import annotations
@@ -88,7 +95,17 @@ def condition_forced(beta, g: float, epsilon: float) -> bool:
     return lhs <= epsilon
 
 
-def _run_recursion(sys: LtiSystem, box: OutputBox, predicate, step_cap):
+# A left side within this relative distance of the threshold is decided
+# by `condition_*` on the numpy array: numpy may sum in another order, and
+# the plain sums of same-sign terms are within a few ulps of its sums.
+_TIE_BAND = 1e-9
+
+
+def _run_recursion(sys: LtiSystem, box: OutputBox, g: float, epsilon: float | None, step_cap):
+    """The first t >= n at which the stop rule holds, and rho.
+
+    `epsilon is None` selects the unforced rule, else the forced one.
+    """
     rho = spectral_radius(sys.A)
     if rho >= 1.0:
         raise ValueError(
@@ -96,25 +113,45 @@ def _run_recursion(sys: LtiSystem, box: OutputBox, predicate, step_cap):
         )
     if box.q != sys.q:
         raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
-    c = char_poly_coeffs(sys.A)
-    state = beta_init(c)
-    steps = 0
-    while not predicate(state.beta):
-        if steps >= step_cap:
+    if epsilon is None:
+        w_pos, w_neg, threshold = 1.0, g, 1.0
+    else:
+        w_pos, w_neg, threshold = 1.0 + g * (1.0 - epsilon), g + (1.0 - epsilon), epsilon
+    c = char_poly_coeffs(sys.A).tolist()
+    c0, c_rest = c[0], c[1:]
+    beta = [-ci for ci in c]
+    n = t = len(c)
+    while True:
+        pos = neg = 0.0
+        for b in beta:
+            if b > 0.0:
+                pos += b
+            elif b < 0.0:
+                neg += b
+        lhs = w_pos * pos - w_neg * neg
+        if abs(lhs - threshold) > _TIE_BAND * threshold:
+            stop = lhs <= threshold
+        elif epsilon is None:
+            stop = condition_unforced(np.array(beta), g)
+        else:
+            stop = condition_forced(np.array(beta), g, epsilon)
+        if stop:
+            return t, rho
+        if t - n >= step_cap:
             raise IterationCapError(
                 f"stop rule not met after {step_cap} steps (spectral radius {rho:.6g}); "
                 "raise the cap or reconsider the system",
                 cap=step_cap,
-                last_state=state,
+                last_state=BetaState(t=t, beta=np.array(beta)),
             )
-        state = beta_step(state, c)
-        steps += 1
-        if np.max(np.abs(state.beta)) > BETA_GROWTH_LIMIT:
+        last = beta[-1]
+        beta = [-c0 * last] + [b - ci * last for b, ci in zip(beta, c_rest)]
+        t += 1
+        if max(map(abs, beta)) > BETA_GROWTH_LIMIT:
             raise NumericalError(
-                f"coefficient recursion diverged (||beta({state.t})||_inf > "
+                f"coefficient recursion diverged (||beta({t})||_inf > "
                 f"{BETA_GROWTH_LIMIT:.1e}) despite spectral radius {rho:.6g} < 1"
             )
-    return state, rho
 
 
 def bound_m1_unforced(
@@ -128,13 +165,13 @@ def bound_m1_unforced(
     the first t at which the weighted-sum stop rule holds.
     """
     g = gamma(box)
-    state, rho = _run_recursion(sys, box, lambda b: condition_unforced(b, g), step_cap)
+    t, rho = _run_recursion(sys, box, g, None, step_cap)
     return BoundReport(
         method="power-series",
         regime="unforced",
-        m=state.t - 1,
-        iterations=state.t - sys.n,
-        diagnostics={"stop_t": state.t, "gamma": g, "rho": rho},
+        m=t - 1,
+        iterations=t - sys.n,
+        diagnostics={"stop_t": t, "gamma": g, "rho": rho},
     )
 
 
@@ -154,11 +191,11 @@ def bound_m1_forced(
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     g = gamma(box)
-    state, rho = _run_recursion(sys, box, lambda b: condition_forced(b, g, epsilon), step_cap)
+    t, rho = _run_recursion(sys, box, g, epsilon, step_cap)
     return BoundReport(
         method="power-series",
         regime="forced",
-        m=state.t - 1,
-        iterations=state.t - sys.n,
-        diagnostics={"stop_t": state.t, "gamma": g, "rho": rho, "epsilon": epsilon},
+        m=t - 1,
+        iterations=t - sys.n,
+        diagnostics={"stop_t": t, "gamma": g, "rho": rho, "epsilon": epsilon},
     )

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from masbound import config as cfg
+from masbound import exact_t_star_forced
 from masbound.cli import main
+from masbound.montecarlo import random_stable_system, system_seed
 
 
 @pytest.fixture
@@ -219,20 +221,28 @@ class TestEnvTolerance:
         monkeypatch.setenv(cfg.ENV_TOL_VAR, "-1.0")
         assert main(["exact", scalar_file]) == 1
 
-    @pytest.mark.parametrize("raw", ["0.2", "1e-13"])
+    @pytest.mark.parametrize("raw", ["0.2", "1e-5", "1e-13"])
     def test_env_out_of_range_rejected(self, monkeypatch, capsys, scalar_file, raw):
-        # Above the range the exact index fails with non-definitive LP
-        # statuses; below it HiGHS refuses the tolerance.
+        # Above the range the forced exact index can drop (1e-5, 1e-4) or
+        # fail with non-definitive LP statuses; below it HiGHS refuses the
+        # tolerance.
         monkeypatch.setenv(cfg.ENV_TOL_VAR, raw)
         assert main(["exact", scalar_file]) == 1
-        assert "[1e-10, 0.0001]" in capsys.readouterr().err
+        assert "[1e-10, 1e-06]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw", ["1e-10", "1e-4"])
+    @pytest.mark.parametrize("raw", ["1e-10", "1e-6"])
     def test_env_range_ends_accepted(self, monkeypatch, capsys, scalar_file, raw):
         monkeypatch.setenv(cfg.ENV_TOL_VAR, raw)
         assert cfg.from_env() == float(raw)
         code, out = run_json(capsys, ["exact", scalar_file])
         assert code == 0 and out["t_star"] == 0
+
+    @pytest.mark.parametrize("system_id, t_star", [(19, 41), (110, 17)])
+    def test_range_top_keeps_forced_t_star(self, system_id, t_star):
+        # At 1e-5 and 1e-4 these study systems lose one step of forced t*.
+        sys, box = random_stable_system(system_seed(2026, system_id))
+        for lp_tol in (cfg.LP_TOL, cfg.LP_TOL_RANGE[1]):
+            assert exact_t_star_forced(sys, box, 0.01, lp_tol=lp_tol).t_star == t_star
 
     def test_montecarlo_uses_default_tolerances(self, monkeypatch, capsys, tmp_path):
         argv = ["montecarlo", "--count", "5", "--seed", "3", "--out"]

@@ -6,9 +6,11 @@ from scipy.spatial import QhullError
 
 from masbound import LpError, Polytope, UnboundedPolytopeError
 from masbound import geometry
+from masbound.config import LP_TOL_RANGE
 from masbound.geometry import (
     WarmLp,
     _dedupe,
+    chebyshev_center,
     enumerate_vertices,
     is_redundant,
     lp_maximize,
@@ -121,6 +123,29 @@ class TestRedundancy:
                 continue
             for redundant in REDUNDANCY_CHECKS:
                 assert redundant(row, rhs, Polytope(G, h)) == expected
+
+
+ONE_OFF_LPS = {
+    "lp_maximize": lambda lp_tol: lp_maximize([1.0, 1.0], box2d(), lp_tol=lp_tol),
+    "is_redundant": lambda lp_tol: is_redundant([1.0, 0.0], 2.0, box2d(), lp_tol=lp_tol),
+    "chebyshev_center": lambda lp_tol: chebyshev_center(box2d(), lp_tol=lp_tol),
+}
+
+
+class TestOneOffLpTolerance:
+    @pytest.mark.parametrize("name", sorted(ONE_OFF_LPS))
+    def test_refused_lp_tol_raises(self, name):
+        # linprog itself only warns and solves at HiGHS's own 1e-7; the
+        # refusal must raise whatever the caller's warning filters are.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="primal_feasibility_tolerance"):
+                ONE_OFF_LPS[name](1e-13)
+
+    @pytest.mark.parametrize("name", sorted(ONE_OFF_LPS))
+    def test_range_ends_accepted(self, name):
+        for lp_tol in LP_TOL_RANGE:
+            ONE_OFF_LPS[name](lp_tol)
 
 
 class TestWarmLp:

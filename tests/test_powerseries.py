@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from masbound import (
     IterationCapError,
@@ -8,9 +10,11 @@ from masbound import (
     bound_m1_forced,
     bound_m1_unforced,
     exact_t_star_unforced,
+    powerseries,
 )
-from masbound.linalg import char_poly_coeffs
-from masbound.powerseries import beta_init, beta_step, condition_forced, condition_unforced
+from masbound.linalg import char_poly_coeffs, spectral_radius
+from masbound.model import gamma
+from masbound.powerseries import BetaState, beta_init, beta_step, condition_forced, condition_unforced
 from conftest import make_siso, random_stable_matrix, unit_box
 
 
@@ -140,8 +144,15 @@ class TestBoundUnforced:
         rho, th = 0.9999, 1.0
         A = rho * np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
         sys = LtiSystem(A=A, C=[[1.0, 0.0]])
-        with pytest.raises(IterationCapError):
+        with pytest.raises(IterationCapError) as info:
             bound_m1_unforced(sys, unit_box(), step_cap=10)
+        last = info.value.last_state
+        assert isinstance(last, BetaState) and last.t == sys.n + 10
+        c = char_poly_coeffs(A)
+        state = beta_init(c)
+        for _ in range(10):
+            state = beta_step(state, c)
+        assert np.array_equal(last.beta, state.beta)
 
     def test_radial_scaling_invariance(self, rng):
         for _ in range(10):
@@ -218,3 +229,92 @@ class TestSoundnessAgainstExact:
             g = max(hi / lo, lo / hi)
             a = rng.uniform(-1.0 / g + 1e-6, 0.999)
             assert bound_m1_unforced(make_siso(a), box).m == 0
+
+
+def reference_m1(sys, box, epsilon):
+    """(m, iterations, diagnostics) from `beta_step` and `condition_*` at every t."""
+    g = gamma(box)
+    c = char_poly_coeffs(sys.A)
+    state = beta_init(c)
+    while not (
+        condition_unforced(state.beta, g) if epsilon is None else condition_forced(state.beta, g, epsilon)
+    ):
+        state = beta_step(state, c)
+    diagnostics = {"stop_t": state.t, "gamma": g, "rho": spectral_radius(sys.A)}
+    if epsilon is not None:
+        diagnostics["epsilon"] = epsilon
+    return state.t - 1, state.t - sys.n, diagnostics
+
+
+def run_m1(sys, box, epsilon):
+    rep = bound_m1_unforced(sys, box) if epsilon is None else bound_m1_forced(sys, box, epsilon)
+    return rep.m, rep.iterations, rep.diagnostics
+
+
+def slow_rotation(rho=0.995, theta=0.3):
+    A = rho * np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+    return LtiSystem(A=A, B=[[1.0], [0.0]], C=[[1.0, 0.0]])
+
+
+@st.composite
+def m1_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 9))
+    q = draw(st.integers(1, 2))
+    sys = LtiSystem(
+        A=random_stable_matrix(rng, n, rho_max=0.98),
+        B=rng.standard_normal((n, 1)),
+        C=rng.standard_normal((q, n)),
+    )
+    box = OutputBox(rng.uniform(0.2, 2.0, size=q), rng.uniform(0.2, 2.0, size=q))
+    return sys, box, draw(st.sampled_from([None, 0.01, 0.3, 1.0]))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(m1_cases())
+@example((slow_rotation(), unit_box(), None))
+@example((slow_rotation(), unit_box(), 0.01))  # about 1000 steps
+@example((slow_rotation(theta=1.0), OutputBox([0.5], [2.0]), 0.3))
+def test_float_recursion_matches_numpy_reference(case):
+    assert run_m1(*case) == reference_m1(*case)
+
+
+class TestNearTies:
+    # A scalar system has beta(1) = [a], and the box [-0.5, 1] gives g = 2,
+    # so the left side at t = 1 is 2|a| for the unforced rule (a < 0) and,
+    # at epsilon = 0.5, 2a against the threshold 0.5 for the forced rule.
+    BOX = OutputBox([0.5], [1.0])
+    RULES = {None: ("condition_unforced", -0.5), 0.5: ("condition_forced", 0.25)}
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        real = getattr(powerseries, name)
+
+        def wrapped(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(powerseries, name, wrapped)
+        return calls
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    @pytest.mark.parametrize("ulps, stops_at_once", [(-1, True), (0, True), (1, False)])
+    def test_threshold_and_neighbours_go_to_exact_rule(self, monkeypatch, epsilon, ulps, stops_at_once):
+        name, a = self.RULES[epsilon]
+        if ulps:
+            a = float(np.nextafter(a, a * 2.0 if ulps > 0 else 0.0))
+        sys = make_siso(a, b=1.0)
+        calls = self.spy(monkeypatch, name)
+        result = run_m1(sys, self.BOX, epsilon)
+        assert calls and calls[0] is stops_at_once
+        assert result[0] == (0 if stops_at_once else 1)
+        assert result == reference_m1(sys, self.BOX, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    def test_clear_decisions_skip_exact_rule(self, monkeypatch, epsilon):
+        name, _ = self.RULES[epsilon]
+        calls = self.spy(monkeypatch, name)
+        sys = LtiSystem(A=[[0.0, 1.0], [-0.25, 1.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
+        assert run_m1(sys, self.BOX, epsilon) == reference_m1(sys, self.BOX, epsilon)
+        assert calls == []
