@@ -385,7 +385,8 @@ def parallelotope_vertices(M, lower, upper) -> np.ndarray | None:
         return None
     # Distinct corners are at least min(width) apart, so their images are
     # at least min(width) / ||M||_2 apart and none would be deduplicated.
-    if np.min(width) <= VERTEX_DEDUP * np.linalg.norm(M, 2):
+    # The Frobenius norm bounds ||M||_2 from above without an SVD.
+    if np.min(width) <= VERTEX_DEDUP * np.linalg.norm(M):
         return None
     bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
     corners = np.where(bits == 1, -lower, upper)

@@ -1,19 +1,26 @@
 """Dense linear-algebra kernels used throughout the package.
 
 Thin, validated wrappers around numpy/scipy plus the characteristic
-polynomial recursion.  All functions are pure and accept anything
-`np.asarray` turns into a float matrix.
+polynomial recursion.  The public functions are pure and accept
+anything `np.asarray` turns into a float matrix.  Two kernels skip the
+input checks for callers that have made them: `kron_lyapunov`, the
+discrete Lyapunov solve by one LAPACK LU of the Kronecker system, and
+`range_basis`, an orthonormal basis of a range from one LAPACK SVD.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov as _scipy_dlyap
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dgecon, dgesdd, dgetrf, dgetrs
 
 from .config import LYAPUNOV_RESIDUAL, SYMMETRY
 from .errors import NumericalError
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ def solve_discrete_lyapunov(A, Q) -> np.ndarray:
     """Solve A^T P A - P = -Q for symmetric positive-definite P.
 
     Requires a strictly stable A and symmetric positive-definite Q; the
-    result is checked against the residual tolerance before returning.
+    solve is `kron_lyapunov`.
     """
     A = _as_square(A, "A")
     Q = _as_square(Q, "Q")
@@ -86,27 +93,74 @@ def solve_discrete_lyapunov(A, Q) -> np.ndarray:
     rho = spectral_radius(A)
     if rho >= 1.0:
         raise ValueError(f"no stable Lyapunov solution: spectral radius {rho:.6g} >= 1")
-    # Kronecker (column-stacking) solve; fine at the orders handled here.
-    P = _scipy_dlyap(A.T, Q, method="direct")
+    return kron_lyapunov(A, Q)
+
+
+def kron_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """P with A^T P A - P = -Q from one LU of I - kron(A^T, A^T).
+
+    A and Q are float arrays of one square shape, unchecked: the caller
+    has made sure that rho(A) < 1 and that Q is symmetric.  The n^2
+    system in the row-major vec(P) is factored by LAPACK `dgetrf` and
+    solved by `dgetrs`, the calls that scipy's
+    `solve_discrete_lyapunov(A.T, Q, method="direct")` makes on a
+    general (not symmetric or triangular) system, so P is bitwise its
+    result there.  (OpenBLAS's `dgesv` takes a threaded path of its own
+    from n = 12 on and rounds differently.)  A singular system raises
+    NumericalError; a reciprocal condition number (`dgecon`) below
+    machine epsilon warns with LinAlgWarning, as `scipy.linalg.solve`
+    does.  Up to two defect-correction passes reuse the LU factors, and
+    the residual must come within `LYAPUNOV_RESIDUAL * max(1, ||Q||_F)`.
+    """
+    n = A.shape[0]
+    At = A.T
+    # kron(At, At) as one broadcast product: the same entries, bitwise.
+    lhs = np.eye(n * n) - np.multiply.outer(At, At).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    anorm = np.abs(lhs).sum(axis=0).max()
+    lu, piv, info = dgetrf(lhs)
+    if info > 0:
+        raise NumericalError(f"Kronecker Lyapunov system is singular (zero pivot {info})")
+    rcond, _ = dgecon(lu, anorm, norm="1")
+    if rcond < _EPS:
+        warnings.warn(
+            f"Ill-conditioned Kronecker Lyapunov system (rcond={rcond:.6g}): result may not be accurate.",
+            LinAlgWarning,
+            stacklevel=2,
+        )
+    P = dgetrs(lu, piv, Q.ravel())[0].reshape(n, n)
     P = 0.5 * (P + P.T)
-    target = LYAPUNOV_RESIDUAL * max(1.0, q_scale)
+    target = LYAPUNOV_RESIDUAL * max(1.0, np.linalg.norm(Q, "fro"))
+    R = At @ P @ A - P + Q
     for _ in range(2):
-        R = A.T @ P @ A - P + Q
         if np.linalg.norm(R, "fro") <= target:
             break
-        # One defect-correction step recovers accuracy lost to the
+        # A defect-correction pass recovers accuracy lost to the
         # conditioning of the Kronecker system.
-        delta = _scipy_dlyap(A.T, R, method="direct")
+        delta = dgetrs(lu, piv, R.ravel())[0].reshape(n, n)
         P = 0.5 * ((P + delta) + (P + delta).T)
-    residual = np.linalg.norm(A.T @ P @ A - P + Q, "fro")
+        R = At @ P @ A - P + Q
+    residual = np.linalg.norm(R, "fro")
     # Forming the residual itself costs ~eps * ||P||, which dominates the
     # budget for badly scaled P; accept that floor on top of the target.
-    eval_floor = 64.0 * np.finfo(float).eps * A.shape[0] * np.linalg.norm(P, "fro")
+    eval_floor = 64.0 * _EPS * n * np.linalg.norm(P, "fro")
     if residual > target + eval_floor:
         raise NumericalError(
             f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL:.1e} * ||Q||"
         )
     return P
+
+
+def range_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of a nonempty float matrix M.
+
+    The left singular vectors from LAPACK `dgesdd` whose singular values
+    exceed `max(M.shape) * s_max * eps`, the rank cutoff of
+    `scipy.linalg.orth`, which runs the same SVD.
+    """
+    u, s, _, info = dgesdd(M, compute_uv=1, full_matrices=0)
+    if info > 0:
+        raise NumericalError("SVD did not converge")
+    return u[:, s > max(M.shape) * s[0] * _EPS]
 
 
 def sym_eig_extremes(P) -> tuple[float, float]:

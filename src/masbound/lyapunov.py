@@ -7,6 +7,12 @@ factor of V along trajectories converts the ratio of their levels into
 an upper bound on the admissibility index.  No LP runs unless the vertex
 enumeration needs its Chebyshev center or fallback; `lp_tol` is their
 tolerance.
+
+Each `bound_m2_*` call decomposes A once (in the default "eq25" sigma
+mode), refuses rho(A) >= 1, and then solves for P with Q = I through
+the unchecked one-LU kernel `linalg.kron_lyapunov`; the forced regime
+takes its DC gain without a second stability check and its basis of
+range(H0) from `linalg.range_basis`.
 """
 
 from __future__ import annotations
@@ -15,13 +21,12 @@ import itertools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .config import LP_TOL
 from .errors import NumericalError
 from .geometry import Polytope, enumerate_vertices, parallelotope_vertices
-from .linalg import solve_discrete_lyapunov, spectral_radius, sym_eig_extremes
-from .model import LtiSystem, OutputBox, band_rows, dc_gain, output_bands
+from .linalg import kron_lyapunov, range_basis, spectral_radius, sym_eig_extremes
+from .model import LtiSystem, OutputBox, band_rows, dc_gain, output_bands, stable_dc_gain
 from .results import BoundReport
 
 SIGMA_MODES = ("eq25", "paper")
@@ -186,7 +191,7 @@ def _lyapunov_pieces(sys: LtiSystem, sigma_mode: str):
     if rho >= 1.0:
         raise ValueError(f"level-set bound requires spectral radius < 1, got {rho:.6g}")
     Q = np.eye(sys.n)
-    P = solve_discrete_lyapunov(sys.A, Q)
+    P = kron_lyapunov(sys.A, Q)
     sigma = compute_sigma(sys.A, P, Q, mode=sigma_mode)
     return P, sigma
 
@@ -227,8 +232,8 @@ def bound_m2_forced(
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     P, sigma = _lyapunov_pieces(sys, sigma_mode)
     r1 = compute_r1(P, sys.C, box, scale=epsilon)
-    H0 = dc_gain(sys)
-    feed = None if epsilon == 1.0 or not np.any(H0) else scipy.linalg.orth(H0)
+    H0 = stable_dc_gain(sys)
+    feed = None if epsilon == 1.0 or not np.any(H0) else range_basis(H0)
     bands = _prefix_bands(sys, box, sys.n - 1, feed, epsilon)
     verts, path = _prefix_vertices(bands, lp_tol)
     r2 = compute_r2(P, verts, proj_dim=sys.n)

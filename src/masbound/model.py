@@ -169,6 +169,11 @@ def dc_gain(sys: LtiSystem) -> np.ndarray:
     rho = spectral_radius(sys.A)
     if rho >= 1.0:
         raise ValueError(f"dc_gain requires spectral radius < 1, got {rho:.6g}")
+    return stable_dc_gain(sys)
+
+
+def stable_dc_gain(sys: LtiSystem) -> np.ndarray:
+    """`dc_gain` for a caller that has checked B and rho(A) < 1 itself."""
     X = np.linalg.solve(np.eye(sys.n) - sys.A, sys.B)
     return sys.C @ X + sys.D
 

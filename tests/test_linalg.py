@@ -1,14 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from masbound import NumericalError, linalg
 from masbound.linalg import (
     char_poly_coeffs,
     eigenvalues,
+    kron_lyapunov,
     min_singular_value,
+    range_basis,
     solve_discrete_lyapunov,
     sym_eig_extremes,
 )
-from conftest import random_stable_matrix
+from conftest import random_spd_matrix, random_stable_matrix
 
 
 class TestEigenvalues:
@@ -118,6 +126,98 @@ class TestDiscreteLyapunov:
                 term = At.T @ Q @ At
             P = solve_discrete_lyapunov(A, Q)
             assert np.linalg.norm(P - P_series, "fro") <= 1e-8
+
+
+def scipy_direct(A, Q):
+    """The reference: scipy's Kronecker solve, symmetrised as the kernel does."""
+    P = scipy.linalg.solve_discrete_lyapunov(A.T, Q, method="direct")
+    return 0.5 * (P + P.T)
+
+
+class TestKronLyapunovKernel:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        identity_q=st.booleans(),
+    )
+    def test_bitwise_scipy_direct_on_dense_matrices(self, n, seed, identity_q):
+        rng = np.random.default_rng(seed)
+        A = random_stable_matrix(rng, n)
+        Q = np.eye(n) if identity_q else random_spd_matrix(rng, n)
+        expected = scipy_direct(A, Q)
+        assert np.array_equal(kron_lyapunov(A, Q), expected)
+        assert np.array_equal(solve_discrete_lyapunov(A, Q), expected)
+
+    def test_symmetric_matrices_within_a_few_ulps(self, rng):
+        # scipy factors the (then symmetric) Kronecker system with a
+        # symmetric solver, the kernel with LU, so only the rounding moves.
+        for n in range(1, 9):
+            S = rng.standard_normal((n, n))
+            S = 0.5 * (S + S.T)
+            A = S * (rng.uniform(0.2, 0.95) / np.max(np.abs(np.linalg.eigvalsh(S))))
+            expected = scipy_direct(A, np.eye(n))
+            P = kron_lyapunov(A, np.eye(n))
+            assert np.max(np.abs(P - expected)) <= 8 * np.finfo(float).eps * np.max(np.abs(expected))
+
+    def test_singular_kronecker_system_raises(self):
+        # Eigenvalues 2 and 1/2: lambda_i lambda_j = 1 zeroes a pivot.
+        with pytest.raises(NumericalError, match="singular"):
+            kron_lyapunov(np.diag([2.0, 0.5]), np.eye(2))
+
+    def test_ill_conditioned_system_warns_once(self):
+        # 1 - a^2 = eps, while 1 + 0.9 a is about 1.9, so rcond < eps.
+        A = np.diag([1.0 - 2.0**-53, -0.9])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            P = solve_discrete_lyapunov(A, np.eye(2))
+        assert [w.category for w in caught] == [scipy.linalg.LinAlgWarning]
+        assert P[0, 0] == pytest.approx(1.0 / np.finfo(float).eps)
+
+    def test_well_conditioned_system_does_not_warn(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kron_lyapunov(random_stable_matrix(rng, 4), np.eye(4))
+
+    @staticmethod
+    def perturb_first_solve(monkeypatch, corrections):
+        """Offset the kernel's first LU solve by 1e-3; later solves return `corrections(x)`."""
+        solves = []
+
+        def solve(lu, piv, b):
+            x, info = scipy.linalg.lapack.dgetrs(lu, piv, b)
+            solves.append(1)
+            return (x + 1e-3 if len(solves) == 1 else corrections(x)), info
+
+        monkeypatch.setattr(linalg, "dgetrs", solve)
+        return solves
+
+    def test_defect_correction_repairs_a_perturbed_solve(self, monkeypatch, rng):
+        A = random_stable_matrix(rng, 3)
+        solves = self.perturb_first_solve(monkeypatch, lambda x: x)
+        P = kron_lyapunov(A, np.eye(3))
+        assert 2 <= len(solves) <= 3
+        assert np.linalg.norm(A.T @ P @ A - P + np.eye(3), "fro") <= 1e-8 * np.sqrt(3)
+
+    def test_residual_gate_raises(self, monkeypatch, rng):
+        solves = self.perturb_first_solve(monkeypatch, np.zeros_like)
+        with pytest.raises(NumericalError, match="Lyapunov residual"):
+            kron_lyapunov(random_stable_matrix(rng, 3), np.eye(3))
+        assert len(solves) == 3
+
+
+class TestRangeBasis:
+    def test_matches_scipy_orth(self, rng):
+        for q, m in ((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)):
+            for rank_one in (False, True):
+                M = rng.standard_normal((q, m))
+                if rank_one:
+                    M = np.outer(M[:, 0], rng.standard_normal(m))
+                assert np.array_equal(range_basis(M), scipy.linalg.orth(M))
+
+    def test_rank_cutoff(self):
+        assert range_basis(np.array([[1.0, 0.0], [0.0, 1e-17]])).shape == (2, 1)
+        assert range_basis(np.array([[1.0, 0.0], [0.0, 1e-10]])).shape == (2, 2)
 
 
 class TestSymEig:

@@ -1,3 +1,9 @@
+import hashlib
+import itertools
+import json
+import sys as _sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,7 +31,7 @@ from masbound.lyapunov import (
     compute_sigma,
 )
 from masbound.model import dc_gain
-from masbound.montecarlo import StudyConfig, random_stable_system
+from masbound.montecarlo import StudyConfig, random_stable_system, system_seed
 from conftest import lp_seeded_vertices, make_siso, random_stable_matrix, refuse_lps, unit_box
 
 
@@ -476,3 +482,120 @@ class TestVertexDiagnostics:
             assert rep.diagnostics["vertex_path"] == "closed_form"
         assert bound_m2_unforced(sys, unit_box()).diagnostics["vertices"] == 4
         assert bound_m2_forced(sys, unit_box(), 0.1).diagnostics["vertices"] == 8
+
+
+class TestWorkPerCall:
+    def test_one_eigen_decomposition_and_no_scipy_solvers(self, monkeypatch, rng):
+        # Every masbound module that imported `eigenvalues` by name is
+        # counted, so a second decomposition anywhere on the path shows.
+        calls = []
+        original = _sys.modules["masbound.linalg"].eigenvalues
+
+        def counted(M):
+            calls.append(1)
+            return original(M)
+
+        for name, mod in list(_sys.modules.items()):
+            if name.startswith("masbound") and getattr(mod, "eigenvalues", None) is original:
+                monkeypatch.setattr(mod, "eigenvalues", counted)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy's solve_discrete_lyapunov or orth was called")
+
+        scipy_kernels = (scipy.linalg.solve_discrete_lyapunov, scipy.linalg.orth)
+        for name, mod in list(_sys.modules.items()):
+            if name.startswith("masbound") or name == "scipy.linalg":
+                for attr, value in list(vars(mod).items()):
+                    if any(value is kernel for kernel in scipy_kernels):
+                        monkeypatch.setattr(mod, attr, refuse)
+        single = LtiSystem(
+            A=random_stable_matrix(rng, 3), B=rng.standard_normal((3, 2)), C=rng.standard_normal((1, 3))
+        )
+        two, box2 = next(two_output_systems(rng))
+        for sys, box in ((single, unit_box()), (two, box2)):
+            for call in (
+                lambda: bound_m2_unforced(sys, box),
+                lambda: bound_m2_forced(sys, box, 0.1),
+                lambda: bound_m2_forced(sys, box, 1.0),
+            ):
+                calls.clear()
+                call()
+                assert len(calls) == 1
+
+
+class TestGuards:
+    def test_unstable_refused_before_the_solve(self, monkeypatch):
+        monkeypatch.setattr(lyapunov, "kron_lyapunov", lambda *args: pytest.fail("solved an unstable system"))
+        sys = make_siso(1.0, b=1.0)
+        for call in (lambda: bound_m2_unforced(sys, unit_box()), lambda: bound_m2_forced(sys, unit_box(), 0.1)):
+            with pytest.raises(ValueError, match="requires spectral radius < 1"):
+                call()
+
+    def test_indefinite_solution_refused(self, monkeypatch):
+        monkeypatch.setattr(lyapunov, "kron_lyapunov", lambda A, Q: -np.eye(A.shape[0]))
+        with pytest.raises(NumericalError, match="positive definiteness"):
+            bound_m2_unforced(make_siso(0.5), unit_box())
+
+    def test_decay_factor_one_refused(self, monkeypatch):
+        # lambda_max(P) = 1e20 rounds 1 - 1/lambda_max(P) to 1.
+        monkeypatch.setattr(lyapunov, "kron_lyapunov", lambda A, Q: 1e20 * np.eye(A.shape[0]))
+        with pytest.raises(NumericalError, match="decay factor"):
+            bound_m2_forced(make_siso(0.5, b=1.0), unit_box(), 0.1)
+
+    def test_paper_decay_factor_one_refused(self):
+        with pytest.raises(NumericalError, match="decay factor"):
+            compute_sigma(np.eye(1), np.eye(1), np.eye(1), mode="paper")
+
+
+M2_REPORTS = Path(__file__).parent / "data" / "m2_reports.json"
+
+
+def golden_systems():
+    """(name, system, box, epsilon) of the m2 golden fixture.
+
+    The first 40 systems of the seed-2026 study with its epsilon, then
+    six two-output systems with asymmetric boxes from a fixed rng.
+    """
+    config = StudyConfig(seed=2026)
+    for i in range(40):
+        sys, box = random_stable_system(system_seed(config.seed, i), config)
+        yield f"study-{i}", sys, box, config.epsilon
+    for i, (sys, box) in enumerate(itertools.islice(two_output_systems(np.random.default_rng(2026)), 6)):
+        yield f"mimo-{i}", sys, box, 0.01
+
+
+def m2_reports() -> dict:
+    """m, the float.hex of r1, r2 and sigma, and a digest of P's bytes per system and regime."""
+    out = {}
+    for name, sys, box, epsilon in golden_systems():
+        out[name] = {}
+        for regime, rep in (("unforced", bound_m2_unforced(sys, box)), ("forced", bound_m2_forced(sys, box, epsilon))):
+            d = rep.diagnostics
+            out[name][regime] = {
+                "m": rep.m,
+                **{key: float(d[key]).hex() for key in ("r1", "r2", "sigma")},
+                "P_sha256": hashlib.sha256(np.ascontiguousarray(d["P"]).tobytes()).hexdigest(),
+            }
+    return out
+
+
+def record_m2_reports():
+    M2_REPORTS.write_text(json.dumps(m2_reports(), indent=1, sort_keys=True) + "\n")
+
+
+def test_m2_reports_bitwise_golden():
+    """Every m2 report field is bitwise the recorded one.
+
+    The file was recorded from the level-set code before its Lyapunov
+    solve moved from scipy's `solve_discrete_lyapunov(A.T, Q,
+    method="direct")` to the one-LU kernel and its forced basis from
+    `scipy.linalg.orth` to `linalg.range_basis`.  To record it again
+    (only after a change meant to move m2), run from the repository root:
+
+        cd tests && PYTHONPATH=../src python3 -c "import test_lyapunov; test_lyapunov.record_m2_reports()"
+    """
+    expected = json.loads(M2_REPORTS.read_text())
+    got = m2_reports()
+    assert got.keys() == expected.keys()
+    for name in expected:
+        assert got[name] == expected[name], name
