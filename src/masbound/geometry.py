@@ -1,8 +1,9 @@
 """Polytopes in halfspace form, LP redundancy checks, vertex enumeration.
 
 The LP backend is scipy's HiGHS interface: `linprog` for one-off LPs,
-and `WarmLp`, one persistent HiGHS model re-solved from its previous
-basis, for the long runs of redundancy checks of the exact index.
+and `WarmLp`, one persistent HiGHS model built on its first solve and
+re-solved from its previous basis, for the long runs of redundancy
+checks of the exact index.
 Vertex enumeration goes through qhull's halfspace intersection, seeded
 at the origin when it lies well inside and at the Chebyshev center
 (one LP) otherwise.  Boundedness is certified without LPs: the rows
@@ -11,7 +12,8 @@ dual hull.
 A combinatorial active-set sweep, behind an LP bounding box, serves as
 a fallback when qhull rejects a degenerate instance.
 Parallelotopes {x : -lower <= M x <= upper} with a square nonsingular M
-have their vertices in closed form and need neither LPs nor qhull.
+have their vertices and linear maxima in closed form and need neither
+LPs nor qhull.
 Both vertex paths refuse dimensions above `VERTEX_DIM_CAP`.
 """
 
@@ -35,7 +37,11 @@ _HIGHS_METHODS = (
 
 
 def _probe_highs():
-    """scipy's private persistent HiGHS class and the enums WarmLp needs, or None if absent."""
+    """scipy's private persistent HiGHS class and the enums WarmLp needs, or None if absent.
+
+    The last entry is a model that never solves: WarmLp sets its options
+    on it to check them without building a model of its own.
+    """
     try:
         from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, ObjSense, _Highs
     except ImportError:
@@ -47,10 +53,11 @@ def _probe_highs():
         HighsModelStatus.kUnbounded: "unbounded",
         HighsModelStatus.kInfeasible: "infeasible",
     }
-    return _Highs, ObjSense.kMaximize, definitive, HighsStatus.kOk
+    return _Highs, ObjSense.kMaximize, definitive, HighsStatus.kOk, _Highs()
 
 
-# (class, maximize sense, {model status: LpOutcome status}, ok status) or None.
+# (class, maximize sense, {model status: LpOutcome status}, ok status,
+# option checker) or None.
 _HIGHS = _probe_highs()
 
 # An interior point whose inscribed radius is below _FLAT times
@@ -183,32 +190,27 @@ class WarmLp:
 
     Rows are appended with `add_rows` and switched off and on with
     `relax` and `restore`; between solves only the objective changes, so
-    each solve starts from the previous basis.  Presolve is off and the
-    primal and dual tolerances are `lp_tol`; ValueError is raised when
-    HiGHS refuses an option (a tolerance below 1e-10, say) instead of
-    solving at its own default.  A solve that ends without a definitive
-    status is re-run cold, and then answered by `lp_maximize`.  Without
-    scipy's private HiGHS class every answer comes from `lp_maximize`
-    and `is_redundant` on the active rows.
+    each solve starts from the previous basis.  The model is built on the
+    first `maximize`, with every row added so far passed in one batch
+    (relaxed rows without an upper bound), so a `WarmLp` that never
+    solves never builds one.  Presolve is off and the primal and dual
+    tolerances are `lp_tol`; the constructor raises ValueError when HiGHS
+    refuses an option (a tolerance below 1e-10, say) instead of solving
+    at its own default.  A solve that ends without a definitive status is re-run
+    cold, and then answered by `lp_maximize`.  Without scipy's private
+    HiGHS class every answer comes from `lp_maximize` and `is_redundant`
+    on the active rows.
     """
 
     def __init__(self, poly: Polytope, lp_tol: float = LP_TOL):
         self.lp_tol = lp_tol
-        self.G = np.empty((0, poly.dim))
-        self.h = np.empty(0)
-        self.active = np.empty(0, dtype=bool)
-        self._highs = None
-        if _HIGHS is not None:
-            highs_cls, maximize, _, ok = _HIGHS
-            self._highs = highs_cls()
-            options = {"output_flag": False, "presolve": "off", **_highs_options(lp_tol)}
-            for name, value in options.items():
-                if self._highs.setOptionValue(name, value) != ok:
-                    raise ValueError(f"HiGHS refused option {name} = {value!r}")
-            self._highs.changeObjectiveSense(maximize)
-            self._highs.addVars(poly.dim, np.full(poly.dim, -np.inf), np.full(poly.dim, np.inf))
-            self._cols = np.arange(poly.dim, dtype=np.int32)
-        self.add_rows(poly.G, poly.h)
+        self.G = poly.G
+        self.h = poly.h
+        self.active = np.ones(poly.nrows, dtype=bool)
+        self._backend = _HIGHS
+        self._model = None
+        if self._backend is not None:
+            self._set_options(self._backend[-1])
 
     @property
     def polytope(self) -> Polytope:
@@ -221,50 +223,75 @@ class WarmLp:
         self.G = np.vstack([self.G, G])
         self.h = np.concatenate([self.h, h])
         self.active = np.concatenate([self.active, np.ones(len(h), dtype=bool)])
-        if self._highs is not None:
-            # Only nonzero entries, as linprog's sparse conversion passes them.
-            rows, cols = np.nonzero(G)
-            starts = np.searchsorted(rows, np.arange(len(h))).astype(np.int32)
-            self._highs.addRows(
-                len(h), np.full(len(h), -np.inf), h, len(rows), starts, cols.astype(np.int32), G[rows, cols]
-            )
+        if self._model is not None:
+            self._pass_rows(G, h)
+
+    def _set_options(self, highs) -> None:
+        _, _, _, ok, _ = self._backend
+        options = {"output_flag": False, "presolve": "off", **_highs_options(self.lp_tol)}
+        for name, value in options.items():
+            if highs.setOptionValue(name, value) != ok:
+                raise ValueError(f"HiGHS refused option {name} = {value!r}")
+
+    def _pass_rows(self, G, upper) -> None:
+        # Only nonzero entries, as linprog's sparse conversion passes them.
+        rows, cols = np.nonzero(G)
+        starts = np.searchsorted(rows, np.arange(len(upper))).astype(np.int32)
+        self._model.addRows(
+            len(upper), np.full(len(upper), -np.inf), upper, len(rows), starts, cols.astype(np.int32), G[rows, cols]
+        )
+
+    @property
+    def _highs(self):
+        """The HiGHS model, built on first use with every row added so far."""
+        if self._model is None:
+            highs_cls, maximize, _, _, _ = self._backend
+            self._model = highs_cls()
+            self._set_options(self._model)
+            self._model.changeObjectiveSense(maximize)
+            d = self.G.shape[1]
+            self._model.addVars(d, np.full(d, -np.inf), np.full(d, np.inf))
+            self._cols = np.arange(d, dtype=np.int32)
+            self._pass_rows(self.G, np.where(self.active, self.h, np.inf))
+        return self._model
 
     def relax(self, i: int) -> None:
         """Drop row i from the set; its index stays reserved."""
         self.active[i] = False
-        if self._highs is not None:
-            self._highs.changeRowBounds(int(i), -np.inf, np.inf)
+        if self._model is not None:
+            self._model.changeRowBounds(int(i), -np.inf, np.inf)
 
     def restore(self, i: int) -> None:
         self.active[i] = True
-        if self._highs is not None:
-            self._highs.changeRowBounds(int(i), -np.inf, float(self.h[i]))
+        if self._model is not None:
+            self._model.changeRowBounds(int(i), -np.inf, float(self.h[i]))
 
     def maximize(self, c) -> LpOutcome:
         """Maximize c.x over the active rows: status and optimum as in `lp_maximize`."""
         c = np.atleast_1d(np.asarray(c, dtype=float))
-        if self._highs is None:
+        if self._backend is None:
             return lp_maximize(c, self.polytope, lp_tol=self.lp_tol)
         if c.shape != (self.G.shape[1],):
             raise ValueError(f"objective has length {c.size}, polytope dimension is {self.G.shape[1]}")
-        _, _, definitive, _ = _HIGHS
-        self._highs.changeColsCost(len(c), self._cols, c)
-        self._highs.run()
-        status = definitive.get(self._highs.getModelStatus())
+        _, _, definitive, _, _ = self._backend
+        highs = self._highs
+        highs.changeColsCost(len(c), self._cols, c)
+        highs.run()
+        status = definitive.get(highs.getModelStatus())
         if status is None:
             # Not definitive from the warm basis: solve once more without it.
-            self._highs.clearSolver()
-            self._highs.run()
-            status = definitive.get(self._highs.getModelStatus())
+            highs.clearSolver()
+            highs.run()
+            status = definitive.get(highs.getModelStatus())
             if status is None:
                 return lp_maximize(c, self.polytope, lp_tol=self.lp_tol)
         if status != "optimal":
             return LpOutcome(status=status)
-        return LpOutcome(status="optimal", optimum=float(self._highs.getObjectiveValue()))
+        return LpOutcome(status="optimal", optimum=float(highs.getObjectiveValue()))
 
     def is_redundant(self, row, rhs: float) -> bool:
         """`is_redundant` against the active rows."""
-        if self._highs is None:
+        if self._backend is None:
             return is_redundant(row, rhs, self.polytope, lp_tol=self.lp_tol)
         return _certify_redundant(row, rhs, self.maximize, self.lp_tol)
 
@@ -400,6 +427,17 @@ def parallelotope_vertices(M, lower, upper) -> np.ndarray | None:
     if np.max(Mv - upper) > VERTEX_FEASIBILITY or np.max(-Mv - lower) > VERTEX_FEASIBILITY:
         return None
     return verts
+
+
+def parallelotope_maximum(c, M, lower, upper) -> float:
+    """max c.x over {x : -lower <= M x <= upper} for a square nonsingular M.
+
+    With M^T w = c the objective is w.(M x), and each M_i x ranges over
+    [-lower_i, upper_i] on its own, so the maximum is the sum of
+    max(w_i upper_i, -w_i lower_i).
+    """
+    w = np.linalg.solve(M.T, c)
+    return float(np.sum(np.maximum(w * upper, -w * lower)))
 
 
 def _interval_vertices(poly: Polytope) -> np.ndarray:

@@ -10,7 +10,8 @@ tolerance.
 
 Each `bound_m2_*` call decomposes A once (in the default "eq25" sigma
 mode), refuses rho(A) >= 1, and then solves for P with Q = I through
-the unchecked one-LU kernel `linalg.kron_lyapunov`; the forced regime
+the unchecked one-LU kernel `linalg.kron_lyapunov`; the decay factor
+reads lambda_min(Q) = 1 without an eigen-solve of Q.  The forced regime
 takes its DC gain without a second stability check and its basis of
 range(H0) from `linalg.range_basis`.
 """
@@ -134,12 +135,17 @@ def compute_sigma(A, P, Q, mode: str = "eq25") -> float:
     chain proves for every A.  mode "paper" uses the spectral-radius
     square rho(A)^2 (exact for normal A, optimistic for non-normal A).
     """
+    lam_min_q = sym_eig_extremes(Q)[0] if mode == "eq25" else None
+    return _decay_factor(A, P, lam_min_q, mode)
+
+
+def _decay_factor(A, P, lam_min_q: float | None, mode: str) -> float:
+    """`compute_sigma` given lambda_min(Q), which only mode "eq25" reads."""
     if mode not in SIGMA_MODES:
         raise ValueError(f"unknown sigma mode {mode!r}; expected one of {SIGMA_MODES}")
     if mode == "paper":
         sigma = spectral_radius(A) ** 2
     else:
-        lam_min_q, _ = sym_eig_extremes(Q)
         _, lam_max_p = sym_eig_extremes(P)
         if lam_min_q <= 0.0 or lam_max_p <= 0.0:
             raise NumericalError("Lyapunov pair lost positive definiteness")
@@ -190,9 +196,9 @@ def _lyapunov_pieces(sys: LtiSystem, sigma_mode: str):
     rho = spectral_radius(sys.A)
     if rho >= 1.0:
         raise ValueError(f"level-set bound requires spectral radius < 1, got {rho:.6g}")
-    Q = np.eye(sys.n)
-    P = kron_lyapunov(sys.A, Q)
-    sigma = compute_sigma(sys.A, P, Q, mode=sigma_mode)
+    P = kron_lyapunov(sys.A, np.eye(sys.n))
+    # lambda_min(I) = 1, with no eigen-solve of Q.
+    sigma = _decay_factor(sys.A, P, 1.0, sigma_mode)
     return P, sigma
 
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial import HalfspaceIntersection
 
 from masbound import LtiSystem, OutputBox, config, geometry
+from masbound.montecarlo import StudyConfig, random_stable_system, system_seed
 
 
 def random_stable_matrix(rng, n, rho_max=0.95):
@@ -118,6 +119,32 @@ def random_bounded_polytope(rng, d, k):
         G.append(rows)
         h.append(rng.uniform(0.3, 2.0, size=extra))
     return np.vstack(G), np.concatenate(h)
+
+
+def two_output_systems(rng):
+    """Two outputs, asymmetric boxes, orders 2-5, one and two inputs."""
+    for n in range(2, 6):
+        for m_in in (1, 2):
+            sys = LtiSystem(
+                A=random_stable_matrix(rng, n),
+                B=rng.standard_normal((n, m_in)),
+                C=rng.standard_normal((2, n)),
+            )
+            yield sys, OutputBox(rng.uniform(0.3, 2.0, size=2), rng.uniform(0.3, 2.0, size=2))
+
+
+def golden_systems():
+    """(name, system, box, epsilon) of the m2 and exact-index golden fixtures.
+
+    The first 40 systems of the seed-2026 study with its epsilon, then
+    six two-output systems with asymmetric boxes from a fixed rng.
+    """
+    config = StudyConfig(seed=2026)
+    for i in range(40):
+        sys, box = random_stable_system(system_seed(config.seed, i), config)
+        yield f"study-{i}", sys, box, config.epsilon
+    for i, (sys, box) in enumerate(itertools.islice(two_output_systems(np.random.default_rng(2026)), 6)):
+        yield f"mimo-{i}", sys, box, 0.01
 
 
 @pytest.fixture

@@ -1,3 +1,8 @@
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,11 +21,18 @@ from masbound import (
     exact_t_star_forced,
     exact_t_star_unforced,
 )
-from masbound import exact, geometry
+from masbound import exact, geometry, linalg
 from masbound.geometry import is_redundant
 from masbound.lyapunov import build_O_prefix
-from masbound.model import dc_gain
-from conftest import force_unknown, make_siso, random_stable_matrix, scalar_interval_t_star, unit_box
+from masbound.model import band_rows, dc_gain, output_bands
+from conftest import (
+    force_unknown,
+    golden_systems,
+    make_siso,
+    random_stable_matrix,
+    scalar_interval_t_star,
+    unit_box,
+)
 
 
 def redundant_at_horizon(sys, box, result, t):
@@ -186,6 +198,13 @@ class TestForced:
             assert redundant_at_horizon(sys, box, res, res.t_star + 1)
             assert redundant_at_horizon(sys, box, res, res.t_star + 2)
 
+    def test_one_eigen_decomposition(self, monkeypatch):
+        calls = []
+        original = linalg.eigenvalues
+        monkeypatch.setattr(linalg, "eigenvalues", lambda M: calls.append(1) or original(M))
+        exact_t_star_forced(make_siso(0.5, b=1.0), unit_box(), 0.1)
+        assert calls == [1]
+
     def test_requires_input(self):
         with pytest.raises(ValueError, match="input"):
             exact_t_star_forced(make_siso(0.5), unit_box(), 0.1)
@@ -309,21 +328,123 @@ def count_lps(monkeypatch) -> list[int]:
     return calls
 
 
+def count_models(monkeypatch) -> list[int]:
+    """A list that gains one entry per HiGHS model constructed."""
+    if geometry._HIGHS is None:
+        pytest.skip("this scipy has no persistent HiGHS class")
+    highs_cls, *rest = geometry._HIGHS
+    built = []
+
+    class Counted(highs_cls):
+        def __init__(self):
+            built.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(geometry, "_HIGHS", (Counted, *rest))
+    return built
+
+
+def replay_decisions(sys, box, epsilon=None):
+    """(t*, decisions, span-screened, parallelotope-decided) of the construction.
+
+    Replays the loop with a cold `is_redundant` per decision.  A decision
+    is span-screened when its row raises `numpy.linalg.matrix_rank` of
+    the accepted rows, and parallelotope-decided otherwise when the
+    accepted rows are d mirrored pairs of rank d.  On a symmetric box
+    one decision covers a row and its mirror.
+    """
+    feed = None if epsilon is None else dc_gain(sys)
+    bands = output_bands(sys, box, feed, 1.0 if epsilon is None else epsilon)
+    G, h = band_rows(itertools.islice(bands, 1 if epsilon is None else 2))
+    d = G.shape[1]
+    symmetric = np.array_equal(box.y_lower, box.y_upper)
+    decisions = screened = closed = 0
+    for t in itertools.count():
+        rows, rhs = band_rows([next(bands)])
+        rank = np.linalg.matrix_rank(G)
+        mirrored = all(np.any(np.all(G == -g, axis=1)) for g in G)
+        parallelotope = len(G) == 2 * d and rank == d and mirrored
+        fresh = []
+        for k in range(sys.q if symmetric else 2 * sys.q):
+            decisions += 1
+            if np.linalg.matrix_rank(np.vstack([G, rows[k]])) > rank:
+                screened += 1
+            elif parallelotope:
+                closed += 1
+            if not is_redundant(rows[k], rhs[k], Polytope(G, h)):
+                fresh.append(k)
+        if symmetric:
+            fresh += [k + sys.q for k in fresh]
+        if not fresh:
+            return t, decisions, screened, closed
+        G, h = np.vstack([G, rows[fresh]]), np.concatenate([h, rhs[fresh]])
+
+
 class TestMirroredRows:
-    """On a symmetric box one LP decides a row and its mirror."""
+    """On a symmetric box one decision settles a row and its mirror.
+
+    A step makes q decisions on a symmetric box and 2q otherwise.  A
+    decision needs an LP unless its row lies off the accepted rows' span
+    or the accepted rows form a parallelotope.
+    """
 
     @pytest.mark.parametrize("case", symmetric_cases())
     def test_symmetric_box_spends_q_lps_per_step(self, monkeypatch, case):
         calls = count_lps(monkeypatch)
         res = run_exact(*case)
-        assert res.t_star > 0
-        assert len(calls) == case[0].q * (res.t_star + 1)
+        t_star, decisions, screened, closed = replay_decisions(*case)
+        assert res.t_star == t_star > 0
+        assert decisions == case[0].q * (res.t_star + 1)
+        assert screened > 0
+        assert len(calls) == decisions - screened - closed
 
     @pytest.mark.parametrize("case", asymmetric_cases())
     def test_asymmetric_box_spends_2q_lps_per_step(self, monkeypatch, case):
         calls = count_lps(monkeypatch)
         res = run_exact(*case)
-        assert len(calls) == 2 * case[0].q * (res.t_star + 1)
+        t_star, decisions, screened, closed = replay_decisions(*case)
+        assert res.t_star == t_star
+        assert decisions == 2 * case[0].q * (res.t_star + 1)
+        assert screened > 0
+        assert len(calls) == decisions - screened - closed
+
+
+def nilpotent_cases():
+    """A shift matrix with C A^3 = 0, unforced and forced, on a symmetric and an asymmetric box."""
+    sys = LtiSystem(A=np.eye(3, k=1), B=[[0.0], [0.0], [1.0]], C=[[1.0, 0.0, 0.0]])
+    return [
+        (sys, box, epsilon)
+        for box in (unit_box(), OutputBox([0.5], [1.0]))
+        for epsilon in (None, 0.1, 1.0)
+    ]
+
+
+class TestDecisionsWithoutLps:
+    """Rows settled by the span screen or the parallelotope closed form."""
+
+    @pytest.mark.parametrize("case", nilpotent_cases())
+    def test_nilpotent_system_matches_cold_reference(self, monkeypatch, case):
+        calls = count_lps(monkeypatch)
+        res = run_exact(*case)
+        assert res.t_star == 2
+        assert calls == []  # the rows C A^3 are zero; every other row is screened or closed-form
+        assert_same_result(res, *reference_exact(*case))
+
+    def test_closed_form_tie_goes_to_the_lp(self, monkeypatch):
+        # max of a x over |x| <= 1 is a, within the tie band of 1 + lp_tol.
+        calls = count_lps(monkeypatch)
+        assert exact_t_star_unforced(make_siso(1.0 - 1e-7), unit_box()).t_star == 0
+        assert calls == [1]
+        assert exact_t_star_unforced(make_siso(1.0 - 1e-4), unit_box()).t_star == 0
+        assert calls == [1]
+
+    def test_order_one_system_builds_no_model(self, monkeypatch):
+        built = count_models(monkeypatch)
+        res = exact_t_star_unforced(make_siso(0.5), unit_box())
+        assert res.t_star == 0
+        assert built == []
+        res.polytope  # pruning solves LPs
+        assert built == [1]
 
 
 class TestLpBackends:
@@ -410,3 +531,52 @@ def test_bounds_dominate_exact_index(case):
         m1, m2 = bound_m1_forced(sys, box, epsilon).m, bound_m2_forced(sys, box, epsilon).m
     assert t_star <= m1
     assert t_star <= m2
+
+
+EXACT_REPORTS = Path(__file__).parent / "data" / "exact_reports.json"
+
+
+def exact_reports() -> dict:
+    """t* and digests of the accepted and pruned rows per golden system and call."""
+    out = {}
+    for name, sys, box, epsilon in golden_systems():
+        calls = (
+            ("unforced", exact_t_star_unforced(sys, box)),
+            ("forced", exact_t_star_forced(sys, box, epsilon)),
+            ("forced_eps1", exact_t_star_forced(sys, box, 1.0)),
+        )
+        out[name] = {
+            call: {
+                "t_star": res.t_star,
+                **{
+                    f"{part}_{key}_sha256": hashlib.sha256(np.ascontiguousarray(getattr(poly, key)).tobytes()).hexdigest()
+                    for part, poly in (("rows", res.rows), ("polytope", res.polytope))
+                    for key in ("G", "h")
+                },
+            }
+            for call, res in calls
+        }
+    return out
+
+
+def record_exact_reports():
+    EXACT_REPORTS.write_text(json.dumps(exact_reports(), indent=1, sort_keys=True) + "\n")
+
+
+def test_exact_reports_bitwise_golden():
+    """Every exact result is bitwise the recorded one.
+
+    The file was recorded before rows could be decided without an LP
+    (outside the accepted rows' span, or by the parallelotope closed
+    form) and before `WarmLp` built its model lazily.  It covers the
+    systems of `golden_systems`, unforced and forced at their epsilon and
+    at epsilon = 1.  To record it again (only after a change meant to
+    move the exact index), run from the repository root:
+
+        cd tests && PYTHONPATH=../src python3 -c "import test_exact; test_exact.record_exact_reports()"
+    """
+    expected = json.loads(EXACT_REPORTS.read_text())
+    got = exact_reports()
+    assert got.keys() == expected.keys()
+    for name in expected:
+        assert got[name] == expected[name], name

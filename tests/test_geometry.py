@@ -14,6 +14,7 @@ from masbound.geometry import (
     enumerate_vertices,
     is_redundant,
     lp_maximize,
+    parallelotope_maximum,
     parallelotope_vertices,
 )
 from conftest import (
@@ -191,6 +192,18 @@ class TestWarmLp:
         assert lp.maximize([1.0, 0.0]).status == "unbounded"
         lp.restore(0)
         assert lp.maximize([1.0, 0.0]).optimum == pytest.approx(1.0)
+
+    def test_rows_relaxed_before_the_first_solve(self):
+        # The model is built on the first solve, without the relaxed row's bound.
+        lp = WarmLp(box2d())
+        lp.add_rows([[1.0, 1.0]], [1.5])
+        lp.relax(0)
+        assert lp._model is None
+        assert lp.maximize([1.0, 0.0]).optimum == pytest.approx(2.5)
+        lp.restore(0)
+        assert lp.maximize([1.0, 1.0]).optimum == pytest.approx(1.5)
+        lp.relax(4)
+        assert lp.maximize([1.0, 1.0]).optimum == pytest.approx(2.0)
 
     def test_cold_restart_on_unknown_status(self, monkeypatch):
         restarts = force_unknown(monkeypatch, cold_resolves=True)
@@ -454,6 +467,25 @@ class TestParallelotopeVertices:
 
     def test_dimension_cap_declined(self):
         assert parallelotope_vertices(np.eye(13), np.ones(13), np.ones(13)) is None
+
+
+class TestParallelotopeMaximum:
+    def test_matches_lp_on_random_instances(self, rng):
+        for _ in range(12):
+            d = int(rng.integers(1, 6))
+            M = rng.standard_normal((d, d))
+            lower = rng.uniform(0.0, 2.0, size=d)
+            upper = rng.uniform(0.3, 2.0, size=d)
+            c = rng.standard_normal(d)
+            out = lp_maximize(c, parallelotope(M, lower, upper))
+            assert out.status == "optimal"
+            assert parallelotope_maximum(c, M, lower, upper) == pytest.approx(out.optimum, rel=1e-9, abs=1e-12)
+
+    def test_asymmetric_interval(self):
+        # -0.5 <= 2 x <= 1 gives x in [-0.25, 0.5].
+        M, lower, upper = np.array([[2.0]]), np.array([0.5]), np.array([1.0])
+        assert parallelotope_maximum(np.array([3.0]), M, lower, upper) == 1.5
+        assert parallelotope_maximum(np.array([-3.0]), M, lower, upper) == 0.75
 
 
 def dedupe_oracle(points, tol):

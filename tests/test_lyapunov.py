@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import sys as _sys
 from pathlib import Path
@@ -31,8 +30,16 @@ from masbound.lyapunov import (
     compute_sigma,
 )
 from masbound.model import dc_gain
-from masbound.montecarlo import StudyConfig, random_stable_system, system_seed
-from conftest import lp_seeded_vertices, make_siso, random_stable_matrix, refuse_lps, unit_box
+from masbound.montecarlo import StudyConfig, random_stable_system
+from conftest import (
+    golden_systems,
+    lp_seeded_vertices,
+    make_siso,
+    random_stable_matrix,
+    refuse_lps,
+    two_output_systems,
+    unit_box,
+)
 
 
 class TestPrefixSets:
@@ -424,18 +431,6 @@ class TestClosedFormPrefix:
         bound_m2_forced(sys, unit_box(), 1.0)
 
 
-def two_output_systems(rng):
-    """Two outputs, asymmetric boxes, orders 2-5, one and two inputs."""
-    for n in range(2, 6):
-        for m_in in (1, 2):
-            sys = LtiSystem(
-                A=random_stable_matrix(rng, n),
-                B=rng.standard_normal((n, m_in)),
-                C=rng.standard_normal((2, n)),
-            )
-            yield sys, OutputBox(rng.uniform(0.3, 2.0, size=2), rng.uniform(0.3, 2.0, size=2))
-
-
 class TestSeveralOutputsWithoutLps:
     def test_matches_lp_seeded_enumeration(self, monkeypatch, rng):
         # The oracle enumerates the same prefix bands with a bounding box
@@ -522,6 +517,16 @@ class TestWorkPerCall:
                 call()
                 assert len(calls) == 1
 
+    def test_only_p_is_eigen_solved(self, monkeypatch, rng):
+        # lambda_min(Q) of Q = I is 1 without an eigen-solve; lambda_max(P) needs one.
+        solved = []
+        original = lyapunov.sym_eig_extremes
+        monkeypatch.setattr(lyapunov, "sym_eig_extremes", lambda M: solved.append(M) or original(M))
+        sys = LtiSystem(A=random_stable_matrix(rng, 3), B=rng.standard_normal((3, 1)), C=rng.standard_normal((1, 3)))
+        for call in (lambda: bound_m2_unforced(sys, unit_box()), lambda: bound_m2_forced(sys, unit_box(), 0.1)):
+            P = call().diagnostics["P"]
+            assert len(solved) == 1 and solved.pop() is P
+
 
 class TestGuards:
     def test_unstable_refused_before_the_solve(self, monkeypatch):
@@ -548,20 +553,6 @@ class TestGuards:
 
 
 M2_REPORTS = Path(__file__).parent / "data" / "m2_reports.json"
-
-
-def golden_systems():
-    """(name, system, box, epsilon) of the m2 golden fixture.
-
-    The first 40 systems of the seed-2026 study with its epsilon, then
-    six two-output systems with asymmetric boxes from a fixed rng.
-    """
-    config = StudyConfig(seed=2026)
-    for i in range(40):
-        sys, box = random_stable_system(system_seed(config.seed, i), config)
-        yield f"study-{i}", sys, box, config.epsilon
-    for i, (sys, box) in enumerate(itertools.islice(two_output_systems(np.random.default_rng(2026)), 6)):
-        yield f"mimo-{i}", sys, box, 0.01
 
 
 def m2_reports() -> dict:
