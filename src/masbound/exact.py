@@ -16,9 +16,12 @@ is symmetric about the origin: max(-r.x) = max(r.x), so one decision
 settles a row and its mirror.  A decision is made in one of three ways:
 
 - span: while the accepted rows have rank below the dimension d, a row
-  whose component outside their span exceeds _SPAN times its norm cuts.
-  The set contains the origin (box limits are positive) and so every
-  multiple of that component, and the row's LP is unbounded.
+  whose component outside their span exceeds _SPAN times its norm and
+  _FLOOR times lp_tol cuts.  The set contains the origin (box limits are
+  positive) and so every multiple of that component, and the row's LP is
+  unbounded.  The span is held as an orthonormal basis that must cover
+  every accepted row: a row that lies off it by more than _ROUNDOFF but
+  at most _SPAN times its norm stops the screen for the rest of the call.
 - closed form: when the accepted rows are d mirrored pairs
   {-lower <= M x <= upper} with M square of rank d, the row's maximum is
   `geometry.parallelotope_maximum`.  A maximum within _TIE * rhs of
@@ -26,8 +29,9 @@ settles a row and its mirror.  A decision is made in one of three ways:
 - LP: every other row, over the persistent model of `geometry.WarmLp`,
   which is built on the first LP of the call.
 
-The verdicts are those of one LP per decision, so the accepted rows are
-the same rows in the same order.
+A screened or closed-form verdict is the one the LP reaches in exact
+arithmetic, taken only where it is clear of the LP's tolerance, so the
+accepted rows are those of one LP per decision, in the same order.
 """
 
 from __future__ import annotations
@@ -46,10 +50,16 @@ from .linalg import spectral_radius
 from .model import LtiSystem, OutputBox, band_rows, output_bands, stable_dc_gain
 
 # A row whose component outside the accepted rows' span exceeds _SPAN
-# times its norm cuts without an LP.  HiGHS reports such LPs unbounded
-# down to about its dual tolerance, a residual near 1e-9; the smallest
-# residual of a screened row on the benchmark panels is 1.9e-5.
+# times its norm and _FLOOR times lp_tol cuts without an LP.  HiGHS
+# reports such LPs unbounded once that component is well above its dual
+# tolerance lp_tol; on the benchmark panels the smallest screened
+# component is 1.9e-5 of its row and 1.6e-4 in absolute terms.
 _SPAN = 1e-6
+_FLOOR = 1e3
+# An accepted row off the basis's span by more than _ROUNDOFF times its
+# norm, but not by enough to join the basis, widens the set's span
+# without a reliable basis vector; span screening then stops.
+_ROUNDOFF = 1e-12
 # A closed-form maximum within _TIE * rhs of rhs + lp_tol goes to the LP.
 _TIE = 1e-6
 
@@ -100,12 +110,19 @@ def _residual(row, basis):
 
 
 def _extend(basis, rows):
-    """`basis` plus the normalised residual of every row off its span by more than _SPAN times its norm."""
+    """`basis` plus the normalised residual of every row off its span by more than _SPAN times its norm.
+
+    None when a row off the span by more than _ROUNDOFF times its norm
+    does not join (it is too near the span, or its norm is below
+    ZERO_ROW): the basis would no longer cover the rows' span.
+    """
     for row in rows:
         res = _residual(row, basis)
         norm = _norm(row)
         if norm >= ZERO_ROW and _norm(res) > _SPAN * norm:
             basis = np.vstack([basis, res / _norm(res)])
+        elif _norm(res) > _ROUNDOFF * norm:
+            return None
     return basis
 
 
@@ -116,9 +133,10 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     set; each later band is one time step.  When the starting bands are
     symmetric (lower == upper) so is every band and every set built, and
     a "-" row takes the verdict of its "+" row.  A row is decided by the
-    span screen while the accepted rows have rank below the dimension, by
-    the parallelotope closed form while they are d mirrored pairs of
-    rank d, and by an LP otherwise.  Returns (t_star, accepted rows).
+    span screen while the accepted rows have rank below the dimension and
+    `basis` (None once `_extend` gives up) covers their span, by the
+    parallelotope closed form while they are d mirrored pairs of rank d,
+    and by an LP otherwise.  Returns (t_star, accepted rows).
     """
     start = list(itertools.islice(bands, first))
     # Every later band has the limits of the starting set's last band.
@@ -134,7 +152,7 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     def cuts(row, rhs, closed):
         norm = _norm(row)
         if norm >= ZERO_ROW:
-            if len(basis) < d and _norm(_residual(row, basis)) > _SPAN * norm:
+            if screen and _norm(_residual(row, basis)) > max(_SPAN * norm, _FLOOR * lp_tol):
                 return True
             if closed:
                 top = parallelotope_maximum(row, *pairs)
@@ -145,7 +163,8 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     for t in range(step_cap + 1):
         M, lower, upper = next(bands)
         rows, rhs = band_rows([(M, lower, upper)])
-        closed = pairs is not None and len(pairs[0]) == len(basis) == d
+        screen = basis is not None and len(basis) < d
+        closed = pairs is not None and basis is not None and len(pairs[0]) == len(basis) == d
         fresh = [k for k in range(q if symmetric else 2 * q) if cuts(rows[k], rhs[k], closed)]
         if symmetric:
             fresh += [k + q for k in fresh]
@@ -154,7 +173,7 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
         lp.add_rows(rows[fresh], rhs[fresh])
         # The outputs with a row accepted; each has both when the rows are mirrored.
         outputs = sorted({k % q for k in fresh})
-        if len(basis) < d:
+        if screen:
             basis = _extend(basis, M[outputs])
         if pairs is not None and len(fresh) == 2 * len(outputs) and len(pairs[0]) + len(outputs) <= d:
             pairs = tuple(np.concatenate([old, new[outputs]]) for old, new in zip(pairs, (M, lower, upper)))

@@ -430,6 +430,35 @@ class TestDecisionsWithoutLps:
         assert calls == []  # the rows C A^3 are zero; every other row is screened or closed-form
         assert_same_result(res, *reference_exact(*case))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_row_too_near_the_span_for_the_basis_stops_the_screen(self, monkeypatch, scale):
+        # C A is off span(C) by 5e-7 of its norm: its LP is unbounded, so it
+        # is accepted, but it cannot join the basis.  C A^2, off by 9.5e-6,
+        # is then redundant (its maximum is 0.995), which only the LP sees.
+        # At scale 1e4 its off-span component is above the 1e3 * lp_tol floor.
+        sys = LtiSystem(A=[[0.05, 2.5e-8], [0.0, 0.9]], C=[[scale, 0.0]])
+        calls = count_lps(monkeypatch)
+        res = exact_t_star_unforced(sys, unit_box())
+        assert res.t_star == 1
+        assert len(calls) == 2
+        assert_same_result(res, *reference_exact(sys, unit_box()))
+
+    @pytest.mark.parametrize("gain, lps", [(1e-5, 0), (1e-7, 1)])
+    def test_screen_needs_a_residual_far_above_lp_tol(self, monkeypatch, gain, lps):
+        # C A = [0, gain] lies wholly off span(C); below 1e3 * lp_tol it goes to the LP.
+        sys = LtiSystem(A=[[0.0, gain], [0.0, 0.0]], C=[[1.0, 0.0]])
+        calls = count_lps(monkeypatch)
+        res = exact_t_star_unforced(sys, unit_box())
+        assert len(calls) == lps
+        assert_same_result(res, *reference_exact(sys, unit_box()))
+
+    def test_extend_gives_up_between_roundoff_and_the_span_threshold(self):
+        basis = np.array([[1.0, 0.0, 0.0]])
+        assert exact._extend(basis, np.array([[2.0, 1e-15, 0.0]])) is basis
+        assert exact._extend(basis, np.array([[2.0, 1e-9, 0.0]])) is None
+        grown = exact._extend(basis, np.array([[2.0, 1e-5, 0.0], [0.0, 0.0, 0.0]]))
+        assert np.array_equal(grown, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
     def test_closed_form_tie_goes_to_the_lp(self, monkeypatch):
         # max of a x over |x| <= 1 is a, within the tie band of 1 + lp_tol.
         calls = count_lps(monkeypatch)
