@@ -128,6 +128,8 @@ def _cmd_exact(args) -> int:
 def _cmd_montecarlo(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     config = StudyConfig(count=args.count, seed=args.seed, epsilon=args.epsilon)
     rows, summary = run_study(config, jobs=args.jobs)
     _atomic_write(args.out, rows_to_csv_text(rows))

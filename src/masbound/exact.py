@@ -9,7 +9,11 @@ index t*; the accumulated non-redundant inequalities describe the set.
 For the constant-input case the computation runs in the shifted
 coordinates (z0, u) where z0 = x0 - (I - A)^{-1} B u, the output rows
 read C A^t z0 + H0 u, and the steady-state output H0 u is tightened to
-(1 - epsilon) times the box to restore finite determination.
+(1 - epsilon) times the box to restore finite determination.  The
+unforced regime is the same construction with no input: both entry
+points pass `model.check_problem` and run one loop, `_iterate`, whose
+starting set is the t = 0 band, or the steady-state band and the t = 0
+band.
 
 On a symmetric box (lower == upper) every band, and so every set built,
 is symmetric about the origin: max(-r.x) = max(r.x), so one decision
@@ -46,8 +50,7 @@ import numpy as np
 from .config import EXACT_STEP_CAP, LP_TOL, ZERO_ROW
 from .errors import IterationCapError
 from .geometry import Polytope, WarmLp, parallelotope_maximum
-from .linalg import spectral_radius
-from .model import LtiSystem, OutputBox, band_rows, output_bands, stable_dc_gain
+from .model import LtiSystem, OutputBox, band_rows, check_problem, output_bands, stable_dc_gain
 
 # A row whose component outside the accepted rows' span exceeds _SPAN
 # times its norm and _FLOOR times lp_tol cuts without an LP.  HiGHS
@@ -196,11 +199,7 @@ def exact_t_star_unforced(
     Requires a strictly stable A; with an observable pair the iteration
     is guaranteed to terminate.
     """
-    rho = spectral_radius(sys.A)
-    if rho >= 1.0:
-        raise ValueError(f"exact computation requires spectral radius < 1, got {rho:.6g}")
-    if box.q != sys.q:
-        raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
+    check_problem(sys, box)
     t_star, rows = _iterate(output_bands(sys, box), 1, step_cap, lp_tol)
     return MasResult(t_star=t_star, rows=rows, regime="unforced", lp_tol=lp_tol)
 
@@ -218,15 +217,6 @@ def exact_t_star_forced(
     steady-state rows then force H0 u = 0 and the index matches the
     unforced one.
     """
-    if not sys.has_input:
-        raise ValueError("forced computation requires a system with an input channel (B)")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    rho = spectral_radius(sys.A)
-    if rho >= 1.0:
-        raise ValueError(f"exact computation requires spectral radius < 1, got {rho:.6g}")
-    if box.q != sys.q:
-        raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
-    bands = output_bands(sys, box, stable_dc_gain(sys), epsilon)
-    t_star, rows = _iterate(bands, 2, step_cap, lp_tol)
+    check_problem(sys, box, epsilon)
+    t_star, rows = _iterate(output_bands(sys, box, stable_dc_gain(sys), epsilon), 2, step_cap, lp_tol)
     return MasResult(t_star=t_star, rows=rows, regime="forced", epsilon=epsilon, lp_tol=lp_tol)

@@ -198,8 +198,7 @@ class WarmLp:
     refuses an option (a tolerance below 1e-10, say) instead of solving
     at its own default.  A solve that ends without a definitive status is re-run
     cold, and then answered by `lp_maximize`.  Without scipy's private
-    HiGHS class every answer comes from `lp_maximize` and `is_redundant`
-    on the active rows.
+    HiGHS class every answer comes from `lp_maximize` on the active rows.
     """
 
     def __init__(self, poly: Polytope, lp_tol: float = LP_TOL):
@@ -291,8 +290,6 @@ class WarmLp:
 
     def is_redundant(self, row, rhs: float) -> bool:
         """`is_redundant` against the active rows."""
-        if self._backend is None:
-            return is_redundant(row, rhs, self.polytope, lp_tol=self.lp_tol)
         return _certify_redundant(row, rhs, self.maximize, self.lp_tol)
 
 

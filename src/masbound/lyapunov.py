@@ -8,12 +8,14 @@ an upper bound on the admissibility index.  No LP runs unless the vertex
 enumeration needs its Chebyshev center or fallback; `lp_tol` is their
 tolerance.
 
-Each `bound_m2_*` call decomposes A once (in the default "eq25" sigma
-mode), refuses rho(A) >= 1, and then solves for P with Q = I through
-the unchecked one-LU kernel `linalg.kron_lyapunov`; the decay factor
-reads lambda_min(Q) = 1 without an eigen-solve of Q.  The forced regime
-takes its DC gain without a second stability check and its basis of
-range(H0) from `linalg.range_basis`.
+The unforced regime is the constant-input one with no input, so both
+`bound_m2_*` run one core, `_bound_m2`.  It passes `model.check_problem`,
+which decomposes A once (the only decomposition in the default "eq25"
+sigma mode), and solves for P with Q = I through the unchecked one-LU
+kernel `linalg.kron_lyapunov`; the decay factor reads lambda_min(Q) = 1
+without an eigen-solve of Q.  The forced regime takes its DC gain
+without a second stability check and its basis of range(H0) from
+`linalg.range_basis`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .config import LP_TOL
 from .errors import NumericalError
 from .geometry import Polytope, enumerate_vertices, parallelotope_vertices
 from .linalg import kron_lyapunov, range_basis, spectral_radius, sym_eig_extremes
-from .model import LtiSystem, OutputBox, band_rows, dc_gain, output_bands, stable_dc_gain
+from .model import LtiSystem, OutputBox, band_rows, check_problem, output_bands, stable_dc_gain
 from .results import BoundReport
 
 SIGMA_MODES = ("eq25", "paper")
@@ -61,12 +63,12 @@ def build_O_prefix(sys: LtiSystem, box: OutputBox, horizon: int) -> Polytope:
     """Halfspace form of {x : C A^t x inside the box for t = 0..horizon}.
 
     Row order: for each t, rows +C_j A^t <= y_upper[j] then -C_j A^t <=
-    y_lower[j], outputs in order.
+    y_lower[j], outputs in order.  The problem must pass
+    `model.check_problem`.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if box.q != sys.q:
-        raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
+    check_problem(sys, box)
     return _halfspaces(_prefix_bands(sys, box, horizon))
 
 
@@ -77,16 +79,12 @@ def build_O_prefix_forced(
 
     Output rows are [C_j A^t, H0_j] against the box for t = 0..horizon;
     the steady-state rows constrain H0 u to (1 - epsilon) times the box.
+    The problem must pass `model.check_problem` with epsilon.
     """
-    if not sys.has_input:
-        raise ValueError("forced prefix set requires a system with an input channel (B)")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if box.q != sys.q:
-        raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
-    return _halfspaces(_prefix_bands(sys, box, horizon, dc_gain(sys), epsilon))
+    check_problem(sys, box, epsilon)
+    return _halfspaces(_prefix_bands(sys, box, horizon, stable_dc_gain(sys), epsilon))
 
 
 def compute_r1(P, C, box: OutputBox, scale: float = 1.0) -> float:
@@ -166,7 +164,24 @@ def bound_m2(r1: float, r2: float, sigma: float) -> int:
     return max(0, math.floor(math.log(r1 / r2) / math.log(sigma)))
 
 
-def _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime, epsilon=None) -> BoundReport:
+def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode: str, lp_tol: float) -> BoundReport:
+    """Both regimes; `epsilon is None` is the unforced one: scale 1, no input feed.
+
+    Its vertices are n-dim, so the projection onto n coordinates keeps them.
+    """
+    check_problem(sys, box, epsilon)
+    P = kron_lyapunov(sys.A, np.eye(sys.n))
+    # lambda_min(I) = 1, with no eigen-solve of Q.
+    sigma = _decay_factor(sys.A, P, 1.0, sigma_mode)
+    scale = 1.0 if epsilon is None else epsilon
+    r1 = compute_r1(P, sys.C, box, scale=scale)
+    feed = None
+    if epsilon is not None:
+        H0 = stable_dc_gain(sys)
+        if epsilon != 1.0 and np.any(H0):
+            feed = range_basis(H0)
+    verts, path = _prefix_vertices(_prefix_bands(sys, box, sys.n - 1, feed, scale), lp_tol)
+    r2 = compute_r2(P, verts, proj_dim=sys.n)
     m = bound_m2(r1, r2, sigma)
     if r2 < r1 - 1e-9 * max(1.0, abs(r1)):
         raise NumericalError(
@@ -189,17 +204,9 @@ def _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime, epsilon=N
     }
     if epsilon is not None:
         diagnostics["epsilon"] = epsilon
-    return BoundReport(method="lyapunov", regime=regime, m=m, diagnostics=diagnostics)
-
-
-def _lyapunov_pieces(sys: LtiSystem, sigma_mode: str):
-    rho = spectral_radius(sys.A)
-    if rho >= 1.0:
-        raise ValueError(f"level-set bound requires spectral radius < 1, got {rho:.6g}")
-    P = kron_lyapunov(sys.A, np.eye(sys.n))
-    # lambda_min(I) = 1, with no eigen-solve of Q.
-    sigma = _decay_factor(sys.A, P, 1.0, sigma_mode)
-    return P, sigma
+    return BoundReport(
+        method="lyapunov", regime="unforced" if epsilon is None else "forced", m=m, diagnostics=diagnostics
+    )
 
 
 def bound_m2_unforced(
@@ -209,11 +216,7 @@ def bound_m2_unforced(
     lp_tol: float = LP_TOL,
 ) -> BoundReport:
     """Level-set upper bound for the autonomous system (Q = I)."""
-    P, sigma = _lyapunov_pieces(sys, sigma_mode)
-    r1 = compute_r1(P, sys.C, box, scale=1.0)
-    verts, path = _prefix_vertices(_prefix_bands(sys, box, horizon=sys.n - 1), lp_tol)
-    r2 = compute_r2(P, verts)
-    return _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime="unforced")
+    return _bound_m2(sys, box, None, sigma_mode, lp_tol)
 
 
 def bound_m2_forced(
@@ -232,15 +235,4 @@ def bound_m2_forced(
     or zero DC gain) the prefix set is the unforced one, and at
     epsilon = 1 the bound coincides exactly with the unforced one.
     """
-    if not sys.has_input:
-        raise ValueError("forced bound requires a system with an input channel (B)")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    P, sigma = _lyapunov_pieces(sys, sigma_mode)
-    r1 = compute_r1(P, sys.C, box, scale=epsilon)
-    H0 = stable_dc_gain(sys)
-    feed = None if epsilon == 1.0 or not np.any(H0) else range_basis(H0)
-    bands = _prefix_bands(sys, box, sys.n - 1, feed, epsilon)
-    verts, path = _prefix_vertices(bands, lp_tol)
-    r2 = compute_r2(P, verts, proj_dim=sys.n)
-    return _compose_report(P, sigma, sigma_mode, r1, r2, verts, path, regime="forced", epsilon=epsilon)
+    return _bound_m2(sys, box, epsilon, sigma_mode, lp_tol)

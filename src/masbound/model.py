@@ -2,8 +2,9 @@
 
 Holds the LTI system description (autonomous or with a constant input
 channel), the box output constraint, validation against the stability
-and observability rejection thresholds, the DC gain and the output
-constraint bands used by the exact and level-set computations.
+and observability rejection thresholds, the problem check that the
+three methods share, the DC gain and the output constraint bands used
+by the exact and level-set computations.
 """
 
 from __future__ import annotations
@@ -156,6 +157,26 @@ def validate(
     )
 
 
+def check_problem(sys: LtiSystem, box: OutputBox, epsilon: float | None = None) -> float:
+    """Refuse a problem that `t*`, `m1` and `m2` do not accept; return rho(A).
+
+    The box must hold one limit pair per output and A must be strictly
+    stable.  With `epsilon` (the constant-input regime) the system must
+    also have an input channel and epsilon must lie in (0, 1].
+    """
+    if box.q != sys.q:
+        raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
+    if epsilon is not None:
+        if not sys.has_input:
+            raise ValueError("constant-input regime requires a system with an input channel (B)")
+        if not 0.0 < epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    rho = spectral_radius(sys.A)
+    if rho >= 1.0:
+        raise ValueError(f"the admissibility index requires spectral radius < 1, got {rho:.6g}")
+    return rho
+
+
 def gamma(box: OutputBox) -> float:
     """Largest asymmetry ratio of the box, max_j max(u_j/l_j, l_j/u_j) >= 1."""
     ratios = np.maximum(box.y_upper / box.y_lower, box.y_lower / box.y_upper)
@@ -173,7 +194,7 @@ def dc_gain(sys: LtiSystem) -> np.ndarray:
 
 
 def stable_dc_gain(sys: LtiSystem) -> np.ndarray:
-    """`dc_gain` for a caller that has checked B and rho(A) < 1 itself."""
+    """`dc_gain` for a caller that has checked B and rho(A) < 1 itself (`check_problem`)."""
     X = np.linalg.solve(np.eye(sys.n) - sys.A, sys.B)
     return sys.C @ X + sys.D
 

@@ -213,7 +213,8 @@ def run_study(
     """Compute rows for `count` systems and the summary statistics.
 
     Deterministic for a fixed config, independent of the worker count:
-    each row depends only on (seed, system_id).  Pass `systems` to
+    each row depends only on (seed, system_id).  At most `count` workers
+    start, since the pool forks them all up front.  Pass `systems` to
     bypass generation (length must equal count); that path runs inline.
     """
     if systems is not None:
@@ -225,7 +226,7 @@ def run_study(
     elif jobs <= 1:
         rows = [compute_study_row(i, config) for i in range(config.count)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, config.count)) as pool:
             rows = list(
                 pool.map(
                     _row_for_pool,

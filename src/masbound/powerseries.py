@@ -8,12 +8,15 @@ that accounts for constraint asymmetry), every output constraint beyond
 that step is implied by the earlier ones, which yields an upper bound on
 the admissibility index without solving any LPs.
 
-The bounds run the recursion on a list of plain floats with the
-operations of `beta_step`, so every beta(t) is bitwise its value, and
-test the stop rule on plain sums.  A left side near the threshold is
-decided by `condition_unforced` / `condition_forced` on the numpy array,
-so every stop decision is theirs.  `beta_init`, `beta_step` and the
-`condition_*` rules are the definition the plain-float loop follows.
+The unforced regime is the constant-input one with no input: its rule
+`condition_unforced` is `condition_forced` at epsilon = 1, bitwise, so
+both bounds run one core, `_bound_m1`.  It passes `model.check_problem`,
+steps a list of plain floats with the operations of `beta_step`, so
+every beta(t) is bitwise its value, and tests the stop rule on plain
+sums.  A left side near the threshold goes to `condition_forced` on the
+numpy array, so every stop decision is the rule's.  `beta_init`,
+`beta_step` and the `condition_*` rules are the definition the loop
+follows.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 
 from .config import BETA_GROWTH_LIMIT, POWER_SERIES_STEP_CAP
 from .errors import IterationCapError, NumericalError
-from .linalg import char_poly_coeffs, spectral_radius
-from .model import LtiSystem, OutputBox, gamma
+from .linalg import char_poly_coeffs
+from .model import LtiSystem, OutputBox, check_problem, gamma
 from .results import BoundReport
 
 
@@ -96,27 +99,22 @@ def condition_forced(beta, g: float, epsilon: float) -> bool:
 
 
 # A left side within this relative distance of the threshold is decided
-# by `condition_*` on the numpy array: numpy may sum in another order, and
-# the plain sums of same-sign terms are within a few ulps of its sums.
+# by `condition_forced` on the numpy array: numpy may sum in another
+# order, and the plain sums of same-sign terms are within a few ulps of
+# its sums.
 _TIE_BAND = 1e-9
 
 
-def _run_recursion(sys: LtiSystem, box: OutputBox, g: float, epsilon: float | None, step_cap):
-    """The first t >= n at which the stop rule holds, and rho.
+def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -> BoundReport:
+    """Both regimes; `epsilon is None` is the unforced one, the forced rule at epsilon = 1.
 
-    `epsilon is None` selects the unforced rule, else the forced one.
+    There the weights 1 + g*0 and g + 0 and the threshold are bitwise the
+    unforced rule's 1, g and 1.
     """
-    rho = spectral_radius(sys.A)
-    if rho >= 1.0:
-        raise ValueError(
-            f"power-series bound requires spectral radius < 1, got {rho:.6g}"
-        )
-    if box.q != sys.q:
-        raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
-    if epsilon is None:
-        w_pos, w_neg, threshold = 1.0, g, 1.0
-    else:
-        w_pos, w_neg, threshold = 1.0 + g * (1.0 - epsilon), g + (1.0 - epsilon), epsilon
+    rho = check_problem(sys, box, epsilon)
+    g = gamma(box)
+    eps = 1.0 if epsilon is None else epsilon
+    w_pos, w_neg = 1.0 + g * (1.0 - eps), g + (1.0 - eps)
     c = char_poly_coeffs(sys.A).tolist()
     c0, c_rest = c[0], c[1:]
     beta = [-ci for ci in c]
@@ -129,14 +127,12 @@ def _run_recursion(sys: LtiSystem, box: OutputBox, g: float, epsilon: float | No
             elif b < 0.0:
                 neg += b
         lhs = w_pos * pos - w_neg * neg
-        if abs(lhs - threshold) > _TIE_BAND * threshold:
-            stop = lhs <= threshold
-        elif epsilon is None:
-            stop = condition_unforced(np.array(beta), g)
+        if abs(lhs - eps) > _TIE_BAND * eps:
+            stop = lhs <= eps
         else:
-            stop = condition_forced(np.array(beta), g, epsilon)
+            stop = condition_forced(np.array(beta), g, eps)
         if stop:
-            return t, rho
+            break
         if t - n >= step_cap:
             raise IterationCapError(
                 f"stop rule not met after {step_cap} steps (spectral radius {rho:.6g}); "
@@ -152,6 +148,16 @@ def _run_recursion(sys: LtiSystem, box: OutputBox, g: float, epsilon: float | No
                 f"coefficient recursion diverged (||beta({t})||_inf > "
                 f"{BETA_GROWTH_LIMIT:.1e}) despite spectral radius {rho:.6g} < 1"
             )
+    diagnostics = {"stop_t": t, "gamma": g, "rho": rho}
+    if epsilon is not None:
+        diagnostics["epsilon"] = epsilon
+    return BoundReport(
+        method="power-series",
+        regime="unforced" if epsilon is None else "forced",
+        m=t - 1,
+        iterations=t - sys.n,
+        diagnostics=diagnostics,
+    )
 
 
 def bound_m1_unforced(
@@ -164,15 +170,7 @@ def bound_m1_unforced(
     Runs the coefficient recursion from t = n and returns m = t - 1 for
     the first t at which the weighted-sum stop rule holds.
     """
-    g = gamma(box)
-    t, rho = _run_recursion(sys, box, g, None, step_cap)
-    return BoundReport(
-        method="power-series",
-        regime="unforced",
-        m=t - 1,
-        iterations=t - sys.n,
-        diagnostics={"stop_t": t, "gamma": g, "rho": rho},
-    )
+    return _bound_m1(sys, box, None, step_cap)
 
 
 def bound_m1_forced(
@@ -186,16 +184,4 @@ def bound_m1_forced(
     epsilon = 1 is accepted and reproduces the unforced bound (the
     steady-state tightening then forces u = 0).
     """
-    if not sys.has_input:
-        raise ValueError("forced bound requires a system with an input channel (B)")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    g = gamma(box)
-    t, rho = _run_recursion(sys, box, g, epsilon, step_cap)
-    return BoundReport(
-        method="power-series",
-        regime="forced",
-        m=t - 1,
-        iterations=t - sys.n,
-        diagnostics={"stop_t": t, "gamma": g, "rho": rho, "epsilon": epsilon},
-    )
+    return _bound_m1(sys, box, epsilon, step_cap)

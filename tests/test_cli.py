@@ -167,6 +167,13 @@ class TestMonteCarlo:
     def test_count_zero_usage_error(self, capsys, tmp_path):
         assert main(["montecarlo", "--count", "0", "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_jobs_below_one_usage_error(self, capsys, tmp_path):
+        for jobs in ("0", "-2"):
+            out = tmp_path / "x.csv"
+            assert main(["montecarlo", "--count", "1", "--jobs", jobs, "--out", str(out)]) == 1
+            assert "--jobs must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_summary_is_json_with_contract_keys(self, capsys, tmp_path):
         code, summary = run_json(
             capsys,

@@ -223,14 +223,15 @@ class TestWarmLp:
 
     def test_without_private_highs_class(self, monkeypatch):
         monkeypatch.setattr(geometry, "_HIGHS", None)
+        # Every answer, the redundancy verdict included, is `lp_maximize` on the active rows.
         calls = []
-        real = geometry.is_redundant
-        monkeypatch.setattr(geometry, "is_redundant", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real = geometry.lp_maximize
+        monkeypatch.setattr(geometry, "lp_maximize", lambda c, poly, **k: calls.append(poly.nrows) or real(c, poly, **k))
         lp = WarmLp(box2d())
         lp.relax(0)
         assert lp.maximize([1.0, 0.0]).status == "unbounded"
         assert lp.is_redundant([1.0, 0.0], 0.5) is False
-        assert calls == [1]
+        assert calls == [3, 3]
 
 
 class TestVertexEnumeration:

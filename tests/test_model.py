@@ -3,8 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from masbound import LtiSystem, OutputBox
-from masbound.model import dc_gain, gamma, observability_matrix, system_from_dict, validate
+from masbound import (
+    LtiSystem,
+    OutputBox,
+    bound_m1_forced,
+    bound_m1_unforced,
+    bound_m2_forced,
+    bound_m2_unforced,
+    exact,
+    exact_t_star_forced,
+    exact_t_star_unforced,
+    lyapunov,
+    powerseries,
+)
+from masbound.lyapunov import build_O_prefix, build_O_prefix_forced
+from masbound.model import check_problem, dc_gain, gamma, observability_matrix, system_from_dict, validate
 from conftest import make_siso, random_stable_matrix, unit_box
 
 
@@ -58,6 +71,52 @@ class TestValidate:
         sys = LtiSystem(A=[[0.0, 1.0], [-0.25, 1.0]], C=[[1.0, 0.0]])
         O = observability_matrix(sys)
         assert np.allclose(O, [[1.0, 0.0], [0.0, 1.0]])
+
+
+class TestCheckProblem:
+    def test_returns_spectral_radius(self):
+        assert check_problem(make_siso(-0.5), unit_box()) == 0.5
+        assert check_problem(make_siso(-0.5, b=1.0), unit_box(), 1.0) == 0.5
+
+    def test_wrong_output_count(self):
+        with pytest.raises(ValueError, match="box has 2 outputs but system has 1"):
+            check_problem(make_siso(0.5, b=1.0), unit_box(2))
+
+    def test_unstable(self):
+        for a in (1.0, -1.5):
+            with pytest.raises(ValueError, match="requires spectral radius < 1"):
+                check_problem(make_siso(a, b=1.0), unit_box(), 0.1)
+
+    def test_input_channel_only_with_epsilon(self):
+        check_problem(make_siso(0.5), unit_box())
+        with pytest.raises(ValueError, match="input channel"):
+            check_problem(make_siso(0.5), unit_box(), 0.1)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, 1.5, float("nan")])
+    def test_epsilon_range(self, epsilon):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
+            check_problem(make_siso(0.5, b=1.0), unit_box(), epsilon)
+
+    def test_wrong_output_count_refused_before_any_solve(self, monkeypatch):
+        def solve(*args, **kwargs):
+            pytest.fail("a solve ran before the output count was checked")
+
+        monkeypatch.setattr(lyapunov, "kron_lyapunov", solve)
+        monkeypatch.setattr(exact, "WarmLp", solve)
+        monkeypatch.setattr(powerseries, "char_poly_coeffs", solve)
+        sys, box = make_siso(0.5, b=1.0), unit_box(2)
+        for call in (
+            lambda: exact_t_star_unforced(sys, box),
+            lambda: exact_t_star_forced(sys, box, 0.1),
+            lambda: bound_m1_unforced(sys, box),
+            lambda: bound_m1_forced(sys, box, 0.1),
+            lambda: bound_m2_unforced(sys, box),
+            lambda: bound_m2_forced(sys, box, 0.1),
+            lambda: build_O_prefix(sys, box, 1),
+            lambda: build_O_prefix_forced(sys, box, 0.1, 1),
+        ):
+            with pytest.raises(ValueError, match="box has 2 outputs but system has 1"):
+                call()
 
 
 class TestGamma:

@@ -77,6 +77,32 @@ class TestStudy:
         rows_parallel, _ = run_study(cfg, jobs=2)
         assert rows_to_csv_text(rows_serial) == rows_to_csv_text(rows_parallel)
 
+    def test_workers_capped_at_count(self, monkeypatch):
+        seen = []
+
+        class RecordingPool:
+            """Records the worker count and maps in this process; starts none."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        cfg = StudyConfig(count=1, seed=5)
+        rows, _ = run_study(cfg, jobs=64)
+        assert seen == [1]
+        assert rows_to_csv_text(rows) == rows_to_csv_text(run_study(cfg)[0])
+        run_study(StudyConfig(count=3, seed=5), jobs=2)
+        assert seen == [1, 2]
+
     def test_soundness_on_small_batch(self):
         cfg = StudyConfig(count=8, seed=99)
         rows, summary = run_study(cfg)

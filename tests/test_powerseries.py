@@ -283,8 +283,10 @@ class TestNearTies:
     # A scalar system has beta(1) = [a], and the box [-0.5, 1] gives g = 2,
     # so the left side at t = 1 is 2|a| for the unforced rule (a < 0) and,
     # at epsilon = 0.5, 2a against the threshold 0.5 for the forced rule.
+    # Both regimes decide near-ties with the forced rule (at epsilon = 1
+    # for the unforced one).
     BOX = OutputBox([0.5], [1.0])
-    RULES = {None: ("condition_unforced", -0.5), 0.5: ("condition_forced", 0.25)}
+    RULES = {None: ("condition_forced", -0.5), 0.5: ("condition_forced", 0.25)}
 
     @staticmethod
     def spy(monkeypatch, name):
