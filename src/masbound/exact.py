@@ -165,7 +165,8 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
 
     for t in range(step_cap + 1):
         M, lower, upper = next(bands)
-        rows, rhs = band_rows([(M, lower, upper)])
+        rows = np.concatenate([M, -M])
+        rhs = np.concatenate([upper, lower])
         screen = basis is not None and len(basis) < d
         closed = pairs is not None and basis is not None and len(pairs[0]) == len(basis) == d
         fresh = [k for k in range(q if symmetric else 2 * q) if cuts(rows[k], rhs[k], closed)]

@@ -69,6 +69,8 @@ _CENTRED = 1e-6
 # A vertex more than _FAR inscribed radii from the qhull seed is taken
 # to lie at infinity.
 _FAR = 1e12
+# HiGHS's `simplex_strategy` value for primal simplex.
+_PRIMAL_SIMPLEX = 4
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,13 @@ class WarmLp:
 
     Rows are appended with `add_rows` and switched off and on with
     `relax` and `restore`; between solves only the objective changes, so
-    each solve starts from the previous basis.  The model is built on the
+    each solve starts from the previous basis.  The model runs primal
+    simplex: most solves of the exact index only change the objective,
+    which leaves the last basis primal feasible, and primal simplex
+    carries on from it where HiGHS's default, dual simplex, starts from
+    a basis the new objective makes dual infeasible.  A row appended
+    after a cut, or restored while pruning, is as a rule violated by the
+    last optimum, so the next solve first regains feasibility.  The model is built on the
     first `maximize`, with every row added so far passed in one batch
     (relaxed rows without an upper bound), so a `WarmLp` that never
     solves never builds one.  Presolve is off and the primal and dual
@@ -227,7 +235,12 @@ class WarmLp:
 
     def _set_options(self, highs) -> None:
         _, _, _, ok, _ = self._backend
-        options = {"output_flag": False, "presolve": "off", **_highs_options(self.lp_tol)}
+        options = {
+            "output_flag": False,
+            "presolve": "off",
+            "simplex_strategy": _PRIMAL_SIMPLEX,
+            **_highs_options(self.lp_tol),
+        }
         for name, value in options.items():
             if highs.setOptionValue(name, value) != ok:
                 raise ValueError(f"HiGHS refused option {name} = {value!r}")

@@ -10,12 +10,12 @@ tolerance.
 
 The unforced regime is the constant-input one with no input, so both
 `bound_m2_*` run one core, `_bound_m2`.  It passes `model.check_problem`,
-which decomposes A once (the only decomposition in the default "eq25"
-sigma mode), and solves for P with Q = I through the unchecked one-LU
-kernel `linalg.kron_lyapunov`; the decay factor reads lambda_min(Q) = 1
-without an eigen-solve of Q.  The forced regime takes its DC gain
-without a second stability check and its basis of range(H0) from
-`linalg.range_basis`.
+which reads the system's spectral radius (A is decomposed once per
+system, and sigma mode "paper" reads the same value), and solves for P
+with Q = I through the unchecked one-LU kernel `linalg.kron_lyapunov`;
+the decay factor reads lambda_min(Q) = 1 without an eigen-solve of Q.
+The forced regime takes its DC gain without a second stability check
+and its basis of range(H0) from `linalg.range_basis`.
 """
 
 from __future__ import annotations
@@ -134,15 +134,16 @@ def compute_sigma(A, P, Q, mode: str = "eq25") -> float:
     square rho(A)^2 (exact for normal A, optimistic for non-normal A).
     """
     lam_min_q = sym_eig_extremes(Q)[0] if mode == "eq25" else None
-    return _decay_factor(A, P, lam_min_q, mode)
+    rho = spectral_radius(A) if mode == "paper" else None
+    return _decay_factor(rho, P, lam_min_q, mode)
 
 
-def _decay_factor(A, P, lam_min_q: float | None, mode: str) -> float:
-    """`compute_sigma` given lambda_min(Q), which only mode "eq25" reads."""
+def _decay_factor(rho: float | None, P, lam_min_q: float | None, mode: str) -> float:
+    """`compute_sigma` given rho(A) (read by mode "paper") and lambda_min(Q) (read by "eq25")."""
     if mode not in SIGMA_MODES:
         raise ValueError(f"unknown sigma mode {mode!r}; expected one of {SIGMA_MODES}")
     if mode == "paper":
-        sigma = spectral_radius(A) ** 2
+        sigma = rho**2
     else:
         _, lam_max_p = sym_eig_extremes(P)
         if lam_min_q <= 0.0 or lam_max_p <= 0.0:
@@ -172,7 +173,7 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
     check_problem(sys, box, epsilon)
     P = kron_lyapunov(sys.A, np.eye(sys.n))
     # lambda_min(I) = 1, with no eigen-solve of Q.
-    sigma = _decay_factor(sys.A, P, 1.0, sigma_mode)
+    sigma = _decay_factor(sys.rho, P, 1.0, sigma_mode)
     scale = 1.0 if epsilon is None else epsilon
     r1 = compute_r1(P, sys.C, box, scale=scale)
     feed = None

@@ -10,7 +10,8 @@ by the exact and level-set computations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ class LtiSystem:
     """x(t+1) = A x(t) [+ B u],  y(t) = C x(t) [+ D u].
 
     B and D are None for an autonomous system.  If B is given and D is
-    not, D defaults to zeros.
+    not, D defaults to zeros.  The matrices are read-only copies of the
+    caller's, so `rho`, the spectral radius of A, is computed once per
+    system.
     """
 
     A: np.ndarray
@@ -32,8 +35,8 @@ class LtiSystem:
     D: np.ndarray | None = None
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
+        A = np.array(self.A, dtype=float, ndmin=2)
+        C = np.array(self.C, dtype=float, ndmin=2)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if C.shape[1] != A.shape[0]:
@@ -44,7 +47,7 @@ class LtiSystem:
             if D is not None:
                 raise ValueError("D given without B (no input channel)")
         else:
-            B = np.asarray(B, dtype=float)
+            B = np.array(B, dtype=float)
             if B.ndim == 1:
                 B = B.reshape(-1, 1)
             if B.shape[0] != A.shape[0]:
@@ -52,7 +55,7 @@ class LtiSystem:
             if D is None:
                 D = np.zeros((C.shape[0], B.shape[1]))
             else:
-                D = np.asarray(D, dtype=float)
+                D = np.array(D, dtype=float)
                 if D.ndim == 1:
                     D = D.reshape(C.shape[0], -1)
                 if D.shape != (C.shape[0], B.shape[1]):
@@ -60,12 +63,23 @@ class LtiSystem:
                         f"D must be {C.shape[0]}x{B.shape[1]}, got {D.shape}"
                     )
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if M is not None and not np.all(np.isfinite(M)):
-                raise ValueError(f"{name} has non-finite entries")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+            if M is not None:
+                if not np.all(np.isfinite(M)):
+                    raise ValueError(f"{name} has non-finite entries")
+                M.setflags(write=False)
+            object.__setattr__(self, name, M)
+
+    def __setstate__(self, state):
+        # Unpickled arrays come back writeable.
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
+    @cached_property
+    def rho(self) -> float:
+        """Spectral radius of A."""
+        return spectral_radius(self.A)
 
     @property
     def n(self) -> int:
@@ -147,7 +161,7 @@ def validate(
     """
     if box.q != sys.q:
         raise ValueError(f"box has {box.q} outputs but system has {sys.q}")
-    rho = spectral_radius(sys.A)
+    rho = sys.rho
     sigma_min = min_singular_value(observability_matrix(sys))
     return ValidationReport(
         spectral_radius=rho,
@@ -171,7 +185,7 @@ def check_problem(sys: LtiSystem, box: OutputBox, epsilon: float | None = None) 
             raise ValueError("constant-input regime requires a system with an input channel (B)")
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    rho = spectral_radius(sys.A)
+    rho = sys.rho
     if rho >= 1.0:
         raise ValueError(f"the admissibility index requires spectral radius < 1, got {rho:.6g}")
     return rho
@@ -183,18 +197,13 @@ def gamma(box: OutputBox) -> float:
     return float(np.max(ratios))
 
 
-def dc_gain(sys: LtiSystem) -> np.ndarray:
-    """Steady-state gain C (I - A)^{-1} B + D from the constant input to the output."""
-    if not sys.has_input:
-        raise ValueError("dc_gain requires a system with an input channel (B)")
-    rho = spectral_radius(sys.A)
-    if rho >= 1.0:
-        raise ValueError(f"dc_gain requires spectral radius < 1, got {rho:.6g}")
-    return stable_dc_gain(sys)
-
-
 def stable_dc_gain(sys: LtiSystem) -> np.ndarray:
-    """`dc_gain` for a caller that has checked B and rho(A) < 1 itself (`check_problem`)."""
+    """Steady-state gain C (I - A)^{-1} B + D from the constant input to the output.
+
+    The caller has checked rho(A) < 1 (`check_problem` with epsilon).
+    """
+    if sys.m_in == 0:
+        raise ValueError("the steady-state gain needs an input channel (B)")
     X = np.linalg.solve(np.eye(sys.n) - sys.A, sys.B)
     return sys.C @ X + sys.D
 
@@ -207,12 +216,21 @@ def output_bands(sys: LtiSystem, box: OutputBox, feed=None, epsilon: float = 1.0
     steady-state band [0, feed] against (1 - epsilon) times the box comes
     first, then [C A^t, feed] for t = 0, 1, ...
     """
+    n = sys.n
     if feed is not None:
-        steady = np.hstack([np.zeros((sys.q, sys.n)), feed])
+        steady = np.zeros((sys.q, n + feed.shape[1]))
+        steady[:, n:] = feed
         yield steady, (1.0 - epsilon) * box.y_lower, (1.0 - epsilon) * box.y_upper
     M = sys.C
     while True:
-        yield (M if feed is None else np.hstack([M, feed])), box.y_lower, box.y_upper
+        if feed is None:
+            yield M, box.y_lower, box.y_upper
+        else:
+            band = np.empty_like(steady)
+            band[:, :n] = M
+            band[:, n:] = feed
+            yield band, box.y_lower, box.y_upper
+        # C A^t as (C A^{t-1}) A: the recorded exact results rest on this product order.
         M = M @ sys.A
 
 

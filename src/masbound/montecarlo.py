@@ -21,7 +21,6 @@ from scipy.linalg import block_diag
 from .config import LP_TOL, OBSERVABILITY_THRESHOLD, STABILITY_THRESHOLD
 from .errors import IterationCapError, MasboundError
 from .exact import exact_t_star_forced, exact_t_star_unforced
-from .linalg import spectral_radius
 from .lyapunov import bound_m2, bound_m2_forced, bound_m2_unforced
 from .model import LtiSystem, OutputBox, validate
 from .powerseries import bound_m1_forced, bound_m1_unforced
@@ -155,7 +154,7 @@ def compute_study_row(
         system_id=system_id,
         seed=seed,
         n=sys.n,
-        rho=spectral_radius(sys.A),
+        rho=sys.rho,
         epsilon=config.epsilon,
     )
     tags: list[str] = []

@@ -24,7 +24,7 @@ from masbound import (
 from masbound import exact, geometry, linalg
 from masbound.geometry import is_redundant
 from masbound.lyapunov import build_O_prefix
-from masbound.model import band_rows, dc_gain, output_bands
+from masbound.model import band_rows, output_bands, stable_dc_gain
 from conftest import (
     force_unknown,
     golden_systems,
@@ -39,7 +39,7 @@ def redundant_at_horizon(sys, box, result, t):
     """All signed output rows of time step t are implied by the returned set."""
     M = sys.C @ np.linalg.matrix_power(sys.A, t)
     if result.regime == "forced":
-        H0 = dc_gain(sys)
+        H0 = stable_dc_gain(sys)
         M = np.hstack([M, H0])
     for j in range(sys.q):
         if not is_redundant(M[j], box.y_upper[j], result.polytope):
@@ -240,7 +240,7 @@ class TestAsymmetryTrend:
 
 def reference_exact(sys, box, epsilon=None, step_cap=200):
     """Gilbert-Tan loop with one cold `is_redundant` LP per row, then a cold prune."""
-    feed = np.zeros((sys.q, 0)) if epsilon is None else dc_gain(sys)
+    feed = np.zeros((sys.q, 0)) if epsilon is None else stable_dc_gain(sys)
 
     def signed_rows(M, scale=1.0):
         block = np.hstack([M, feed])
@@ -353,7 +353,7 @@ def replay_decisions(sys, box, epsilon=None):
     accepted rows are d mirrored pairs of rank d.  On a symmetric box
     one decision covers a row and its mirror.
     """
-    feed = None if epsilon is None else dc_gain(sys)
+    feed = None if epsilon is None else stable_dc_gain(sys)
     bands = output_bands(sys, box, feed, 1.0 if epsilon is None else epsilon)
     G, h = band_rows(itertools.islice(bands, 1 if epsilon is None else 2))
     d = G.shape[1]

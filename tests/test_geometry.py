@@ -178,6 +178,36 @@ class TestWarmLp:
         for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
             assert lp._highs.getOptionValue(name)[1] == 1e-6
 
+    def test_primal_simplex(self):
+        # Most solves only change the objective, which keeps the last basis primal feasible.
+        if geometry._HIGHS is None:
+            pytest.skip("this scipy has no persistent HiGHS class")
+        assert WarmLp(box2d())._highs.getOptionValue("simplex_strategy")[1] == 4
+
+    @pytest.mark.parametrize("build_first", [False, True])
+    def test_many_batches_match_cold_solves(self, rng, build_first):
+        # Many small batches, with the model built before them or only
+        # after the relax and restore.
+        d = 3
+        G, h = random_bounded_polytope(rng, d, 160)
+        lp = WarmLp(Polytope(G[: 2 * d], h[: 2 * d]))
+        if build_first:
+            assert lp.maximize(np.ones(d)).status == "optimal"
+        for start in range(2 * d, len(h), 5):
+            lp.add_rows(G[start : start + 5], h[start : start + 5])
+        lp.relax(1)
+        lp.relax(len(h) - 1)
+        lp.restore(1)
+        assert (lp._model is not None) == build_first
+        keep = np.ones(len(h), dtype=bool)
+        keep[-1] = False
+        cold = Polytope(G[keep], h[keep])
+        assert np.array_equal(lp.polytope.G, cold.G) and np.array_equal(lp.polytope.h, cold.h)
+        for c in rng.standard_normal((10, d)):
+            warm = lp.maximize(c)
+            assert warm.status == "optimal"
+            assert warm.optimum == pytest.approx(lp_maximize(c, cold).optimum, abs=1e-9)
+
     def test_refused_lp_tol_raises(self):
         # HiGHS keeps its own 1e-7 for a tolerance below 1e-10.
         if geometry._HIGHS is None:

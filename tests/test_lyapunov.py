@@ -29,7 +29,7 @@ from masbound.lyapunov import (
     compute_r2,
     compute_sigma,
 )
-from masbound.model import dc_gain
+from masbound.model import stable_dc_gain
 from masbound.montecarlo import StudyConfig, random_stable_system
 from conftest import (
     golden_systems,
@@ -71,7 +71,7 @@ class TestPrefixSets:
         n = 2
         A = random_stable_matrix(rng, n)
         sys = LtiSystem(A=A, B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)))
-        H0 = dc_gain(sys)
+        H0 = stable_dc_gain(sys)
         eps = 0.3
         poly = build_O_prefix_forced(sys, unit_box(), epsilon=eps, horizon=1)
         rows = [
@@ -352,7 +352,7 @@ class TestClosedFormPrefix:
                     B=rng.standard_normal((n, m_in)),
                     C=rng.standard_normal((2, n)),
                 )
-                assert np.linalg.matrix_rank(dc_gain(sys)) == m_in
+                assert np.linalg.matrix_rank(stable_dc_gain(sys)) == m_in
                 box = OutputBox(rng.uniform(0.3, 2.0, size=2), rng.uniform(0.3, 2.0, size=2))
                 rep, m_qhull, r2_qhull = qhull_m2(sys, box, float(rng.uniform(0.01, 0.5)))
                 assert rep.m == m_qhull
@@ -383,7 +383,7 @@ class TestClosedFormPrefix:
         assert rep.m >= t_star
         # The z-projection does not depend on the parametrisation of w:
         # the first two columns of H0 already span its range.
-        H0 = dc_gain(sys)
+        H0 = stable_dc_gain(sys)
         bands = lyapunov._prefix_bands(sys, box, sys.n - 1, H0[:, :2], 0.1)
         verts = enumerate_vertices(lyapunov._halfspaces(bands)).vertices
         P = rep.diagnostics["P"]
@@ -396,7 +396,7 @@ class TestClosedFormPrefix:
             C = np.array([[1.0, 0.5], [-0.5, 2.0]])[:q]
             D = -(C @ np.linalg.solve(np.eye(2) - A, B))
             sys = LtiSystem(A=A, B=B, C=C, D=D)
-            assert not np.any(dc_gain(sys))
+            assert not np.any(stable_dc_gain(sys))
             box = unit_box(q=q)
             forced = bound_m2_forced(sys, box, 0.2)
             unforced = bound_m2_unforced(sys, box)
@@ -437,7 +437,7 @@ class TestSeveralOutputsWithoutLps:
         # and a Chebyshev-seeded qhull; the bounds must not see the switch.
         cases = []
         for sys, box in two_output_systems(rng):
-            H0 = dc_gain(sys)
+            H0 = stable_dc_gain(sys)
             for epsilon, feed in ((None, None), (0.01, scipy.linalg.orth(H0))):
                 bands = lyapunov._prefix_bands(sys, box, sys.n - 1, feed, 1.0 if epsilon is None else epsilon)
                 poly = lyapunov._halfspaces(bands)
@@ -460,7 +460,7 @@ class TestSeveralOutputsWithoutLps:
         sys = LtiSystem(A=np.diag([0.5, 3e-6, 3e-6]), B=np.ones((3, 1)), C=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         box = unit_box(2)
         oracles = []
-        for epsilon, feed in ((1.0, None), (0.01, scipy.linalg.orth(dc_gain(sys)))):
+        for epsilon, feed in ((1.0, None), (0.01, scipy.linalg.orth(stable_dc_gain(sys)))):
             poly = lyapunov._halfspaces(lyapunov._prefix_bands(sys, box, sys.n - 1, feed, epsilon))
             oracles.append(lp_seeded_vertices(poly.G, poly.h))
         refuse_lps(monkeypatch)
@@ -507,15 +507,13 @@ class TestWorkPerCall:
             A=random_stable_matrix(rng, 3), B=rng.standard_normal((3, 2)), C=rng.standard_normal((1, 3))
         )
         two, box2 = next(two_output_systems(rng))
+        # One decomposition per system: its three calls read the cached rho.
         for sys, box in ((single, unit_box()), (two, box2)):
-            for call in (
-                lambda: bound_m2_unforced(sys, box),
-                lambda: bound_m2_forced(sys, box, 0.1),
-                lambda: bound_m2_forced(sys, box, 1.0),
-            ):
-                calls.clear()
-                call()
-                assert len(calls) == 1
+            calls.clear()
+            bound_m2_unforced(sys, box)
+            bound_m2_forced(sys, box, 0.1)
+            bound_m2_forced(sys, box, 1.0)
+            assert len(calls) == 1
 
     def test_only_p_is_eigen_solved(self, monkeypatch, rng):
         # lambda_min(Q) of Q = I is 1 without an eigen-solve; lambda_max(P) needs one.

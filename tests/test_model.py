@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -14,10 +15,18 @@ from masbound import (
     exact_t_star_forced,
     exact_t_star_unforced,
     lyapunov,
+    model,
     powerseries,
 )
 from masbound.lyapunov import build_O_prefix, build_O_prefix_forced
-from masbound.model import check_problem, dc_gain, gamma, observability_matrix, system_from_dict, validate
+from masbound.model import (
+    check_problem,
+    gamma,
+    observability_matrix,
+    stable_dc_gain,
+    system_from_dict,
+    validate,
+)
 from conftest import make_siso, random_stable_matrix, unit_box
 
 
@@ -38,6 +47,28 @@ class TestTypes:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             LtiSystem(A=[[0.5, 0.0], [0.0, 0.5]], C=[[1.0]])
+
+    def test_matrices_are_read_only_copies(self):
+        A = np.array([[0.5, 0.1], [0.0, 0.2]])
+        B = np.array([[1.0], [0.0]])
+        sys = LtiSystem(A=A, B=B, C=np.array([[1.0, 0.0]]))
+        for M in (sys.A, sys.B, sys.C, sys.D):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 2.0
+        assert A.flags.writeable and B.flags.writeable
+        A[0, 0] = 0.9
+        assert sys.A[0, 0] == 0.5 and sys.rho == 0.5
+
+    def test_rho_survives_a_pickle_round_trip(self, monkeypatch):
+        sys = LtiSystem(A=[[0.5, 1.0], [0.0, -0.8]], C=[[1.0, 0.0]])
+        assert sys.rho == 0.8
+        copy = pickle.loads(pickle.dumps(sys))
+        # The copy reads the pickled value; it never decomposes A again.
+        monkeypatch.setattr(model, "spectral_radius", lambda M: pytest.fail("A decomposed again"))
+        assert copy.rho == 0.8
+        assert check_problem(copy, unit_box()) == 0.8
+        with pytest.raises(ValueError, match="read-only"):
+            copy.A[0, 0] = 0.0
 
     def test_box_requires_positive_limits(self):
         with pytest.raises(ValueError, match="positive"):
@@ -146,18 +177,18 @@ class TestGamma:
 
 class TestDcGain:
     def test_first_order(self):
-        assert dc_gain(make_siso(0.5, b=1.0))[0, 0] == pytest.approx(2.0)
+        assert stable_dc_gain(make_siso(0.5, b=1.0))[0, 0] == pytest.approx(2.0)
 
     def test_feedthrough(self):
-        assert dc_gain(make_siso(0.0, b=1.0, d=3.0))[0, 0] == pytest.approx(4.0)
+        assert stable_dc_gain(make_siso(0.0, b=1.0, d=3.0))[0, 0] == pytest.approx(4.0)
 
     def test_two_state(self):
         sys = LtiSystem(A=np.diag([0.5, 0.0]), B=[[1.0], [1.0]], C=[[1.0, 1.0]])
-        assert dc_gain(sys)[0, 0] == pytest.approx(3.0)
+        assert stable_dc_gain(sys)[0, 0] == pytest.approx(3.0)
 
     def test_requires_input(self):
         with pytest.raises(ValueError, match="input"):
-            dc_gain(make_siso(0.5))
+            stable_dc_gain(make_siso(0.5))
 
     def test_fixed_point_identity(self, rng):
         for _ in range(20):
@@ -168,7 +199,7 @@ class TestDcGain:
             u = rng.standard_normal(2)
             x_eq = np.linalg.solve(np.eye(n) - A, sys.B @ u)
             assert np.allclose(sys.A @ x_eq + sys.B @ u, x_eq, atol=1e-10)
-            assert np.allclose(sys.C @ x_eq + sys.D @ u, dc_gain(sys) @ u, atol=1e-10)
+            assert np.allclose(sys.C @ x_eq + sys.D @ u, stable_dc_gain(sys) @ u, atol=1e-10)
 
 
 class TestJsonSchema:
