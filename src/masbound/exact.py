@@ -31,7 +31,7 @@ settles a row and its mirror.  A decision is made in one of three ways:
   `geometry.parallelotope_maximum`.  A maximum within _TIE * rhs of
   rhs + lp_tol goes to the LP.
 - LP: every other row, over the persistent model of `geometry.WarmLp`,
-  which is built on the first LP of the call.
+  which the call borrows from the process's free list at its first LP.
 
 A screened or closed-form verdict is the one the LP reaches in exact
 arithmetic, taken only where it is clear of the LP's tolerance, so the

@@ -1,9 +1,11 @@
 """Polytopes in halfspace form, LP redundancy checks, vertex enumeration.
 
 The LP backend is scipy's HiGHS interface: `linprog` for one-off LPs,
-and `WarmLp`, one persistent HiGHS model built on its first solve and
-re-solved from its previous basis, for the long runs of redundancy
-checks of the exact index.
+and `WarmLp`, one persistent HiGHS model re-solved from its previous
+basis, for the long runs of redundancy checks of the exact index.  A
+`WarmLp` borrows its model on its first solve from a per-process free
+list of cleared models and gives it back when it is collected, so a
+process builds about one model however many `WarmLp`s it makes.
 Vertex enumeration goes through qhull's halfspace intersection, seeded
 at the origin when it lies well inside and at the Chebyshev center
 (one LP) otherwise.  Boundedness is certified without LPs: the rows
@@ -21,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 import warnings
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, linprog
@@ -32,16 +36,12 @@ from .errors import LpError, UnboundedPolytopeError
 
 _HIGHS_METHODS = (
     "addRows", "addVars", "changeColsCost", "changeObjectiveSense", "changeRowBounds",
-    "clearSolver", "getModelStatus", "getObjectiveValue", "run", "setOptionValue",
+    "clearModel", "clearSolver", "getModelStatus", "getObjectiveValue", "run", "setOptionValue",
 )
 
 
 def _probe_highs():
-    """scipy's private persistent HiGHS class and the enums WarmLp needs, or None if absent.
-
-    The last entry is a model that never solves: WarmLp sets its options
-    on it to check them without building a model of its own.
-    """
+    """scipy's private persistent HiGHS class and the enums WarmLp needs, or None if absent."""
     try:
         from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, ObjSense, _Highs
     except ImportError:
@@ -53,12 +53,16 @@ def _probe_highs():
         HighsModelStatus.kUnbounded: "unbounded",
         HighsModelStatus.kInfeasible: "infeasible",
     }
-    return _Highs, ObjSense.kMaximize, definitive, HighsStatus.kOk, _Highs()
+    return _Highs, ObjSense.kMaximize, definitive, HighsStatus.kOk
 
 
-# (class, maximize sense, {model status: LpOutcome status}, ok status,
-# option checker) or None.
+# (class, maximize sense, {model status: LpOutcome status}, ok status) or None.
 _HIGHS = _probe_highs()
+# Cleared HiGHS models that no WarmLp holds, keyed by class: a model
+# goes back to the list of its own class only.
+_FREE_MODELS: dict[type, list] = {}
+# The lp_tol values whose WarmLp options HiGHS has accepted.
+_ACCEPTED_LP_TOLS: set[float] = set()
 
 # An interior point whose inscribed radius is below _FLAT times
 # max(1, extent of the set) does not make the set full-dimensional.
@@ -187,6 +191,37 @@ def is_redundant(row, rhs: float, poly: Polytope, lp_tol: float = LP_TOL) -> boo
     return _certify_redundant(row, rhs, lambda c: lp_maximize(c, poly, lp_tol=lp_tol), lp_tol)
 
 
+def _borrow_model(highs_cls):
+    """(free list of `highs_cls`, a cleared model taken from it or a new one)."""
+    pool = _FREE_MODELS.setdefault(highs_cls, [])
+    try:
+        return pool, pool.pop()
+    except IndexError:
+        return pool, highs_cls()
+
+
+def _give_back(pool, model) -> None:
+    """Clear `model` and put it back on `pool`: run when its `WarmLp` is collected."""
+    model.clearModel()
+    pool.append(model)
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """`a` copied into the leading rows of an uninitialised array of `rows` rows."""
+    out = np.empty((rows, *a.shape[1:]), dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+@lru_cache(maxsize=64)
+def _dense_layout(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (-inf lower bounds, row starts, column indices) of k dense rows of length d."""
+    layout = (np.full(k, -np.inf), np.arange(0, k * d, d, dtype=np.int32), np.tile(np.arange(d, dtype=np.int32), k))
+    for part in layout:
+        part.flags.writeable = False
+    return layout
+
+
 class WarmLp:
     """{x : G x <= h} held as one persistent HiGHS model for repeated LPs.
 
@@ -198,26 +233,53 @@ class WarmLp:
     carries on from it where HiGHS's default, dual simplex, starts from
     a basis the new objective makes dual infeasible.  A row appended
     after a cut, or restored while pruning, is as a rule violated by the
-    last optimum, so the next solve first regains feasibility.  The model is built on the
-    first `maximize`, with every row added so far passed in one batch
-    (relaxed rows without an upper bound), so a `WarmLp` that never
-    solves never builds one.  Presolve is off and the primal and dual
-    tolerances are `lp_tol`; the constructor raises ValueError when HiGHS
-    refuses an option (a tolerance below 1e-10, say) instead of solving
-    at its own default.  A solve that ends without a definitive status is re-run
-    cold, and then answered by `lp_maximize`.  Without scipy's private
-    HiGHS class every answer comes from `lp_maximize` on the active rows.
+    last optimum, so the next solve first regains feasibility.
+
+    The model is borrowed on the first `maximize` from the per-process
+    free list of its class (a new one is built only when the list is
+    empty), its options are set, and every row added so far is passed in
+    one batch (relaxed rows without an upper bound), so a `WarmLp` that
+    never solves holds none.  When the `WarmLp` is collected the model
+    is cleared and goes back to the list; two live `WarmLp`s never share
+    one.  The rows are kept in arrays that double when full.  Presolve
+    is off and the primal and dual tolerances are `lp_tol`; the
+    constructor raises ValueError when HiGHS refuses an option (a
+    tolerance below 1e-10, say) instead of solving at its own default,
+    and checks each accepted `lp_tol` only once per process.  A solve
+    that ends without a definitive status is re-run cold, and then
+    answered by `lp_maximize`.  Without scipy's private HiGHS class
+    every answer comes from `lp_maximize` on the active rows.
     """
 
     def __init__(self, poly: Polytope, lp_tol: float = LP_TOL):
         self.lp_tol = lp_tol
-        self.G = poly.G
-        self.h = poly.h
-        self.active = np.ones(poly.nrows, dtype=bool)
         self._backend = _HIGHS
         self._model = None
-        if self._backend is not None:
-            self._set_options(self._backend[-1])
+        if self._backend is not None and lp_tol not in _ACCEPTED_LP_TOLS:
+            pool, model = _borrow_model(self._backend[0])
+            try:
+                self._set_options(model)
+            finally:
+                pool.append(model)
+            _ACCEPTED_LP_TOLS.add(lp_tol)
+        k, d = poly.G.shape
+        self._G = np.empty((max(2 * k, 16), d))
+        self._h = np.empty(len(self._G))
+        self._active = np.empty(len(self._G), dtype=bool)
+        self._n = 0
+        self._append(poly.G, poly.h)
+
+    @property
+    def G(self) -> np.ndarray:
+        return self._G[: self._n]
+
+    @property
+    def h(self) -> np.ndarray:
+        return self._h[: self._n]
+
+    @property
+    def active(self) -> np.ndarray:
+        return self._active[: self._n]
 
     @property
     def polytope(self) -> Polytope:
@@ -227,14 +289,22 @@ class WarmLp:
     def add_rows(self, G, h) -> None:
         G = np.atleast_2d(np.asarray(G, dtype=float))
         h = np.atleast_1d(np.asarray(h, dtype=float))
-        self.G = np.vstack([self.G, G])
-        self.h = np.concatenate([self.h, h])
-        self.active = np.concatenate([self.active, np.ones(len(h), dtype=bool)])
+        self._append(G, h)
         if self._model is not None:
             self._pass_rows(G, h)
 
+    def _append(self, G, h) -> None:
+        n, k = self._n, len(h)
+        if n + k > len(self._h):
+            cap = max(2 * len(self._h), n + k)
+            self._G, self._h, self._active = (_grown(a, cap) for a in (self._G, self._h, self._active))
+        self._G[n : n + k] = G
+        self._h[n : n + k] = h
+        self._active[n : n + k] = True
+        self._n = n + k
+
     def _set_options(self, highs) -> None:
-        _, _, _, ok, _ = self._backend
+        _, _, _, ok = self._backend
         options = {
             "output_flag": False,
             "presolve": "off",
@@ -246,23 +316,23 @@ class WarmLp:
                 raise ValueError(f"HiGHS refused option {name} = {value!r}")
 
     def _pass_rows(self, G, upper) -> None:
-        # Only nonzero entries, as linprog's sparse conversion passes them.
-        rows, cols = np.nonzero(G)
-        starts = np.searchsorted(rows, np.arange(len(upper))).astype(np.int32)
-        self._model.addRows(
-            len(upper), np.full(len(upper), -np.inf), upper, len(rows), starts, cols.astype(np.int32), G[rows, cols]
-        )
+        # Dense rows: HiGHS drops the zero entries itself.
+        k, d = G.shape
+        lower, starts, index = _dense_layout(k, d)
+        self._model.addRows(k, lower, upper, k * d, starts, index, G.ravel())
 
     @property
     def _highs(self):
-        """The HiGHS model, built on first use with every row added so far."""
+        """The HiGHS model, borrowed on first use and given every row added so far."""
         if self._model is None:
-            highs_cls, maximize, _, _, _ = self._backend
-            self._model = highs_cls()
-            self._set_options(self._model)
-            self._model.changeObjectiveSense(maximize)
-            d = self.G.shape[1]
-            self._model.addVars(d, np.full(d, -np.inf), np.full(d, np.inf))
+            highs_cls, maximize, _, _ = self._backend
+            pool, model = _borrow_model(highs_cls)
+            weakref.finalize(self, _give_back, pool, model).atexit = False
+            self._model = model
+            self._set_options(model)
+            model.changeObjectiveSense(maximize)
+            d = self._G.shape[1]
+            model.addVars(d, np.full(d, -np.inf), np.full(d, np.inf))
             self._cols = np.arange(d, dtype=np.int32)
             self._pass_rows(self.G, np.where(self.active, self.h, np.inf))
         return self._model
@@ -283,9 +353,10 @@ class WarmLp:
         c = np.atleast_1d(np.asarray(c, dtype=float))
         if self._backend is None:
             return lp_maximize(c, self.polytope, lp_tol=self.lp_tol)
-        if c.shape != (self.G.shape[1],):
-            raise ValueError(f"objective has length {c.size}, polytope dimension is {self.G.shape[1]}")
-        _, _, definitive, _, _ = self._backend
+        d = self._G.shape[1]
+        if c.shape != (d,):
+            raise ValueError(f"objective has length {c.size}, polytope dimension is {d}")
+        _, _, definitive, _ = self._backend
         highs = self._highs
         highs.changeColsCost(len(c), self._cols, c)
         highs.run()

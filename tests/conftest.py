@@ -4,9 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.spatial import HalfspaceIntersection
 
-from masbound import LtiSystem, OutputBox, config, geometry
+from masbound import LtiSystem, OutputBox, config, exact_t_star_forced, exact_t_star_unforced, geometry
 from masbound.montecarlo import StudyConfig, random_stable_system, system_seed
 
 
@@ -200,3 +201,44 @@ def force_unknown(monkeypatch, cold_resolves: bool) -> list[int]:
 
     monkeypatch.setattr(geometry, "_HIGHS", (Unsure, *rest))
     return restarts
+
+
+def count_models(monkeypatch) -> list[int]:
+    """A list that gains one entry per HiGHS model constructed."""
+    if geometry._HIGHS is None:
+        pytest.skip("this scipy has no persistent HiGHS class")
+    highs_cls, *rest = geometry._HIGHS
+    built = []
+
+    class Counted(highs_cls):
+        def __init__(self):
+            built.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(geometry, "_HIGHS", (Counted, *rest))
+    return built
+
+
+def run_exact(sys, box, epsilon=None):
+    if epsilon is None:
+        return exact_t_star_unforced(sys, box)
+    return exact_t_star_forced(sys, box, epsilon)
+
+
+@st.composite
+def exact_cases(draw):
+    """(system, box, epsilon) with n <= 4, q <= 2, m_in <= 3; epsilon is None for the unforced regime."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 2))
+    m_in = draw(st.integers(0, 3))
+    sys = LtiSystem(
+        A=random_stable_matrix(rng, n, rho_max=0.9),
+        B=rng.standard_normal((n, m_in)) if m_in else None,
+        C=rng.standard_normal((q, n)),
+    )
+    lower = rng.uniform(0.2, 2.0, size=q)
+    epsilon = draw(st.sampled_from([None, 0.05, 0.3, 1.0])) if m_in else None
+    symmetric = draw(st.booleans())
+    box = OutputBox(lower, lower if symmetric else rng.uniform(0.2, 2.0, size=q))
+    return sys, box, epsilon

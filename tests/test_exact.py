@@ -26,10 +26,13 @@ from masbound.geometry import is_redundant
 from masbound.lyapunov import build_O_prefix
 from masbound.model import band_rows, output_bands, stable_dc_gain
 from conftest import (
+    count_models,
+    exact_cases,
     force_unknown,
     golden_systems,
     make_siso,
     random_stable_matrix,
+    run_exact,
     scalar_interval_t_star,
     unit_box,
 )
@@ -271,12 +274,6 @@ def reference_exact(sys, box, epsilon=None, step_cap=200):
     raise AssertionError("reference loop hit its cap")
 
 
-def run_exact(sys, box, epsilon=None):
-    if epsilon is None:
-        return exact_t_star_unforced(sys, box)
-    return exact_t_star_forced(sys, box, epsilon)
-
-
 def assert_same_result(res, t_star, poly):
     assert res.t_star == t_star
     assert np.array_equal(res.polytope.G, poly.G)
@@ -326,22 +323,6 @@ def count_lps(monkeypatch) -> list[int]:
     real = geometry.WarmLp.maximize
     monkeypatch.setattr(geometry.WarmLp, "maximize", lambda self, c: calls.append(1) or real(self, c))
     return calls
-
-
-def count_models(monkeypatch) -> list[int]:
-    """A list that gains one entry per HiGHS model constructed."""
-    if geometry._HIGHS is None:
-        pytest.skip("this scipy has no persistent HiGHS class")
-    highs_cls, *rest = geometry._HIGHS
-    built = []
-
-    class Counted(highs_cls):
-        def __init__(self):
-            built.append(1)
-            super().__init__()
-
-    monkeypatch.setattr(geometry, "_HIGHS", (Counted, *rest))
-    return built
 
 
 def replay_decisions(sys, box, epsilon=None):
@@ -475,6 +456,21 @@ class TestDecisionsWithoutLps:
         res.polytope  # pruning solves LPs
         assert built == [1]
 
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(st.lists(exact_cases(), min_size=6, max_size=6))
+    def test_calls_in_sequence_build_one_model(self, cases):
+        # Every call and every pruning borrows the model the first one built.
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            built = count_models(monkeypatch)
+            results = [run_exact(*case) for case in cases]
+            assert len(built) <= 1
+            # Build the one model here if no call needed an LP.
+            geometry.WarmLp(Polytope(np.eye(1), np.ones(1))).maximize([1.0])
+            assert built == [1]
+            for res in results:
+                res.polytope
+            assert built == [1]
+
 
 class TestLpBackends:
     """Every LP backend of the exact path gives the same index and rows."""
@@ -508,24 +504,6 @@ class TestLpBackends:
         eager = real(res.rows, res.lp_tol)
         assert np.array_equal(first.G, eager.G) and np.array_equal(first.h, eager.h)
         assert first.nrows < res.rows.nrows
-
-
-@st.composite
-def exact_cases(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 4))
-    q = draw(st.integers(1, 2))
-    m_in = draw(st.integers(0, 3))
-    sys = LtiSystem(
-        A=random_stable_matrix(rng, n, rho_max=0.9),
-        B=rng.standard_normal((n, m_in)) if m_in else None,
-        C=rng.standard_normal((q, n)),
-    )
-    lower = rng.uniform(0.2, 2.0, size=q)
-    epsilon = draw(st.sampled_from([None, 0.05, 0.3, 1.0])) if m_in else None
-    symmetric = draw(st.booleans())
-    box = OutputBox(lower, lower if symmetric else rng.uniform(0.2, 2.0, size=q))
-    return sys, box, epsilon
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -1,7 +1,11 @@
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import QhullError
 
 from masbound import LpError, Polytope, UnboundedPolytopeError
@@ -19,11 +23,14 @@ from masbound.geometry import (
 )
 from conftest import (
     brute_force_vertices,
+    count_models,
+    exact_cases,
     force_unknown,
     lp_seeded_vertices,
     match_point_sets,
     random_bounded_polytope,
     refuse_lps,
+    run_exact,
 )
 
 
@@ -209,11 +216,82 @@ class TestWarmLp:
             assert warm.optimum == pytest.approx(lp_maximize(c, cold).optimum, abs=1e-9)
 
     def test_refused_lp_tol_raises(self):
-        # HiGHS keeps its own 1e-7 for a tolerance below 1e-10.
+        # HiGHS keeps its own 1e-7 for a tolerance below 1e-10.  Only
+        # accepted tolerances are remembered, so every construction raises.
         if geometry._HIGHS is None:
             pytest.skip("this scipy has no persistent HiGHS class")
-        with pytest.raises(ValueError, match="primal_feasibility_tolerance"):
-            WarmLp(box2d(), lp_tol=1e-13)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="primal_feasibility_tolerance"):
+                WarmLp(box2d(), lp_tol=1e-13)
+
+    def test_returned_model_is_cleared(self, monkeypatch):
+        count_models(monkeypatch)
+        lp = WarmLp(box2d())
+        assert lp.maximize([1.0, 0.0]).status == "optimal"
+        model = lp._model
+        assert (model.getNumRow(), model.getNumCol()) == (4, 2)
+        del lp
+        assert geometry._FREE_MODELS[type(model)] == [model]
+        assert (model.getNumRow(), model.getNumCol()) == (0, 0)
+
+    def test_live_warm_lps_hold_distinct_models(self, monkeypatch):
+        built = count_models(monkeypatch)
+        WarmLp(box2d()).maximize([1.0, 0.0])  # leaves one model on the free list
+        first, second = WarmLp(box2d()), WarmLp(box2d())
+        for lp in (first, second):
+            assert lp.maximize([1.0, 1.0]).optimum == pytest.approx(2.0)
+        assert first._model is not second._model
+        assert built == [1, 1]
+
+    def test_borrower_gets_its_own_lp_tol(self, monkeypatch):
+        count_models(monkeypatch)
+        loose = WarmLp(box2d(), lp_tol=1e-6)
+        loose.maximize([1.0, 0.0])
+        model = loose._model
+        del loose
+        default = WarmLp(box2d())
+        default.maximize([1.0, 0.0])
+        assert default._model is model
+        for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+            assert model.getOptionValue(name)[1] == 1e-9
+
+    def test_free_list_is_kept_per_class(self, monkeypatch):
+        if geometry._HIGHS is None:
+            pytest.skip("this scipy has no persistent HiGHS class")
+        plain_cls = geometry._HIGHS[0]
+        WarmLp(box2d()).maximize([1.0, 0.0])  # a model of the plain class goes back
+        count_models(monkeypatch)
+        counted = WarmLp(box2d())
+        counted.maximize([1.0, 0.0])
+        assert type(counted._model) is geometry._HIGHS[0]
+        del counted  # a model of the counting class goes back
+        monkeypatch.undo()
+        plain = WarmLp(box2d())
+        plain.maximize([1.0, 0.0])
+        assert type(plain._model) is plain_cls
+
+    @settings(derandomize=True, max_examples=5, deadline=None)
+    @given(st.lists(exact_cases(), min_size=4, max_size=4))
+    def test_concurrent_exact_calls_match_serial(self, cases):
+        def solve(case):
+            res = run_exact(*case)
+            return res.t_star, res.rows, res.polytope
+
+        serial = [solve(case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the exact calls
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(solve, cases * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for (t_star, rows, poly), (ref_t, ref_rows, ref_poly) in zip(threaded, serial * 3):
+            assert t_star == ref_t
+            for got, ref in ((rows, ref_rows), (poly, ref_poly)):
+                assert np.array_equal(got.G, ref.G) and np.array_equal(got.h, ref.h)
+        # A model handed out twice, or given back twice, would show up twice.
+        for models in geometry._FREE_MODELS.values():
+            assert len({id(model) for model in models}) == len(models)
 
     def test_relaxed_row_no_longer_bounds(self):
         lp = WarmLp(box2d())
