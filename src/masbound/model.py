@@ -248,6 +248,11 @@ def band_rows(bands) -> tuple[np.ndarray, np.ndarray]:
 # JSON system description (consumed by the CLI)
 # ---------------------------------------------------------------------------
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or float, but not a bool (which Python counts as an int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _matrix_from_json(obj, key, optional=False):
     if key not in obj:
         if optional:
@@ -261,10 +266,9 @@ def _matrix_from_json(obj, key, optional=False):
     width = len(raw[0])
     if any(len(row) != width for row in raw):
         raise ValueError(f"key '{key}': ragged rows")
-    try:
-        M = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"key '{key}': entries must be numbers") from None
+    if not all(_is_number(v) for row in raw for v in row):
+        raise ValueError(f"key '{key}': entries must be numbers")
+    M = np.array(raw, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError(f"key '{key}': entries must be finite")
     return M
@@ -276,13 +280,11 @@ def _vector_from_json(obj, key):
     raw = obj[key]
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"key '{key}': must be a non-empty array of numbers")
-    try:
-        v = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"key '{key}': entries must be numbers") from None
-    if v.ndim != 1:
+    if any(isinstance(v, list) for v in raw):
         raise ValueError(f"key '{key}': must be a flat array")
-    return v
+    if not all(_is_number(v) for v in raw):
+        raise ValueError(f"key '{key}': entries must be numbers")
+    return np.array(raw, dtype=float)
 
 
 def system_from_dict(obj: dict) -> tuple[LtiSystem, OutputBox, float | None]:
@@ -301,7 +303,7 @@ def system_from_dict(obj: dict) -> tuple[LtiSystem, OutputBox, float | None]:
     y_upper = _vector_from_json(obj, "y_upper")
     epsilon = obj.get("epsilon")
     if epsilon is not None:
-        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
+        if not _is_number(epsilon):
             raise ValueError("key 'epsilon': must be a number")
         epsilon = float(epsilon)
     try:

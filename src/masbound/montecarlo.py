@@ -3,12 +3,16 @@
 Generates random stable single-output systems (with the documented
 rejection rules), computes the exact admissibility index and both upper
 bounds in the unforced and constant-input regimes for each, and
-aggregates tightness statistics.  Also provides the constraint-asymmetry
-sweep on a built-in oscillatory third-order demo system.
+aggregates tightness statistics.  Each row also carries `m2_paper*`,
+`m2` with the paper's decay factor rho(A)^2 on the same levels, which
+`run_study` logs where it falls below `t*`.  Also provides the
+constraint-asymmetry sweep on a built-in oscillatory third-order demo
+system.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -67,7 +71,8 @@ class StudyRow:
     m2_forced: int | None = None
     epsilon: float | None = None
     status: str = "ok"
-    # Extra diagnostics, not part of the CSV contract.
+    # Not in the CSV: m2 and m2_forced with sigma mode "paper" (rho(A)^2),
+    # and each stage's seconds, keyed by its CSV column.
     m2_paper: int | None = None
     m2_paper_forced: int | None = None
     times: dict = field(default_factory=dict)
@@ -131,12 +136,17 @@ def random_stable_system(seed: int, config: StudyConfig = StudyConfig()) -> tupl
     )
 
 
-def _timed(times: dict, key: str, fn):
-    t0 = time.perf_counter()
-    try:
-        return fn()
-    finally:
-        times[key] = time.perf_counter() - t0
+# The six stages in CSV column order, as (column, call(sys, box, epsilon)).
+# Each call looks its entry point up here when it runs, so a patched
+# `montecarlo.<entry point>` takes effect.  The last three need an input.
+_STAGES = (
+    ("t_star", lambda sys, box, eps: exact_t_star_unforced(sys, box)),
+    ("m1", lambda sys, box, eps: bound_m1_unforced(sys, box)),
+    ("m2", lambda sys, box, eps: bound_m2_unforced(sys, box)),
+    ("t_star_forced", lambda sys, box, eps: exact_t_star_forced(sys, box, eps)),
+    ("m1_forced", lambda sys, box, eps: bound_m1_forced(sys, box, eps)),
+    ("m2_forced", lambda sys, box, eps: bound_m2_forced(sys, box, eps)),
+)
 
 
 def compute_study_row(
@@ -158,50 +168,29 @@ def compute_study_row(
         epsilon=config.epsilon,
     )
     tags: list[str] = []
-
-    def stage(key, fn, cap_tag):
+    for column, call in _STAGES if sys.has_input else _STAGES[:3]:
+        t0 = time.perf_counter()
         try:
-            return _timed(row.times, key, fn)
+            res = call(sys, box, config.epsilon)
         except IterationCapError:
-            tags.append(f"capped:{cap_tag}")
+            tags.append(f"capped:{column}")
+            continue
         except MasboundError as exc:
-            tags.append(f"error:{cap_tag}:{type(exc).__name__}")
+            tags.append(f"error:{column}:{type(exc).__name__}")
+            continue
         except ValueError:
-            tags.append(f"unavailable:{cap_tag}")
-        return None
-
-    res = stage("t_star", lambda: exact_t_star_unforced(sys, box), "t_star")
-    row.t_star = None if res is None else res.t_star
-    res = stage("m1", lambda: bound_m1_unforced(sys, box), "m1")
-    row.m1 = None if res is None else res.m
-    res = stage("m2", lambda: bound_m2_unforced(sys, box), "m2")
-    if res is not None:
-        row.m2 = res.m
-        row.m2_paper = bound_m2(
-            res.diagnostics["r1"], res.diagnostics["r2"], min(row.rho**2, 1.0 - 1e-16)
-        )
-
-    if sys.has_input:
-        eps = config.epsilon
-        res = stage("t_star_forced", lambda: exact_t_star_forced(sys, box, eps), "t_star_forced")
-        row.t_star_forced = None if res is None else res.t_star
-        res = stage("m1_forced", lambda: bound_m1_forced(sys, box, eps), "m1_forced")
-        row.m1_forced = None if res is None else res.m
-        res = stage("m2_forced", lambda: bound_m2_forced(sys, box, eps), "m2_forced")
-        if res is not None:
-            row.m2_forced = res.m
-            row.m2_paper_forced = bound_m2(
-                res.diagnostics["r1"], res.diagnostics["r2"], min(row.rho**2, 1.0 - 1e-16)
-            )
-
+            tags.append(f"unavailable:{column}")
+            continue
+        finally:
+            row.times[column] = time.perf_counter() - t0
+        setattr(row, column, res.t_star if column.startswith("t_star") else res.m)
+        if column.startswith("m2"):
+            # m2_paper*: the same levels r1, r2 with sigma mode "paper".
+            paper = bound_m2(res.diagnostics["r1"], res.diagnostics["r2"], row.rho**2)
+            setattr(row, "m2_paper" + column[2:], paper)
     if tags:
         row.status = ";".join(tags)
     return row
-
-
-def _row_for_pool(args) -> StudyRow:
-    system_id, config = args
-    return compute_study_row(system_id, config)
 
 
 def run_study(
@@ -215,6 +204,7 @@ def run_study(
     each row depends only on (seed, system_id).  At most `count` workers
     start, since the pool forks them all up front.  Pass `systems` to
     bypass generation (length must equal count); that path runs inline.
+    Rows come back in system-id order on every path.
     """
     if systems is not None:
         if len(systems) != config.count:
@@ -228,12 +218,11 @@ def run_study(
         with ProcessPoolExecutor(max_workers=min(jobs, config.count)) as pool:
             rows = list(
                 pool.map(
-                    _row_for_pool,
-                    ((i, config) for i in range(config.count)),
+                    functools.partial(compute_study_row, config=config),
+                    range(config.count),
                     chunksize=max(1, config.count // (4 * jobs)),
                 )
             )
-    rows.sort(key=lambda r: r.system_id)
     for row in rows:
         for label, bound_val in (("unforced", row.m2_paper), ("forced", row.m2_paper_forced)):
             t_ref = row.t_star if label == "unforced" else row.t_star_forced
@@ -248,46 +237,33 @@ def run_study(
     return rows, summarize(rows)
 
 
+def _pairs(rows: list[StudyRow], a: str, b: str) -> list[tuple]:
+    """(row.a, row.b) for each row that has both."""
+    return [
+        (getattr(r, a), getattr(r, b))
+        for r in rows
+        if getattr(r, a) is not None and getattr(r, b) is not None
+    ]
+
+
 def summarize(rows: list[StudyRow]) -> dict:
     """Tightness statistics over the rows with complete data.
 
     Gap statistics (m_i - t*) cover the unforced regime; the
     forced-versus-unforced fraction compares the exact indices.
     """
-    m1_gaps = [r.m1 - r.t_star for r in rows if r.m1 is not None and r.t_star is not None]
-    m2_gaps = [r.m2 - r.t_star for r in rows if r.m2 is not None and r.t_star is not None]
-    both = [(r.m1, r.m2) for r in rows if r.m1 is not None and r.m2 is not None]
-    forced_pairs = [
-        (r.t_star_forced, r.t_star)
-        for r in rows
-        if r.t_star_forced is not None and r.t_star is not None
-    ]
-
-    def stats(gaps):
-        if not gaps:
-            return float("nan"), float("nan"), float("nan")
-        arr = np.asarray(gaps, dtype=float)
-        return float(arr.mean()), float(arr.std()), float(np.median(arr))
-
-    mean1, std1, med1 = stats(m1_gaps)
-    mean2, std2, med2 = stats(m2_gaps)
-    return {
-        "mean_m1_gap": mean1,
-        "std_m1_gap": std1,
-        "median_m1_gap": med1,
-        "mean_m2_gap": mean2,
-        "std_m2_gap": std2,
-        "median_m2_gap": med2,
-        "frac_m1_le_m2": (
-            sum(1 for a, b in both if a <= b) / len(both) if both else float("nan")
-        ),
-        "frac_forced_ge_unforced": (
-            sum(1 for f, u in forced_pairs if f >= u) / len(forced_pairs)
-            if forced_pairs
-            else float("nan")
-        ),
-        "count_capped": sum(1 for r in rows if "capped" in r.status),
-    }
+    out = {}
+    for method in ("m1", "m2"):
+        gaps = np.asarray([m - t for m, t in _pairs(rows, method, "t_star")], dtype=float)
+        stats = (gaps.mean(), gaps.std(), np.median(gaps)) if gaps.size else (math.nan,) * 3
+        for name, value in zip(("mean", "std", "median"), stats):
+            out[f"{name}_{method}_gap"] = float(value)
+    both = _pairs(rows, "m1", "m2")
+    forced = _pairs(rows, "t_star_forced", "t_star")
+    out["frac_m1_le_m2"] = sum(a <= b for a, b in both) / len(both) if both else math.nan
+    out["frac_forced_ge_unforced"] = sum(f >= u for f, u in forced) / len(forced) if forced else math.nan
+    out["count_capped"] = sum("capped" in r.status for r in rows)
+    return out
 
 
 def _cell(value) -> str:
@@ -299,27 +275,11 @@ def _cell(value) -> str:
 
 
 def rows_to_csv_text(rows: list[StudyRow]) -> str:
+    """The study CSV: one line per row, the columns of `CSV_HEADER`."""
+    columns = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.system_id,
-                    r.seed,
-                    r.n,
-                    r.rho,
-                    r.t_star,
-                    r.m1,
-                    r.m2,
-                    r.t_star_forced,
-                    r.m1_forced,
-                    r.m2_forced,
-                    r.epsilon,
-                    r.status,
-                )
-            )
-        )
+        lines.append(",".join(_cell(getattr(r, c)) for c in columns))
     return "\n".join(lines) + "\n"
 
 

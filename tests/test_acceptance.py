@@ -5,6 +5,9 @@ PASS/FAIL line per criterion (visible with `pytest -v -s`).  The shared
 300-system study takes a minute or two of single-core time.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -14,7 +17,13 @@ from masbound.geometry import enumerate_vertices
 from masbound.linalg import solve_discrete_lyapunov, spectral_radius
 from masbound.lyapunov import bound_m2, compute_sigma
 from masbound.model import gamma
-from masbound.montecarlo import StudyConfig, asymmetry_sweep, random_stable_system, run_study
+from masbound.montecarlo import (
+    StudyConfig,
+    asymmetry_sweep,
+    random_stable_system,
+    rows_to_csv_text,
+    run_study,
+)
 from conftest import (
     brute_force_vertices,
     make_siso,
@@ -28,6 +37,10 @@ from conftest import (
 STUDY_SEED = 2026
 STUDY_COUNT = 300
 STUDY_EPSILON = 0.01
+# SHA-256 of the study CSV text and of json.dumps(summary): a change that
+# keeps the study's numbers keeps both.
+STUDY_CSV_SHA256 = "2bb9c8d8cd30f32b8fbbc0ae777ad5211d2e49e61e30643a6aef90f19cfa70d3"
+STUDY_SUMMARY_SHA256 = "27850dc07cbcbe965d8932746fcc6a7f774859168ea9f2a8fb0cbddcdbc121ff"
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -39,6 +52,16 @@ def study():
     config = StudyConfig(count=STUDY_COUNT, seed=STUDY_SEED, epsilon=STUDY_EPSILON)
     rows, summary = run_study(config)
     return rows, summary
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_study_outputs_byte_identical(study):
+    rows, summary = study
+    assert sha256(rows_to_csv_text(rows)) == STUDY_CSV_SHA256
+    assert sha256(json.dumps(summary)) == STUDY_SUMMARY_SHA256
 
 
 def test_criterion_1_soundness(study):

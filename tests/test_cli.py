@@ -93,6 +93,15 @@ class TestBound:
     def test_missing_file(self, capsys):
         assert main(["bound", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("bad", ["0.5", True], ids=["string", "boolean"])
+    def test_non_number_entry_exits_one(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"A": [[bad]], "C": [[1.0]], "y_lower": [1.0], "y_upper": [1.0]})
+        )
+        assert main(["bound", str(path)]) == 1
+        assert "key 'A': entries must be numbers" in capsys.readouterr().err
+
     def test_invalid_json_names_key(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"A": [[0.5]], "C": [[1.0]], "y_lower": [1.0]}))

@@ -237,6 +237,20 @@ class TestJsonSchema:
         with pytest.raises(ValueError, match="'y_lower'"):
             system_from_dict(obj)
 
+    @pytest.mark.parametrize("bad", ["0.5", True], ids=["string", "boolean"])
+    @pytest.mark.parametrize("key", ["A", "B", "C", "D", "y_lower", "y_upper", "epsilon"])
+    def test_non_number_refused(self, key, bad):
+        obj = self.good()
+        obj["D"] = [[0.0]]
+        if key == "epsilon":
+            obj[key] = bad
+        elif key.startswith("y_"):
+            obj[key][0] = bad
+        else:
+            obj[key][0][0] = bad
+        with pytest.raises(ValueError, match=f"key '{key}': .*must be (a number|numbers)"):
+            system_from_dict(obj)
+
     def test_box_length_checked(self):
         obj = self.good()
         obj["y_lower"] = [1.0, 1.0]

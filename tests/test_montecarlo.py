@@ -1,8 +1,19 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from masbound import IterationCapError, LtiSystem, OutputBox, demo_system, run_study
+from masbound import (
+    IterationCapError,
+    LtiSystem,
+    NumericalError,
+    OutputBox,
+    bound_m2_forced,
+    bound_m2_unforced,
+    demo_system,
+    run_study,
+)
 from masbound import montecarlo
 from masbound.linalg import spectral_radius
 from masbound.model import validate
@@ -115,20 +126,48 @@ class TestStudy:
                 assert r.t_star_forced >= r.t_star
         assert summary["frac_m1_le_m2"] == 1.0
 
-    def test_capped_system_recorded_not_raised(self, monkeypatch):
-        def capped(*args, **kwargs):
-            raise IterationCapError("admissibility index not determined within 0 steps", cap=0)
+    @pytest.mark.parametrize(
+        "exc, tag",
+        [
+            (IterationCapError("admissibility index not determined within 0 steps", cap=0), "capped:t_star"),
+            (NumericalError("solver gave up"), "error:t_star:NumericalError"),
+            (ValueError("not accepted"), "unavailable:t_star"),
+        ],
+        ids=["capped", "error", "unavailable"],
+    )
+    def test_capped_system_recorded_not_raised(self, monkeypatch, exc, tag):
+        def failing(*args, **kwargs):
+            raise exc
 
-        monkeypatch.setattr(montecarlo, "exact_t_star_unforced", capped)
+        monkeypatch.setattr(montecarlo, "exact_t_star_unforced", failing)
         cfg = StudyConfig(count=1, seed=0)
         rows, summary = run_study(
             cfg, systems=[(make_siso(-0.9), OutputBox([0.1], [1.0]))]
         )
         row = rows[0]
         assert row.t_star is None
-        assert "capped:t_star" in row.status
+        assert tag in row.status
+        assert "t_star" in row.times  # the failed stage is timed
         assert row.m1 is not None  # other stages still ran
-        assert summary["count_capped"] == 1
+        assert summary["count_capped"] == (1 if tag.startswith("capped") else 0)
+
+    def test_m2_paper_is_the_paper_sigma_mode(self):
+        cfg = StudyConfig(count=1, seed=2026)
+        for i in range(20):
+            sys, box = random_stable_system(system_seed(2026, i), cfg)
+            row = compute_study_row(i, cfg, system=(sys, box))
+            assert row.m2_paper == bound_m2_unforced(sys, box, sigma_mode="paper").m
+            assert row.m2_paper_forced == bound_m2_forced(
+                sys, box, cfg.epsilon, sigma_mode="paper"
+            ).m
+
+    def test_paper_undershoot_logged(self, caplog):
+        system = random_stable_system(system_seed(2026, 44))
+        with caplog.at_level(logging.WARNING, logger="masbound.montecarlo"):
+            run_study(StudyConfig(count=1, seed=2026), systems=[system])
+        assert caplog.messages == [
+            "sigma mode 'paper' undershoots on system 0 (unforced): m2_paper=0 < t*=1"
+        ]
 
     def test_csv_shape(self):
         cfg = StudyConfig(count=2, seed=11)
