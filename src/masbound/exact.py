@@ -15,9 +15,27 @@ points pass `model.check_problem` and run one loop, `_iterate`, whose
 starting set is the t = 0 band, or the steady-state band and the t = 0
 band.
 
+A row once redundant stays redundant (Gilbert and Tan's shift argument,
+one row at a time).  Let T = A unforced, or blockdiag(A, I) in (z0, u):
+under T every row becomes the row of the same output one step later,
+with the same bound, and the steady band maps to itself.  If row (t, k)
+is redundant with respect to the set O_{t-1} built before step t, LP
+duality gives lambda >= 0 on rows of steps <= t - 1 with lambda' G = r
+and lambda' h <= b, so r T = sum lambda_i (g_i T).  Each g_i T is a row
+of a step <= t and holds on O_t (it was accepted, or found redundant for
+a larger set), so row (t + 1, k) is redundant with respect to O_t.  Each
+step therefore decides only its live rows, those whose last verdict was
+"cut"; a row whose maximum lies below rhs + lp_tol - _TIE * rhs is
+retired for the rest of the call.  A redundant verdict inside that band,
+which the LP's tolerance could have flipped, keeps its row live, as does
+a row below ZERO_ROW, which is redundant by tolerance and costs no LP.
+The loop still stops at the first step with no cut, as it did when it
+decided every row.
+
 On a symmetric box (lower == upper) every band, and so every set built,
 is symmetric about the origin: max(-r.x) = max(r.x), so one decision
-settles a row and its mirror.  A decision is made in one of three ways:
+settles a row and its mirror, and retiring a "+" row retires both.  A
+decision is made in one of three ways:
 
 - span: while the accepted rows have rank below the dimension d, a row
   whose component outside their span exceeds _SPAN times its norm and
@@ -35,7 +53,9 @@ settles a row and its mirror.  A decision is made in one of three ways:
 
 A screened or closed-form verdict is the one the LP reaches in exact
 arithmetic, taken only where it is clear of the LP's tolerance, so the
-accepted rows are those of one LP per decision, in the same order.
+accepted rows are those of one LP per decision, in the same order.  A
+closed-form "redundant" is clear of the tie band and always retires its
+row.
 """
 
 from __future__ import annotations
@@ -49,7 +69,7 @@ import numpy as np
 
 from .config import EXACT_STEP_CAP, LP_TOL, ZERO_ROW
 from .errors import IterationCapError
-from .geometry import Polytope, WarmLp, parallelotope_maximum
+from .geometry import Polytope, WarmLp, _certify_redundant, parallelotope_maximum
 from .model import LtiSystem, OutputBox, band_rows, check_problem, output_bands, stable_dc_gain
 
 # A row whose component outside the accepted rows' span exceeds _SPAN
@@ -63,7 +83,8 @@ _FLOOR = 1e3
 # norm, but not by enough to join the basis, widens the set's span
 # without a reliable basis vector; span screening then stops.
 _ROUNDOFF = 1e-12
-# A closed-form maximum within _TIE * rhs of rhs + lp_tol goes to the LP.
+# A closed-form maximum within _TIE * rhs of rhs + lp_tol goes to the LP,
+# and a row is retired only when its maximum lies below that band.
 _TIE = 1e-6
 
 
@@ -135,7 +156,11 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     The first `first` bands (time step 0 included) make up the starting
     set; each later band is one time step.  When the starting bands are
     symmetric (lower == upper) so is every band and every set built, and
-    a "-" row takes the verdict of its "+" row.  A row is decided by the
+    a "-" row takes the verdict of its "+" row.  Each step decides only
+    the live rows: a row leaves them for good once its slack, rhs +
+    lp_tol less its maximum over the accepted rows, exceeds _TIE * rhs,
+    since by the shift argument of the module docstring the same output's
+    row stays redundant at every later step.  A row is decided by the
     span screen while the accepted rows have rank below the dimension and
     `basis` (None once `_extend` gives up) covers their span, by the
     parallelotope closed form while they are d mirrored pairs of rank d,
@@ -152,24 +177,31 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     d = pairs[0].shape[1]
     basis = _extend(np.empty((0, d)), pairs[0])
 
-    def cuts(row, rhs, closed):
+    def slack(row, rhs, closed):
+        """rhs + lp_tol less the row's maximum over the accepted rows; the row cuts where it is negative."""
         norm = _norm(row)
-        if norm >= ZERO_ROW:
-            if screen and _norm(_residual(row, basis)) > max(_SPAN * norm, _FLOOR * lp_tol):
-                return True
-            if closed:
-                top = parallelotope_maximum(row, *pairs)
-                if abs(top - rhs - lp_tol) > _TIE * rhs:
-                    return top > rhs + lp_tol
-        return not lp.is_redundant(row, rhs)
+        if norm < ZERO_ROW:
+            # Redundant by tolerance, not by a maximum: slack 0 keeps it live.
+            return min(_certify_redundant(row, rhs, lp.maximize, lp_tol), 0.0)
+        if screen and _norm(_residual(row, basis)) > max(_SPAN * norm, _FLOOR * lp_tol):
+            return -math.inf
+        if closed:
+            gap = rhs + lp_tol - parallelotope_maximum(row, *pairs)
+            if abs(gap) > _TIE * rhs:
+                return gap
+        return _certify_redundant(row, rhs, lp.maximize, lp_tol)
 
+    # Row k of a band is output k % q, "+" below q and "-" from q on.
+    live = list(range(q if symmetric else 2 * q))
     for t in range(step_cap + 1):
         M, lower, upper = next(bands)
         rows = np.concatenate([M, -M])
         rhs = np.concatenate([upper, lower])
         screen = basis is not None and len(basis) < d
         closed = pairs is not None and basis is not None and len(pairs[0]) == len(basis) == d
-        fresh = [k for k in range(q if symmetric else 2 * q) if cuts(rows[k], rhs[k], closed)]
+        slacks = [slack(rows[k], rhs[k], closed) for k in live]
+        fresh = [k for k, gap in zip(live, slacks) if gap < 0]
+        live = [k for k, gap in zip(live, slacks) if gap <= _TIE * rhs[k]]
         if symmetric:
             fresh += [k + q for k in fresh]
         if not fresh:

@@ -166,19 +166,23 @@ def lp_maximize(c, poly: Polytope, lp_tol: float = LP_TOL) -> LpOutcome:
     raise LpError(f"LP solver failed (status {res.status}): {res.message}")
 
 
-def _certify_redundant(row, rhs: float, maximize, lp_tol: float) -> bool:
-    """The redundancy verdict of {row . x <= rhs}, with `maximize(row)` solving the LP."""
+def _certify_redundant(row, rhs: float, maximize, lp_tol: float) -> float:
+    """The slack rhs + lp_tol - max(row . x) of {row . x <= rhs}, with `maximize(row)` solving the LP.
+
+    The row is redundant when the slack is >= 0; an unbounded maximum
+    gives -inf.  A row below ZERO_ROW has maximum 0.
+    """
     row = np.atleast_1d(np.asarray(row, dtype=float))
     if np.linalg.norm(row) < ZERO_ROW:
         if rhs >= -lp_tol:
-            return True
+            return rhs + lp_tol
         raise LpError("all-zero row with negative bound: polytope is empty")
     out = maximize(row)
     if out.status == "unbounded":
-        return False
+        return -np.inf
     if out.status == "infeasible":
         raise LpError("redundancy check against an empty polytope")
-    return out.optimum <= rhs + lp_tol
+    return rhs + lp_tol - out.optimum
 
 
 def is_redundant(row, rhs: float, poly: Polytope, lp_tol: float = LP_TOL) -> bool:
@@ -188,7 +192,7 @@ def is_redundant(row, rhs: float, poly: Polytope, lp_tol: float = LP_TOL) -> boo
     unbounded maximum means the row does cut, an infeasible polytope is
     reported as an error.
     """
-    return _certify_redundant(row, rhs, lambda c: lp_maximize(c, poly, lp_tol=lp_tol), lp_tol)
+    return _certify_redundant(row, rhs, lambda c: lp_maximize(c, poly, lp_tol=lp_tol), lp_tol) >= 0
 
 
 def _borrow_model(highs_cls):
@@ -374,7 +378,7 @@ class WarmLp:
 
     def is_redundant(self, row, rhs: float) -> bool:
         """`is_redundant` against the active rows."""
-        return _certify_redundant(row, rhs, self.maximize, self.lp_tol)
+        return _certify_redundant(row, rhs, self.maximize, self.lp_tol) >= 0
 
 
 def chebyshev_center(poly: Polytope, lp_tol: float = LP_TOL) -> tuple[np.ndarray, float]:

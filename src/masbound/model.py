@@ -10,6 +10,7 @@ by the exact and level-set computations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -268,10 +269,7 @@ def _matrix_from_json(obj, key, optional=False):
         raise ValueError(f"key '{key}': ragged rows")
     if not all(_is_number(v) for row in raw for v in row):
         raise ValueError(f"key '{key}': entries must be numbers")
-    M = np.array(raw, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"key '{key}': entries must be finite")
-    return M
+    return _finite_array(raw, key)
 
 
 def _vector_from_json(obj, key):
@@ -284,7 +282,18 @@ def _vector_from_json(obj, key):
         raise ValueError(f"key '{key}': must be a flat array")
     if not all(_is_number(v) for v in raw):
         raise ValueError(f"key '{key}': entries must be numbers")
-    return np.array(raw, dtype=float)
+    return _finite_array(raw, key)
+
+
+def _finite_array(raw, key):
+    """The JSON numbers `raw` as a float array; an integer too large for a float is not finite."""
+    try:
+        M = np.array(raw, dtype=float)
+    except OverflowError:
+        M = None
+    if M is None or not np.all(np.isfinite(M)):
+        raise ValueError(f"key '{key}': entries must be finite")
+    return M
 
 
 def system_from_dict(obj: dict) -> tuple[LtiSystem, OutputBox, float | None]:
@@ -305,7 +314,12 @@ def system_from_dict(obj: dict) -> tuple[LtiSystem, OutputBox, float | None]:
     if epsilon is not None:
         if not _is_number(epsilon):
             raise ValueError("key 'epsilon': must be a number")
-        epsilon = float(epsilon)
+        try:
+            epsilon = float(epsilon)
+        except OverflowError:  # an integer too large for a float
+            epsilon = math.inf
+        if not math.isfinite(epsilon):
+            raise ValueError("key 'epsilon': must be finite")
     try:
         sys = LtiSystem(A=A, B=B, C=C, D=D)
     except ValueError as exc:

@@ -102,6 +102,15 @@ class TestBound:
         assert main(["bound", str(path)]) == 1
         assert "key 'A': entries must be numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["A", "y_upper", "epsilon"])
+    def test_integer_too_large_for_a_float_exits_one(self, capsys, tmp_path, key):
+        obj = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "y_lower": [1.0], "y_upper": [1.0], "epsilon": 0.1}
+        obj[key] = 10**400 if key == "epsilon" else [[10**400]] if key == "A" else [10**400]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        assert main(["bound", str(path), "--forced"]) == 1
+        assert f"key '{key}'" in capsys.readouterr().err
+
     def test_invalid_json_names_key(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"A": [[0.5]], "C": [[1.0]], "y_lower": [1.0]}))

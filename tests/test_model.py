@@ -251,6 +251,20 @@ class TestJsonSchema:
         with pytest.raises(ValueError, match=f"key '{key}': .*must be (a number|numbers)"):
             system_from_dict(obj)
 
+    @pytest.mark.parametrize("key", ["A", "B", "C", "D", "y_lower", "y_upper", "epsilon"])
+    def test_integer_too_large_for_a_float_refused(self, key):
+        obj = self.good()
+        obj["D"] = [[0.0]]
+        huge = 10**400
+        if key == "epsilon":
+            obj[key] = huge
+        elif key.startswith("y_"):
+            obj[key][0] = huge
+        else:
+            obj[key][0][0] = huge
+        with pytest.raises(ValueError, match=f"key '{key}': .*must be finite"):
+            system_from_dict(obj)
+
     def test_box_length_checked(self):
         obj = self.good()
         obj["y_lower"] = [1.0, 1.0]
