@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 
-import numpy as np
-
 from . import config as cfg
 from .errors import MasboundError
-from .exact import exact_t_star_forced, exact_t_star_unforced
-from .lyapunov import bound_m2_forced, bound_m2_unforced
 from .model import load_system
 from .montecarlo import (
+    STAGES,
     StudyConfig,
     asymmetry_sweep,
     demo_system,
@@ -31,9 +29,12 @@ from .montecarlo import (
     run_study,
     sweep_to_csv_text,
 )
-from .powerseries import bound_m1_forced, bound_m1_unforced
 
-METHODS = ("power-series", "lyapunov", "both")
+# The unforced `STAGES` columns of each `--method`; "_forced" names the other regime.
+_METHOD_STAGES = {"power-series": ("m1",), "lyapunov": ("m2",), "both": ("m1", "m2")}
+METHODS = tuple(_METHOD_STAGES)
+# The diagnostics a `bound` report carries, in JSON order, where its method gives them.
+_REPORTED = ("sigma", "sigma_mode", "r1", "r2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,26 +72,13 @@ def _cmd_bound(args) -> int:
     report: dict = {"regime": "forced" if args.forced else "unforced"}
     if args.forced:
         report["epsilon"] = epsilon
-    if args.method in ("power-series", "both"):
+    suffix = "_forced" if args.forced else ""
+    for name in _METHOD_STAGES[args.method]:
         t0 = time.perf_counter()
-        if args.forced:
-            res = bound_m1_forced(sys_, box, epsilon)
-        else:
-            res = bound_m1_unforced(sys_, box)
-        report["m1"] = res.m
-        report["m1_wall_time_s"] = time.perf_counter() - t0
-    if args.method in ("lyapunov", "both"):
-        t0 = time.perf_counter()
-        if args.forced:
-            res = bound_m2_forced(sys_, box, epsilon, sigma_mode=args.sigma_mode, lp_tol=lp_tol)
-        else:
-            res = bound_m2_unforced(sys_, box, sigma_mode=args.sigma_mode, lp_tol=lp_tol)
-        report["m2"] = res.m
-        report["m2_wall_time_s"] = time.perf_counter() - t0
-        report["sigma"] = res.diagnostics["sigma"]
-        report["sigma_mode"] = args.sigma_mode
-        report["r1"] = res.diagnostics["r1"]
-        report["r2"] = res.diagnostics["r2"]
+        res = STAGES[name + suffix](sys_, box, epsilon, lp_tol, args.sigma_mode)
+        report[name] = res.m
+        report[f"{name}_wall_time_s"] = time.perf_counter() - t0
+        report.update((key, res.diagnostics[key]) for key in _REPORTED if key in res.diagnostics)
     print(json.dumps(report))
     return 0
 
@@ -106,10 +94,7 @@ def _cmd_exact(args) -> int:
     lp_tol = cfg.from_env()
     sys_, box, epsilon = _load_input(args)
     t0 = time.perf_counter()
-    if args.forced:
-        result = exact_t_star_forced(sys_, box, epsilon, lp_tol=lp_tol)
-    else:
-        result = exact_t_star_unforced(sys_, box, lp_tol=lp_tol)
+    result = STAGES["t_star_forced" if args.forced else "t_star"](sys_, box, epsilon, lp_tol, None)
     wall = time.perf_counter() - t0
     if args.emit_polytope:
         _atomic_write(args.emit_polytope, _polytope_csv(result.polytope))
@@ -147,7 +132,11 @@ def _parse_grid(spec: str) -> list[float]:
         raise ValueError(f"--grid must contain numbers, got {spec!r}") from None
     if step <= 0 or stop < start:
         raise ValueError(f"--grid needs step > 0 and stop >= start, got {spec!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    # NaN passes the comparisons above; it and inf end up here.
+    points = (stop - start) / step + 1e-9
+    if not all(map(math.isfinite, (start, stop, step, points))):
+        raise ValueError(f"--grid needs a finite start, stop, step and point count, got {spec!r}")
+    count = math.floor(points) + 1
     return [start + i * step for i in range(count)]
 
 

@@ -176,6 +176,8 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
     sigma = _decay_factor(sys.rho, P, 1.0, sigma_mode)
     scale = 1.0 if epsilon is None else epsilon
     r1 = compute_r1(P, sys.C, box, scale=scale)
+    if not r1 > 0.0:
+        raise NumericalError(f"inscribed level {r1!r} is not positive; the scaled limits underflow when squared")
     feed = None
     if epsilon is not None:
         H0 = stable_dc_gain(sys)

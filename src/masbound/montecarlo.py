@@ -1,13 +1,13 @@
-"""Random-system study harness.
+"""Random-system study harness and the package's method table.
 
 Generates random stable single-output systems (with the documented
 rejection rules), computes the exact admissibility index and both upper
-bounds in the unforced and constant-input regimes for each, and
-aggregates tightness statistics.  Each row also carries `m2_paper*`,
-`m2` with the paper's decay factor rho(A)^2 on the same levels, which
-`run_study` logs where it falls below `t*`.  Also provides the
-constraint-asymmetry sweep on a built-in oscillatory third-order demo
-system.
+bounds in the unforced and constant-input regimes for each through
+`STAGES`, which the CLI and the sweep run as well, and aggregates
+tightness statistics.  Each row also carries `m2_paper*`, `m2` with the
+paper's decay factor rho(A)^2 on the same levels, which `run_study` logs
+where it falls below `t*`.  Also provides the constraint-asymmetry sweep
+on a built-in oscillatory third-order demo system.
 """
 
 from __future__ import annotations
@@ -136,17 +136,25 @@ def random_stable_system(seed: int, config: StudyConfig = StudyConfig()) -> tupl
     )
 
 
-# The six stages in CSV column order, as (column, call(sys, box, epsilon)).
-# Each call looks its entry point up here when it runs, so a patched
-# `montecarlo.<entry point>` takes effect.  The last three need an input.
-_STAGES = (
-    ("t_star", lambda sys, box, eps: exact_t_star_unforced(sys, box)),
-    ("m1", lambda sys, box, eps: bound_m1_unforced(sys, box)),
-    ("m2", lambda sys, box, eps: bound_m2_unforced(sys, box)),
-    ("t_star_forced", lambda sys, box, eps: exact_t_star_forced(sys, box, eps)),
-    ("m1_forced", lambda sys, box, eps: bound_m1_forced(sys, box, eps)),
-    ("m2_forced", lambda sys, box, eps: bound_m2_forced(sys, box, eps)),
-)
+# The method table: each study CSV column, in column order, and its call
+# (sys, box, epsilon, lp_tol, sigma_mode), which forwards only the
+# arguments its entry point takes.  Each call looks its entry point up
+# here when it runs, so a patched `montecarlo.<entry point>` takes
+# effect.  A "_forced" column is the constant-input regime of the column
+# without the suffix, and needs an input.
+STAGES = {
+    "t_star": lambda sys, box, eps, tol, mode: exact_t_star_unforced(sys, box, lp_tol=tol),
+    "m1": lambda sys, box, eps, tol, mode: bound_m1_unforced(sys, box),
+    "m2": lambda sys, box, eps, tol, mode: bound_m2_unforced(sys, box, sigma_mode=mode, lp_tol=tol),
+    "t_star_forced": lambda sys, box, eps, tol, mode: exact_t_star_forced(sys, box, eps, lp_tol=tol),
+    "m1_forced": lambda sys, box, eps, tol, mode: bound_m1_forced(sys, box, eps),
+    "m2_forced": lambda sys, box, eps, tol, mode: bound_m2_forced(sys, box, eps, sigma_mode=mode, lp_tol=tol),
+}
+
+
+def _value(column: str, result) -> int:
+    """The number a stage reports: `t_star` for the exact index, `m` for a bound."""
+    return result.t_star if column.startswith("t_star") else result.m
 
 
 def compute_study_row(
@@ -168,10 +176,12 @@ def compute_study_row(
         epsilon=config.epsilon,
     )
     tags: list[str] = []
-    for column, call in _STAGES if sys.has_input else _STAGES[:3]:
+    for column, call in STAGES.items():
+        if column.endswith("_forced") and not sys.has_input:
+            continue
         t0 = time.perf_counter()
         try:
-            res = call(sys, box, config.epsilon)
+            res = call(sys, box, config.epsilon, LP_TOL, "eq25")
         except IterationCapError:
             tags.append(f"capped:{column}")
             continue
@@ -183,7 +193,7 @@ def compute_study_row(
             continue
         finally:
             row.times[column] = time.perf_counter() - t0
-        setattr(row, column, res.t_star if column.startswith("t_star") else res.m)
+        setattr(row, column, _value(column, res))
         if column.startswith("m2"):
             # m2_paper*: the same levels r1, r2 with sigma mode "paper".
             paper = bound_m2(res.diagnostics["r1"], res.diagnostics["r2"], row.rho**2)
@@ -320,10 +330,8 @@ def asymmetry_sweep(
     out = []
     for y_l in y_lower_grid:
         box = OutputBox(np.array([float(y_l)]), np.array([float(y_upper)]))
-        t_star = exact_t_star_unforced(sys, box, lp_tol=lp_tol).t_star
-        m1 = bound_m1_unforced(sys, box).m
-        m2 = bound_m2_unforced(sys, box, sigma_mode=sigma_mode, lp_tol=lp_tol).m
-        out.append(SweepRow(y_lower=float(y_l), t_star=t_star, m1=m1, m2=m2))
+        values = {c: _value(c, STAGES[c](sys, box, None, lp_tol, sigma_mode)) for c in ("t_star", "m1", "m2")}
+        out.append(SweepRow(y_lower=float(y_l), **values))
     return out
 
 

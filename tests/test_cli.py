@@ -111,6 +111,11 @@ class TestBound:
         assert main(["bound", str(path), "--forced"]) == 1
         assert f"key '{key}'" in capsys.readouterr().err
 
+    def test_epsilon_underflow_is_numerical_failure(self, capsys, scalar_file):
+        argv = ["bound", scalar_file, "--method", "lyapunov", "--forced", "--epsilon", "1e-200"]
+        assert main(argv) == 2
+        assert "inscribed level 0.0 is not positive" in capsys.readouterr().err
+
     def test_invalid_json_names_key(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"A": [[0.5]], "C": [[1.0]], "y_lower": [1.0]}))
@@ -222,6 +227,16 @@ class TestSweep:
 
     def test_bad_grid(self, capsys, tmp_path):
         assert main(["sweep-asymmetry", "--grid", "nope", "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "grid", ["0.1:inf:0.1", "-inf:1:0.1", "0.1:1e300:1e-300", "0.1:1:inf", "nan:1:0.1", "0.1:1:nan"]
+    )
+    def test_non_finite_grid_exits_one(self, capsys, tmp_path, grid):
+        out = tmp_path / "x.csv"
+        assert main(["sweep-asymmetry", f"--grid={grid}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --grid needs a finite start, stop, step and point count, got {grid!r}\n"
+        assert not out.exists()
 
     def test_grid_endpoint_inclusive(self, capsys, tmp_path):
         from masbound.cli import _parse_grid

@@ -296,6 +296,11 @@ class TestComposedBounds:
         with pytest.raises(ValueError, match="cap"):
             bound_m2_forced(sys, unit_box(), 0.5)
 
+    def test_inscribed_level_underflow_is_numerical(self):
+        # epsilon**2 underflows below about 1e-162, so r1 reads 0.0.
+        with pytest.raises(NumericalError, match="inscribed level 0.0 is not positive"):
+            bound_m2_forced(make_siso(0.5, b=1.0), unit_box(), 1e-200)
+
     def test_circumscribing_level_below_inscribed_raises(self, monkeypatch):
         monkeypatch.setattr(lyapunov, "compute_r2", lambda *args, **kwargs: 0.5)
         with pytest.raises(NumericalError, match="fell below"):

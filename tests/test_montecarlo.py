@@ -1,3 +1,4 @@
+import inspect
 import logging
 
 import numpy as np
@@ -151,6 +152,13 @@ class TestStudy:
         assert row.m1 is not None  # other stages still ran
         assert summary["count_capped"] == (1 if tag.startswith("capped") else 0)
 
+    def test_epsilon_underflow_tags_m2_forced_as_numerical(self):
+        # epsilon**2 underflows, so the forced inscribed level reads 0.0.
+        cfg = StudyConfig(count=1, seed=0, epsilon=1e-200)
+        row = compute_study_row(0, cfg, system=(make_siso(0.5, b=1.0), unit_box()))
+        assert row.status == "error:m2_forced:NumericalError"
+        assert row.m2_forced is None and row.m2 is not None
+
     def test_m2_paper_is_the_paper_sigma_mode(self):
         cfg = StudyConfig(count=1, seed=2026)
         for i in range(20):
@@ -215,6 +223,37 @@ class TestStudy:
         row = compute_study_row(0, cfg, system=(make_siso(0.5), unit_box()))
         assert row.t_star == 0 and row.m1 == 0 and row.m2 == 0
         assert row.t_star_forced is None and row.status == "ok"
+
+
+# Each STAGES column and the montecarlo attribute its call must look up.
+ENTRY_POINTS = {
+    "t_star": "exact_t_star_unforced",
+    "m1": "bound_m1_unforced",
+    "m2": "bound_m2_unforced",
+    "t_star_forced": "exact_t_star_forced",
+    "m1_forced": "bound_m1_forced",
+    "m2_forced": "bound_m2_forced",
+}
+
+
+class TestStages:
+    def test_columns_are_the_csv_stage_columns(self):
+        assert list(montecarlo.STAGES) == list(ENTRY_POINTS) == CSV_HEADER.split(",")[4:10]
+
+    @pytest.mark.parametrize("column, entry", ENTRY_POINTS.items())
+    def test_stage_looks_up_its_entry_point_when_it_runs(self, monkeypatch, column, entry):
+        signature = inspect.signature(getattr(montecarlo, entry))
+        calls = []
+        monkeypatch.setattr(
+            montecarlo, entry, lambda *args, **kwargs: calls.append(signature.bind(*args, **kwargs)) or "result"
+        )
+        sys, box = object(), object()
+        # None of these is an entry point's default, so a dropped argument shows.
+        given = {"epsilon": 0.25, "lp_tol": 1e-7, "sigma_mode": "paper"}
+        assert montecarlo.STAGES[column](sys, box, *given.values()) == "result"
+        (call,) = calls
+        taken = {k: v for k, v in given.items() if k in signature.parameters}
+        assert call.arguments == {"sys": sys, "box": box, **taken}
 
 
 class TestSweep:
