@@ -44,6 +44,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SystemExit(1)
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # Python 3.11's argparse reads `--option=--` as an empty list, and
+        # no option here takes a list.
+        for name, value in vars(parsed).items():
+            if isinstance(value, list):
+                self.error(f"argument {name}: expected one argument")
+        return parsed
+
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"

@@ -11,11 +11,15 @@ tolerance.
 The unforced regime is the constant-input one with no input, so both
 `bound_m2_*` run one core, `_bound_m2`.  It passes `model.check_problem`,
 which reads the system's spectral radius (A is decomposed once per
-system, and sigma mode "paper" reads the same value), and solves for P
-with Q = I through the unchecked one-LU kernel `linalg.kron_lyapunov`;
-the decay factor reads lambda_min(Q) = 1 without an eigen-solve of Q.
-The forced regime takes its DC gain without a second stability check
-and its basis of range(H0) from `linalg.range_basis`.
+system, and sigma mode "paper" reads the same value).  What depends on
+the system alone is computed once per system (`model.per_system`) and
+shared by every call on it, both regimes and both sigma modes: P with
+Q = I from the unchecked one-LU kernel `linalg.kron_lyapunov`,
+lambda_max(P), the r1 denominators c_j P^{-1} c_j', and the forced
+regime's basis of range(H0) from `linalg.range_basis`.  The report's
+`P` is that shared, read-only array.  The checks on them (P positive
+definite, sigma < 1, r1 > 0, r2 >= r1) run on every call.  The decay
+factor reads lambda_min(Q) = 1 without an eigen-solve of Q.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .config import LP_TOL
 from .errors import NumericalError
 from .geometry import Polytope, enumerate_vertices, parallelotope_vertices
 from .linalg import kron_lyapunov, range_basis, spectral_radius, sym_eig_extremes
-from .model import LtiSystem, OutputBox, band_rows, check_problem, output_bands, stable_dc_gain
+from .model import LtiSystem, OutputBox, band_rows, check_problem, output_bands, per_system, stable_dc_gain
 from .results import BoundReport
 
 SIGMA_MODES = ("eq25", "paper")
@@ -98,11 +102,19 @@ def compute_r1(P, C, box: OutputBox, scale: float = 1.0) -> float:
         raise ValueError(f"scale must lie in (0, 1], got {scale}")
     if box.q != C.shape[0]:
         raise ValueError(f"box has {box.q} outputs but C has {C.shape[0]} rows")
-    bounds = scale * np.minimum(box.y_lower, box.y_upper)
-    sol = np.linalg.solve(P, C.T)  # P^{-1} C'
-    denoms = np.einsum("ij,ji->i", C, sol)
+    return _inscribed_level(_inverse_forms(P, C), box, scale)
+
+
+def _inverse_forms(P: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """c_j P^{-1} c_j' for each row c_j of C."""
+    return np.einsum("ij,ji->i", C, np.linalg.solve(P, C.T))
+
+
+def _inscribed_level(denoms: np.ndarray, box: OutputBox, scale: float) -> float:
+    """`compute_r1` given its denominators c_j P^{-1} c_j' and a checked scale."""
     if np.any(denoms < 0.0):
         raise NumericalError("quadratic form c P^{-1} c' came out negative; P is not positive definite")
+    bounds = scale * np.minimum(box.y_lower, box.y_upper)
     with np.errstate(divide="ignore"):
         levels = np.where(denoms > 0.0, bounds**2 / denoms, np.inf)
     r1 = float(np.min(levels))
@@ -134,18 +146,18 @@ def compute_sigma(A, P, Q, mode: str = "eq25") -> float:
     square rho(A)^2 (exact for normal A, optimistic for non-normal A).
     """
     lam_min_q = sym_eig_extremes(Q)[0] if mode == "eq25" else None
+    lam_max_p = sym_eig_extremes(P)[1] if mode == "eq25" else None
     rho = spectral_radius(A) if mode == "paper" else None
-    return _decay_factor(rho, P, lam_min_q, mode)
+    return _decay_factor(rho, lam_max_p, lam_min_q, mode)
 
 
-def _decay_factor(rho: float | None, P, lam_min_q: float | None, mode: str) -> float:
-    """`compute_sigma` given rho(A) (read by mode "paper") and lambda_min(Q) (read by "eq25")."""
+def _decay_factor(rho: float | None, lam_max_p: float | None, lam_min_q: float | None, mode: str) -> float:
+    """`compute_sigma` given rho(A) (read by mode "paper"), lambda_max(P) and lambda_min(Q) (read by "eq25")."""
     if mode not in SIGMA_MODES:
         raise ValueError(f"unknown sigma mode {mode!r}; expected one of {SIGMA_MODES}")
     if mode == "paper":
         sigma = rho**2
     else:
-        _, lam_max_p = sym_eig_extremes(P)
         if lam_min_q <= 0.0 or lam_max_p <= 0.0:
             raise NumericalError("Lyapunov pair lost positive definiteness")
         sigma = 1.0 - lam_min_q / lam_max_p
@@ -165,24 +177,47 @@ def bound_m2(r1: float, r2: float, sigma: float) -> int:
     return max(0, math.floor(math.log(r1 / r2) / math.log(sigma)))
 
 
+@per_system
+def _lyapunov_pair(sys: LtiSystem) -> tuple[np.ndarray, float]:
+    """P with A'PA - P = -I, and lambda_max(P); once per system.
+
+    The caller has passed `check_problem`.  A NumericalError from the
+    solve is not stored, so every call on the system solves again and
+    raises again; a LinAlgWarning for an ill-conditioned Kronecker
+    system fires on the one solve, so once per system.
+    """
+    P = kron_lyapunov(sys.A, np.eye(sys.n))
+    return P, sym_eig_extremes(P)[1]
+
+
+@per_system
+def _r1_denominators(sys: LtiSystem) -> np.ndarray:
+    """c_j P^{-1} c_j' for each output row c_j of C; once per system."""
+    return _inverse_forms(_lyapunov_pair(sys)[0], sys.C)
+
+
+@per_system
+def _input_basis(sys: LtiSystem) -> np.ndarray | None:
+    """Orthonormal basis of the range of the DC gain H0, None when H0 = 0; once per system."""
+    H0 = stable_dc_gain(sys)
+    return range_basis(H0) if np.any(H0) else None
+
+
 def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode: str, lp_tol: float) -> BoundReport:
     """Both regimes; `epsilon is None` is the unforced one: scale 1, no input feed.
 
     Its vertices are n-dim, so the projection onto n coordinates keeps them.
     """
     check_problem(sys, box, epsilon)
-    P = kron_lyapunov(sys.A, np.eye(sys.n))
+    P, lam_max_p = _lyapunov_pair(sys)
     # lambda_min(I) = 1, with no eigen-solve of Q.
-    sigma = _decay_factor(sys.rho, P, 1.0, sigma_mode)
+    sigma = _decay_factor(sys.rho, lam_max_p, 1.0, sigma_mode)
     scale = 1.0 if epsilon is None else epsilon
-    r1 = compute_r1(P, sys.C, box, scale=scale)
+    r1 = _inscribed_level(_r1_denominators(sys), box, scale)
     if not r1 > 0.0:
         raise NumericalError(f"inscribed level {r1!r} is not positive; the scaled limits underflow when squared")
-    feed = None
-    if epsilon is not None:
-        H0 = stable_dc_gain(sys)
-        if epsilon != 1.0 and np.any(H0):
-            feed = range_basis(H0)
+    # H0 u is pinned to zero at epsilon = 1, and a zero H0 has no basis.
+    feed = None if epsilon is None or epsilon == 1.0 else _input_basis(sys)
     verts, path = _prefix_vertices(_prefix_bands(sys, box, sys.n - 1, feed, scale), lp_tol)
     r2 = compute_r2(P, verts, proj_dim=sys.n)
     m = bound_m2(r1, r2, sigma)

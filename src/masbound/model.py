@@ -1,14 +1,16 @@
 """System and constraint data model.
 
 Holds the LTI system description (autonomous or with a constant input
-channel), the box output constraint, validation against the stability
-and observability rejection thresholds, the problem check that the
-three methods share, the DC gain and the output constraint bands used
-by the exact and level-set computations.
+channel), the per-system memo `per_system`, the box output constraint,
+validation against the stability and observability rejection
+thresholds, the problem check that the three methods share, the DC gain
+and the output constraint bands used by the exact and level-set
+computations.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -26,8 +28,8 @@ class LtiSystem:
 
     B and D are None for an autonomous system.  If B is given and D is
     not, D defaults to zeros.  The matrices are read-only copies of the
-    caller's, so `rho`, the spectral radius of A, is computed once per
-    system.
+    caller's, so `rho`, the spectral radius of A, and every quantity
+    memoised by `per_system` are computed once per system.
     """
 
     A: np.ndarray
@@ -71,10 +73,9 @@ class LtiSystem:
             object.__setattr__(self, name, M)
 
     def __setstate__(self, state):
-        # Unpickled arrays come back writeable.
+        # Unpickled arrays come back writeable, the memoised ones too.
         for value in state.values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            _read_only(value)
         self.__dict__.update(state)
 
     @cached_property
@@ -97,6 +98,42 @@ class LtiSystem:
     @property
     def has_input(self) -> bool:
         return self.B is not None
+
+
+def _read_only(value):
+    """`value`, with it or each array in it (a tuple) made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
+
+def per_system(fn):
+    """Memoise `fn(sys)` on the system, for a quantity that does not depend on the box.
+
+    The first call stores the value in the frozen `LtiSystem`'s
+    `__dict__`, as `functools.cached_property` stores `rho`, under the
+    function's qualified name; later calls read it back.  Any array it
+    returns, alone or in a tuple, is made read-only, so every caller
+    shares one value and none can change it; a pickled system carries
+    it along, read-only.  An exception is not stored: the next call runs
+    `fn` again and raises again.  `fn` looks up what it calls when it
+    runs, so a patched module attribute takes effect on a system that
+    has not stored the value yet.  Two threads may both compute a value
+    on a fresh system; both get the same numbers.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def memo(sys: LtiSystem):
+        stored = sys.__dict__
+        if key not in stored:
+            stored[key] = _read_only(fn(sys))
+        return stored[key]
+
+    return memo
 
 
 @dataclass(frozen=True)
@@ -198,10 +235,12 @@ def gamma(box: OutputBox) -> float:
     return float(np.max(ratios))
 
 
+@per_system
 def stable_dc_gain(sys: LtiSystem) -> np.ndarray:
     """Steady-state gain C (I - A)^{-1} B + D from the constant input to the output.
 
     The caller has checked rho(A) < 1 (`check_problem` with epsilon).
+    Solved once per system (`per_system`); the gain is read-only.
     """
     if sys.m_in == 0:
         raise ValueError("the steady-state gain needs an input channel (B)")

@@ -11,12 +11,14 @@ the admissibility index without solving any LPs.
 The unforced regime is the constant-input one with no input: its rule
 `condition_unforced` is `condition_forced` at epsilon = 1, bitwise, so
 both bounds run one core, `_bound_m1`.  It passes `model.check_problem`,
-steps a list of plain floats with the operations of `beta_step`, so
-every beta(t) is bitwise its value, and tests the stop rule on plain
-sums.  A left side near the threshold goes to `condition_forced` on the
-numpy array, so every stop decision is the rule's.  `beta_init`,
-`beta_step` and the `condition_*` rules are the definition the loop
-follows.
+reads the characteristic polynomial of A, which depends on the system
+alone and so is computed once per system (`model.per_system`) for both
+regimes and every box, steps a list of plain floats with the operations
+of `beta_step`, so every beta(t) is bitwise its value, and tests the
+stop rule on plain sums.  A left side near the threshold goes to
+`condition_forced` on the numpy array, so every stop decision is the
+rule's.  `beta_init`, `beta_step` and the `condition_*` rules are the
+definition the loop follows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .config import BETA_GROWTH_LIMIT, POWER_SERIES_STEP_CAP
 from .errors import IterationCapError, NumericalError
 from .linalg import char_poly_coeffs
-from .model import LtiSystem, OutputBox, check_problem, gamma
+from .model import LtiSystem, OutputBox, check_problem, gamma, per_system
 from .results import BoundReport
 
 
@@ -105,6 +107,12 @@ def condition_forced(beta, g: float, epsilon: float) -> bool:
 _TIE_BAND = 1e-9
 
 
+@per_system
+def _char_poly(sys: LtiSystem) -> tuple[float, ...]:
+    """`char_poly_coeffs(A)` as plain floats; once per system."""
+    return tuple(char_poly_coeffs(sys.A).tolist())
+
+
 def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -> BoundReport:
     """Both regimes; `epsilon is None` is the unforced one, the forced rule at epsilon = 1.
 
@@ -115,7 +123,7 @@ def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -
     g = gamma(box)
     eps = 1.0 if epsilon is None else epsilon
     w_pos, w_neg = 1.0 + g * (1.0 - eps), g + (1.0 - eps)
-    c = char_poly_coeffs(sys.A).tolist()
+    c = _char_poly(sys)
     c0, c_rest = c[0], c[1:]
     beta = [-ci for ci in c]
     n = t = len(c)

@@ -306,3 +306,31 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-asymmetry", "--grid=--"],
+            ["sweep-asymmetry", "--input=--"],
+            ["sweep-asymmetry", "--out=--"],
+            ["sweep-asymmetry", "--sigma-mode=--"],
+            ["bound", "SCALAR", "--epsilon=--", "--forced"],
+            ["bound", "SCALAR", "--method=--"],
+            ["bound", "SCALAR", "--sigma-mode=--"],
+            ["exact", "SCALAR", "--epsilon=--", "--forced"],
+            ["exact", "SCALAR", "--emit-polytope=--"],
+            ["montecarlo", "--count=--"],
+            ["montecarlo", "--seed=--"],
+            ["montecarlo", "--epsilon=--"],
+            ["montecarlo", "--out=--"],
+            ["montecarlo", "--jobs=--"],
+        ],
+    )
+    def test_option_given_as_double_dash_exits_one(self, capsys, monkeypatch, tmp_path, scalar_file, argv):
+        # Python 3.11's argparse reads `--option=--` as an empty list.
+        monkeypatch.chdir(tmp_path)
+        assert main([scalar_file if arg == "SCALAR" else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert list(tmp_path.iterdir()) == [Path(scalar_file)]

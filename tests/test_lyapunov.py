@@ -521,17 +521,26 @@ class TestWorkPerCall:
             assert len(calls) == 1
 
     def test_only_p_is_eigen_solved(self, monkeypatch, rng):
-        # lambda_min(Q) of Q = I is 1 without an eigen-solve; lambda_max(P) needs one.
+        # lambda_min(Q) of Q = I is 1 without an eigen-solve; lambda_max(P)
+        # needs one, once per system across both regimes and sigma modes.
         solved = []
         original = lyapunov.sym_eig_extremes
         monkeypatch.setattr(lyapunov, "sym_eig_extremes", lambda M: solved.append(M) or original(M))
         sys = LtiSystem(A=random_stable_matrix(rng, 3), B=rng.standard_normal((3, 1)), C=rng.standard_normal((1, 3)))
-        for call in (lambda: bound_m2_unforced(sys, unit_box()), lambda: bound_m2_forced(sys, unit_box(), 0.1)):
-            P = call().diagnostics["P"]
-            assert len(solved) == 1 and solved.pop() is P
+        reports = [
+            bound_m2_unforced(sys, unit_box()),
+            bound_m2_forced(sys, unit_box(), 0.1),
+            bound_m2_unforced(sys, unit_box(), sigma_mode="paper"),
+            bound_m2_forced(sys, unit_box(), 0.1, sigma_mode="paper"),
+        ]
+        assert len(solved) == 1
+        assert all(rep.diagnostics["P"] is solved[0] for rep in reports)
 
 
 class TestGuards:
+    # P is solved once per system and stored on it, so each test builds its
+    # own system: a patched solve takes effect only where none is stored.
+
     def test_unstable_refused_before_the_solve(self, monkeypatch):
         monkeypatch.setattr(lyapunov, "kron_lyapunov", lambda *args: pytest.fail("solved an unstable system"))
         sys = make_siso(1.0, b=1.0)

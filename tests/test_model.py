@@ -77,6 +77,45 @@ class TestTypes:
             OutputBox([1.0], [-1.0])
 
 
+class TestPerSystem:
+    def test_value_is_stored_once_and_read_only(self):
+        calls = []
+
+        @model.per_system
+        def quantity(sys):
+            calls.append(sys)
+            return sys.A @ sys.A, (np.ones(2),), None
+
+        sys = make_siso(0.5)
+        first = quantity(sys)
+        assert quantity(sys) is first and calls == [sys]
+        for array in (first[0], first[1][0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
+        copy = pickle.loads(pickle.dumps(sys))
+        again = quantity(copy)
+        assert calls == [sys]  # read back from the pickled state
+        assert np.array_equal(again[0], first[0]) and not again[0].flags.writeable
+        assert not again[1][0].flags.writeable
+        assert quantity(make_siso(0.5)) is not first and len(calls) == 2
+
+    def test_exception_is_not_stored(self):
+        calls = []
+
+        @model.per_system
+        def quantity(sys):
+            calls.append(sys)
+            if len(calls) < 3:
+                raise ArithmeticError("not yet")
+            return 1.0
+
+        sys = make_siso(0.5)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="not yet"):
+                quantity(sys)
+        assert quantity(sys) == 1.0 and quantity(sys) == 1.0 and len(calls) == 3
+
+
 class TestValidate:
     def test_scalar_ok(self):
         rep = validate(make_siso(0.5), unit_box())
@@ -135,6 +174,7 @@ class TestCheckProblem:
         monkeypatch.setattr(lyapunov, "kron_lyapunov", solve)
         monkeypatch.setattr(exact, "WarmLp", solve)
         monkeypatch.setattr(powerseries, "char_poly_coeffs", solve)
+        # A fresh system: a patched solve is not reached through a stored value.
         sys, box = make_siso(0.5, b=1.0), unit_box(2)
         for call in (
             lambda: exact_t_star_unforced(sys, box),
@@ -189,6 +229,13 @@ class TestDcGain:
     def test_requires_input(self):
         with pytest.raises(ValueError, match="input"):
             stable_dc_gain(make_siso(0.5))
+
+    def test_shared_and_read_only(self):
+        sys = make_siso(0.5, b=1.0)
+        H0 = stable_dc_gain(sys)
+        assert stable_dc_gain(sys) is H0
+        with pytest.raises(ValueError, match="read-only"):
+            H0[0, 0] = 0.0
 
     def test_fixed_point_identity(self, rng):
         for _ in range(20):
