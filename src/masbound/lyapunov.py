@@ -178,8 +178,8 @@ def bound_m2(r1: float, r2: float, sigma: float) -> int:
 
 
 @per_system
-def _lyapunov_pair(sys: LtiSystem) -> tuple[np.ndarray, float]:
-    """P with A'PA - P = -I, and lambda_max(P); once per system.
+def _lyapunov_data(sys: LtiSystem) -> tuple[np.ndarray, float, np.ndarray]:
+    """P with A'PA - P = -I, lambda_max(P) and the r1 denominators c_j P^{-1} c_j'; once per system.
 
     The caller has passed `check_problem`.  A NumericalError from the
     solve is not stored, so every call on the system solves again and
@@ -187,13 +187,7 @@ def _lyapunov_pair(sys: LtiSystem) -> tuple[np.ndarray, float]:
     system fires on the one solve, so once per system.
     """
     P = kron_lyapunov(sys.A, np.eye(sys.n))
-    return P, sym_eig_extremes(P)[1]
-
-
-@per_system
-def _r1_denominators(sys: LtiSystem) -> np.ndarray:
-    """c_j P^{-1} c_j' for each output row c_j of C; once per system."""
-    return _inverse_forms(_lyapunov_pair(sys)[0], sys.C)
+    return P, sym_eig_extremes(P)[1], _inverse_forms(P, sys.C)
 
 
 @per_system
@@ -209,11 +203,11 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
     Its vertices are n-dim, so the projection onto n coordinates keeps them.
     """
     check_problem(sys, box, epsilon)
-    P, lam_max_p = _lyapunov_pair(sys)
+    P, lam_max_p, denoms = _lyapunov_data(sys)
     # lambda_min(I) = 1, with no eigen-solve of Q.
     sigma = _decay_factor(sys.rho, lam_max_p, 1.0, sigma_mode)
     scale = 1.0 if epsilon is None else epsilon
-    r1 = _inscribed_level(_r1_denominators(sys), box, scale)
+    r1 = _inscribed_level(denoms, box, scale)
     if not r1 > 0.0:
         raise NumericalError(f"inscribed level {r1!r} is not positive; the scaled limits underflow when squared")
     # H0 u is pinned to zero at epsilon = 1, and a zero H0 has no basis.
