@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
     # for numerical failures, so remap usage problems to exit code 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
     def parse_args(self, args=None, namespace=None):
         parsed = super().parse_args(args, namespace)
@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
         # no option here takes a list.
         for name, value in vars(parsed).items():
             if isinstance(value, list):
-                self.error(f"argument {name}: expected one argument")
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
         return parsed
 
 

@@ -35,7 +35,7 @@ decided every row.
 On a symmetric box (lower == upper) every band, and so every set built,
 is symmetric about the origin: max(-r.x) = max(r.x), so one decision
 settles a row and its mirror, and retiring a "+" row retires both.  A
-decision is made in one of three ways:
+decision is made in one of four ways:
 
 - span: while the accepted rows have rank below the dimension d, a row
   whose component outside their span exceeds _SPAN times its norm and
@@ -44,18 +44,23 @@ decision is made in one of three ways:
   unbounded.  The span is held as an orthonormal basis that must cover
   every accepted row: a row that lies off it by more than _ROUNDOFF but
   at most _SPAN times its norm stops the screen for the rest of the call.
-- closed form: when the accepted rows are d mirrored pairs
+- parallelotope: when the accepted rows are d mirrored pairs
   {-lower <= M x <= upper} with M square of rank d, the row's maximum is
-  `geometry.parallelotope_maximum`.  A maximum within _TIE * rhs of
-  rhs + lp_tol goes to the LP.
+  `geometry.parallelotope_maximum`.
+- slab: when they are d + 1 mirrored pairs with M of rank d, the row's
+  maximum is `geometry.slab_maximum`, the least value of the LP's
+  one-parameter dual.  A singular leading d x d block of M, or a value
+  that is not finite, goes to the LP.
 - LP: every other row, over the persistent model of `geometry.WarmLp`,
   which the call borrows from the process's free list at its first LP.
 
+A closed-form maximum within _TIE * rhs of rhs + lp_tol goes to the LP.
 A screened or closed-form verdict is the one the LP reaches in exact
 arithmetic, taken only where it is clear of the LP's tolerance, so the
 accepted rows are those of one LP per decision, in the same order.  A
 closed-form "redundant" is clear of the tie band and always retires its
-row.
+row.  The basis and the mirrored pairs live in arrays allocated once
+per call and filled in place.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ import numpy as np
 
 from .config import EXACT_STEP_CAP, LP_TOL, ZERO_ROW
 from .errors import IterationCapError
-from .geometry import Polytope, WarmLp, _certify_redundant, parallelotope_maximum
+from .geometry import Polytope, WarmLp, _certify_redundant, parallelotope_maximum, slab_maximum
 from .model import LtiSystem, OutputBox, band_rows, check_problem, output_bands, stable_dc_gain
 
 # A row whose component outside the accepted rows' span exceeds _SPAN
@@ -133,21 +138,24 @@ def _residual(row, basis):
     return res - (basis @ res) @ basis
 
 
-def _extend(basis, rows):
-    """`basis` plus the normalised residual of every row off its span by more than _SPAN times its norm.
+def _extend(span, rank: int, rows) -> int | None:
+    """Grow the orthonormal basis span[:rank] in place by every row off its span by more than _SPAN times its norm.
 
-    None when a row off the span by more than _ROUNDOFF times its norm
-    does not join (it is too near the span, or its norm is below
-    ZERO_ROW): the basis would no longer cover the rows' span.
+    Each such row's normalised residual is written to span[rank] and
+    rank goes up by one; returns the new rank.  None when a row off the
+    span by more than _ROUNDOFF times its norm does not join (it is too
+    near the span, or its norm is below ZERO_ROW): the basis would no
+    longer cover the rows' span.
     """
     for row in rows:
-        res = _residual(row, basis)
+        res = _residual(row, span[:rank])
         norm = _norm(row)
         if norm >= ZERO_ROW and _norm(res) > _SPAN * norm:
-            basis = np.vstack([basis, res / _norm(res)])
+            span[rank] = res / _norm(res)
+            rank += 1
         elif _norm(res) > _ROUNDOFF * norm:
             return None
-    return basis
+    return rank
 
 
 def _iterate(bands, first: int, step_cap: int, lp_tol: float):
@@ -161,60 +169,79 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     lp_tol less its maximum over the accepted rows, exceeds _TIE * rhs,
     since by the shift argument of the module docstring the same output's
     row stays redundant at every later step.  A row is decided by the
-    span screen while the accepted rows have rank below the dimension and
-    `basis` (None once `_extend` gives up) covers their span, by the
-    parallelotope closed form while they are d mirrored pairs of rank d,
-    and by an LP otherwise.  Returns (t_star, accepted rows).
+    span screen while the accepted rows have rank below the dimension d
+    and the basis span[:rank] (rank None once `_extend` gives up) covers
+    their span, by a closed form while they are d or d + 1 mirrored pairs
+    of rank d, and by an LP otherwise.  Returns (t_star, accepted rows).
     """
     start = list(itertools.islice(bands, first))
     # Every later band has the limits of the starting set's last band.
     symmetric = all(np.array_equal(lower, upper) for _, lower, upper in start)
     q = len(start[-1][1])
     lp = WarmLp(Polytope(*band_rows(start)), lp_tol)
+    first_rows = np.concatenate([M for M, _, _ in start])
+    d = first_rows.shape[1]
+    span = np.empty((d, d))
+    rank = _extend(span, 0, first_rows)
     # The accepted rows as {-lower <= M x <= upper} while they come in
-    # mirrored pairs, at most d of them.
-    pairs = tuple(np.concatenate(part) for part in zip(*start))
-    d = pairs[0].shape[1]
-    basis = _extend(np.empty((0, d)), pairs[0])
+    # mirrored pairs, at most d + 1 of them: the first n rows of pair_M,
+    # pair_lower and pair_upper, or n = None once they do not.
+    pair_M = np.empty((d + 1, d))
+    pair_lower = np.empty(d + 1)
+    pair_upper = np.empty(d + 1)
+    n = len(first_rows) if len(first_rows) <= d + 1 else None
+    if n is not None:
+        for part, block in zip((pair_M, pair_lower, pair_upper), zip(*start)):
+            part[:n] = np.concatenate(block)
 
-    def slack(row, rhs, closed):
+    def slack(row, rhs):
         """rhs + lp_tol less the row's maximum over the accepted rows; the row cuts where it is negative."""
         norm = _norm(row)
         if norm < ZERO_ROW:
             # Redundant by tolerance, not by a maximum: slack 0 keeps it live.
-            return min(_certify_redundant(row, rhs, lp.maximize, lp_tol), 0.0)
+            return min(_certify_redundant(row, rhs, lp.maximize, lp_tol, norm), 0.0)
         if screen and _norm(_residual(row, basis)) > max(_SPAN * norm, _FLOOR * lp_tol):
             return -math.inf
-        if closed:
-            gap = rhs + lp_tol - parallelotope_maximum(row, *pairs)
-            if abs(gap) > _TIE * rhs:
-                return gap
-        return _certify_redundant(row, rhs, lp.maximize, lp_tol)
+        if closed is not None:
+            top = closed(row, *pairs)
+            if top is not None and abs(rhs + lp_tol - top) > _TIE * rhs:
+                return rhs + lp_tol - top
+        return _certify_redundant(row, rhs, lp.maximize, lp_tol, norm)
 
     # Row k of a band is output k % q, "+" below q and "-" from q on.
     live = list(range(q if symmetric else 2 * q))
+    rows = np.empty((2 * q, d))
+    _, lower, upper = start[-1]
+    rhs = np.concatenate([upper, lower])
+    bound = rhs.tolist()
     for t in range(step_cap + 1):
-        M, lower, upper = next(bands)
-        rows = np.concatenate([M, -M])
-        rhs = np.concatenate([upper, lower])
-        screen = basis is not None and len(basis) < d
-        closed = pairs is not None and basis is not None and len(pairs[0]) == len(basis) == d
-        slacks = [slack(rows[k], rhs[k], closed) for k in live]
+        M = next(bands)[0]
+        rows[:q] = M
+        np.negative(M, out=rows[q:])
+        screen = rank is not None and rank < d
+        basis = span[:rank]
+        closed = None
+        if n is not None and rank == d:
+            closed = parallelotope_maximum if n == d else slab_maximum
+            pairs = (pair_M[:n], pair_lower[:n], pair_upper[:n])
+        slacks = [slack(rows[k], bound[k]) for k in live]
         fresh = [k for k, gap in zip(live, slacks) if gap < 0]
-        live = [k for k, gap in zip(live, slacks) if gap <= _TIE * rhs[k]]
+        live = [k for k, gap in zip(live, slacks) if gap <= _TIE * bound[k]]
         if symmetric:
             fresh += [k + q for k in fresh]
         if not fresh:
             return t, lp.polytope
-        lp.add_rows(rows[fresh], rhs[fresh])
+        lp._add_rows(rows[fresh], rhs[fresh])
         # The outputs with a row accepted; each has both when the rows are mirrored.
         outputs = sorted({k % q for k in fresh})
         if screen:
-            basis = _extend(basis, M[outputs])
-        if pairs is not None and len(fresh) == 2 * len(outputs) and len(pairs[0]) + len(outputs) <= d:
-            pairs = tuple(np.concatenate([old, new[outputs]]) for old, new in zip(pairs, (M, lower, upper)))
+            rank = _extend(span, rank, rows[outputs])
+        if n is not None and len(fresh) == 2 * len(outputs) and n + len(outputs) <= d + 1:
+            for part, new in zip((pair_M, pair_lower, pair_upper), (rows, lower, upper)):
+                part[n : n + len(outputs)] = new[outputs]
+            n += len(outputs)
         else:
-            pairs = None
+            n = None
     raise IterationCapError(
         f"admissibility index not determined within {step_cap} steps",
         cap=step_cap,

@@ -15,7 +15,7 @@ A combinatorial active-set sweep, behind an LP bounding box, serves as
 a fallback when qhull rejects a degenerate instance.
 Parallelotopes {x : -lower <= M x <= upper} with a square nonsingular M
 have their vertices and linear maxima in closed form and need neither
-LPs nor qhull.
+LPs nor qhull; so do the linear maxima over d + 1 such slabs of rank d.
 Both vertex paths refuse dimensions above `VERTEX_DIM_CAP`.
 """
 
@@ -166,14 +166,17 @@ def lp_maximize(c, poly: Polytope, lp_tol: float = LP_TOL) -> LpOutcome:
     raise LpError(f"LP solver failed (status {res.status}): {res.message}")
 
 
-def _certify_redundant(row, rhs: float, maximize, lp_tol: float) -> float:
+def _certify_redundant(row, rhs: float, maximize, lp_tol: float, norm: float | None = None) -> float:
     """The slack rhs + lp_tol - max(row . x) of {row . x <= rhs}, with `maximize(row)` solving the LP.
 
     The row is redundant when the slack is >= 0; an unbounded maximum
-    gives -inf.  A row below ZERO_ROW has maximum 0.
+    gives -inf.  A row below ZERO_ROW has maximum 0.  A caller that
+    passes the row's `norm` passes a 1-D float row.
     """
-    row = np.atleast_1d(np.asarray(row, dtype=float))
-    if np.linalg.norm(row) < ZERO_ROW:
+    if norm is None:
+        row = np.atleast_1d(np.asarray(row, dtype=float))
+        norm = np.linalg.norm(row)
+    if norm < ZERO_ROW:
         if rhs >= -lp_tol:
             return rhs + lp_tol
         raise LpError("all-zero row with negative bound: polytope is empty")
@@ -291,8 +294,10 @@ class WarmLp:
         return Polytope(self.G[self.active], self.h[self.active])
 
     def add_rows(self, G, h) -> None:
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        h = np.atleast_1d(np.asarray(h, dtype=float))
+        self._add_rows(np.atleast_2d(np.asarray(G, dtype=float)), np.atleast_1d(np.asarray(h, dtype=float)))
+
+    def _add_rows(self, G: np.ndarray, h: np.ndarray) -> None:
+        """`add_rows` for a 2-D float G and a 1-D float h."""
         self._append(G, h)
         if self._model is not None:
             self._pass_rows(G, h)
@@ -523,6 +528,33 @@ def parallelotope_maximum(c, M, lower, upper) -> float:
     """
     w = np.linalg.solve(M.T, c)
     return float(np.sum(np.maximum(w * upper, -w * lower)))
+
+
+def slab_maximum(c, M, lower, upper) -> float | None:
+    """max c.x over {x : -lower <= M x <= upper} for M of shape (d + 1, d) and rank d.
+
+    The set must hold the origin (lower, upper >= 0).  By LP duality the
+    maximum is the least sum of max(w_i upper_i, -w_i lower_i) over the
+    w with M^T w = c.  Those w form the line w0 + tau nu, with
+    w0 = (M_d^{-T} c, 0) and nu = (M_d^{-T} m, -1) for the first d rows
+    M_d and the last row m.  The sum is convex and piecewise linear in
+    tau, so its least value lies at a breakpoint tau_i = -w0_i / nu_i;
+    the last row's breakpoint tau = 0 is always among them.  None, so that
+    the caller can solve the LP, when M_d is singular or the value is not
+    finite.
+    """
+    d = M.shape[1]
+    try:
+        sol = np.linalg.solve(M[:d].T, np.column_stack((c, M[d])))
+    except np.linalg.LinAlgError:
+        return None
+    w0 = np.append(sol[:, 0], 0.0)
+    nu = np.append(sol[:, 1], -1.0)
+    moving = nu != 0.0
+    with np.errstate(all="ignore"):
+        w = w0 + (-w0[moving] / nu[moving])[:, None] * nu
+        value = float(np.min(np.sum(np.maximum(w * upper, -w * lower), axis=1)))
+    return value if np.isfinite(value) else None
 
 
 def _interval_vertices(poly: Polytope) -> np.ndarray:

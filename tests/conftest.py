@@ -204,9 +204,14 @@ def force_unknown(monkeypatch, cold_resolves: bool) -> list[int]:
 
 
 def count_models(monkeypatch) -> list[int]:
-    """A list that gains one entry per HiGHS model constructed."""
+    """A list that gains one entry per HiGHS model constructed.
+
+    The once-per-process option check of the default lp_tol runs first,
+    on an uncounted model, so the count does not depend on test order.
+    """
     if geometry._HIGHS is None:
         pytest.skip("this scipy has no persistent HiGHS class")
+    geometry.WarmLp(geometry.Polytope(np.eye(1), np.ones(1)))
     highs_cls, *rest = geometry._HIGHS
     built = []
 

@@ -333,4 +333,16 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: ")
+        option = next(arg for arg in argv if arg.endswith("=--")).removesuffix("=--")
+        assert f"error: argument {option}: expected one argument" in captured.err
         assert list(tmp_path.iterdir()) == [Path(scalar_file)]
+
+    def test_usage_error_names_the_problem(self, capsys, scalar_file):
+        assert main(["bound", scalar_file, "--method", "nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, message = captured.err.rstrip("\n").rsplit("\n", 1)
+        assert usage.startswith("usage: masbound bound")
+        assert message.startswith("masbound bound: error: argument --method: invalid choice: 'nope'")
+        for choice in ("power-series", "lyapunov", "both"):
+            assert repr(choice) in message

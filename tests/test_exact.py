@@ -328,7 +328,7 @@ def count_lps(monkeypatch) -> list[int]:
 
 
 def replay_decisions(sys, box, epsilon=None):
-    """(t*, verdicts, live decisions, span-screened, parallelotope-decided) of the construction.
+    """(t*, verdicts, live decisions, span-screened, parallelotope-decided, slab-decided) of the construction.
 
     Replays the loop cold, deciding every row at every step with
     `is_redundant`; `verdicts[t][k]` is row k's verdict at step t (True
@@ -338,25 +338,30 @@ def replay_decisions(sys, box, epsilon=None):
     the tie band (still redundant with its bound lowered by `exact._TIE`
     times itself).  A row below ZERO_ROW is decided without an LP, stays
     live and is not counted.  A counted decision is span-screened when its
-    row raises `numpy.linalg.matrix_rank` of the accepted rows, and
-    parallelotope-decided otherwise when the accepted rows are d mirrored
-    pairs of rank d.
+    row raises `numpy.linalg.matrix_rank` of the accepted rows;
+    otherwise it is parallelotope-decided when the accepted rows are d
+    mirrored pairs of rank d, and slab-decided when they are d + 1
+    mirrored pairs of rank d whose first d "+" rows, in the order they
+    were accepted, are nonsingular.
     """
     feed = None if epsilon is None else stable_dc_gain(sys)
     bands = output_bands(sys, box, feed, 1.0 if epsilon is None else epsilon)
-    G, h = band_rows(itertools.islice(bands, 1 if epsilon is None else 2))
+    start = list(itertools.islice(bands, 1 if epsilon is None else 2))
+    G, h = band_rows(start)
+    plus = [row for M, _, _ in start for row in M]  # the "+" rows, in the order they were accepted
     d = G.shape[1]
     symmetric = np.array_equal(box.y_lower, box.y_upper)
     width = sys.q if symmetric else 2 * sys.q
     live = list(range(width))
     verdicts = []
-    decisions = screened = closed = 0
+    decisions = screened = closed = slab = 0
     for t in itertools.count():
         rows, rhs = band_rows([next(bands)])
         poly = Polytope(G, h)
         rank = np.linalg.matrix_rank(G)
-        mirrored = all(np.any(np.all(G == -g, axis=1)) for g in G)
-        parallelotope = len(G) == 2 * d and rank == d and mirrored
+        mirrored = rank == d and all(np.any(np.all(G == -g, axis=1)) for g in G)
+        parallelotope = mirrored and len(G) == 2 * d
+        slab_form = mirrored and len(G) == 2 * (d + 1) and np.linalg.matrix_rank(np.array(plus[:d])) == d
         verdicts.append([is_redundant(rows[k], rhs[k], poly) for k in range(width)])
         for k in list(live):
             if np.linalg.norm(rows[k]) < ZERO_ROW:
@@ -366,14 +371,17 @@ def replay_decisions(sys, box, epsilon=None):
                 screened += 1
             elif parallelotope:
                 closed += 1
+            elif slab_form:
+                slab += 1
             if verdicts[t][k] and is_redundant(rows[k], (1.0 - exact._TIE) * rhs[k], poly):
                 live.remove(k)
         fresh = [k for k, redundant in enumerate(verdicts[t]) if not redundant]
         if symmetric:
             fresh += [k + sys.q for k in fresh]
         if not fresh:
-            return t, verdicts, decisions, screened, closed
+            return t, verdicts, decisions, screened, closed, slab
         G, h = np.vstack([G, rows[fresh]]), np.concatenate([h, rhs[fresh]])
+        plus += [rows[k] for k in fresh if k < sys.q]
 
 
 class TestMirroredRows:
@@ -389,21 +397,21 @@ class TestMirroredRows:
     def test_symmetric_box_spends_q_lps_per_step(self, monkeypatch, case):
         calls = count_lps(monkeypatch)
         res = run_exact(*case)
-        t_star, _, decisions, screened, closed = replay_decisions(*case)
+        t_star, _, decisions, screened, closed, slab = replay_decisions(*case)
         assert res.t_star == t_star > 0
         assert decisions <= case[0].q * (res.t_star + 1)
         assert screened > 0
-        assert len(calls) == decisions - screened - closed
+        assert len(calls) == decisions - screened - closed - slab
 
     @pytest.mark.parametrize("case", asymmetric_cases())
     def test_asymmetric_box_spends_2q_lps_per_step(self, monkeypatch, case):
         calls = count_lps(monkeypatch)
         res = run_exact(*case)
-        t_star, _, decisions, screened, closed = replay_decisions(*case)
+        t_star, _, decisions, screened, closed, slab = replay_decisions(*case)
         assert res.t_star == t_star
         assert decisions < 2 * case[0].q * (res.t_star + 1)
         assert screened > 0
-        assert len(calls) == decisions - screened - closed
+        assert len(calls) == decisions - screened - closed - slab
 
 
 class TestRetiredRows:
@@ -418,12 +426,12 @@ class TestRetiredRows:
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = count_lps(monkeypatch)
             res = run_exact(*case)
-        t_star, verdicts, decisions, screened, closed = replay_decisions(*case)
+        t_star, verdicts, decisions, screened, closed, slab = replay_decisions(*case)
         assert res.t_star == t_star
         for k in range(len(verdicts[0])):
             history = [step[k] for step in verdicts]
             assert history == sorted(history)  # no redundant verdict is ever followed by a cut
-        assert len(calls) == decisions - screened - closed
+        assert len(calls) == decisions - screened - closed - slab
 
     @pytest.mark.parametrize("gap, lps", [(1e-8, 3), (1e-4, 1)])
     def test_redundant_verdict_in_the_tie_band_keeps_its_row_live(self, monkeypatch, gap, lps):
@@ -486,11 +494,48 @@ class TestDecisionsWithoutLps:
         assert_same_result(res, *reference_exact(sys, unit_box()))
 
     def test_extend_gives_up_between_roundoff_and_the_span_threshold(self):
-        basis = np.array([[1.0, 0.0, 0.0]])
-        assert exact._extend(basis, np.array([[2.0, 1e-15, 0.0]])) is basis
-        assert exact._extend(basis, np.array([[2.0, 1e-9, 0.0]])) is None
-        grown = exact._extend(basis, np.array([[2.0, 1e-5, 0.0], [0.0, 0.0, 0.0]]))
-        assert np.array_equal(grown, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        span = np.full((3, 3), np.nan)
+        span[0] = [1.0, 0.0, 0.0]
+        assert exact._extend(span, 1, np.array([[2.0, 1e-15, 0.0]])) == 1
+        assert exact._extend(span, 1, np.array([[2.0, 1e-9, 0.0]])) is None
+        assert exact._extend(span, 1, np.array([[2.0, 1e-5, 0.0], [0.0, 0.0, 0.0]])) == 2
+        assert np.array_equal(span[:2], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5, 1.0])
+    def test_d_plus_one_pairs_need_no_model(self, monkeypatch, epsilon):
+        # A rotation by 0.3 rad at radius 0.5 seen in its first coordinate:
+        # every row but the last one decided is span-screened or decided by
+        # the parallelotope closed form, and the last one, against d + 1
+        # mirrored pairs (t* = d unforced, d - 1 in (z0, u)), by the slab
+        # closed form.
+        c, s = 0.5 * np.cos(0.3), 0.5 * np.sin(0.3)
+        sys = LtiSystem(A=[[c, s], [-s, c]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
+        case = (sys, unit_box(), epsilon)
+        built = count_models(monkeypatch)
+        calls = count_lps(monkeypatch)
+        res = run_exact(*case)
+        assert res.t_star == 2
+        assert res.rows.nrows == 2 * (res.rows.dim + 1)
+        assert calls == [] and built == []
+        assert replay_decisions(*case)[-1] == 1
+        assert_same_result(res, *reference_exact(*case))
+
+    def test_slab_with_a_singular_leading_block_goes_to_the_lp(self, monkeypatch):
+        # Output 2 is zero, so the starting pairs [C; 0] are singular.  C A is
+        # screened, and C A^2 meets d + 1 pairs of rank d whose leading block
+        # is that singular [C; 0]: the slab closed form declines.
+        c, s = 0.5 * np.cos(0.3), 0.5 * np.sin(0.3)
+        sys = LtiSystem(A=[[c, s], [-s, c]], C=[[1.0, 0.0], [0.0, 0.0]])
+        box = OutputBox([1.0, 1.0], [1.0, 1.0])
+        answers = []
+        monkeypatch.setattr(exact, "slab_maximum", lambda *a: answers.append(geometry.slab_maximum(*a)) or answers[-1])
+        calls = count_lps(monkeypatch)
+        res = exact_t_star_unforced(sys, box)
+        t_star, _, decisions, screened, closed, slab = replay_decisions(sys, box)
+        assert res.t_star == t_star
+        assert answers == [None] and slab == 0
+        assert len(calls) == decisions - screened - closed - slab > 0
+        assert_same_result(res, *reference_exact(sys, box))
 
     def test_closed_form_tie_goes_to_the_lp(self, monkeypatch):
         # max of a x over |x| <= 1 is a, within the tie band of 1 + lp_tol.
