@@ -47,10 +47,11 @@ decision is made in one of four ways:
 - parallelotope: when the accepted rows are d mirrored pairs
   {-lower <= M x <= upper} with M square of rank d, the row's maximum is
   `geometry.parallelotope_maximum`.
-- slab: when they are d + 1 mirrored pairs with M of rank d, the row's
-  maximum is `geometry.slab_maximum`, the least value of the LP's
-  one-parameter dual.  A singular leading d x d block of M, or a value
-  that is not finite, goes to the LP.
+- slab: when they are d + 1 mirrored pairs whose first d rows each joined
+  the span basis, so that M's leading d x d block is as well conditioned
+  as a parallelotope's M, the row's maximum is `geometry.slab_maximum`,
+  the least value of the LP's one-parameter dual.  A value that is not
+  finite goes to the LP.
 - LP: every other row, over the persistent model of `geometry.WarmLp`,
   which the call borrows from the process's free list at its first LP.
 
@@ -59,8 +60,7 @@ A screened or closed-form verdict is the one the LP reaches in exact
 arithmetic, taken only where it is clear of the LP's tolerance, so the
 accepted rows are those of one LP per decision, in the same order.  A
 closed-form "redundant" is clear of the tie band and always retires its
-row.  The basis and the mirrored pairs live in arrays allocated once
-per call and filled in place.
+row.
 """
 
 from __future__ import annotations
@@ -158,6 +158,19 @@ def _extend(span, rank: int, rows) -> int | None:
     return rank
 
 
+def _leads(M, basis) -> bool:
+    """Whether each of the first d of the d + 1 rows of M joined `basis`, the rank-d basis `_extend` built from them in turn.
+
+    Exactly one row of M did not join.  When it is the last, basis[:d - 1]
+    came from the first d - 1 rows and M[d - 1] lies off its span by more
+    than _SPAN times its norm, as `_extend` found; otherwise M[d - 1] lies
+    in that span, or it is the row that failed this very test.
+    """
+    d = len(basis)
+    row = M[d - 1]
+    return _norm(_residual(row, basis[:-1])) > _SPAN * _norm(row)
+
+
 def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     """Shared constraint-addition loop.
 
@@ -171,74 +184,75 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     row stays redundant at every later step.  A row is decided by the
     span screen while the accepted rows have rank below the dimension d
     and the basis span[:rank] (rank None once `_extend` gives up) covers
-    their span, by a closed form while they are d or d + 1 mirrored pairs
-    of rank d, and by an LP otherwise.  Returns (t_star, accepted rows).
+    their span, by a closed form while they are d mirrored pairs of rank
+    d, or d + 1 of rank d whose first d each joined the basis (`_leads`),
+    and by an LP otherwise.  The basis, the pairs and the step's rows
+    live in arrays allocated once per call.  Returns (t_star, accepted rows).
     """
     start = list(itertools.islice(bands, first))
     # Every later band has the limits of the starting set's last band.
     symmetric = all(np.array_equal(lower, upper) for _, lower, upper in start)
-    q = len(start[-1][1])
+    _, lower, upper = start[-1]
+    q = len(lower)
+    rhs = np.concatenate([upper, lower]).tolist()
     lp = WarmLp(Polytope(*band_rows(start)), lp_tol)
     first_rows = np.concatenate([M for M, _, _ in start])
     d = first_rows.shape[1]
     span = np.empty((d, d))
     rank = _extend(span, 0, first_rows)
     # The accepted rows as {-lower <= M x <= upper} while they come in
-    # mirrored pairs, at most d + 1 of them: the first n rows of pair_M,
-    # pair_lower and pair_upper, or n = None once they do not.
-    pair_M = np.empty((d + 1, d))
-    pair_lower = np.empty(d + 1)
-    pair_upper = np.empty(d + 1)
+    # mirrored pairs, at most d + 1 of them: the first n rows of the
+    # blocks of M, lower and upper, or n = None once they do not.
+    blocks = (np.empty((d + 1, d)), np.empty(d + 1), np.empty(d + 1))
     n = len(first_rows) if len(first_rows) <= d + 1 else None
     if n is not None:
-        for part, block in zip((pair_M, pair_lower, pair_upper), zip(*start)):
-            part[:n] = np.concatenate(block)
+        for block, part in zip(blocks, zip(*start)):
+            block[:n] = np.concatenate(part)
 
     def slack(row, rhs):
         """rhs + lp_tol less the row's maximum over the accepted rows; the row cuts where it is negative."""
         norm = _norm(row)
         if norm < ZERO_ROW:
             # Redundant by tolerance, not by a maximum: slack 0 keeps it live.
-            return min(_certify_redundant(row, rhs, lp.maximize, lp_tol, norm), 0.0)
-        if screen and _norm(_residual(row, basis)) > max(_SPAN * norm, _FLOOR * lp_tol):
+            return min(_certify_redundant(row, rhs, lp.maximize, lp_tol), 0.0)
+        if screen and _norm(_residual(row, span[:rank])) > max(_SPAN * norm, _FLOOR * lp_tol):
             return -math.inf
         if closed is not None:
             top = closed(row, *pairs)
             if top is not None and abs(rhs + lp_tol - top) > _TIE * rhs:
                 return rhs + lp_tol - top
-        return _certify_redundant(row, rhs, lp.maximize, lp_tol, norm)
+        return _certify_redundant(row, rhs, lp.maximize, lp_tol)
 
     # Row k of a band is output k % q, "+" below q and "-" from q on.
     live = list(range(q if symmetric else 2 * q))
     rows = np.empty((2 * q, d))
-    _, lower, upper = start[-1]
-    rhs = np.concatenate([upper, lower])
-    bound = rhs.tolist()
     for t in range(step_cap + 1):
         M = next(bands)[0]
         rows[:q] = M
         np.negative(M, out=rows[q:])
         screen = rank is not None and rank < d
-        basis = span[:rank]
         closed = None
         if n is not None and rank == d:
-            closed = parallelotope_maximum if n == d else slab_maximum
-            pairs = (pair_M[:n], pair_lower[:n], pair_upper[:n])
-        slacks = [slack(rows[k], bound[k]) for k in live]
+            pairs = tuple(block[:n] for block in blocks)
+            if n == d:
+                closed = parallelotope_maximum
+            elif _leads(pairs[0], span):
+                closed = slab_maximum
+        slacks = [slack(rows[k], rhs[k]) for k in live]
         fresh = [k for k, gap in zip(live, slacks) if gap < 0]
-        live = [k for k, gap in zip(live, slacks) if gap <= _TIE * bound[k]]
+        live = [k for k, gap in zip(live, slacks) if gap <= _TIE * rhs[k]]
         if symmetric:
             fresh += [k + q for k in fresh]
         if not fresh:
             return t, lp.polytope
-        lp._add_rows(rows[fresh], rhs[fresh])
+        lp.add_rows(rows[fresh], [rhs[k] for k in fresh])
         # The outputs with a row accepted; each has both when the rows are mirrored.
         outputs = sorted({k % q for k in fresh})
         if screen:
             rank = _extend(span, rank, rows[outputs])
         if n is not None and len(fresh) == 2 * len(outputs) and n + len(outputs) <= d + 1:
-            for part, new in zip((pair_M, pair_lower, pair_upper), (rows, lower, upper)):
-                part[n : n + len(outputs)] = new[outputs]
+            for block, new in zip(blocks, (rows, lower, upper)):
+                block[n : n + len(outputs)] = new[outputs]
             n += len(outputs)
         else:
             n = None

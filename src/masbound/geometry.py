@@ -22,6 +22,7 @@ Both vertex paths refuse dimensions above `VERTEX_DIM_CAP`.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -166,17 +167,14 @@ def lp_maximize(c, poly: Polytope, lp_tol: float = LP_TOL) -> LpOutcome:
     raise LpError(f"LP solver failed (status {res.status}): {res.message}")
 
 
-def _certify_redundant(row, rhs: float, maximize, lp_tol: float, norm: float | None = None) -> float:
+def _certify_redundant(row, rhs: float, maximize, lp_tol: float) -> float:
     """The slack rhs + lp_tol - max(row . x) of {row . x <= rhs}, with `maximize(row)` solving the LP.
 
     The row is redundant when the slack is >= 0; an unbounded maximum
-    gives -inf.  A row below ZERO_ROW has maximum 0.  A caller that
-    passes the row's `norm` passes a 1-D float row.
+    gives -inf.  A row below ZERO_ROW has maximum 0.
     """
-    if norm is None:
-        row = np.atleast_1d(np.asarray(row, dtype=float))
-        norm = np.linalg.norm(row)
-    if norm < ZERO_ROW:
+    row = np.atleast_1d(np.asarray(row, dtype=float))
+    if math.sqrt(row @ row) < ZERO_ROW:
         if rhs >= -lp_tol:
             return rhs + lp_tol
         raise LpError("all-zero row with negative bound: polytope is empty")
@@ -294,10 +292,8 @@ class WarmLp:
         return Polytope(self.G[self.active], self.h[self.active])
 
     def add_rows(self, G, h) -> None:
-        self._add_rows(np.atleast_2d(np.asarray(G, dtype=float)), np.atleast_1d(np.asarray(h, dtype=float)))
-
-    def _add_rows(self, G: np.ndarray, h: np.ndarray) -> None:
-        """`add_rows` for a 2-D float G and a 1-D float h."""
+        G = np.atleast_2d(np.asarray(G, dtype=float))
+        h = np.atleast_1d(np.asarray(h, dtype=float))
         self._append(G, h)
         if self._model is not None:
             self._pass_rows(G, h)
@@ -541,7 +537,9 @@ def slab_maximum(c, M, lower, upper) -> float | None:
     tau, so its least value lies at a breakpoint tau_i = -w0_i / nu_i;
     the last row's breakpoint tau = 0 is always among them.  None, so that
     the caller can solve the LP, when M_d is singular or the value is not
-    finite.
+    finite.  Only an exactly singular M_d is caught; a nearly singular one
+    gives a finite value swamped by rounding, so the caller must know M_d
+    to be well conditioned.
     """
     d = M.shape[1]
     try:

@@ -342,7 +342,8 @@ def replay_decisions(sys, box, epsilon=None):
     otherwise it is parallelotope-decided when the accepted rows are d
     mirrored pairs of rank d, and slab-decided when they are d + 1
     mirrored pairs of rank d whose first d "+" rows, in the order they
-    were accepted, are nonsingular.
+    were accepted, each lie off the span of the rows before them by more
+    than `exact._SPAN` times their norm (a diagonal entry of R in their QR).
     """
     feed = None if epsilon is None else stable_dc_gain(sys)
     bands = output_bands(sys, box, feed, 1.0 if epsilon is None else epsilon)
@@ -361,7 +362,12 @@ def replay_decisions(sys, box, epsilon=None):
         rank = np.linalg.matrix_rank(G)
         mirrored = rank == d and all(np.any(np.all(G == -g, axis=1)) for g in G)
         parallelotope = mirrored and len(G) == 2 * d
-        slab_form = mirrored and len(G) == 2 * (d + 1) and np.linalg.matrix_rank(np.array(plus[:d])) == d
+        lead = np.array(plus[:d])
+        slab_form = (
+            mirrored
+            and len(G) == 2 * (d + 1)
+            and np.all(np.abs(np.diag(np.linalg.qr(lead.T, mode="r"))) > exact._SPAN * np.linalg.norm(lead, axis=1))
+        )
         verdicts.append([is_redundant(rows[k], rhs[k], poly) for k in range(width)])
         for k in list(live):
             if np.linalg.norm(rows[k]) < ZERO_ROW:
@@ -501,6 +507,21 @@ class TestDecisionsWithoutLps:
         assert exact._extend(span, 1, np.array([[2.0, 1e-5, 0.0], [0.0, 0.0, 0.0]])) == 2
         assert np.array_equal(span[:2], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "M, leads",
+        [
+            ([[1.0, 3.0], [0.0, 1.0], [0.1, 0.3]], True),
+            ([[1.0, 3.0], [0.1, 0.3], [0.0, 1.0]], False),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]], True),
+            ([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], False),
+        ],
+    )
+    def test_leads_needs_each_of_the_first_d_rows_to_join(self, M, leads):
+        M = np.array(M)
+        span = np.empty((M.shape[1], M.shape[1]))
+        assert exact._extend(span, 0, M) == M.shape[1]
+        assert exact._leads(M, span) is leads
+
     @pytest.mark.parametrize("epsilon", [None, 0.5, 1.0])
     def test_d_plus_one_pairs_need_no_model(self, monkeypatch, epsilon):
         # A rotation by 0.3 rad at radius 0.5 seen in its first coordinate:
@@ -520,20 +541,29 @@ class TestDecisionsWithoutLps:
         assert replay_decisions(*case)[-1] == 1
         assert_same_result(res, *reference_exact(*case))
 
-    def test_slab_with_a_singular_leading_block_goes_to_the_lp(self, monkeypatch):
-        # Output 2 is zero, so the starting pairs [C; 0] are singular.  C A is
-        # screened, and C A^2 meets d + 1 pairs of rank d whose leading block
-        # is that singular [C; 0]: the slab closed form declines.
+    @pytest.mark.parametrize(
+        "C",
+        [
+            # Output 2 is zero: the leading block [C_1; 0] is singular.
+            [[1.0, 0.0], [0.0, 0.0]],
+            # Output 2 is output 1 scaled to within rounding: LU of the
+            # leading block leaves a pivot near 1e-17 rather than 0.
+            [[1.0, 3.0], [0.1, 0.3], [0.0, 1.0]],
+        ],
+    )
+    def test_slab_with_a_leading_block_off_the_span_goes_to_the_lp(self, monkeypatch, C):
+        # d + 1 mirrored pairs of rank d meet a row, but the second of their
+        # first d rows never joined the span basis: the LP decides the row.
         c, s = 0.5 * np.cos(0.3), 0.5 * np.sin(0.3)
-        sys = LtiSystem(A=[[c, s], [-s, c]], C=[[1.0, 0.0], [0.0, 0.0]])
-        box = OutputBox([1.0, 1.0], [1.0, 1.0])
+        sys = LtiSystem(A=[[c, s], [-s, c]], C=C)
+        box = OutputBox(np.ones(sys.q), np.ones(sys.q))
         answers = []
         monkeypatch.setattr(exact, "slab_maximum", lambda *a: answers.append(geometry.slab_maximum(*a)) or answers[-1])
         calls = count_lps(monkeypatch)
         res = exact_t_star_unforced(sys, box)
         t_star, _, decisions, screened, closed, slab = replay_decisions(sys, box)
         assert res.t_star == t_star
-        assert answers == [None] and slab == 0
+        assert answers == [] and slab == 0
         assert len(calls) == decisions - screened - closed - slab > 0
         assert_same_result(res, *reference_exact(sys, box))
 
