@@ -145,6 +145,8 @@ def _parse_grid(spec: str) -> list[float]:
     points = (stop - start) / step + 1e-9
     if not all(map(math.isfinite, (start, stop, step, points))):
         raise ValueError(f"--grid needs a finite start, stop, step and point count, got {spec!r}")
+    if start <= 0:
+        raise ValueError(f"--grid start is the swept lower limit and must be > 0, got {spec!r}")
     count = math.floor(points) + 1
     return [start + i * step for i in range(count)]
 

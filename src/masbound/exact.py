@@ -35,7 +35,7 @@ decided every row.
 On a symmetric box (lower == upper) every band, and so every set built,
 is symmetric about the origin: max(-r.x) = max(r.x), so one decision
 settles a row and its mirror, and retiring a "+" row retires both.  A
-decision is made in one of four ways:
+decision is made in one of three ways:
 
 - span: while the accepted rows have rank below the dimension d, a row
   whose component outside their span exceeds _SPAN times its norm and
@@ -44,14 +44,14 @@ decision is made in one of four ways:
   unbounded.  The span is held as an orthonormal basis that must cover
   every accepted row: a row that lies off it by more than _ROUNDOFF but
   at most _SPAN times its norm stops the screen for the rest of the call.
-- parallelotope: when the accepted rows are d mirrored pairs
-  {-lower <= M x <= upper} with M square of rank d, the row's maximum is
-  `geometry.parallelotope_maximum`.
-- slab: when they are d + 1 mirrored pairs whose first d rows each joined
-  the span basis, so that M's leading d x d block is as well conditioned
-  as a parallelotope's M, the row's maximum is `geometry.slab_maximum`,
-  the least value of the LP's one-parameter dual.  A value that is not
-  finite goes to the LP.
+- closed form: when the accepted rows are d or d + 1 mirrored pairs
+  {-lower <= M x <= upper} of rank d whose first d rows each joined the
+  span basis (`_leads`), the row's maximum is `geometry.pairs_maximum`,
+  the least value of the LP's dual: one sum for d pairs, the least over
+  a one-parameter line for d + 1.  The basis test keeps M's leading
+  d x d block well conditioned, since `pairs_maximum` catches only an
+  exactly singular one; with d pairs it always holds.  A value that is
+  not finite goes to the LP.
 - LP: every other row, over the persistent model of `geometry.WarmLp`,
   which the call borrows from the process's free list at its first LP.
 
@@ -74,7 +74,7 @@ import numpy as np
 
 from .config import EXACT_STEP_CAP, LP_TOL, ZERO_ROW
 from .errors import IterationCapError
-from .geometry import Polytope, WarmLp, _certify_redundant, parallelotope_maximum, slab_maximum
+from .geometry import Polytope, WarmLp, _certify_redundant, pairs_maximum
 from .model import LtiSystem, OutputBox, band_rows, check_problem, output_bands, stable_dc_gain
 
 # A row whose component outside the accepted rows' span exceeds _SPAN
@@ -159,12 +159,14 @@ def _extend(span, rank: int, rows) -> int | None:
 
 
 def _leads(M, basis) -> bool:
-    """Whether each of the first d of the d + 1 rows of M joined `basis`, the rank-d basis `_extend` built from them in turn.
+    """Whether each of the first d of the d or d + 1 rows of M joined `basis`, the rank-d basis `_extend` built from them in turn.
 
-    Exactly one row of M did not join.  When it is the last, basis[:d - 1]
-    came from the first d - 1 rows and M[d - 1] lies off its span by more
-    than _SPAN times its norm, as `_extend` found; otherwise M[d - 1] lies
-    in that span, or it is the row that failed this very test.
+    With d rows every row joined, and M[d - 1] passes the very test that
+    admitted it.  With d + 1 exactly one row did not join.  When it is the
+    last, basis[:d - 1] came from the first d - 1 rows and M[d - 1] lies
+    off its span by more than _SPAN times its norm, as `_extend` found;
+    otherwise M[d - 1] lies in that span, or it is the row that failed
+    this very test.
     """
     d = len(basis)
     row = M[d - 1]
@@ -184,10 +186,10 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     row stays redundant at every later step.  A row is decided by the
     span screen while the accepted rows have rank below the dimension d
     and the basis span[:rank] (rank None once `_extend` gives up) covers
-    their span, by a closed form while they are d mirrored pairs of rank
-    d, or d + 1 of rank d whose first d each joined the basis (`_leads`),
-    and by an LP otherwise.  The basis, the pairs and the step's rows
-    live in arrays allocated once per call.  Returns (t_star, accepted rows).
+    their span, by the closed form while they are d or d + 1 mirrored
+    pairs of rank d whose first d each joined the basis (`_leads`), and by
+    an LP otherwise.  The basis and the step's rows live in arrays
+    allocated once per call.  Returns (t_star, accepted rows).
     """
     start = list(itertools.islice(bands, first))
     # Every later band has the limits of the starting set's last band.
@@ -196,18 +198,14 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     q = len(lower)
     rhs = np.concatenate([upper, lower]).tolist()
     lp = WarmLp(Polytope(*band_rows(start)), lp_tol)
-    first_rows = np.concatenate([M for M, _, _ in start])
-    d = first_rows.shape[1]
-    span = np.empty((d, d))
-    rank = _extend(span, 0, first_rows)
     # The accepted rows as {-lower <= M x <= upper} while they come in
-    # mirrored pairs, at most d + 1 of them: the first n rows of the
-    # blocks of M, lower and upper, or n = None once they do not.
-    blocks = (np.empty((d + 1, d)), np.empty(d + 1), np.empty(d + 1))
-    n = len(first_rows) if len(first_rows) <= d + 1 else None
-    if n is not None:
-        for block, part in zip(blocks, zip(*start)):
-            block[:n] = np.concatenate(part)
+    # mirrored pairs, at most d + 1 of them; None once they do not.
+    pairs = tuple(np.concatenate(part) for part in zip(*start))
+    d = pairs[0].shape[1]
+    span = np.empty((d, d))
+    rank = _extend(span, 0, pairs[0])
+    if len(pairs[0]) > d + 1:
+        pairs = None
 
     def slack(row, rhs):
         """rhs + lp_tol less the row's maximum over the accepted rows; the row cuts where it is negative."""
@@ -217,8 +215,8 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
             return min(_certify_redundant(row, rhs, lp.maximize, lp_tol), 0.0)
         if screen and _norm(_residual(row, span[:rank])) > max(_SPAN * norm, _FLOOR * lp_tol):
             return -math.inf
-        if closed is not None:
-            top = closed(row, *pairs)
+        if closed:
+            top = pairs_maximum(row, *pairs)
             if top is not None and abs(rhs + lp_tol - top) > _TIE * rhs:
                 return rhs + lp_tol - top
         return _certify_redundant(row, rhs, lp.maximize, lp_tol)
@@ -231,13 +229,7 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
         rows[:q] = M
         np.negative(M, out=rows[q:])
         screen = rank is not None and rank < d
-        closed = None
-        if n is not None and rank == d:
-            pairs = tuple(block[:n] for block in blocks)
-            if n == d:
-                closed = parallelotope_maximum
-            elif _leads(pairs[0], span):
-                closed = slab_maximum
+        closed = pairs is not None and rank == d and _leads(pairs[0], span)
         slacks = [slack(rows[k], rhs[k]) for k in live]
         fresh = [k for k, gap in zip(live, slacks) if gap < 0]
         live = [k for k, gap in zip(live, slacks) if gap <= _TIE * rhs[k]]
@@ -250,12 +242,10 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
         outputs = sorted({k % q for k in fresh})
         if screen:
             rank = _extend(span, rank, rows[outputs])
-        if n is not None and len(fresh) == 2 * len(outputs) and n + len(outputs) <= d + 1:
-            for block, new in zip(blocks, (rows, lower, upper)):
-                block[n : n + len(outputs)] = new[outputs]
-            n += len(outputs)
+        if pairs is not None and len(fresh) == 2 * len(outputs) and len(pairs[0]) + len(outputs) <= d + 1:
+            pairs = tuple(np.concatenate([old, new[outputs]]) for old, new in zip(pairs, (rows, lower, upper)))
         else:
-            n = None
+            pairs = None
     raise IterationCapError(
         f"admissibility index not determined within {step_cap} steps",
         cap=step_cap,

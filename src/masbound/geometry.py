@@ -14,8 +14,9 @@ dual hull.
 A combinatorial active-set sweep, behind an LP bounding box, serves as
 a fallback when qhull rejects a degenerate instance.
 Parallelotopes {x : -lower <= M x <= upper} with a square nonsingular M
-have their vertices and linear maxima in closed form and need neither
-LPs nor qhull; so do the linear maxima over d + 1 such slabs of rank d.
+have their vertices in closed form and need neither LPs nor qhull.  So
+do the linear maxima over d such slabs or d + 1 of them, when their
+leading d x d block is nonsingular (`pairs_maximum`).
 Both vertex paths refuse dimensions above `VERTEX_DIM_CAP`.
 """
 
@@ -515,43 +516,36 @@ def parallelotope_vertices(M, lower, upper) -> np.ndarray | None:
     return verts
 
 
-def parallelotope_maximum(c, M, lower, upper) -> float:
-    """max c.x over {x : -lower <= M x <= upper} for a square nonsingular M.
-
-    With M^T w = c the objective is w.(M x), and each M_i x ranges over
-    [-lower_i, upper_i] on its own, so the maximum is the sum of
-    max(w_i upper_i, -w_i lower_i).
-    """
-    w = np.linalg.solve(M.T, c)
-    return float(np.sum(np.maximum(w * upper, -w * lower)))
-
-
-def slab_maximum(c, M, lower, upper) -> float | None:
-    """max c.x over {x : -lower <= M x <= upper} for M of shape (d + 1, d) and rank d.
+def pairs_maximum(c, M, lower, upper) -> float | None:
+    """max c.x over {x : -lower <= M x <= upper} for M of d or d + 1 rows whose leading d x d block M_d has rank d.
 
     The set must hold the origin (lower, upper >= 0).  By LP duality the
     maximum is the least sum of max(w_i upper_i, -w_i lower_i) over the
-    w with M^T w = c.  Those w form the line w0 + tau nu, with
-    w0 = (M_d^{-T} c, 0) and nu = (M_d^{-T} m, -1) for the first d rows
-    M_d and the last row m.  The sum is convex and piecewise linear in
-    tau, so its least value lies at a breakpoint tau_i = -w0_i / nu_i;
-    the last row's breakpoint tau = 0 is always among them.  None, so that
-    the caller can solve the LP, when M_d is singular or the value is not
-    finite.  Only an exactly singular M_d is caught; a nearly singular one
-    gives a finite value swamped by rounding, so the caller must know M_d
-    to be well conditioned.
+    w with M^T w = c.  With d rows that w is M^{-T} c alone: each M_i x
+    ranges over [-lower_i, upper_i] on its own.  With d + 1 rows the w
+    form the line w0 + tau nu, with w0 = (M_d^{-T} c, 0) and
+    nu = (M_d^{-T} m, -1) for the last row m.  The sum is convex and
+    piecewise linear in tau, so its least value lies at a breakpoint
+    tau_i = -w0_i / nu_i; the last row's breakpoint tau = 0 is always
+    among them.  None, so that the caller can solve the LP, when M_d is
+    singular or the value is not finite.  Only an exactly singular M_d is
+    caught; a nearly singular one gives a finite value swamped by
+    rounding, so the caller must know M_d to be well conditioned.
     """
     d = M.shape[1]
-    try:
-        sol = np.linalg.solve(M[:d].T, np.column_stack((c, M[d])))
-    except np.linalg.LinAlgError:
-        return None
-    w0 = np.append(sol[:, 0], 0.0)
-    nu = np.append(sol[:, 1], -1.0)
-    moving = nu != 0.0
     with np.errstate(all="ignore"):
-        w = w0 + (-w0[moving] / nu[moving])[:, None] * nu
-        value = float(np.min(np.sum(np.maximum(w * upper, -w * lower), axis=1)))
+        try:
+            if len(M) == d:
+                w = np.linalg.solve(M.T, c)
+            else:
+                sol = np.linalg.solve(M[:d].T, np.column_stack((c, M[d])))
+                w0 = np.append(sol[:, 0], 0.0)
+                nu = np.append(sol[:, 1], -1.0)
+                moving = nu != 0.0
+                w = w0 + (-w0[moving] / nu[moving])[:, None] * nu
+        except np.linalg.LinAlgError:
+            return None
+        value = float(np.min(np.sum(np.maximum(w * upper, -w * lower), axis=-1)))
     return value if np.isfinite(value) else None
 
 

@@ -63,31 +63,21 @@ def _prefix_vertices(bands, lp_tol: float) -> tuple[np.ndarray, str]:
     return enumerate_vertices(_halfspaces(bands), lp_tol=lp_tol).vertices, "qhull"
 
 
-def build_O_prefix(sys: LtiSystem, box: OutputBox, horizon: int) -> Polytope:
+def build_O_prefix(sys: LtiSystem, box: OutputBox, horizon: int, epsilon: float | None = None) -> Polytope:
     """Halfspace form of {x : C A^t x inside the box for t = 0..horizon}.
 
     Row order: for each t, rows +C_j A^t <= y_upper[j] then -C_j A^t <=
-    y_lower[j], outputs in order.  The problem must pass
-    `model.check_problem`.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    check_problem(sys, box)
-    return _halfspaces(_prefix_bands(sys, box, horizon))
-
-
-def build_O_prefix_forced(
-    sys: LtiSystem, box: OutputBox, epsilon: float, horizon: int
-) -> Polytope:
-    """Prefix set in (z, u) coordinates with the tightened steady-state rows.
-
-    Output rows are [C_j A^t, H0_j] against the box for t = 0..horizon;
-    the steady-state rows constrain H0 u to (1 - epsilon) times the box.
-    The problem must pass `model.check_problem` with epsilon.
+    y_lower[j], outputs in order.  With `epsilon` (the constant-input
+    regime) the set lives in (z, u) coordinates: the steady-state rows
+    come first and constrain H0 u to (1 - epsilon) times the box, and the
+    output rows are [C_j A^t, H0_j].  The problem must pass
+    `model.check_problem` with epsilon.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     check_problem(sys, box, epsilon)
+    if epsilon is None:
+        return _halfspaces(_prefix_bands(sys, box, horizon))
     return _halfspaces(_prefix_bands(sys, box, horizon, stable_dc_gain(sys), epsilon))
 
 

@@ -77,11 +77,7 @@ def _split_sums(beta: np.ndarray) -> tuple[float, float]:
 def condition_unforced(beta, g: float) -> bool:
     """Stop rule: sum of positive coefficients minus g times the sum of
     negative ones must not exceed 1."""
-    if g < 1.0:
-        raise ValueError(f"asymmetry ratio must be >= 1, got {g}")
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    pos, neg = _split_sums(beta)
-    return pos - g * neg <= 1.0
+    return condition_forced(beta, g, 1.0)
 
 
 def condition_forced(beta, g: float, epsilon: float) -> bool:

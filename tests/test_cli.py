@@ -238,6 +238,14 @@ class TestSweep:
         assert err == f"error: --grid needs a finite start, stop, step and point count, got {grid!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0:1:0.5", "-0.5:1:0.5"])
+    def test_grid_start_at_or_below_zero_names_the_option(self, capsys, tmp_path, grid):
+        out = tmp_path / "x.csv"
+        assert main(["sweep-asymmetry", f"--grid={grid}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --grid start is the swept lower limit and must be > 0, got {grid!r}\n"
+        assert not out.exists()
+
     def test_grid_endpoint_inclusive(self, capsys, tmp_path):
         from masbound.cli import _parse_grid
 

@@ -396,7 +396,8 @@ class TestMirroredRows:
     A step decides at most q rows on a symmetric box and 2q otherwise:
     only the rows not yet found redundant clear of the tie band.  A
     decision needs an LP unless its row lies off the accepted rows' span
-    or the accepted rows form a parallelotope.
+    or the accepted rows are d or d + 1 mirrored pairs that the closed
+    form covers.
     """
 
     @pytest.mark.parametrize("case", symmetric_cases())
@@ -467,7 +468,7 @@ def nilpotent_cases():
 
 
 class TestDecisionsWithoutLps:
-    """Rows settled by the span screen or the parallelotope closed form."""
+    """Rows settled by the span screen or the closed form."""
 
     @pytest.mark.parametrize("case", nilpotent_cases())
     def test_nilpotent_system_matches_cold_reference(self, monkeypatch, case):
@@ -514,21 +515,30 @@ class TestDecisionsWithoutLps:
             ([[1.0, 3.0], [0.1, 0.3], [0.0, 1.0]], False),
             ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]], True),
             ([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], False),
+            # The second row lies off the first's span by 2e-6 of its norm, just above _SPAN.
+            ([[1.0, 0.0], [1.0, 2e-6], [0.0, 1.0]], True),
         ],
     )
     def test_leads_needs_each_of_the_first_d_rows_to_join(self, M, leads):
         M = np.array(M)
-        span = np.empty((M.shape[1], M.shape[1]))
-        assert exact._extend(span, 0, M) == M.shape[1]
+        d = M.shape[1]
+        span = np.empty((d, d))
+        assert exact._extend(span, 0, M) == d
         assert exact._leads(M, span) is leads
+        # The first d rows have rank d exactly when they lead, and then
+        # `_leads` holds for them alone: each joined, the last by the very
+        # test `_leads` repeats.
+        head = np.empty((d, d))
+        assert (exact._extend(head, 0, M[:d]) == d) is leads
+        if leads:
+            assert exact._leads(M[:d], head)
 
     @pytest.mark.parametrize("epsilon", [None, 0.5, 1.0])
     def test_d_plus_one_pairs_need_no_model(self, monkeypatch, epsilon):
         # A rotation by 0.3 rad at radius 0.5 seen in its first coordinate:
         # every row but the last one decided is span-screened or decided by
-        # the parallelotope closed form, and the last one, against d + 1
-        # mirrored pairs (t* = d unforced, d - 1 in (z0, u)), by the slab
-        # closed form.
+        # the closed form over d mirrored pairs, and the last one by the
+        # closed form over d + 1 pairs (t* = d unforced, d - 1 in (z0, u)).
         c, s = 0.5 * np.cos(0.3), 0.5 * np.sin(0.3)
         sys = LtiSystem(A=[[c, s], [-s, c]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
         case = (sys, unit_box(), epsilon)
@@ -557,13 +567,19 @@ class TestDecisionsWithoutLps:
         c, s = 0.5 * np.cos(0.3), 0.5 * np.sin(0.3)
         sys = LtiSystem(A=[[c, s], [-s, c]], C=C)
         box = OutputBox(np.ones(sys.q), np.ones(sys.q))
-        answers = []
-        monkeypatch.setattr(exact, "slab_maximum", lambda *a: answers.append(geometry.slab_maximum(*a)) or answers[-1])
+        slabs = []
+
+        def pairs_maximum(c, M, lower, upper):
+            if len(M) == len(c) + 1:
+                slabs.append(M)
+            return geometry.pairs_maximum(c, M, lower, upper)
+
+        monkeypatch.setattr(exact, "pairs_maximum", pairs_maximum)
         calls = count_lps(monkeypatch)
         res = exact_t_star_unforced(sys, box)
         t_star, _, decisions, screened, closed, slab = replay_decisions(sys, box)
         assert res.t_star == t_star
-        assert answers == [] and slab == 0
+        assert slabs == [] and slab == 0
         assert len(calls) == decisions - screened - closed - slab > 0
         assert_same_result(res, *reference_exact(sys, box))
 

@@ -18,9 +18,8 @@ from masbound.geometry import (
     enumerate_vertices,
     is_redundant,
     lp_maximize,
-    parallelotope_maximum,
+    pairs_maximum,
     parallelotope_vertices,
-    slab_maximum,
 )
 from conftest import (
     brute_force_vertices,
@@ -579,59 +578,61 @@ class TestParallelotopeVertices:
         assert parallelotope_vertices(np.eye(13), np.ones(13), np.ones(13)) is None
 
 
-class TestParallelotopeMaximum:
-    def test_matches_lp_on_random_instances(self, rng):
-        for _ in range(12):
+class TestPairsMaximum:
+    """max c.x over d or d + 1 slabs {-lower <= M x <= upper} with a leading d x d block of rank d."""
+
+    @pytest.mark.parametrize("extra, count", [(0, 12), (1, 40)])
+    def test_matches_lp_on_random_instances(self, rng, extra, count):
+        for _ in range(count):
+            d = int(rng.integers(1, 6 + extra))
+            M = rng.standard_normal((d + extra, d))
+            lower = rng.uniform(0.0, 2.0, size=d + extra)
+            upper = rng.uniform(0.3, 2.0, size=d + extra)
+            c = rng.standard_normal(d)
+            out = lp_maximize(c, parallelotope(M, lower, upper))
+            assert out.status == "optimal"
+            assert pairs_maximum(c, M, lower, upper) == pytest.approx(out.optimum, rel=1e-9, abs=1e-12)
+
+    def test_square_block_is_bitwise_the_parallelotope_sum(self, rng):
+        for _ in range(20):
             d = int(rng.integers(1, 6))
             M = rng.standard_normal((d, d))
             lower = rng.uniform(0.0, 2.0, size=d)
             upper = rng.uniform(0.3, 2.0, size=d)
             c = rng.standard_normal(d)
-            out = lp_maximize(c, parallelotope(M, lower, upper))
-            assert out.status == "optimal"
-            assert parallelotope_maximum(c, M, lower, upper) == pytest.approx(out.optimum, rel=1e-9, abs=1e-12)
+            w = np.linalg.solve(M.T, c)
+            assert pairs_maximum(c, M, lower, upper) == float(np.sum(np.maximum(w * upper, -w * lower)))
 
     def test_asymmetric_interval(self):
         # -0.5 <= 2 x <= 1 gives x in [-0.25, 0.5].
         M, lower, upper = np.array([[2.0]]), np.array([0.5]), np.array([1.0])
-        assert parallelotope_maximum(np.array([3.0]), M, lower, upper) == 1.5
-        assert parallelotope_maximum(np.array([-3.0]), M, lower, upper) == 0.75
+        assert pairs_maximum(np.array([3.0]), M, lower, upper) == 1.5
+        assert pairs_maximum(np.array([-3.0]), M, lower, upper) == 0.75
 
+    def test_single_slab_after_a_parallelotope(self):
+        # d = 1: -lower_i <= m_i x <= upper_i for two rows is an interval.
+        M, lower, upper = np.array([[2.0], [-1.0]]), np.array([0.5, 0.3]), np.array([1.0, 2.0])
+        assert pairs_maximum(np.array([3.0]), M, lower, upper) == pytest.approx(0.9)
+        assert pairs_maximum(np.array([-3.0]), M, lower, upper) == pytest.approx(0.75)
 
-class TestSlabMaximum:
-    """max c.x over d + 1 slabs {-lower <= M x <= upper} with M of rank d."""
-
-    def test_matches_lp_on_random_instances(self, rng):
-        for _ in range(40):
-            d = int(rng.integers(1, 7))
-            M = rng.standard_normal((d + 1, d))
-            lower = rng.uniform(0.0, 2.0, size=d + 1)
-            upper = rng.uniform(0.3, 2.0, size=d + 1)
-            c = rng.standard_normal(d)
-            out = lp_maximize(c, parallelotope(M, lower, upper))
-            assert out.status == "optimal"
-            assert slab_maximum(c, M, lower, upper) == pytest.approx(out.optimum, rel=1e-9, abs=1e-12)
+    def test_singular_square_block_declines(self):
+        M = np.array([[1.0, 0.0], [2.0, 0.0]])
+        assert pairs_maximum(np.array([1.0, 1.0]), M, np.ones(2), np.ones(2)) is None
 
     def test_singular_leading_block_declines(self):
         # The first two rows are parallel; with the third, M still has rank 2.
         M = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         ones = np.ones(3)
         assert lp_maximize(np.array([1.0, 1.0]), parallelotope(M, ones, ones)).optimum == pytest.approx(1.5)
-        assert slab_maximum(np.array([1.0, 1.0]), M, ones, ones) is None
+        assert pairs_maximum(np.array([1.0, 1.0]), M, ones, ones) is None
 
     def test_row_that_the_null_direction_leaves_fixed(self):
         # nu = (1, 0, -1): the second row's dual weight does not move with tau.
         # The third row tightens the first: |x1| <= 0.5, |x2| <= 1.
         M = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         limits = np.array([1.0, 1.0, 0.5])
-        assert slab_maximum(np.array([1.0, 1.0]), M, limits, limits) == 1.5
-        assert slab_maximum(np.array([-2.0, 1.0]), M, limits, np.array([1.0, 1.0, 0.25])) == 2.0
-
-    def test_single_slab_after_a_parallelotope(self):
-        # d = 1: -lower_i <= m_i x <= upper_i for two rows is an interval.
-        M, lower, upper = np.array([[2.0], [-1.0]]), np.array([0.5, 0.3]), np.array([1.0, 2.0])
-        assert slab_maximum(np.array([3.0]), M, lower, upper) == pytest.approx(0.9)
-        assert slab_maximum(np.array([-3.0]), M, lower, upper) == pytest.approx(0.75)
+        assert pairs_maximum(np.array([1.0, 1.0]), M, limits, limits) == 1.5
+        assert pairs_maximum(np.array([-2.0, 1.0]), M, limits, np.array([1.0, 1.0, 0.25])) == 2.0
 
 
 def dedupe_oracle(points, tol):

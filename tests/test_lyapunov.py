@@ -24,7 +24,6 @@ from masbound.linalg import solve_discrete_lyapunov
 from masbound.lyapunov import (
     bound_m2,
     build_O_prefix,
-    build_O_prefix_forced,
     compute_r1,
     compute_r2,
     compute_sigma,
@@ -62,7 +61,7 @@ class TestPrefixSets:
 
     def test_forced_scalar(self):
         sys = make_siso(0.5, b=1.0)
-        poly = build_O_prefix_forced(sys, unit_box(), epsilon=0.5, horizon=0)
+        poly = build_O_prefix(sys, unit_box(), horizon=0, epsilon=0.5)
         # steady-state rows first (H0 = 2), then the t = 0 output rows
         assert np.allclose(poly.G, [[0.0, 2.0], [0.0, -2.0], [1.0, 2.0], [-1.0, -2.0]])
         assert np.allclose(poly.h, [0.5, 0.5, 1.0, 1.0])
@@ -73,7 +72,7 @@ class TestPrefixSets:
         sys = LtiSystem(A=A, B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)))
         H0 = stable_dc_gain(sys)
         eps = 0.3
-        poly = build_O_prefix_forced(sys, unit_box(), epsilon=eps, horizon=1)
+        poly = build_O_prefix(sys, unit_box(), horizon=1, epsilon=eps)
         rows = [
             np.hstack([np.zeros((1, n)), H0]),
             np.hstack([np.zeros((1, n)), -H0]),
@@ -87,7 +86,7 @@ class TestPrefixSets:
 
     def test_forced_epsilon_one_pins_input(self):
         sys = make_siso(0.5, b=1.0)
-        poly = build_O_prefix_forced(sys, unit_box(), epsilon=1.0, horizon=0)
+        poly = build_O_prefix(sys, unit_box(), horizon=0, epsilon=1.0)
         assert np.allclose(poly.h[:2], 0.0)  # H0 u <= 0 and -H0 u <= 0
 
 
@@ -314,7 +313,7 @@ def qhull_m2(sys, box, epsilon=None):
         prefix = build_O_prefix(sys, box, horizon=sys.n - 1)
     else:
         rep = bound_m2_forced(sys, box, epsilon)
-        prefix = build_O_prefix_forced(sys, box, epsilon, horizon=sys.n - 1)
+        prefix = build_O_prefix(sys, box, horizon=sys.n - 1, epsilon=epsilon)
     r2 = compute_r2(rep.diagnostics["P"], enumerate_vertices(prefix).vertices, proj_dim=sys.n)
     return rep, bound_m2(rep.diagnostics["r1"], r2, rep.diagnostics["sigma"]), r2
 
@@ -369,7 +368,7 @@ class TestClosedFormPrefix:
         sys = LtiSystem(A=[[0.5, 0.1], [0.0, 0.3]], B=np.eye(2), C=[[1.0, 1.0]])
         box = unit_box()
         with pytest.raises(UnboundedPolytopeError):
-            enumerate_vertices(build_O_prefix_forced(sys, box, 0.01, horizon=1))
+            enumerate_vertices(build_O_prefix(sys, box, horizon=1, epsilon=0.01))
         rep = bound_m2_forced(sys, box, 0.01)
         assert np.isfinite(rep.diagnostics["r2"])
         t_star = exact_t_star_forced(sys, box, 0.01).t_star

@@ -18,7 +18,7 @@ from masbound import (
     model,
     powerseries,
 )
-from masbound.lyapunov import build_O_prefix, build_O_prefix_forced
+from masbound.lyapunov import build_O_prefix
 from masbound.model import (
     check_problem,
     gamma,
@@ -184,7 +184,7 @@ class TestCheckProblem:
             lambda: bound_m2_unforced(sys, box),
             lambda: bound_m2_forced(sys, box, 0.1),
             lambda: build_O_prefix(sys, box, 1),
-            lambda: build_O_prefix_forced(sys, box, 0.1, 1),
+            lambda: build_O_prefix(sys, box, 1, 0.1),
         ):
             with pytest.raises(ValueError, match="box has 2 outputs but system has 1"):
                 call()

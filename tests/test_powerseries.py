@@ -316,7 +316,9 @@ class TestNearTies:
     @pytest.mark.parametrize("epsilon", [None, 0.5])
     def test_clear_decisions_skip_exact_rule(self, monkeypatch, epsilon):
         name, _ = self.RULES[epsilon]
-        calls = self.spy(monkeypatch, name)
         sys = LtiSystem(A=[[0.0, 1.0], [-0.25, 1.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
-        assert run_m1(sys, self.BOX, epsilon) == reference_m1(sys, self.BOX, epsilon)
+        # The reference runs before the spy: its unforced rule calls the forced one.
+        expected = reference_m1(sys, self.BOX, epsilon)
+        calls = self.spy(monkeypatch, name)
+        assert run_m1(sys, self.BOX, epsilon) == expected
         assert calls == []
