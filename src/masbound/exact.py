@@ -138,17 +138,18 @@ def _residual(row, basis):
     return res - (basis @ res) @ basis
 
 
-def _extend(span, rank: int, rows) -> int | None:
+def _extend(span, rank: int, rows, first=None) -> int | None:
     """Grow the orthonormal basis span[:rank] in place by every row off its span by more than _SPAN times its norm.
 
     Each such row's normalised residual is written to span[rank] and
     rank goes up by one; returns the new rank.  None when a row off the
     span by more than _ROUNDOFF times its norm does not join (it is too
     near the span, or its norm is below ZERO_ROW): the basis would no
-    longer cover the rows' span.
+    longer cover the rows' span.  `first`, when given, is
+    `_residual(rows[0], span[:rank])`, already computed.
     """
-    for row in rows:
-        res = _residual(row, span[:rank])
+    for i, row in enumerate(rows):
+        res = first if i == 0 and first is not None else _residual(row, span[:rank])
         norm = _norm(row)
         if norm >= ZERO_ROW and _norm(res) > _SPAN * norm:
             span[rank] = res / _norm(res)
@@ -207,19 +208,22 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     if len(pairs[0]) > d + 1:
         pairs = None
 
-    def slack(row, rhs):
-        """rhs + lp_tol less the row's maximum over the accepted rows; the row cuts where it is negative."""
+    def slack(k):
+        """rhs + lp_tol less row k's maximum over the accepted rows; the row cuts where it is negative."""
+        row, bound = rows[k], rhs[k]
         norm = _norm(row)
         if norm < ZERO_ROW:
             # Redundant by tolerance, not by a maximum: slack 0 keeps it live.
-            return min(_certify_redundant(row, rhs, lp.maximize, lp_tol), 0.0)
-        if screen and _norm(_residual(row, span[:rank])) > max(_SPAN * norm, _FLOOR * lp_tol):
-            return -math.inf
+            return min(_certify_redundant(row, bound, lp.maximize, lp_tol), 0.0)
+        if screen:
+            res = residuals[k] = _residual(row, span[:rank])
+            if _norm(res) > max(_SPAN * norm, _FLOOR * lp_tol):
+                return -math.inf
         if closed:
             top = pairs_maximum(row, *pairs)
-            if top is not None and abs(rhs + lp_tol - top) > _TIE * rhs:
-                return rhs + lp_tol - top
-        return _certify_redundant(row, rhs, lp.maximize, lp_tol)
+            if top is not None and abs(bound + lp_tol - top) > _TIE * bound:
+                return bound + lp_tol - top
+        return _certify_redundant(row, bound, lp.maximize, lp_tol)
 
     # Row k of a band is output k % q, "+" below q and "-" from q on.
     live = list(range(q if symmetric else 2 * q))
@@ -230,7 +234,9 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
         np.negative(M, out=rows[q:])
         screen = rank is not None and rank < d
         closed = pairs is not None and rank == d and _leads(pairs[0], span)
-        slacks = [slack(rows[k], rhs[k]) for k in live]
+        # The screen's residual of each row it saw, by row.
+        residuals = {}
+        slacks = [slack(k) for k in live]
         fresh = [k for k, gap in zip(live, slacks) if gap < 0]
         live = [k for k, gap in zip(live, slacks) if gap <= _TIE * rhs[k]]
         if symmetric:
@@ -241,7 +247,8 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
         # The outputs with a row accepted; each has both when the rows are mirrored.
         outputs = sorted({k % q for k in fresh})
         if screen:
-            rank = _extend(span, rank, rows[outputs])
+            # Negating the mirror's residual could flip the sign of a zero entry, so only the row's own is reused.
+            rank = _extend(span, rank, rows[outputs], residuals.get(outputs[0]))
         if pairs is not None and len(fresh) == 2 * len(outputs) and len(pairs[0]) + len(outputs) <= d + 1:
             pairs = tuple(np.concatenate([old, new[outputs]]) for old, new in zip(pairs, (rows, lower, upper)))
         else:

@@ -123,6 +123,13 @@ def per_system(fn):
     runs, so a patched module attribute takes effect on a system that
     has not stored the value yet.  Two threads may both compute a value
     on a fresh system; both get the same numbers.
+
+    One value in the same `__dict__` is replaced rather than stored
+    once: `powerseries` keeps there how far the `m1` recursion has been
+    stepped, a tuple whose array is read-only, and a call that steps
+    further stores a longer record in its place.  Two threads may each
+    store one; every record holds the same numbers for the steps it
+    covers.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
 
@@ -230,9 +237,12 @@ def check_problem(sys: LtiSystem, box: OutputBox, epsilon: float | None = None) 
 
 
 def gamma(box: OutputBox) -> float:
-    """Largest asymmetry ratio of the box, max_j max(u_j/l_j, l_j/u_j) >= 1."""
-    ratios = np.maximum(box.y_upper / box.y_lower, box.y_lower / box.y_upper)
-    return float(np.max(ratios))
+    """Largest asymmetry ratio of the box, max_j max(u_j/l_j, l_j/u_j) >= 1.
+
+    On plain floats: for the few outputs of a box, numpy's call overhead
+    would cost several times the arithmetic, once per `m1` call.
+    """
+    return max(max(u / l, l / u) for l, u in zip(box.y_lower.tolist(), box.y_upper.tolist()))
 
 
 @per_system

@@ -19,6 +19,23 @@ stop rule on plain sums.  A left side near the threshold goes to
 `condition_forced` on the numpy array, so every stop decision is the
 rule's.  `beta_init`, `beta_step` and the `condition_*` rules are the
 definition the loop follows.
+
+beta(t) does not depend on the box or epsilon either, so the recursion
+is stepped once per system.  The system keeps, beside the `per_system`
+values, a record of how far it has been stepped: the plain sums of the
+positive and of the negative coefficients of beta(t) for t = n .. T, one
+read-only float64 array, and beta(T); 16 bytes per step reached plus one
+beta.  A call decides the steps before T on the stored sums in one numpy
+pass, whose left side, taken elementwise, is bitwise the loop's.  Only a
+stop beyond them runs the loop, from beta(T), and that call then
+replaces the record whole by the longer one.  A near-tie among the
+stored steps re-steps beta(t) from the polynomial for
+`condition_forced`; a cap error stores the steps it reached; a
+divergence, like a failed `per_system` computation, stores nothing and
+is met again by the next call.  So every report and error is bitwise the
+same whatever was asked of the system before.  `diagnostics["stop_slack"]`
+is epsilon (1 unforced) less the left side at the stop step, from the
+plain sums.
 """
 
 from __future__ import annotations
@@ -109,20 +126,85 @@ def _char_poly(sys: LtiSystem) -> tuple[float, ...]:
     return tuple(char_poly_coeffs(sys.A).tolist())
 
 
+# The key, in the system's `__dict__` beside `per_system`'s values, of the
+# record of how far the recursion has been stepped: (sums, beta(T)), where
+# sums[0, i] and sums[1, i] are the plain sums of the positive and of the
+# negative coefficients of beta(n + i), for n + i = n .. T.
+_RECORD = f"{__name__}.recursion"
+
+
+def _beta_at(c: tuple[float, ...], steps: int) -> list[float]:
+    """beta(n + steps) as plain floats, stepped as `_bound_m1` steps it."""
+    beta = [-ci for ci in c]
+    c0, c_rest = c[0], c[1:]
+    for _ in range(steps):
+        last = beta[-1]
+        beta = [-c0 * last] + [b - ci * last for b, ci in zip(beta, c_rest)]
+    return beta
+
+
+def _cap_error(step_cap, rho: float, t: int, beta) -> IterationCapError:
+    return IterationCapError(
+        f"stop rule not met after {step_cap} steps (spectral radius {rho:.6g}); "
+        "raise the cap or reconsider the system",
+        cap=step_cap,
+        last_state=BetaState(t=t, beta=np.array(beta)),
+    )
+
+
+def _store(sys: LtiSystem, record, sums: tuple[list[float], list[float]], beta: list[float]) -> None:
+    """Store the record whose last steps are those of `sums`, ending at `beta`.
+
+    `sums` starts at the record's last step, or at step n without one; a
+    record the call stepped no further is kept.
+    """
+    if record is None:
+        stored = np.array(sums)
+    elif len(sums[0]) > 1:
+        kept = record[0].shape[1] - 1
+        stored = np.empty((2, kept + len(sums[0])))
+        stored[:, :kept] = record[0][:, :kept]
+        stored[:, kept:] = sums
+    else:
+        return
+    stored.setflags(write=False)
+    sys.__dict__[_RECORD] = (stored, tuple(beta))
+
+
 def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -> BoundReport:
     """Both regimes; `epsilon is None` is the unforced one, the forced rule at epsilon = 1.
 
     There the weights 1 + g*0 and g + 0 and the threshold are bitwise the
-    unforced rule's 1, g and 1.
+    unforced rule's 1, g and 1.  The steps before the record's last, T,
+    are decided on its sums, up to the step at which the loop would raise
+    the cap error; the loop decides T again and goes on from there.
     """
     rho = check_problem(sys, box, epsilon)
     g = gamma(box)
     eps = 1.0 if epsilon is None else epsilon
     w_pos, w_neg = 1.0 + g * (1.0 - eps), g + (1.0 - eps)
+    band = _TIE_BAND * eps
     c = _char_poly(sys)
+    n = len(c)
+    record = sys.__dict__.get(_RECORD)
+    if record is None:
+        beta, t = _beta_at(c, 0), n
+    else:
+        stored, last_beta = record
+        # The loop raises the cap error at step n + capped.
+        capped = max(step_cap, 0)
+        k = min(stored.shape[1] - 1, capped + 1)
+        if k:
+            slack = eps - (w_pos * stored[0, :k] - w_neg * stored[1, :k])
+            for i in (slack >= -band).nonzero()[0].tolist():
+                if slack[i] > band or condition_forced(np.array(_beta_at(c, i)), g, eps):
+                    return _report(sys, epsilon, n + i, float(slack[i]), g, rho)
+        if k > capped:
+            raise _cap_error(step_cap, rho, n + capped, _beta_at(c, capped))
+        beta, t = list(last_beta), n + k
+    sums = ([], [])
+    add_pos, add_neg = sums[0].append, sums[1].append
     c0, c_rest = c[0], c[1:]
-    beta = [-ci for ci in c]
-    n = t = len(c)
     while True:
         pos = neg = 0.0
         for b in beta:
@@ -130,29 +212,31 @@ def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -
                 pos += b
             elif b < 0.0:
                 neg += b
-        lhs = w_pos * pos - w_neg * neg
-        if abs(lhs - eps) > _TIE_BAND * eps:
-            stop = lhs <= eps
-        else:
-            stop = condition_forced(np.array(beta), g, eps)
-        if stop:
-            break
-        if t - n >= step_cap:
-            raise IterationCapError(
-                f"stop rule not met after {step_cap} steps (spectral radius {rho:.6g}); "
-                "raise the cap or reconsider the system",
-                cap=step_cap,
-                last_state=BetaState(t=t, beta=np.array(beta)),
-            )
-        last = beta[-1]
-        beta = [-c0 * last] + [b - ci * last for b, ci in zip(beta, c_rest)]
-        t += 1
-        if max(map(abs, beta)) > BETA_GROWTH_LIMIT:
+        # pos - neg >= max |b|, rounding included, so only a large sum needs the max.
+        if pos - neg > BETA_GROWTH_LIMIT and t > n and max(map(abs, beta)) > BETA_GROWTH_LIMIT:
             raise NumericalError(
                 f"coefficient recursion diverged (||beta({t})||_inf > "
                 f"{BETA_GROWTH_LIMIT:.1e}) despite spectral radius {rho:.6g} < 1"
             )
-    diagnostics = {"stop_t": t, "gamma": g, "rho": rho}
+        add_pos(pos)
+        add_neg(neg)
+        # eps - lhs, for lhs = w_pos * pos - w_neg * neg, is bitwise -(lhs - eps).
+        slack = eps - (w_pos * pos - w_neg * neg)
+        if slack >= -band and (slack > band or condition_forced(np.array(beta), g, eps)):
+            break
+        if t - n >= step_cap:
+            _store(sys, record, sums, beta)
+            raise _cap_error(step_cap, rho, t, beta)
+        last = beta[-1]
+        beta = [-c0 * last] + [b - ci * last for b, ci in zip(beta, c_rest)]
+        t += 1
+    _store(sys, record, sums, beta)
+    return _report(sys, epsilon, t, slack, g, rho)
+
+
+def _report(sys: LtiSystem, epsilon: float | None, t: int, slack: float, g: float, rho: float) -> BoundReport:
+    """The report of a stop at step t, `slack` the threshold less the left side there."""
+    diagnostics = {"stop_t": t, "stop_slack": slack, "gamma": g, "rho": rho}
     if epsilon is not None:
         diagnostics["epsilon"] = epsilon
     return BoundReport(

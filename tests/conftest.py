@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from scipy.spatial import HalfspaceIntersection
 
 from masbound import LtiSystem, OutputBox, config, exact_t_star_forced, exact_t_star_unforced, geometry
+from masbound.linalg import char_poly_coeffs, spectral_radius
+from masbound.model import gamma
 from masbound.montecarlo import StudyConfig, random_stable_system, system_seed
+from masbound.powerseries import beta_init, beta_step, condition_forced, condition_unforced
 
 
 def random_stable_matrix(rng, n, rho_max=0.95):
@@ -247,3 +250,46 @@ def exact_cases(draw):
     symmetric = draw(st.booleans())
     box = OutputBox(lower, lower if symmetric else rng.uniform(0.2, 2.0, size=q))
     return sys, box, epsilon
+
+
+@st.composite
+def m1_cases(draw):
+    """(system, box, epsilon) with n <= 9, q <= 2 and one input; epsilon is None for the unforced regime."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 9))
+    q = draw(st.integers(1, 2))
+    sys = LtiSystem(
+        A=random_stable_matrix(rng, n, rho_max=0.98),
+        B=rng.standard_normal((n, 1)),
+        C=rng.standard_normal((q, n)),
+    )
+    box = OutputBox(rng.uniform(0.2, 2.0, size=q), rng.uniform(0.2, 2.0, size=q))
+    return sys, box, draw(st.sampled_from([None, 0.01, 0.3, 1.0]))
+
+
+def reference_m1(sys, box, epsilon):
+    """(m, iterations, diagnostics) from `beta_step` and `condition_*` at every t.
+
+    The stop slack is epsilon (1 unforced) less the rule's left side at
+    the stop step, over the sums of beta's positive and of its negative
+    entries taken in order.
+    """
+    g = gamma(box)
+    c = char_poly_coeffs(sys.A)
+    state = beta_init(c)
+    while not (
+        condition_unforced(state.beta, g) if epsilon is None else condition_forced(state.beta, g, epsilon)
+    ):
+        state = beta_step(state, c)
+    eps = 1.0 if epsilon is None else epsilon
+    pos = neg = 0.0
+    for b in state.beta.tolist():
+        if b > 0.0:
+            pos += b
+        elif b < 0.0:
+            neg += b
+    lhs = (1.0 + g * (1.0 - eps)) * pos - (g + (1.0 - eps)) * neg
+    diagnostics = {"stop_t": state.t, "stop_slack": eps - lhs, "gamma": g, "rho": spectral_radius(sys.A)}
+    if epsilon is not None:
+        diagnostics["epsilon"] = epsilon
+    return state.t - 1, state.t - sys.n, diagnostics

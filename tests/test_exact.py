@@ -508,6 +508,41 @@ class TestDecisionsWithoutLps:
         assert exact._extend(span, 1, np.array([[2.0, 1e-5, 0.0], [0.0, 0.0, 0.0]])) == 2
         assert np.array_equal(span[:2], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
+    @staticmethod
+    def unobservable_rotation():
+        """A rotation by 2 rad at radius 0.9 beside an unobserved state: the rows never reach rank 3."""
+        A = np.zeros((3, 3))
+        A[:2, :2] = 0.9 * np.array([[np.cos(2.0), np.sin(2.0)], [-np.sin(2.0), np.cos(2.0)]])
+        A[2, 2] = 0.5
+        return LtiSystem(A=A, C=[[1.0, 0.0, 0.0]])
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(exact_cases())
+    # A "-" row is accepted after its "+" row retired.  The negated residual
+    # of the "-" row has -0.0 where `_residual` of the "+" row has 0.0, so
+    # `_extend` projects the "+" row itself.
+    @example((unobservable_rotation(), OutputBox([0.5], [1.0]), None))
+    def test_extend_reuses_the_screen_residual(self, case):
+        # The residual the screen computed for a row is bitwise the one
+        # `_extend` would compute.  On a symmetric box with one output every
+        # accepted row was screened, so only the starting call projects a
+        # row again.
+        calls = []
+        real = exact._extend
+
+        def spy(span, rank, rows, first=None):
+            if first is not None:
+                assert first.tobytes() == exact._residual(rows[0], span[:rank]).tobytes()
+            calls.append(first is not None)
+            return real(span, rank, rows, first)
+
+        sys, box, epsilon = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_extend", spy)
+            run_exact(sys, box, epsilon)
+        if sys.q == 1 and np.array_equal(box.y_lower, box.y_upper):
+            assert calls[0] is False and all(calls[1:])
+
     @pytest.mark.parametrize(
         "M, leads",
         [

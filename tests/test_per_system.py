@@ -2,25 +2,30 @@
 
 `model.per_system` stores on the `LtiSystem` the Lyapunov pair
 (P, lambda_max(P)) and the r1 denominators of `m2`, the characteristic
-polynomial of `m1`, the DC gain and its range basis.  These tests count
-the solves behind them over a study row and a sweep, check that every
-result is bitwise the same whatever the call order and whether the
-system object is reused, a fresh copy or a pickled one, and check that
-a failed solve is not stored.
+polynomial of `m1`, the DC gain and its range basis; beside them
+`powerseries` keeps how far the `m1` recursion has been stepped.  These
+tests count the solves and recursion steps behind them over a study row
+and a sweep, check that every result and every `m1` error is bitwise
+the same whatever the call order and history and whether the system
+object is reused, a fresh copy or a pickled one, and check that a failed
+solve is not stored.
 """
 
+import itertools
 import pickle
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
 
 from masbound import (
+    IterationCapError,
     LtiSystem,
     NumericalError,
+    OutputBox,
     bound_m1_forced,
     bound_m1_unforced,
     bound_m2_forced,
@@ -28,7 +33,7 @@ from masbound import (
     lyapunov,
     powerseries,
 )
-from masbound.config import STABILITY_THRESHOLD
+from masbound.config import POWER_SERIES_STEP_CAP, STABILITY_THRESHOLD
 from masbound.errors import MasboundError
 from masbound.lyapunov import SIGMA_MODES
 from masbound.montecarlo import (
@@ -39,7 +44,7 @@ from masbound.montecarlo import (
     random_stable_system,
     system_seed,
 )
-from conftest import exact_cases, run_exact, unit_box
+from conftest import exact_cases, m1_cases, reference_m1, run_exact, unit_box
 
 
 def count_solves(monkeypatch, sys):
@@ -67,23 +72,51 @@ def count_solves(monkeypatch, sys):
     return counts
 
 
+def count_evaluated(monkeypatch):
+    """Per m1 call that stores its steps, how many steps of the recursion it evaluated beyond the stored ones.
+
+    A call that goes on from a record evaluates the record's last step again.
+    """
+    evaluated = []
+    store = powerseries._store
+
+    def spy(sys, record, sums, beta):
+        evaluated.append(len(sums[0]) - (record is not None))
+        return store(sys, record, sums, beta)
+
+    monkeypatch.setattr(powerseries, "_store", spy)
+    return evaluated
+
+
+def record_length(sys):
+    """The number of steps, n .. T, whose sums the system's m1 record holds."""
+    return sys.__dict__[powerseries._RECORD][0].shape[1]
+
+
 class TestOneSolvePerSystem:
     @pytest.mark.parametrize("system_id", range(4))
     def test_study_row(self, monkeypatch, system_id):
         config = StudyConfig(seed=2026)
         pair = random_stable_system(system_seed(config.seed, system_id), config)
         counts = count_solves(monkeypatch, pair[0])
+        evaluated = count_evaluated(monkeypatch)
         row = compute_study_row(system_id, config, system=pair)
         assert row.status == "ok"
         assert counts == {"kron_lyapunov": 1, "sym_eig_extremes": 1, "char_poly_coeffs": 1, "dc_gain": 1}
+        # m = stop_t - 1: the recursion is stepped once, to the furthest stop.
+        length = max(row.m1, row.m1_forced) + 2 - row.n
+        assert record_length(pair[0]) == sum(evaluated) == length
 
     def test_asymmetry_sweep(self, monkeypatch):
         # The sweep is unforced, so it needs no DC gain.
         sys = demo_system()
         counts = count_solves(monkeypatch, sys)
+        evaluated = count_evaluated(monkeypatch)
         rows = asymmetry_sweep(sys, 1.0, [0.1 * i for i in range(1, 21)])
         assert len(rows) == 20
         assert counts == {"kron_lyapunov": 1, "sym_eig_extremes": 1, "char_poly_coeffs": 1, "dc_gain": 0}
+        length = max(r.m1 for r in rows) + 2 - sys.n
+        assert record_length(sys) == sum(evaluated) == length
 
     def test_failed_lyapunov_solve_is_not_stored(self, monkeypatch):
         # An order-10 study draw whose Lyapunov residual, about 2.4e-6, is above the gate.
@@ -197,3 +230,69 @@ def test_results_bitwise_whatever_the_call_order(case):
             m = alone[name][0]
             if isinstance(m, int):
                 assert t_star <= m, name
+
+
+def m1_outcome(sys, box, epsilon, step_cap=POWER_SERIES_STEP_CAP):
+    """The m1 report's m, iterations and diagnostics, or the error's type and message and the bits of its last state."""
+    try:
+        if epsilon is None:
+            rep = bound_m1_unforced(sys, box, step_cap)
+        else:
+            rep = bound_m1_forced(sys, box, epsilon, step_cap)
+    except MasboundError as exc:
+        last = getattr(exc, "last_state", None)
+        return type(exc).__name__, str(exc), last and (last.t, last.beta.tobytes())
+    return rep.m, rep.iterations, rep.diagnostics
+
+
+def warm_m1(sys, box):
+    """m1 calls on `sys` at other boxes and epsilons, with caps below and above where they stop."""
+    boxes = [box, OutputBox(box.y_lower, 4.0 * box.y_upper), unit_box(sys.q)]
+    epsilons = [None, 0.01, 0.3, 1.0] if sys.has_input else [None]
+    for other, epsilon, cap in itertools.product(boxes, epsilons, (0, 2, 9, 40, POWER_SERIES_STEP_CAP)):
+        m1_outcome(sys, other, epsilon, cap)
+
+
+def diverging():
+    """0.99 I_8 seen through its first state: beta(t) grows past the limit at t = 130."""
+    return LtiSystem(A=0.99 * np.eye(8), B=np.eye(8)[:, :1], C=np.eye(8)[:1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(exact_cases(), hard_cases(), m1_cases()))
+@example((diverging(), unit_box(), None))
+@example((diverging(), OutputBox([0.5], [1.0]), 0.3))
+def test_m1_does_not_depend_on_call_history(case):
+    sys, box, epsilon = case
+    warm_m1(sys, box)
+    clone = pickle.loads(pickle.dumps(sys))
+    epsilons = [None] if epsilon is None else [None, epsilon]
+    for eps, cap in itertools.product(epsilons, (POWER_SERIES_STEP_CAP, 5, 121, 122)):
+        expected = m1_outcome(fresh(sys), box, eps, cap)
+        assert m1_outcome(sys, box, eps, cap) == expected
+        assert m1_outcome(clone, box, eps, cap) == expected
+        if isinstance(expected[0], int):
+            assert expected == reference_m1(sys, box, eps)
+    for s in (sys, clone):
+        assert not any(a.flags.writeable for a in stored_arrays(s))
+
+
+@pytest.mark.parametrize(
+    "step_cap, outcome",
+    [
+        (121, (IterationCapError, "stop rule not met after 121 steps")),
+        (122, (NumericalError, r"diverged \(\|\|beta\(130\)\|\|_inf")),
+        (POWER_SERIES_STEP_CAP, (NumericalError, r"diverged \(\|\|beta\(130\)\|\|_inf")),
+    ],
+)
+def test_cap_and_divergence_raise_where_the_recursion_is(step_cap, outcome):
+    # The record holds the steps a cap error reached; a divergence is not stored.
+    sys = diverging()
+    expected = m1_outcome(sys, unit_box(), None, step_cap)
+    error, message = outcome
+    with pytest.raises(error, match=message):
+        bound_m1_unforced(fresh(sys), unit_box(), step_cap)
+    for cap in (60, 121, 122, POWER_SERIES_STEP_CAP, 10):
+        m1_outcome(sys, unit_box(), 0.3, cap)
+        assert m1_outcome(sys, unit_box(), None, step_cap) == expected
+    assert record_length(sys) == 122

@@ -12,10 +12,9 @@ from masbound import (
     exact_t_star_unforced,
     powerseries,
 )
-from masbound.linalg import char_poly_coeffs, spectral_radius
-from masbound.model import gamma
+from masbound.linalg import char_poly_coeffs
 from masbound.powerseries import BetaState, beta_init, beta_step, condition_forced, condition_unforced
-from conftest import make_siso, random_stable_matrix, unit_box
+from conftest import m1_cases, make_siso, random_stable_matrix, reference_m1, unit_box
 
 
 class TestBetaRecursion:
@@ -231,21 +230,6 @@ class TestSoundnessAgainstExact:
             assert bound_m1_unforced(make_siso(a), box).m == 0
 
 
-def reference_m1(sys, box, epsilon):
-    """(m, iterations, diagnostics) from `beta_step` and `condition_*` at every t."""
-    g = gamma(box)
-    c = char_poly_coeffs(sys.A)
-    state = beta_init(c)
-    while not (
-        condition_unforced(state.beta, g) if epsilon is None else condition_forced(state.beta, g, epsilon)
-    ):
-        state = beta_step(state, c)
-    diagnostics = {"stop_t": state.t, "gamma": g, "rho": spectral_radius(sys.A)}
-    if epsilon is not None:
-        diagnostics["epsilon"] = epsilon
-    return state.t - 1, state.t - sys.n, diagnostics
-
-
 def run_m1(sys, box, epsilon):
     rep = bound_m1_unforced(sys, box) if epsilon is None else bound_m1_forced(sys, box, epsilon)
     return rep.m, rep.iterations, rep.diagnostics
@@ -254,20 +238,6 @@ def run_m1(sys, box, epsilon):
 def slow_rotation(rho=0.995, theta=0.3):
     A = rho * np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
     return LtiSystem(A=A, B=[[1.0], [0.0]], C=[[1.0, 0.0]])
-
-
-@st.composite
-def m1_cases(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 9))
-    q = draw(st.integers(1, 2))
-    sys = LtiSystem(
-        A=random_stable_matrix(rng, n, rho_max=0.98),
-        B=rng.standard_normal((n, 1)),
-        C=rng.standard_normal((q, n)),
-    )
-    box = OutputBox(rng.uniform(0.2, 2.0, size=q), rng.uniform(0.2, 2.0, size=q))
-    return sys, box, draw(st.sampled_from([None, 0.01, 0.3, 1.0]))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -300,23 +270,36 @@ class TestNearTies:
         monkeypatch.setattr(powerseries, name, wrapped)
         return calls
 
+    @staticmethod
+    def warm(sys):
+        """Step the system's stored recursion past t = 3, where the rules under test have stopped."""
+        bound_m1_forced(sys, unit_box(), 0.01)
+        assert sys.__dict__[powerseries._RECORD][0].shape[1] > 3
+
+    @pytest.mark.parametrize("warmed", [False, True])
     @pytest.mark.parametrize("epsilon", [None, 0.5])
     @pytest.mark.parametrize("ulps, stops_at_once", [(-1, True), (0, True), (1, False)])
-    def test_threshold_and_neighbours_go_to_exact_rule(self, monkeypatch, epsilon, ulps, stops_at_once):
+    def test_threshold_and_neighbours_go_to_exact_rule(self, monkeypatch, epsilon, ulps, stops_at_once, warmed):
+        # On a warmed system the tie lies among the stored sums; beta(1) is re-stepped for the rule.
         name, a = self.RULES[epsilon]
         if ulps:
             a = float(np.nextafter(a, a * 2.0 if ulps > 0 else 0.0))
         sys = make_siso(a, b=1.0)
+        if warmed:
+            self.warm(sys)
         calls = self.spy(monkeypatch, name)
         result = run_m1(sys, self.BOX, epsilon)
         assert calls and calls[0] is stops_at_once
         assert result[0] == (0 if stops_at_once else 1)
         assert result == reference_m1(sys, self.BOX, epsilon)
 
+    @pytest.mark.parametrize("warmed", [False, True])
     @pytest.mark.parametrize("epsilon", [None, 0.5])
-    def test_clear_decisions_skip_exact_rule(self, monkeypatch, epsilon):
+    def test_clear_decisions_skip_exact_rule(self, monkeypatch, epsilon, warmed):
         name, _ = self.RULES[epsilon]
         sys = LtiSystem(A=[[0.0, 1.0], [-0.25, 1.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
+        if warmed:
+            self.warm(sys)
         # The reference runs before the spy: its unforced rule calls the forced one.
         expected = reference_m1(sys, self.BOX, epsilon)
         calls = self.spy(monkeypatch, name)
