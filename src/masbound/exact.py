@@ -54,6 +54,9 @@ decision is made in one of three ways:
   not finite goes to the LP.
 - LP: every other row, over the persistent model of `geometry.WarmLp`,
   which the call borrows from the process's free list at its first LP.
+  The model holds a row and its mirror, when both are accepted at one
+  step or both start the set, as one ranged row -lower <= m.x <= upper;
+  on a symmetric box every row pairs, and the LPs run on half the rows.
 
 A closed-form maximum within _TIE * rhs of rhs + lp_tol goes to the LP.
 A screened or closed-form verdict is the one the LP reaches in exact

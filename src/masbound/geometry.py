@@ -220,12 +220,49 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _dense_layout(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (-inf lower bounds, row starts, column indices) of k dense rows of length d."""
-    layout = (np.full(k, -np.inf), np.arange(0, k * d, d, dtype=np.int32), np.tile(np.arange(d, dtype=np.int32), k))
+def _dense_layout(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (row starts, column indices) of k dense rows of length d."""
+    layout = (np.arange(0, k * d, d, dtype=np.int32), np.tile(np.arange(d, dtype=np.int32), k))
     for part in layout:
         part.flags.writeable = False
     return layout
+
+
+def _mirror_pairs(G) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of a batch to hold as ranged rows -h[second] <= G[first] x <= h[first], G[second] = -G[first].
+
+    None when the second half of the batch negates its first half row by
+    row, the layout of every band: then row i pairs with row k/2 + i.
+    Otherwise (first, second) as index arrays, a row paired only when it
+    has exactly one exact negation in the batch and that row has no
+    other, so a repeated row stays a row of its own.  An empty range
+    (h[first] + h[second] < 0) is infeasible in HiGHS, as the two rows are.
+    """
+    k = len(G)
+    half = k // 2
+    # Finite x + y is 0 exactly when y = -x, rounding included.
+    if k % 2 == 0 and not np.count_nonzero(G[half:] + G[:half]):
+        return None
+    negates = (G[:, None, :] == -G).all(axis=2)
+    np.fill_diagonal(negates, False)
+    once = negates.sum(axis=1) == 1
+    mate = negates.argmax(axis=1)
+    first = np.flatnonzero(once & once[mate] & (mate > np.arange(k)))
+    return first, mate[first]
+
+
+def _ranged(G, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coefficients, lower, upper) of a batch's HiGHS rows: one ranged row per mirrored pair, at its first row."""
+    pairs = _mirror_pairs(G)
+    if pairs is None:
+        half = len(h) // 2
+        return G[:half], -h[half:], h[:half]
+    first, second = pairs
+    lead = np.ones(len(h), dtype=bool)
+    lead[second] = False
+    lower = np.full(len(h), -np.inf)
+    lower[first] = -h[second]
+    return G[lead], lower[lead], h[lead]
 
 
 class WarmLp:
@@ -239,12 +276,23 @@ class WarmLp:
     carries on from it where HiGHS's default, dual simplex, starts from
     a basis the new objective makes dual infeasible.  A row appended
     after a cut, or restored while pruning, is as a rule violated by the
-    last optimum, so the next solve first regains feasibility.
+    last optimum, so the next solve first regains feasibility.  Dual
+    simplex on the ranged rows below was at most a few percent faster,
+    and far slower on ill-conditioned forced instances.
+
+    A row whose exact negation comes in the same batch (the starting
+    polytope, or one `add_rows` call) shares one ranged HiGHS row with
+    it, -h[second] <= G[first] x <= h[first] (`_mirror_pairs`); HiGHS
+    stores two-sided rows natively, so a set of mirrored pairs, every
+    band of the exact index, solves with half the rows.  Any other row
+    is a one-sided row of its own.  `G`, `h`, `active` and `polytope`
+    keep one row per inequality, in the order they were added, and
+    `relax` and `restore` move only that row's side of its HiGHS row.
 
     The model is borrowed on the first `maximize` from the per-process
     free list of its class (a new one is built only when the list is
     empty), its options are set, and every row added so far is passed in
-    one batch (relaxed rows without an upper bound), so a `WarmLp` that
+    one batch (a relaxed side without its bound), so a `WarmLp` that
     never solves holds none.  When the `WarmLp` is collected the model
     is cleared and goes back to the list; two live `WarmLp`s never share
     one.  The rows are kept in arrays that double when full.  Presolve
@@ -274,6 +322,9 @@ class WarmLp:
         self._active = np.empty(len(self._G), dtype=bool)
         self._n = 0
         self._append(poly.G, poly.h)
+        # Where each batch ends, and the HiGHS row and mirror of each row (`_row_map`).
+        self._ends = [self._n]
+        self._map = None
 
     @property
     def G(self) -> np.ndarray:
@@ -296,8 +347,9 @@ class WarmLp:
         G = np.atleast_2d(np.asarray(G, dtype=float))
         h = np.atleast_1d(np.asarray(h, dtype=float))
         self._append(G, h)
+        self._ends.append(self._n)
         if self._model is not None:
-            self._pass_rows(G, h)
+            self._pass_rows(*_ranged(G, h))
 
     def _append(self, G, h) -> None:
         n, k = self._n, len(h)
@@ -321,10 +373,11 @@ class WarmLp:
             if highs.setOptionValue(name, value) != ok:
                 raise ValueError(f"HiGHS refused option {name} = {value!r}")
 
-    def _pass_rows(self, G, upper) -> None:
+    def _pass_rows(self, G, lower, upper) -> None:
+        """Give HiGHS the rows lower <= G x <= upper."""
         # Dense rows: HiGHS drops the zero entries itself.
         k, d = G.shape
-        lower, starts, index = _dense_layout(k, d)
+        starts, index = _dense_layout(k, d)
         self._model.addRows(k, lower, upper, k * d, starts, index, G.ravel())
 
     @property
@@ -340,19 +393,52 @@ class WarmLp:
             d = self._G.shape[1]
             model.addVars(d, np.full(d, -np.inf), np.full(d, np.inf))
             self._cols = np.arange(d, dtype=np.int32)
-            self._pass_rows(self.G, np.where(self.active, self.h, np.inf))
+            h = np.where(self.active, self.h, np.inf)
+            parts = [_ranged(self._G[a:b], h[a:b]) for a, b in zip([0, *self._ends], self._ends)]
+            self._pass_rows(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
         return self._model
+
+    def _row_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(HiGHS row of each row, the row it shares it with or -1), as `_pass_rows` laid them out."""
+        if self._map is None or len(self._map[0]) < self._n:
+            hrow = np.empty(self._n, dtype=np.int64)
+            mate = np.full(self._n, -1, dtype=np.int64)
+            m = 0
+            for a, b in zip([0, *self._ends], self._ends):
+                pairs = _mirror_pairs(self._G[a:b])
+                if pairs is None:
+                    half = (b - a) // 2
+                    pairs = np.arange(half), np.arange(half, b - a)
+                first, second = pairs
+                mate[a + first], mate[a + second] = a + second, a + first
+                lead = np.ones(b - a, dtype=bool)
+                lead[second] = False
+                hrow[a:b] = np.cumsum(lead) + (m - 1)
+                hrow[a + second] = hrow[a + first]
+                m += int(np.count_nonzero(lead))
+            self._map = hrow, mate
+        return self._map
+
+    def _rebound(self, i: int) -> None:
+        """Give row i's HiGHS row the bounds of its active rows."""
+        hrow, mate = self._row_map()
+        j = int(mate[i])
+        # The row added first is the HiGHS row's upper side.
+        upper, lower = (j, i) if 0 <= j < i else (i, j)
+        top = float(self.h[upper]) if self.active[upper] else np.inf
+        bottom = -float(self.h[lower]) if lower >= 0 and self.active[lower] else -np.inf
+        self._model.changeRowBounds(int(hrow[i]), bottom, top)
 
     def relax(self, i: int) -> None:
         """Drop row i from the set; its index stays reserved."""
         self.active[i] = False
         if self._model is not None:
-            self._model.changeRowBounds(int(i), -np.inf, np.inf)
+            self._rebound(i)
 
     def restore(self, i: int) -> None:
         self.active[i] = True
         if self._model is not None:
-            self._model.changeRowBounds(int(i), -np.inf, float(self.h[i]))
+            self._rebound(i)
 
     def maximize(self, c) -> LpOutcome:
         """Maximize c.x over the active rows: status and optimum as in `lp_maximize`."""

@@ -138,33 +138,47 @@ def compute_sigma(A, P, Q, mode: str = "eq25") -> float:
     lam_min_q = sym_eig_extremes(Q)[0] if mode == "eq25" else None
     lam_max_p = sym_eig_extremes(P)[1] if mode == "eq25" else None
     rho = spectral_radius(A) if mode == "paper" else None
-    return _decay_factor(rho, lam_max_p, lam_min_q, mode)
+    return _decay_factor(rho, lam_max_p, lam_min_q, mode)[0]
 
 
-def _decay_factor(rho: float | None, lam_max_p: float | None, lam_min_q: float | None, mode: str) -> float:
-    """`compute_sigma` given rho(A) (read by mode "paper"), lambda_max(P) and lambda_min(Q) (read by "eq25")."""
+def _decay_factor(rho: float | None, lam_max_p: float | None, lam_min_q: float | None, mode: str) -> tuple[float, float]:
+    """(`compute_sigma`, log of the factor) given rho(A) (read by mode "paper"), lambda_max(P) and lambda_min(Q) (read by "eq25").
+
+    In mode "eq25" the log is log1p(-lambda_min(Q)/lambda_max(P)): once
+    lambda_max(P) exceeds about 2^53 lambda_min(Q) the factor itself
+    rounds to 1, but its log stays negative.  Only a factor whose log is
+    not negative is refused; a factor at or below 0 has log -inf.
+    """
     if mode not in SIGMA_MODES:
         raise ValueError(f"unknown sigma mode {mode!r}; expected one of {SIGMA_MODES}")
     if mode == "paper":
         sigma = rho**2
+        log_sigma = math.log(sigma) if sigma > 0.0 else -math.inf
     else:
         if lam_min_q <= 0.0 or lam_max_p <= 0.0:
             raise NumericalError("Lyapunov pair lost positive definiteness")
-        sigma = 1.0 - lam_min_q / lam_max_p
-    if sigma >= 1.0:
+        ratio = lam_min_q / lam_max_p
+        sigma = 1.0 - ratio
+        log_sigma = math.log1p(-ratio) if ratio < 1.0 else -math.inf
+    if not log_sigma < 0.0:
         raise NumericalError(f"decay factor {sigma:.6g} >= 1; Lyapunov data is inconsistent")
-    return max(sigma, 0.0)
+    return max(sigma, 0.0), log_sigma
 
 
 def bound_m2(r1: float, r2: float, sigma: float) -> int:
     """floor(log(r1/r2) / log(sigma)), clamped to be a valid nonnegative bound."""
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise ValueError(f"levels must be positive, got r1={r1}, r2={r2}")
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if sigma == 0.0 or r1 >= r2:
+    return _steps(r1, r2, math.log(sigma) if sigma > 0.0 else -math.inf)
+
+
+def _steps(r1: float, r2: float, log_sigma: float) -> int:
+    """`bound_m2` given log(sigma) < 0, -inf for sigma = 0."""
+    if r1 <= 0.0 or r2 <= 0.0:
+        raise ValueError(f"levels must be positive, got r1={r1}, r2={r2}")
+    if log_sigma == -math.inf or r1 >= r2:
         return 0
-    return max(0, math.floor(math.log(r1 / r2) / math.log(sigma)))
+    return max(0, math.floor(math.log(r1 / r2) / log_sigma))
 
 
 @per_system
@@ -195,7 +209,7 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
     check_problem(sys, box, epsilon)
     P, lam_max_p, denoms = _lyapunov_data(sys)
     # lambda_min(I) = 1, with no eigen-solve of Q.
-    sigma = _decay_factor(sys.rho, lam_max_p, 1.0, sigma_mode)
+    sigma, log_sigma = _decay_factor(sys.rho, lam_max_p, 1.0, sigma_mode)
     scale = 1.0 if epsilon is None else epsilon
     r1 = _inscribed_level(denoms, box, scale)
     if not r1 > 0.0:
@@ -204,15 +218,15 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
     feed = None if epsilon is None or epsilon == 1.0 else _input_basis(sys)
     verts, path = _prefix_vertices(_prefix_bands(sys, box, sys.n - 1, feed, scale), lp_tol)
     r2 = compute_r2(P, verts, proj_dim=sys.n)
-    m = bound_m2(r1, r2, sigma)
+    m = _steps(r1, r2, log_sigma)
     if r2 < r1 - 1e-9 * max(1.0, abs(r1)):
         raise NumericalError(
             f"circumscribing level {r2:.6g} fell below inscribed level "
             f"{r1:.6g}; vertex enumeration or the Lyapunov solve is suspect"
         )
     boundary = False
-    if 0.0 < sigma < 1.0 and r1 < r2:
-        ratio = math.log(r1 / r2) / math.log(sigma)
+    if log_sigma > -math.inf and r1 < r2:
+        ratio = math.log(r1 / r2) / log_sigma
         boundary = abs(ratio - round(ratio)) < 1e-9
     diagnostics = {
         "sigma": sigma,

@@ -25,11 +25,11 @@ is stepped once per system.  The system keeps, beside the `per_system`
 values, a record of how far it has been stepped: the plain sums of the
 positive and of the negative coefficients of beta(t) for t = n .. T, one
 read-only float64 array, and beta(T); 16 bytes per step reached plus one
-beta.  A call decides the steps before T on the stored sums in one numpy
+beta.  A call decides the steps up to T on the stored sums in one numpy
 pass, whose left side, taken elementwise, is bitwise the loop's.  Only a
-stop beyond them runs the loop, from beta(T), and that call then
+stop beyond them runs the loop, from beta(T + 1), and that call then
 replaces the record whole by the longer one.  A near-tie among the
-stored steps re-steps beta(t) from the polynomial for
+stored steps re-steps beta(t) from the polynomial (or reads beta(T)) for
 `condition_forced`; a cap error stores the steps it reached; a
 divergence, like a failed `per_system` computation, stores nothing and
 is met again by the next call.  So every report and error is bitwise the
@@ -133,9 +133,9 @@ def _char_poly(sys: LtiSystem) -> tuple[float, ...]:
 _RECORD = f"{__name__}.recursion"
 
 
-def _beta_at(c: tuple[float, ...], steps: int) -> list[float]:
-    """beta(n + steps) as plain floats, stepped as `_bound_m1` steps it."""
-    beta = [-ci for ci in c]
+def _beta_at(c: tuple[float, ...], steps: int, beta=None) -> list[float]:
+    """beta stepped `steps` times from `beta` (beta(n) by default) as plain floats, as `_bound_m1` steps it."""
+    beta = [-ci for ci in c] if beta is None else list(beta)
     c0, c_rest = c[0], c[1:]
     for _ in range(steps):
         last = beta[-1]
@@ -153,20 +153,11 @@ def _cap_error(step_cap, rho: float, t: int, beta) -> IterationCapError:
 
 
 def _store(sys: LtiSystem, record, sums: tuple[list[float], list[float]], beta: list[float]) -> None:
-    """Store the record whose last steps are those of `sums`, ending at `beta`.
+    """Store the record extended by the steps of `sums`, ending at `beta`.
 
-    `sums` starts at the record's last step, or at step n without one; a
-    record the call stepped no further is kept.
+    `sums` starts at the step after the record's last, or at step n without one.
     """
-    if record is None:
-        stored = np.array(sums)
-    elif len(sums[0]) > 1:
-        kept = record[0].shape[1] - 1
-        stored = np.empty((2, kept + len(sums[0])))
-        stored[:, :kept] = record[0][:, :kept]
-        stored[:, kept:] = sums
-    else:
-        return
+    stored = np.array(sums) if record is None else np.concatenate([record[0], sums], axis=1)
     stored.setflags(write=False)
     sys.__dict__[_RECORD] = (stored, tuple(beta))
 
@@ -175,9 +166,10 @@ def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -
     """Both regimes; `epsilon is None` is the unforced one, the forced rule at epsilon = 1.
 
     There the weights 1 + g*0 and g + 0 and the threshold are bitwise the
-    unforced rule's 1, g and 1.  The steps before the record's last, T,
+    unforced rule's 1, g and 1.  The record's steps, up to its last, T,
     are decided on its sums, up to the step at which the loop would raise
-    the cap error; the loop decides T again and goes on from there.
+    the cap error (a near-tie at T reads the stored beta(T)); the loop
+    goes on from T + 1.
     """
     rho = check_problem(sys, box, epsilon)
     g = gamma(box)
@@ -191,17 +183,16 @@ def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -
         beta, t = _beta_at(c, 0), n
     else:
         stored, last_beta = record
-        # The loop raises the cap error at step n + capped.
-        capped = max(step_cap, 0)
-        k = min(stored.shape[1] - 1, capped + 1)
-        if k:
-            slack = eps - (w_pos * stored[0, :k] - w_neg * stored[1, :k])
-            for i in (slack >= -band).nonzero()[0].tolist():
-                if slack[i] > band or condition_forced(np.array(_beta_at(c, i)), g, eps):
-                    return _report(sys, epsilon, n + i, float(slack[i]), g, rho)
+        # The loop raises the cap error at step n + capped; the record ends at step n + last.
+        capped, last = max(step_cap, 0), stored.shape[1] - 1
+        k = min(last, capped) + 1
+        slack = eps - (w_pos * stored[0, :k] - w_neg * stored[1, :k])
+        for i in (slack >= -band).nonzero()[0].tolist():
+            if slack[i] > band or condition_forced(np.array(last_beta if i == last else _beta_at(c, i)), g, eps):
+                return _report(sys, epsilon, n + i, float(slack[i]), g, rho)
         if k > capped:
-            raise _cap_error(step_cap, rho, n + capped, _beta_at(c, capped))
-        beta, t = list(last_beta), n + k
+            raise _cap_error(step_cap, rho, n + capped, last_beta if capped == last else _beta_at(c, capped))
+        beta, t = _beta_at(c, 1, last_beta), n + k
     sums = ([], [])
     add_pos, add_neg = sums[0].append, sums[1].append
     c0, c_rest = c[0], c[1:]

@@ -410,6 +410,27 @@ class TestMirroredRows:
         assert screened > 0
         assert len(calls) == decisions - screened - closed - slab
 
+    @pytest.mark.parametrize("case", symmetric_cases())
+    def test_symmetric_box_holds_one_highs_row_per_pair(self, monkeypatch, case):
+        # Every band, the starting set and the pruned rows come in mirrored pairs.
+        if geometry._HIGHS is None:
+            pytest.skip("this scipy has no persistent HiGHS class")
+        held = []
+        real = geometry.WarmLp.maximize
+
+        def spy(self, c):
+            out = real(self, c)
+            held.append((self._model.getNumRow(), len(self.h)))
+            return out
+
+        monkeypatch.setattr(geometry.WarmLp, "maximize", spy)
+        res = run_exact(*case)
+        solved = len(held)
+        res.polytope  # the prune's LPs
+        assert solved < len(held)
+        assert all(2 * highs_rows == rows for highs_rows, rows in held)
+        assert held[-1][1] == res.rows.nrows
+
     @pytest.mark.parametrize("case", asymmetric_cases())
     def test_asymmetric_box_spends_2q_lps_per_step(self, monkeypatch, case):
         calls = count_lps(monkeypatch)
@@ -419,6 +440,34 @@ class TestMirroredRows:
         assert decisions < 2 * case[0].q * (res.t_star + 1)
         assert screened > 0
         assert len(calls) == decisions - screened - closed - slab
+
+
+def non_normal_draw(seed: int, n: int) -> LtiSystem:
+    """A strongly non-normal two-output, two-input system of order n in 3, 4, 5.
+
+    One generator per seed draws orders 3, 4 and 5 in turn: a triangular
+    A with diagonal U(-0.9, 0.9) and a standard normal upper part scaled
+    by 10 ** U(1, 3), then a standard normal B and C.
+    """
+    rng = np.random.default_rng(seed)
+    for order in (3, 4, 5):
+        A = np.diag(rng.uniform(-0.9, 0.9, order)) + np.triu(rng.standard_normal((order, order)), 1) * 10 ** rng.uniform(1, 3)
+        B = rng.standard_normal((order, 2))
+        C = rng.standard_normal((2, order))
+        if order == n:
+            return LtiSystem(A=A, B=B, C=C)
+    raise ValueError(f"order {n} is not drawn")
+
+
+@pytest.mark.parametrize(
+    "seed, n, unforced, forced", [(30, 5, 15, 26), (37, 4, 12, 20), (47, 4, 12, 20), (47, 5, 16, 27), (59, 5, 7, 19)]
+)
+def test_non_normal_draws_keep_their_index(seed, n, unforced, forced):
+    # Ill-conditioned LPs: the largest entry of A reaches the hundreds.
+    sys = non_normal_draw(seed, n)
+    box = unit_box(2)
+    assert exact_t_star_unforced(sys, box).t_star == unforced
+    assert exact_t_star_forced(sys, box, 0.05).t_star == forced
 
 
 class TestRetiredRows:

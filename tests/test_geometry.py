@@ -156,6 +156,15 @@ class TestOneOffLpTolerance:
             ONE_OFF_LPS[name](lp_tol)
 
 
+def assert_matches_cold(lp, objectives):
+    """Each warm solve has the status, and the optimum within 1e-9, of `lp_maximize` on the active rows."""
+    for c in objectives:
+        warm, cold = lp.maximize(c), lp_maximize(c, lp.polytope)
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            assert warm.optimum == pytest.approx(cold.optimum, abs=1e-9)
+
+
 class TestWarmLp:
     def test_warm_sequence_matches_cold_solves(self, rng):
         # One model, many objectives, rows added and relaxed in between:
@@ -229,10 +238,61 @@ class TestWarmLp:
         lp = WarmLp(box2d())
         assert lp.maximize([1.0, 0.0]).status == "optimal"
         model = lp._model
-        assert (model.getNumRow(), model.getNumCol()) == (4, 2)
+        # The box's two mirrored pairs are two ranged rows.
+        assert (model.getNumRow(), model.getNumCol()) == (2, 2)
         del lp
         assert geometry._FREE_MODELS[type(model)] == [model]
         assert (model.getNumRow(), model.getNumCol()) == (0, 0)
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_mirrored_rows_share_one_highs_row(self, rng, interleaved):
+        # [M; -M] as one band comes, or m_1, -m_1, m_2, -m_2 as `band_rows` stacks one-row bands.
+        if geometry._HIGHS is None:
+            pytest.skip("this scipy has no persistent HiGHS class")
+        M, upper, lower = rng.standard_normal((4, 3)), rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
+        G, h = np.vstack([M, -M]), np.concatenate([upper, lower])
+        if interleaved:
+            order = np.ravel([np.arange(4), np.arange(4, 8)], order="F")
+            G, h = G[order], h[order]
+        lp = WarmLp(Polytope(G, h))
+        assert_matches_cold(lp, rng.standard_normal((6, 3)))
+        assert lp._model.getNumRow() == 4
+        assert np.array_equal(lp.G, G) and np.array_equal(lp.h, h)
+
+    @pytest.mark.parametrize("build_first", [False, True])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_relaxing_one_side_of_a_ranged_row(self, rng, symmetric, build_first):
+        M = rng.standard_normal((4, 3))
+        upper = rng.uniform(0.5, 2.0, 4)
+        lower = upper if symmetric else rng.uniform(0.5, 2.0, 4)
+        lp = WarmLp(Polytope(np.vstack([M, -M]), np.concatenate([upper, lower])))
+        if build_first:
+            lp.maximize(np.ones(3))
+        objectives = rng.standard_normal((6, 3))
+        # The upper side of pair 0, the lower side of pair 1, then pair 1 whole; then back.
+        for step in (lp.relax, lp.restore):
+            for i in (0, 5, 1):
+                step(i)
+                assert_matches_cold(lp, objectives)
+        assert lp.active.all()
+
+    @pytest.mark.parametrize("build_first", [False, True])
+    def test_negation_in_a_later_batch_keeps_its_own_row(self, rng, build_first):
+        if geometry._HIGHS is None:
+            pytest.skip("this scipy has no persistent HiGHS class")
+        lp = WarmLp(Polytope(np.eye(2), np.ones(2)))
+        if build_first:
+            assert lp.maximize([1.0, 1.0]).optimum == pytest.approx(2.0)
+        objectives = rng.standard_normal((6, 2))
+        lp.add_rows(-np.eye(2), [0.5, 0.5])
+        lp.relax(2)
+        # A pair in a batch of its own; the row map is rebuilt for it.
+        lp.add_rows([[1.0, 1.0], [-1.0, -1.0]], [1.5, 0.5])
+        lp.relax(4)
+        assert_matches_cold(lp, objectives)
+        assert lp._model.getNumRow() == 5
+        lp.restore(2)
+        assert_matches_cold(lp, objectives)
 
     def test_live_warm_lps_hold_distinct_models(self, monkeypatch):
         built = count_models(monkeypatch)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys as _sys
 from pathlib import Path
 
@@ -552,11 +553,27 @@ class TestGuards:
         with pytest.raises(NumericalError, match="positive definiteness"):
             bound_m2_unforced(make_siso(0.5), unit_box())
 
-    def test_decay_factor_one_refused(self, monkeypatch):
-        # lambda_max(P) = 1e20 rounds 1 - 1/lambda_max(P) to 1.
+    def test_decay_factor_rounding_to_one_answers(self, monkeypatch):
+        # lambda_max(P) = 1e20 rounds 1 - 1/lambda_max(P) to 1; the bound reads log1p(-1e-20).
         monkeypatch.setattr(lyapunov, "kron_lyapunov", lambda A, Q: 1e20 * np.eye(A.shape[0]))
+        rep = bound_m2_forced(make_siso(0.5, b=1.0), unit_box(), 0.1)
+        r1, r2 = rep.diagnostics["r1"], rep.diagnostics["r2"]
+        assert rep.diagnostics["sigma"] == 1.0
+        assert rep.m == math.floor(math.log(r1 / r2) / math.log1p(-1e-20)) > 0
+
+    def test_decay_factor_with_zero_log_refused(self):
+        # lambda_min(Q) / lambda_max(P) underflows to 0: no decay is left to bound with.
         with pytest.raises(NumericalError, match="decay factor"):
-            bound_m2_forced(make_siso(0.5, b=1.0), unit_box(), 0.1)
+            compute_sigma(np.eye(1), 1e300 * np.eye(1), 1e-300 * np.eye(1), mode="eq25")
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_huge_lyapunov_level_answers(self):
+        # lambda_max(P) = 2.96e16: 1 - 1/lambda_max(P) rounds to 1, which both regimes refused.
+        sys = LtiSystem(A=[[0.5, 1e8], [0.0, 0.5]], B=[[1.0], [1.0]], C=[[1.0, 0.0]])
+        assert lyapunov._lyapunov_data(sys)[1] > 2.0**54
+        unforced, forced = bound_m2_unforced(sys, unit_box()), bound_m2_forced(sys, unit_box(), 0.01)
+        assert (unforced.m, forced.m) == (47687049257306696, 344008266969663360)
+        assert unforced.diagnostics["sigma"] == forced.diagnostics["sigma"] == 1.0
 
     def test_paper_decay_factor_one_refused(self):
         with pytest.raises(NumericalError, match="decay factor"):

@@ -75,13 +75,13 @@ def count_solves(monkeypatch, sys):
 def count_evaluated(monkeypatch):
     """Per m1 call that stores its steps, how many steps of the recursion it evaluated beyond the stored ones.
 
-    A call that goes on from a record evaluates the record's last step again.
+    A call that goes on from a record starts at the step after its last.
     """
     evaluated = []
     store = powerseries._store
 
     def spy(sys, record, sums, beta):
-        evaluated.append(len(sums[0]) - (record is not None))
+        evaluated.append(len(sums[0]))
         return store(sys, record, sums, beta)
 
     monkeypatch.setattr(powerseries, "_store", spy)

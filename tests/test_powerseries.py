@@ -305,3 +305,57 @@ class TestNearTies:
         calls = self.spy(monkeypatch, name)
         assert run_m1(sys, self.BOX, epsilon) == expected
         assert calls == []
+
+
+def spy_store(monkeypatch):
+    """The (record, sums) of every `powerseries._store` call."""
+    stores = []
+    real = powerseries._store
+
+    def wrapped(sys, record, sums, beta):
+        stores.append((record, sums))
+        return real(sys, record, sums, beta)
+
+    monkeypatch.setattr(powerseries, "_store", wrapped)
+    return stores
+
+
+class TestRecordReuse:
+    def test_warm_calls_stopping_by_the_last_step_store_nothing(self, monkeypatch):
+        # The forced call at epsilon = 0.01 steps furthest (about 1000 steps);
+        # it and every call that stops before it read the stored sums alone.
+        sys = slow_rotation()
+        cases = [(unit_box(), 0.01), (unit_box(), None), (OutputBox([0.5], [2.0]), 0.3), (unit_box(), 0.5)]
+        expected = [reference_m1(sys, box, epsilon) for box, epsilon in cases]
+        run_m1(sys, *cases[0])
+        stores = spy_store(monkeypatch)
+        assert [run_m1(sys, box, epsilon) for box, epsilon in cases] == expected
+        assert stores == []
+
+    def test_call_past_the_record_evaluates_only_new_steps(self, monkeypatch):
+        sys = slow_rotation()
+        run_m1(sys, unit_box(), None)
+        last = sys.__dict__[powerseries._RECORD][0].shape[1] - 1
+        stores = spy_store(monkeypatch)
+        expected = reference_m1(sys, unit_box(), 0.01)
+        assert run_m1(sys, unit_box(), 0.01) == expected
+        [(record, sums)] = stores
+        assert record[0].shape[1] == last + 1
+        # The loop evaluates steps n + last + 1 .. m + 1, the stop.
+        assert len(sums[0]) == expected[0] + 1 - sys.n - last
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_tie_at_the_last_step_reads_the_stored_beta(self, monkeypatch, epsilon, ulps):
+        # A first call stores the recursion up to its stop; a second decides
+        # the same near-tie, at or before the record's last step, without a store.
+        name, a = TestNearTies.RULES[epsilon]
+        if ulps:
+            a = float(np.nextafter(a, a * 2.0 if ulps > 0 else 0.0))
+        sys = make_siso(a, b=1.0)
+        expected = reference_m1(sys, TestNearTies.BOX, epsilon)
+        assert run_m1(sys, TestNearTies.BOX, epsilon) == expected
+        stores = spy_store(monkeypatch)
+        calls = TestNearTies.spy(monkeypatch, name)
+        assert run_m1(sys, TestNearTies.BOX, epsilon) == expected
+        assert calls and stores == []
