@@ -124,6 +124,8 @@ def _cmd_montecarlo(args) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     config = StudyConfig(count=args.count, seed=args.seed, epsilon=args.epsilon)
     rows, summary = run_study(config, jobs=args.jobs)
     _atomic_write(args.out, rows_to_csv_text(rows))

@@ -44,7 +44,7 @@ decision is made in one of three ways:
   unbounded.  The span is held as an orthonormal basis that must cover
   every accepted row: a row that lies off it by more than _ROUNDOFF but
   at most _SPAN times its norm stops the screen for the rest of the call.
-- closed form: when the accepted rows are d or d + 1 mirrored pairs
+- closed form: when the accepted rows are d or d + 1 two-sided rows
   {-lower <= M x <= upper} of rank d whose first d rows each joined the
   span basis (`_leads`), the row's maximum is `geometry.pairs_maximum`,
   the least value of the LP's dual: one sum for d pairs, the least over
@@ -54,9 +54,11 @@ decision is made in one of three ways:
   not finite goes to the LP.
 - LP: every other row, over the persistent model of `geometry.WarmLp`,
   which the call borrows from the process's free list at its first LP.
-  The model holds a row and its mirror, when both are accepted at one
-  step or both start the set, as one ranged row -lower <= m.x <= upper;
-  on a symmetric box every row pairs, and the LPs run on half the rows.
+  The accepted rows are held there once, as bands: the starting bands,
+  then per step one band of the outputs that cut, each side present
+  only where it cut.  Each band row is one ranged HiGHS row
+  -lower <= m.x <= upper, so on a symmetric box the LPs run on half as
+  many rows as one-sided inequalities.
 
 A closed-form maximum within _TIE * rhs of rhs + lp_tol goes to the LP.
 A screened or closed-form verdict is the one the LP reaches in exact
@@ -77,8 +79,8 @@ import numpy as np
 
 from .config import EXACT_STEP_CAP, LP_TOL, ZERO_ROW
 from .errors import IterationCapError
-from .geometry import Polytope, WarmLp, _certify_redundant, pairs_maximum
-from .model import LtiSystem, OutputBox, band_rows, check_problem, output_bands, stable_dc_gain
+from .geometry import Bands, Polytope, WarmLp, _certify_redundant, pairs_maximum
+from .model import LtiSystem, OutputBox, check_problem, output_bands, stable_dc_gain
 
 # A row whose component outside the accepted rows' span exceeds _SPAN
 # times its norm and _FLOOR times lp_tol cuts without an LP.  HiGHS
@@ -100,32 +102,44 @@ _TIE = 1e-6
 class MasResult:
     """Admissibility index plus the halfspace description of the set.
 
-    `rows` holds every inequality the construction accepted; `polytope`
-    prunes them to the non-redundant ones on first access, with the LP
-    tolerance `lp_tol` the construction used.  For the
-    forced regime both live in (z0, u) coordinates; add (I - A)^{-1} B u
-    to the first n components to recover x0.
+    `bands` holds every band the construction accepted: its starting
+    bands, then one band per step that cut, of the outputs that cut, each
+    side present only where it cut.  `rows` lists them as
+    one-sided inequalities (`Bands.polytope`: each band's upper sides,
+    then its lower sides); `polytope` prunes them to the non-redundant
+    ones on first access, with the LP tolerance `lp_tol` the
+    construction used.  For the forced regime all live in (z0, u)
+    coordinates; add (I - A)^{-1} B u to the first n components to
+    recover x0.
     """
 
     t_star: int
-    rows: Polytope
+    bands: Bands
     regime: str
     epsilon: float | None = None
     lp_tol: float = LP_TOL
 
     @cached_property
+    def rows(self) -> Polytope:
+        return self.bands.polytope
+
+    @cached_property
     def polytope(self) -> Polytope:
-        return _prune(self.rows, self.lp_tol)
+        return _prune(self.bands, self.lp_tol)
 
 
-def _prune(poly: Polytope, lp_tol: float) -> Polytope:
-    """Drop rows that are implied by the remaining ones, one at a time."""
-    lp = WarmLp(poly, lp_tol)
-    for i in range(poly.nrows):
-        if lp.active.sum() == 1:
+def _prune(bands: Bands, lp_tol: float) -> Polytope:
+    """Drop the one-sided rows of `bands` that the remaining ones imply, one at a time in `Bands.polytope` order."""
+    lp = WarmLp(bands, lp_tol)
+    rows = bands.polytope
+    left = rows.nrows
+    for i in range(rows.nrows):
+        if left == 1:
             break
         lp.relax(i)
-        if not lp.is_redundant(poly.G[i], poly.h[i]):
+        if lp.is_redundant(rows.G[i], rows.h[i]):
+            left -= 1
+        else:
             lp.restore(i)
     return lp.polytope
 
@@ -190,26 +204,29 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     row stays redundant at every later step.  A row is decided by the
     span screen while the accepted rows have rank below the dimension d
     and the basis span[:rank] (rank None once `_extend` gives up) covers
-    their span, by the closed form while they are d or d + 1 mirrored
-    pairs of rank d whose first d each joined the basis (`_leads`), and by
-    an LP otherwise.  The basis and the step's rows live in arrays
-    allocated once per call.  Returns (t_star, accepted rows).
+    their span, by the closed form while they are d or d + 1 two-sided
+    rows of rank d whose first d each joined the basis (`_leads`), and by
+    an LP otherwise.  The accepted rows are held once, as the bands of
+    the call's `WarmLp`: the starting bands, then per step the outputs
+    that cut, each side present only where it cut.  The basis and the
+    step's rows live in arrays allocated once per call.  Returns (t_star,
+    accepted bands).
     """
     start = list(itertools.islice(bands, first))
     # Every later band has the limits of the starting set's last band.
     symmetric = all(np.array_equal(lower, upper) for _, lower, upper in start)
     _, lower, upper = start[-1]
     q = len(lower)
-    rhs = np.concatenate([upper, lower]).tolist()
-    lp = WarmLp(Polytope(*band_rows(start)), lp_tol)
-    # The accepted rows as {-lower <= M x <= upper} while they come in
-    # mirrored pairs, at most d + 1 of them; None once they do not.
-    pairs = tuple(np.concatenate(part) for part in zip(*start))
-    d = pairs[0].shape[1]
+    bounds = np.concatenate([upper, lower])
+    rhs = bounds.tolist()
+    # The accepted rows, held once: the closed form reads them from here.
+    lp = WarmLp(start, lp_tol)
+    accepted = lp.bands
+    d = accepted.M.shape[1]
     span = np.empty((d, d))
-    rank = _extend(span, 0, pairs[0])
-    if len(pairs[0]) > d + 1:
-        pairs = None
+    rank = _extend(span, 0, accepted.M)
+    # Whether every accepted row is two-sided and there are at most d + 1.
+    paired = len(accepted.M) <= d + 1
 
     def slack(k):
         """rhs + lp_tol less row k's maximum over the accepted rows; the row cuts where it is negative."""
@@ -223,7 +240,7 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
             if _norm(res) > max(_SPAN * norm, _FLOOR * lp_tol):
                 return -math.inf
         if closed:
-            top = pairs_maximum(row, *pairs)
+            top = pairs_maximum(row, accepted.M, accepted.lower, accepted.upper)
             if top is not None and abs(bound + lp_tol - top) > _TIE * bound:
                 return bound + lp_tol - top
         return _certify_redundant(row, bound, lp.maximize, lp_tol)
@@ -236,7 +253,8 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
         rows[:q] = M
         np.negative(M, out=rows[q:])
         screen = rank is not None and rank < d
-        closed = pairs is not None and rank == d and _leads(pairs[0], span)
+        accepted = lp.bands if paired and rank == d else None
+        closed = accepted is not None and _leads(accepted.M, span)
         # The screen's residual of each row it saw, by row.
         residuals = {}
         slacks = [slack(k) for k in live]
@@ -245,17 +263,16 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
         if symmetric:
             fresh += [k + q for k in fresh]
         if not fresh:
-            return t, lp.polytope
-        lp.add_rows(rows[fresh], [rhs[k] for k in fresh])
-        # The outputs with a row accepted; each has both when the rows are mirrored.
+            return t, lp.bands
+        # The outputs that cut, each side bounded only where it cut.
         outputs = sorted({k % q for k in fresh})
+        cut = np.full(2 * q, np.inf)
+        cut[fresh] = bounds[fresh]
+        lp.add_band(M[outputs], cut[q:][outputs], cut[:q][outputs])
         if screen:
             # Negating the mirror's residual could flip the sign of a zero entry, so only the row's own is reused.
-            rank = _extend(span, rank, rows[outputs], residuals.get(outputs[0]))
-        if pairs is not None and len(fresh) == 2 * len(outputs) and len(pairs[0]) + len(outputs) <= d + 1:
-            pairs = tuple(np.concatenate([old, new[outputs]]) for old, new in zip(pairs, (rows, lower, upper)))
-        else:
-            pairs = None
+            rank = _extend(span, rank, M[outputs], residuals.get(outputs[0]))
+        paired = paired and len(fresh) == 2 * len(outputs) and len(lp.bands.M) <= d + 1
     raise IterationCapError(
         f"admissibility index not determined within {step_cap} steps",
         cap=step_cap,
@@ -274,8 +291,8 @@ def exact_t_star_unforced(
     is guaranteed to terminate.
     """
     check_problem(sys, box)
-    t_star, rows = _iterate(output_bands(sys, box), 1, step_cap, lp_tol)
-    return MasResult(t_star=t_star, rows=rows, regime="unforced", lp_tol=lp_tol)
+    t_star, bands = _iterate(output_bands(sys, box), 1, step_cap, lp_tol)
+    return MasResult(t_star=t_star, bands=bands, regime="unforced", lp_tol=lp_tol)
 
 
 def exact_t_star_forced(
@@ -292,5 +309,5 @@ def exact_t_star_forced(
     unforced one.
     """
     check_problem(sys, box, epsilon)
-    t_star, rows = _iterate(output_bands(sys, box, stable_dc_gain(sys), epsilon), 2, step_cap, lp_tol)
-    return MasResult(t_star=t_star, rows=rows, regime="forced", epsilon=epsilon, lp_tol=lp_tol)
+    t_star, bands = _iterate(output_bands(sys, box, stable_dc_gain(sys), epsilon), 2, step_cap, lp_tol)
+    return MasResult(t_star=t_star, bands=bands, regime="forced", epsilon=epsilon, lp_tol=lp_tol)

@@ -3,9 +3,11 @@
 The LP backend is scipy's HiGHS interface: `linprog` for one-off LPs,
 and `WarmLp`, one persistent HiGHS model re-solved from its previous
 basis, for the long runs of redundancy checks of the exact index.  A
-`WarmLp` borrows its model on its first solve from a per-process free
-list of cleared models and gives it back when it is collected, so a
-process builds about one model however many `WarmLp`s it makes.
+`WarmLp` holds the bands {x : -lower <= M x <= upper} its caller gives
+it (`Bands`), one HiGHS row per band row.  It borrows its model on its
+first solve from a per-process free list of cleared models and gives it
+back when it is collected, so a process builds about one model however
+many `WarmLp`s it makes.
 Vertex enumeration goes through qhull's halfspace intersection, seeded
 at the origin when it lies well inside and at the Chebyshev center
 (one LP) otherwise.  Boundedness is certified without LPs: the rows
@@ -228,71 +230,68 @@ def _dense_layout(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return layout
 
 
-def _mirror_pairs(G) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows of a batch to hold as ranged rows -h[second] <= G[first] x <= h[first], G[second] = -G[first].
+@dataclass(frozen=True)
+class Bands:
+    """Bands {x : -lower <= M x <= upper} stacked row by row; band b is rows ends[b - 1]:ends[b], from row 0.
 
-    None when the second half of the batch negates its first half row by
-    row, the layout of every band: then row i pairs with row k/2 + i.
-    Otherwise (first, second) as index arrays, a row paired only when it
-    has exactly one exact negation in the batch and that row has no
-    other, so a repeated row stays a row of its own.  An empty range
-    (h[first] + h[second] < 0) is infeasible in HiGHS, as the two rows are.
+    A side whose bound is inf is absent.  Iterating gives each band's
+    (M, lower, upper).  `polytope` lists the present sides as one-sided
+    rows G x <= h: each band's upper sides, then its lower sides.
     """
-    k = len(G)
-    half = k // 2
-    # Finite x + y is 0 exactly when y = -x, rounding included.
-    if k % 2 == 0 and not np.count_nonzero(G[half:] + G[:half]):
-        return None
-    negates = (G[:, None, :] == -G).all(axis=2)
-    np.fill_diagonal(negates, False)
-    once = negates.sum(axis=1) == 1
-    mate = negates.argmax(axis=1)
-    first = np.flatnonzero(once & once[mate] & (mate > np.arange(k)))
-    return first, mate[first]
+
+    M: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    ends: tuple[int, ...]
+
+    def __iter__(self):
+        for a, b in zip((0, *self.ends), self.ends):
+            yield self.M[a:b], self.lower[a:b], self.upper[a:b]
+
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """(band row, side) of each row of `polytope`, side 0 the upper side and 1 the lower."""
+        side, row = np.nonzero(np.isfinite((self.upper, self.lower)))
+        # Stable: within a band and side the rows keep their order.
+        order = np.argsort(2 * np.searchsorted(self.ends, row, side="right") + side, kind="stable")
+        return row[order], side[order]
+
+    @property
+    def polytope(self) -> Polytope:
+        return _one_sided(self, *self.sides())
 
 
-def _ranged(G, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coefficients, lower, upper) of a batch's HiGHS rows: one ranged row per mirrored pair, at its first row."""
-    pairs = _mirror_pairs(G)
-    if pairs is None:
-        half = len(h) // 2
-        return G[:half], -h[half:], h[:half]
-    first, second = pairs
-    lead = np.ones(len(h), dtype=bool)
-    lead[second] = False
-    lower = np.full(len(h), -np.inf)
-    lower[first] = -h[second]
-    return G[lead], lower[lead], h[lead]
+def _one_sided(bands: Bands, row, side) -> Polytope:
+    """The rows G x <= h of the band rows `row` on their sides `side` (0 upper, 1 lower)."""
+    M = bands.M[row]
+    upper = side == 0
+    return Polytope(np.where(upper[:, None], M, -M), np.where(upper, bands.upper[row], bands.lower[row]))
 
 
 class WarmLp:
-    """{x : G x <= h} held as one persistent HiGHS model for repeated LPs.
+    """Bands {x : -lower <= M x <= upper} held as one persistent HiGHS model for repeated LPs.
 
-    Rows are appended with `add_rows` and switched off and on with
-    `relax` and `restore`; between solves only the objective changes, so
-    each solve starts from the previous basis.  The model runs primal
-    simplex: most solves of the exact index only change the objective,
-    which leaves the last basis primal feasible, and primal simplex
-    carries on from it where HiGHS's default, dual simplex, starts from
-    a basis the new objective makes dual infeasible.  A row appended
-    after a cut, or restored while pruning, is as a rule violated by the
-    last optimum, so the next solve first regains feasibility.  Dual
-    simplex on the ranged rows below was at most a few percent faster,
-    and far slower on ill-conditioned forced instances.
-
-    A row whose exact negation comes in the same batch (the starting
-    polytope, or one `add_rows` call) shares one ranged HiGHS row with
-    it, -h[second] <= G[first] x <= h[first] (`_mirror_pairs`); HiGHS
-    stores two-sided rows natively, so a set of mirrored pairs, every
-    band of the exact index, solves with half the rows.  Any other row
-    is a one-sided row of its own.  `G`, `h`, `active` and `polytope`
-    keep one row per inequality, in the order they were added, and
-    `relax` and `restore` move only that row's side of its HiGHS row.
+    HiGHS row i is band row i, a two-sided (ranged) row where both sides
+    are present: HiGHS stores such rows natively, so a band of mirrored
+    pairs solves with one row per pair.  A side whose bound is inf is
+    absent.  Bands are appended with `add_band`, and one-sided rows are
+    switched off and on with `relax` and `restore`, which take the index
+    of a row in `Bands.polytope` order (each band's upper sides, then its
+    lower sides) and move only that side of its HiGHS row.  Between
+    solves only the objective changes, so each solve starts from the
+    previous basis.  The model runs primal simplex: most solves of the
+    exact index only change the objective, which leaves the last basis
+    primal feasible, and primal simplex carries on from it where HiGHS's
+    default, dual simplex, starts from a basis the new objective makes
+    dual infeasible.  A band appended after a cut, or a side restored
+    while pruning, is as a rule violated by the last optimum, so the next
+    solve first regains feasibility.  Dual simplex on ranged rows was at
+    most a few percent faster, and far slower on ill-conditioned forced
+    instances.
 
     The model is borrowed on the first `maximize` from the per-process
     free list of its class (a new one is built only when the list is
-    empty), its options are set, and every row added so far is passed in
-    one batch (a relaxed side without its bound), so a `WarmLp` that
+    empty), its options are set, and every band added so far is passed
+    in one batch (a relaxed side without its bound), so a `WarmLp` that
     never solves holds none.  When the `WarmLp` is collected the model
     is cleared and goes back to the list; two live `WarmLp`s never share
     one.  The rows are kept in arrays that double when full.  Presolve
@@ -302,10 +301,11 @@ class WarmLp:
     and checks each accepted `lp_tol` only once per process.  A solve
     that ends without a definitive status is re-run cold, and then
     answered by `lp_maximize`.  Without scipy's private HiGHS class
-    every answer comes from `lp_maximize` on the active rows.
+    every answer comes from `lp_maximize` on the active sides.
     """
 
-    def __init__(self, poly: Polytope, lp_tol: float = LP_TOL):
+    def __init__(self, bands, lp_tol: float = LP_TOL):
+        """Hold `bands`, each (M, lower, upper), as `add_band` would one by one; a `Bands` gives its own."""
         self.lp_tol = lp_tol
         self._backend = _HIGHS
         self._model = None
@@ -316,50 +316,50 @@ class WarmLp:
             finally:
                 pool.append(model)
             _ACCEPTED_LP_TOLS.add(lp_tol)
-        k, d = poly.G.shape
-        self._G = np.empty((max(2 * k, 16), d))
-        self._h = np.empty(len(self._G))
-        self._active = np.empty(len(self._G), dtype=bool)
+        bands = list(bands)
+        # Each row's matrix row, its (upper, lower) bounds, and which of
+        # those sides are present and not relaxed.
+        self._M = np.empty((16, np.shape(bands[0][0])[1]))
+        self._bound = np.empty((16, 2))
+        self._on = np.empty((16, 2), dtype=bool)
         self._n = 0
-        self._append(poly.G, poly.h)
-        # Where each batch ends, and the HiGHS row and mirror of each row (`_row_map`).
-        self._ends = [self._n]
-        self._map = None
+        self._ends = []
+        # `Bands.sides()` of the rows held, once `relax` or `restore` needs it.
+        self._sides = None
+        for band in bands:
+            self.add_band(*band)
 
     @property
-    def G(self) -> np.ndarray:
-        return self._G[: self._n]
-
-    @property
-    def h(self) -> np.ndarray:
-        return self._h[: self._n]
-
-    @property
-    def active(self) -> np.ndarray:
-        return self._active[: self._n]
+    def bands(self) -> Bands:
+        """The bands added so far, relaxed sides included."""
+        n = self._n
+        return Bands(self._M[:n], self._bound[:n, 1], self._bound[:n, 0], tuple(self._ends))
 
     @property
     def polytope(self) -> Polytope:
-        """The active rows, in the order they were added."""
-        return Polytope(self.G[self.active], self.h[self.active])
+        """The active sides as rows G x <= h, in `Bands.polytope` order."""
+        bands = self.bands
+        row, side = bands.sides()
+        keep = self._on[row, side]
+        return _one_sided(bands, row[keep], side[keep])
 
-    def add_rows(self, G, h) -> None:
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        self._append(G, h)
-        self._ends.append(self._n)
-        if self._model is not None:
-            self._pass_rows(*_ranged(G, h))
-
-    def _append(self, G, h) -> None:
-        n, k = self._n, len(h)
-        if n + k > len(self._h):
-            cap = max(2 * len(self._h), n + k)
-            self._G, self._h, self._active = (_grown(a, cap) for a in (self._G, self._h, self._active))
-        self._G[n : n + k] = G
-        self._h[n : n + k] = h
-        self._active[n : n + k] = True
+    def add_band(self, M, lower, upper) -> None:
+        """Append the band {x : -lower <= M x <= upper}; a side whose bound is inf is absent."""
+        M = np.atleast_2d(np.asarray(M, dtype=float))
+        n, k = self._n, len(M)
+        if n + k > len(self._M):
+            cap = max(2 * len(self._M), n + k)
+            self._M, self._bound, self._on = (_grown(a, cap) for a in (self._M, self._bound, self._on))
+        bound = self._bound[n : n + k]
+        self._M[n : n + k] = M
+        bound[:, 0] = upper
+        bound[:, 1] = lower
+        self._on[n : n + k] = np.isfinite(bound)
         self._n = n + k
+        self._ends.append(self._n)
+        self._sides = None
+        if self._model is not None:
+            self._pass_rows(M, -bound[:, 1], bound[:, 0])
 
     def _set_options(self, highs) -> None:
         _, _, _, ok = self._backend
@@ -373,16 +373,16 @@ class WarmLp:
             if highs.setOptionValue(name, value) != ok:
                 raise ValueError(f"HiGHS refused option {name} = {value!r}")
 
-    def _pass_rows(self, G, lower, upper) -> None:
-        """Give HiGHS the rows lower <= G x <= upper."""
+    def _pass_rows(self, M, lower, upper) -> None:
+        """Give HiGHS the rows lower <= M x <= upper."""
         # Dense rows: HiGHS drops the zero entries itself.
-        k, d = G.shape
+        k, d = M.shape
         starts, index = _dense_layout(k, d)
-        self._model.addRows(k, lower, upper, k * d, starts, index, G.ravel())
+        self._model.addRows(k, lower, upper, k * d, starts, index, M.ravel())
 
     @property
     def _highs(self):
-        """The HiGHS model, borrowed on first use and given every row added so far."""
+        """The HiGHS model, borrowed on first use and given every band added so far."""
         if self._model is None:
             highs_cls, maximize, _, _ = self._backend
             pool, model = _borrow_model(highs_cls)
@@ -390,62 +390,36 @@ class WarmLp:
             self._model = model
             self._set_options(model)
             model.changeObjectiveSense(maximize)
-            d = self._G.shape[1]
+            n, d = self._n, self._M.shape[1]
             model.addVars(d, np.full(d, -np.inf), np.full(d, np.inf))
             self._cols = np.arange(d, dtype=np.int32)
-            h = np.where(self.active, self.h, np.inf)
-            parts = [_ranged(self._G[a:b], h[a:b]) for a, b in zip([0, *self._ends], self._ends)]
-            self._pass_rows(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
+            held = np.where(self._on[:n], self._bound[:n], np.inf)
+            self._pass_rows(self._M[:n], -held[:, 1], held[:, 0])
         return self._model
 
-    def _row_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """(HiGHS row of each row, the row it shares it with or -1), as `_pass_rows` laid them out."""
-        if self._map is None or len(self._map[0]) < self._n:
-            hrow = np.empty(self._n, dtype=np.int64)
-            mate = np.full(self._n, -1, dtype=np.int64)
-            m = 0
-            for a, b in zip([0, *self._ends], self._ends):
-                pairs = _mirror_pairs(self._G[a:b])
-                if pairs is None:
-                    half = (b - a) // 2
-                    pairs = np.arange(half), np.arange(half, b - a)
-                first, second = pairs
-                mate[a + first], mate[a + second] = a + second, a + first
-                lead = np.ones(b - a, dtype=bool)
-                lead[second] = False
-                hrow[a:b] = np.cumsum(lead) + (m - 1)
-                hrow[a + second] = hrow[a + first]
-                m += int(np.count_nonzero(lead))
-            self._map = hrow, mate
-        return self._map
-
-    def _rebound(self, i: int) -> None:
-        """Give row i's HiGHS row the bounds of its active rows."""
-        hrow, mate = self._row_map()
-        j = int(mate[i])
-        # The row added first is the HiGHS row's upper side.
-        upper, lower = (j, i) if 0 <= j < i else (i, j)
-        top = float(self.h[upper]) if self.active[upper] else np.inf
-        bottom = -float(self.h[lower]) if lower >= 0 and self.active[lower] else -np.inf
-        self._model.changeRowBounds(int(hrow[i]), bottom, top)
+    def _switch(self, i: int, on: bool) -> None:
+        """Turn one-sided row i on or off, and give its HiGHS row the bounds of its active sides."""
+        if self._sides is None:
+            self._sides = self.bands.sides()
+        row, side = int(self._sides[0][i]), int(self._sides[1][i])
+        self._on[row, side] = on
+        if self._model is not None:
+            upper, lower = np.where(self._on[row], self._bound[row], np.inf)
+            self._model.changeRowBounds(row, -lower, upper)
 
     def relax(self, i: int) -> None:
-        """Drop row i from the set; its index stays reserved."""
-        self.active[i] = False
-        if self._model is not None:
-            self._rebound(i)
+        """Drop one-sided row i, in `Bands.polytope` order, from the set; its index stays reserved."""
+        self._switch(i, False)
 
     def restore(self, i: int) -> None:
-        self.active[i] = True
-        if self._model is not None:
-            self._rebound(i)
+        self._switch(i, True)
 
     def maximize(self, c) -> LpOutcome:
-        """Maximize c.x over the active rows: status and optimum as in `lp_maximize`."""
+        """Maximize c.x over the active sides: status and optimum as in `lp_maximize`."""
         c = np.atleast_1d(np.asarray(c, dtype=float))
         if self._backend is None:
             return lp_maximize(c, self.polytope, lp_tol=self.lp_tol)
-        d = self._G.shape[1]
+        d = self._M.shape[1]
         if c.shape != (d,):
             raise ValueError(f"objective has length {c.size}, polytope dimension is {d}")
         _, _, definitive, _ = self._backend
@@ -465,7 +439,7 @@ class WarmLp:
         return LpOutcome(status="optimal", optimum=float(highs.getObjectiveValue()))
 
     def is_redundant(self, row, rhs: float) -> bool:
-        """`is_redundant` against the active rows."""
+        """`is_redundant` against the active sides."""
         return _certify_redundant(row, rhs, self.maximize, self.lp_tol) >= 0
 
 

@@ -179,6 +179,8 @@ def compute_study_row(
     for column, call in STAGES.items():
         if column.endswith("_forced") and not sys.has_input:
             continue
+        # The previous stage's result is freed before this stage's clock starts.
+        res = None
         t0 = time.perf_counter()
         try:
             res = call(sys, box, config.epsilon, LP_TOL, "eq25")

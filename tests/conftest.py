@@ -206,6 +206,11 @@ def force_unknown(monkeypatch, cold_resolves: bool) -> list[int]:
     return restarts
 
 
+def upper_sides(poly) -> list[tuple]:
+    """The rows of a polytope as one band whose lower sides are all absent, in a list of bands for `WarmLp`."""
+    return [(poly.G, np.full(poly.nrows, np.inf), poly.h)]
+
+
 def count_models(monkeypatch) -> list[int]:
     """A list that gains one entry per HiGHS model constructed.
 
@@ -214,7 +219,7 @@ def count_models(monkeypatch) -> list[int]:
     """
     if geometry._HIGHS is None:
         pytest.skip("this scipy has no persistent HiGHS class")
-    geometry.WarmLp(geometry.Polytope(np.eye(1), np.ones(1)))
+    geometry.WarmLp([(np.eye(1), np.ones(1), np.ones(1))])
     highs_cls, *rest = geometry._HIGHS
     built = []
 

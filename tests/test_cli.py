@@ -197,6 +197,12 @@ class TestMonteCarlo:
             assert "--jobs must be >= 1" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_negative_seed_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["montecarlo", "--count", "1", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_summary_is_json_with_contract_keys(self, capsys, tmp_path):
         code, summary = run_json(
             capsys,

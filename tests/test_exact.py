@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 from pathlib import Path
@@ -317,6 +318,11 @@ def asymmetric_cases():
     ]
 
 
+def one_sided_case():
+    """A two-output system on an asymmetric box (unforced) where one output's row cuts on one side only."""
+    return (*next(two_output_systems(np.random.default_rng(2027))), None)
+
+
 def count_lps(monkeypatch) -> list[int]:
     """A list that gains one entry per `WarmLp.maximize` call."""
     if geometry._HIGHS is None:
@@ -325,6 +331,27 @@ def count_lps(monkeypatch) -> list[int]:
     real = geometry.WarmLp.maximize
     monkeypatch.setattr(geometry.WarmLp, "maximize", lambda self, c: calls.append(1) or real(self, c))
     return calls
+
+
+def spy_highs_rows(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """A list that gains (HiGHS rows, band rows, one-sided rows, absent sides) per `WarmLp.maximize` call.
+
+    Relaxed sides count as one-sided rows; a side whose bound is inf is absent.
+    """
+    if geometry._HIGHS is None:
+        pytest.skip("this scipy has no persistent HiGHS class")
+    held = []
+    real = geometry.WarmLp.maximize
+
+    def spy(self, c):
+        out = real(self, c)
+        bands = self.bands
+        absent = int(np.isinf(bands.lower).sum() + np.isinf(bands.upper).sum())
+        held.append((self._model.getNumRow(), len(bands.M), bands.polytope.nrows, absent))
+        return out
+
+    monkeypatch.setattr(geometry.WarmLp, "maximize", spy)
+    return held
 
 
 def replay_decisions(sys, box, epsilon=None):
@@ -410,26 +437,23 @@ class TestMirroredRows:
         assert screened > 0
         assert len(calls) == decisions - screened - closed - slab
 
-    @pytest.mark.parametrize("case", symmetric_cases())
-    def test_symmetric_box_holds_one_highs_row_per_pair(self, monkeypatch, case):
-        # Every band, the starting set and the pruned rows come in mirrored pairs.
-        if geometry._HIGHS is None:
-            pytest.skip("this scipy has no persistent HiGHS class")
-        held = []
-        real = geometry.WarmLp.maximize
-
-        def spy(self, c):
-            out = real(self, c)
-            held.append((self._model.getNumRow(), len(self.h)))
-            return out
-
-        monkeypatch.setattr(geometry.WarmLp, "maximize", spy)
+    @pytest.mark.parametrize(
+        "case, one_sided",
+        [pytest.param(case, False, id=f"symmetric{i}") for i, case in enumerate(symmetric_cases())]
+        + [pytest.param(case, False, id=f"asymmetric{i}") for i, case in enumerate(asymmetric_cases())]
+        + [pytest.param(one_sided_case(), True, id="one_sided")],
+    )
+    def test_every_lp_holds_one_highs_row_per_band_row(self, monkeypatch, case, one_sided):
+        # The starting set, every band and the pruned rows: a row is one
+        # ranged HiGHS row, or a one-sided one where it cut on one side only.
+        held = spy_highs_rows(monkeypatch)
         res = run_exact(*case)
         solved = len(held)
         res.polytope  # the prune's LPs
         assert solved < len(held)
-        assert all(2 * highs_rows == rows for highs_rows, rows in held)
-        assert held[-1][1] == res.rows.nrows
+        assert all(highs == band_rows and sides + absent == 2 * highs for highs, band_rows, sides, absent in held)
+        assert any(absent for *_, absent in held) == one_sided
+        assert held[-1][2] == res.rows.nrows
 
     @pytest.mark.parametrize("case", asymmetric_cases())
     def test_asymmetric_box_spends_2q_lps_per_step(self, monkeypatch, case):
@@ -692,7 +716,7 @@ class TestDecisionsWithoutLps:
             results = [run_exact(*case) for case in cases]
             assert len(built) <= 1
             # Build the one model here if no call needed an LP.
-            geometry.WarmLp(Polytope(np.eye(1), np.ones(1))).maximize([1.0])
+            geometry.WarmLp([(np.eye(1), np.ones(1), np.ones(1))]).maximize([1.0])
             assert built == [1]
             for res in results:
                 res.polytope
@@ -728,7 +752,7 @@ class TestLpBackends:
         first = res.polytope
         assert res.polytope is first
         assert calls == [1]
-        eager = real(res.rows, res.lp_tol)
+        eager = real(res.bands, res.lp_tol)
         assert np.array_equal(first.G, eager.G) and np.array_equal(first.h, eager.h)
         assert first.nrows < res.rows.nrows
 
@@ -852,3 +876,37 @@ def test_several_output_results_bitwise_golden():
             for part in (res.rows.G, res.rows.h):
                 digest.update(np.ascontiguousarray(part).tobytes())
     assert digest.hexdigest() == "64e0c85cbd2432214d83d3f7e1eab469624d0ef4aba652349068871f9bd55319"
+
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+PANEL_DIGESTS = {
+    "study": "2ddb3a6ff17b8c9556a074128939f077e880c3eb8b4d3298274b49a45dbcc17f",
+    "mimo": "d704e9533254260616e0164c6d7f74a4cc5a758731fa49837036741835224e3d",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """`bench/workloads.py`, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("bench_workloads_digest", BENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(PANEL_DIGESTS))
+def test_bench_panel_results_bitwise_golden(bench_workloads, workload):
+    """t*, the accepted rows and the pruned polytope of every exact call on a benchmark panel are the recorded ones.
+
+    Over the panel in pool-id order: the unforced call, then the forced
+    call at epsilon = 0.01; per call `str(t_star)`, then the bytes of
+    `rows.G`, `rows.h`, `polytope.G` and `polytope.h`.  A change meant to
+    move the exact index records the digests again.
+    """
+    digest = hashlib.sha256()
+    for _, (sys, box) in sorted(bench_workloads.panel(workload).items()):
+        for res in (exact_t_star_unforced(sys, box), exact_t_star_forced(sys, box, 0.01)):
+            digest.update(str(res.t_star).encode())
+            for part in (res.rows.G, res.rows.h, res.polytope.G, res.polytope.h):
+                digest.update(np.ascontiguousarray(part).tobytes())
+    assert digest.hexdigest() == PANEL_DIGESTS[workload]

@@ -31,6 +31,7 @@ from conftest import (
     random_bounded_polytope,
     refuse_lps,
     run_exact,
+    upper_sides,
 )
 
 
@@ -38,12 +39,17 @@ def box2d(limit=1.0):
     return Polytope(np.vstack([np.eye(2), -np.eye(2)]), limit * np.ones(4))
 
 
+def box_band(limit=1.0):
+    """`box2d` as the one band -limit <= x <= limit, in a list of bands for `WarmLp`."""
+    return [(np.eye(2), np.full(2, limit), np.full(2, limit))]
+
+
 def warm_maximize(c, poly):
-    return WarmLp(poly).maximize(c)
+    return WarmLp(upper_sides(poly)).maximize(c)
 
 
 def warm_is_redundant(row, rhs, poly):
-    return WarmLp(poly).is_redundant(row, rhs)
+    return WarmLp(upper_sides(poly)).is_redundant(row, rhs)
 
 
 # The one-off linprog path and the persistent HiGHS model answer alike.
@@ -172,8 +178,8 @@ class TestWarmLp:
         for _ in range(10):
             d = int(rng.integers(2, 5))
             G, h = random_bounded_polytope(rng, d, 2 * d + 4)
-            lp = WarmLp(Polytope(G[: 2 * d], h[: 2 * d]))
-            lp.add_rows(G[2 * d :], h[2 * d :])
+            lp = WarmLp(upper_sides(Polytope(G[: 2 * d], h[: 2 * d])))
+            lp.add_band(G[2 * d :], np.full(len(h) - 2 * d, np.inf), h[2 * d :])
             for step in range(12):
                 if step == 4:
                     lp.relax(2 * d)
@@ -190,7 +196,7 @@ class TestWarmLp:
     def test_lp_tol_reaches_highs(self):
         if geometry._HIGHS is None:
             pytest.skip("this scipy has no persistent HiGHS class")
-        lp = WarmLp(box2d(), lp_tol=1e-6)
+        lp = WarmLp(box_band(), lp_tol=1e-6)
         for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
             assert lp._highs.getOptionValue(name)[1] == 1e-6
 
@@ -198,7 +204,7 @@ class TestWarmLp:
         # Most solves only change the objective, which keeps the last basis primal feasible.
         if geometry._HIGHS is None:
             pytest.skip("this scipy has no persistent HiGHS class")
-        assert WarmLp(box2d())._highs.getOptionValue("simplex_strategy")[1] == 4
+        assert WarmLp(box_band())._highs.getOptionValue("simplex_strategy")[1] == 4
 
     @pytest.mark.parametrize("build_first", [False, True])
     def test_many_batches_match_cold_solves(self, rng, build_first):
@@ -206,11 +212,12 @@ class TestWarmLp:
         # after the relax and restore.
         d = 3
         G, h = random_bounded_polytope(rng, d, 160)
-        lp = WarmLp(Polytope(G[: 2 * d], h[: 2 * d]))
+        lp = WarmLp(upper_sides(Polytope(G[: 2 * d], h[: 2 * d])))
         if build_first:
             assert lp.maximize(np.ones(d)).status == "optimal"
         for start in range(2 * d, len(h), 5):
-            lp.add_rows(G[start : start + 5], h[start : start + 5])
+            rhs = h[start : start + 5]
+            lp.add_band(G[start : start + 5], np.full(len(rhs), np.inf), rhs)
         lp.relax(1)
         lp.relax(len(h) - 1)
         lp.restore(1)
@@ -231,33 +238,30 @@ class TestWarmLp:
             pytest.skip("this scipy has no persistent HiGHS class")
         for _ in range(2):
             with pytest.raises(ValueError, match="primal_feasibility_tolerance"):
-                WarmLp(box2d(), lp_tol=1e-13)
+                WarmLp(box_band(), lp_tol=1e-13)
 
     def test_returned_model_is_cleared(self, monkeypatch):
         count_models(monkeypatch)
-        lp = WarmLp(box2d())
+        lp = WarmLp(box_band())
         assert lp.maximize([1.0, 0.0]).status == "optimal"
         model = lp._model
-        # The box's two mirrored pairs are two ranged rows.
+        # The box's two band rows are two ranged rows.
         assert (model.getNumRow(), model.getNumCol()) == (2, 2)
         del lp
         assert geometry._FREE_MODELS[type(model)] == [model]
         assert (model.getNumRow(), model.getNumCol()) == (0, 0)
 
-    @pytest.mark.parametrize("interleaved", [False, True])
-    def test_mirrored_rows_share_one_highs_row(self, rng, interleaved):
-        # [M; -M] as one band comes, or m_1, -m_1, m_2, -m_2 as `band_rows` stacks one-row bands.
+    def test_mirrored_rows_share_one_highs_row(self, rng):
+        # HiGHS row i is band row i, both sides in one ranged row.
         if geometry._HIGHS is None:
             pytest.skip("this scipy has no persistent HiGHS class")
         M, upper, lower = rng.standard_normal((4, 3)), rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
-        G, h = np.vstack([M, -M]), np.concatenate([upper, lower])
-        if interleaved:
-            order = np.ravel([np.arange(4), np.arange(4, 8)], order="F")
-            G, h = G[order], h[order]
-        lp = WarmLp(Polytope(G, h))
+        lp = WarmLp([(M, lower, upper)])
         assert_matches_cold(lp, rng.standard_normal((6, 3)))
         assert lp._model.getNumRow() == 4
-        assert np.array_equal(lp.G, G) and np.array_equal(lp.h, h)
+        # The one-sided view: the upper sides, then the lower sides.
+        assert np.array_equal(lp.polytope.G, np.vstack([M, -M]))
+        assert np.array_equal(lp.polytope.h, np.concatenate([upper, lower]))
 
     @pytest.mark.parametrize("build_first", [False, True])
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -265,39 +269,47 @@ class TestWarmLp:
         M = rng.standard_normal((4, 3))
         upper = rng.uniform(0.5, 2.0, 4)
         lower = upper if symmetric else rng.uniform(0.5, 2.0, 4)
-        lp = WarmLp(Polytope(np.vstack([M, -M]), np.concatenate([upper, lower])))
+        lp = WarmLp([(M, lower, upper)])
         if build_first:
             lp.maximize(np.ones(3))
         objectives = rng.standard_normal((6, 3))
-        # The upper side of pair 0, the lower side of pair 1, then pair 1 whole; then back.
+        # The upper side of row 0, the lower side of row 1, then row 1 whole; then back.
         for step in (lp.relax, lp.restore):
             for i in (0, 5, 1):
                 step(i)
                 assert_matches_cold(lp, objectives)
-        assert lp.active.all()
+        assert lp.polytope.nrows == 8
 
     @pytest.mark.parametrize("build_first", [False, True])
-    def test_negation_in_a_later_batch_keeps_its_own_row(self, rng, build_first):
-        if geometry._HIGHS is None:
-            pytest.skip("this scipy has no persistent HiGHS class")
-        lp = WarmLp(Polytope(np.eye(2), np.ones(2)))
+    def test_band_with_absent_sides_matches_cold_solves(self, rng, build_first):
+        # A box, then a band whose rows have an upper side only, a lower side only, both, or neither.
+        M = rng.standard_normal((4, 3))
+        upper = np.array([0.5, np.inf, 0.4, np.inf])
+        lower = np.array([np.inf, 0.3, 0.6, np.inf])
+        box = (np.eye(3), np.full(3, 2.0), np.full(3, 2.0))
+        lp = WarmLp([box])
         if build_first:
-            assert lp.maximize([1.0, 1.0]).optimum == pytest.approx(2.0)
-        objectives = rng.standard_normal((6, 2))
-        lp.add_rows(-np.eye(2), [0.5, 0.5])
-        lp.relax(2)
-        # A pair in a batch of its own; the row map is rebuilt for it.
-        lp.add_rows([[1.0, 1.0], [-1.0, -1.0]], [1.5, 0.5])
-        lp.relax(4)
+            lp.maximize(np.ones(3))
+        lp.add_band(M, lower, upper)
+        objectives = rng.standard_normal((6, 3))
         assert_matches_cold(lp, objectives)
-        assert lp._model.getNumRow() == 5
-        lp.restore(2)
-        assert_matches_cold(lp, objectives)
+        if geometry._HIGHS is not None:
+            assert lp._highs.getNumRow() == 7
+        # The box's six sides, then the band's upper sides (rows 0, 2) and lower sides (rows 1, 2).
+        sides = np.vstack([np.eye(3), -np.eye(3), M[[0, 2]], -M[[1, 2]]])
+        assert np.array_equal(lp.polytope.G, sides)
+        assert np.array_equal(lp.polytope.h, [2.0] * 6 + [0.5, 0.4, 0.3, 0.6])
+        for i in range(6, 10):
+            lp.relax(i)
+            assert_matches_cold(lp, objectives)
+            lp.restore(i)
+            assert_matches_cold(lp, objectives)
+        assert np.array_equal(lp.polytope.G, sides)
 
     def test_live_warm_lps_hold_distinct_models(self, monkeypatch):
         built = count_models(monkeypatch)
-        WarmLp(box2d()).maximize([1.0, 0.0])  # leaves one model on the free list
-        first, second = WarmLp(box2d()), WarmLp(box2d())
+        WarmLp(box_band()).maximize([1.0, 0.0])  # leaves one model on the free list
+        first, second = WarmLp(box_band()), WarmLp(box_band())
         for lp in (first, second):
             assert lp.maximize([1.0, 1.0]).optimum == pytest.approx(2.0)
         assert first._model is not second._model
@@ -305,11 +317,11 @@ class TestWarmLp:
 
     def test_borrower_gets_its_own_lp_tol(self, monkeypatch):
         count_models(monkeypatch)
-        loose = WarmLp(box2d(), lp_tol=1e-6)
+        loose = WarmLp(box_band(), lp_tol=1e-6)
         loose.maximize([1.0, 0.0])
         model = loose._model
         del loose
-        default = WarmLp(box2d())
+        default = WarmLp(box_band())
         default.maximize([1.0, 0.0])
         assert default._model is model
         for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
@@ -319,14 +331,14 @@ class TestWarmLp:
         if geometry._HIGHS is None:
             pytest.skip("this scipy has no persistent HiGHS class")
         plain_cls = geometry._HIGHS[0]
-        WarmLp(box2d()).maximize([1.0, 0.0])  # a model of the plain class goes back
+        WarmLp(box_band()).maximize([1.0, 0.0])  # a model of the plain class goes back
         count_models(monkeypatch)
-        counted = WarmLp(box2d())
+        counted = WarmLp(box_band())
         counted.maximize([1.0, 0.0])
         assert type(counted._model) is geometry._HIGHS[0]
         del counted  # a model of the counting class goes back
         monkeypatch.undo()
-        plain = WarmLp(box2d())
+        plain = WarmLp(box_band())
         plain.maximize([1.0, 0.0])
         assert type(plain._model) is plain_cls
 
@@ -354,7 +366,7 @@ class TestWarmLp:
             assert len({id(model) for model in models}) == len(models)
 
     def test_relaxed_row_no_longer_bounds(self):
-        lp = WarmLp(box2d())
+        lp = WarmLp(box_band())
         assert lp.maximize([1.0, 0.0]).optimum == pytest.approx(1.0)
         lp.relax(0)
         assert lp.maximize([1.0, 0.0]).status == "unbounded"
@@ -363,8 +375,8 @@ class TestWarmLp:
 
     def test_rows_relaxed_before_the_first_solve(self):
         # The model is built on the first solve, without the relaxed row's bound.
-        lp = WarmLp(box2d())
-        lp.add_rows([[1.0, 1.0]], [1.5])
+        lp = WarmLp(box_band())
+        lp.add_band([[1.0, 1.0]], [np.inf], [1.5])
         lp.relax(0)
         assert lp._model is None
         assert lp.maximize([1.0, 0.0]).optimum == pytest.approx(2.5)
@@ -375,7 +387,7 @@ class TestWarmLp:
 
     def test_cold_restart_on_unknown_status(self, monkeypatch):
         restarts = force_unknown(monkeypatch, cold_resolves=True)
-        lp = WarmLp(box2d())
+        lp = WarmLp(box_band())
         assert lp.is_redundant([1.0, 1.0], 2.0) is True
         assert lp.is_redundant([1.0, 1.0], 1.5) is False
         assert restarts == [1, 1]
@@ -385,7 +397,7 @@ class TestWarmLp:
         calls = []
         real = geometry.linprog
         monkeypatch.setattr(geometry, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
-        out = WarmLp(box2d()).maximize([1.0, 1.0])
+        out = WarmLp(box_band()).maximize([1.0, 1.0])
         assert out.status == "optimal" and out.optimum == pytest.approx(2.0)
         assert calls
 
@@ -395,7 +407,7 @@ class TestWarmLp:
         calls = []
         real = geometry.lp_maximize
         monkeypatch.setattr(geometry, "lp_maximize", lambda c, poly, **k: calls.append(poly.nrows) or real(c, poly, **k))
-        lp = WarmLp(box2d())
+        lp = WarmLp(box_band())
         lp.relax(0)
         assert lp.maximize([1.0, 0.0]).status == "unbounded"
         assert lp.is_redundant([1.0, 0.0], 0.5) is False

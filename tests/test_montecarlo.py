@@ -1,5 +1,6 @@
 import inspect
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -254,6 +255,22 @@ class TestStages:
         (call,) = calls
         taken = {k: v for k, v in given.items() if k in signature.parameters}
         assert call.arguments == {"sys": sys, "box": box, **taken}
+
+    def test_stage_time_leaves_out_freeing_the_previous_result(self, monkeypatch):
+        class SlowToFree:
+            t_star = 0
+
+            def __del__(self):
+                time.sleep(0.2)
+
+        class Bound:
+            m = 0
+
+        monkeypatch.setitem(montecarlo.STAGES, "t_star", lambda *args: SlowToFree())
+        monkeypatch.setitem(montecarlo.STAGES, "m1", lambda *args: Bound())
+        row = compute_study_row(0, StudyConfig(count=1), system=(make_siso(0.5), unit_box()))
+        assert (row.t_star, row.m1) == (0, 0)
+        assert row.times["m1"] < 0.1
 
 
 class TestSweep:
