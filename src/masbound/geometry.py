@@ -541,7 +541,11 @@ def _brute_force_vertices(poly: Polytope) -> np.ndarray:
 def parallelotope_vertices(M, lower, upper) -> np.ndarray | None:
     """Vertices of {x : -lower <= M x <= upper} for a square nonsingular M.
 
-    They are M^{-1} s over the 2^d corners s of the box [-lower, upper].
+    They are M^{-1} s over the 2^d corners s of the box [-lower, upper],
+    corner k taking -lower_j where bit j of k is set and upper_j where it
+    is clear.  On a symmetric box (lower == upper) only the 2^(d-1)
+    corners with bit d - 1 clear are solved; the rest are their mirror
+    images, returned in the same order and bitwise equal to solving them.
     Returns None, so that the caller can fall back to
     `enumerate_vertices`, when M is not square or is singular, when a
     width lower + upper is not positive, when two corners could map to
@@ -562,7 +566,10 @@ def parallelotope_vertices(M, lower, upper) -> np.ndarray | None:
     # The Frobenius norm bounds ||M||_2 from above without an SVD.
     if np.min(width) <= VERTEX_DEDUP * np.linalg.norm(M):
         return None
-    bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+    # On a symmetric box corner 2^d - 1 - k is minus corner k, and an LU
+    # solve commutes exactly with negation.
+    symmetric = np.array_equal(lower, upper)
+    bits = (np.arange(2 ** (d - 1) if symmetric else 2**d)[:, None] >> np.arange(d)) & 1
     corners = np.where(bits == 1, -lower, upper)
     try:
         verts = np.linalg.solve(M, corners.T).T
@@ -570,10 +577,11 @@ def parallelotope_vertices(M, lower, upper) -> np.ndarray | None:
         return None
     if not np.all(np.isfinite(verts)):
         return None
+    # With lower == upper a mirrored vertex passes the guard exactly when its original does.
     Mv = verts @ M.T
     if np.max(Mv - upper) > VERTEX_FEASIBILITY or np.max(-Mv - lower) > VERTEX_FEASIBILITY:
         return None
-    return verts
+    return np.concatenate([verts, -verts[::-1]]) if symmetric else verts
 
 
 def pairs_maximum(c, M, lower, upper) -> float | None:

@@ -19,7 +19,11 @@ lambda_max(P), the r1 denominators c_j P^{-1} c_j', and the forced
 regime's basis of range(H0) from `linalg.range_basis`.  The report's
 `P` is that shared, read-only array.  The checks on them (P positive
 definite, sigma < 1, r1 > 0, r2 >= r1) run on every call.  The decay
-factor reads lambda_min(Q) = 1 without an eigen-solve of Q.
+factor reads lambda_min(Q) = 1 without an eigen-solve of Q.  r1 is
+taken on plain floats.  On a symmetric box the closed-form vertex path
+solves half the parallelotope corners and mirrors the rest
+(`geometry.parallelotope_vertices`); r2 still runs over every vertex,
+since one einsum over half the array can round its last bit otherwise.
 """
 
 from __future__ import annotations
@@ -101,15 +105,26 @@ def _inverse_forms(P: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _inscribed_level(denoms: np.ndarray, box: OutputBox, scale: float) -> float:
-    """`compute_r1` given its denominators c_j P^{-1} c_j' and a checked scale."""
-    if np.any(denoms < 0.0):
-        raise NumericalError("quadratic form c P^{-1} c' came out negative; P is not positive definite")
-    bounds = scale * np.minimum(box.y_lower, box.y_upper)
-    with np.errstate(divide="ignore"):
-        levels = np.where(denoms > 0.0, bounds**2 / denoms, np.inf)
-    r1 = float(np.min(levels))
-    if not np.isfinite(r1):
+    """`compute_r1` given its denominators c_j P^{-1} c_j' and a checked scale.
+
+    On plain floats, as `model.gamma`: for the few outputs of a box,
+    numpy's call overhead would cost several times the arithmetic.  Each
+    step rounds as numpy's would (`b * b`, not `b ** 2`, whose `pow` need
+    not), so r1 is bitwise the array formula's.  A zero row of C bounds
+    nothing and is skipped.
+    """
+    levels = []
+    for x, l, u in zip(denoms.tolist(), box.y_lower.tolist(), box.y_upper.tolist()):
+        if x < 0.0:
+            raise NumericalError("quadratic form c P^{-1} c' came out negative; P is not positive definite")
+        if x > 0.0:
+            b = scale * min(l, u)
+            levels.append(b * b / x)
+    if not levels:
         raise ValueError("every output row of C is zero; inscribed level is unbounded")
+    r1 = min(levels)
+    if not math.isfinite(r1):
+        raise NumericalError(f"inscribed level {r1!r} is not finite; the scaled limits overflow when squared")
     return r1
 
 
@@ -217,6 +232,7 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
     # H0 u is pinned to zero at epsilon = 1, and a zero H0 has no basis.
     feed = None if epsilon is None or epsilon == 1.0 else _input_basis(sys)
     verts, path = _prefix_vertices(_prefix_bands(sys, box, sys.n - 1, feed, scale), lp_tol)
+    # Over every vertex, mirrored ones too (see the module docstring).
     r2 = compute_r2(P, verts, proj_dim=sys.n)
     m = _steps(r1, r2, log_sigma)
     if r2 < r1 - 1e-9 * max(1.0, abs(r1)):

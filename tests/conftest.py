@@ -1,6 +1,8 @@
 """Shared test helpers: independent oracles and random-instance factories."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,3 +300,15 @@ def reference_m1(sys, box, epsilon):
     if epsilon is not None:
         diagnostics["epsilon"] = epsilon
     return state.t - 1, state.t - sys.n, diagnostics
+
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """`bench/workloads.py`, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("bench_workloads_digest", BENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

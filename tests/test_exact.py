@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import itertools
 import json
 from pathlib import Path
@@ -878,20 +877,10 @@ def test_several_output_results_bitwise_golden():
     assert digest.hexdigest() == "64e0c85cbd2432214d83d3f7e1eab469624d0ef4aba652349068871f9bd55319"
 
 
-BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 PANEL_DIGESTS = {
     "study": "2ddb3a6ff17b8c9556a074128939f077e880c3eb8b4d3298274b49a45dbcc17f",
     "mimo": "d704e9533254260616e0164c6d7f74a4cc5a758731fa49837036741835224e3d",
 }
-
-
-@pytest.fixture(scope="module")
-def bench_workloads():
-    """`bench/workloads.py`, loaded by path and only read."""
-    spec = importlib.util.spec_from_file_location("bench_workloads_digest", BENCH_WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("workload", sorted(PANEL_DIGESTS))

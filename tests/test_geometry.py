@@ -604,6 +604,13 @@ def parallelotope(M, lower, upper):
     return Polytope(np.vstack([M, -M]), np.concatenate([upper, lower]))
 
 
+def full_corner_solve(M, lower, upper):
+    """M^{-1} s over all 2^d corners s, corner k taking -lower_j where bit j of k is set: the unmirrored solve."""
+    d = len(lower)
+    bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+    return np.linalg.solve(M, np.where(bits == 1, -lower, upper).T).T
+
+
 class TestParallelotopeVertices:
     def test_matches_qhull_on_random_instances(self, rng):
         for _ in range(12):
@@ -648,6 +655,29 @@ class TestParallelotopeVertices:
 
     def test_dimension_cap_declined(self):
         assert parallelotope_vertices(np.eye(13), np.ones(13), np.ones(13)) is None
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 12])
+    @pytest.mark.parametrize("first_row_scale", [1.0, 1.0 - 0.01])
+    def test_symmetric_box_mirrors_bitwise_the_full_solve(self, d, first_row_scale):
+        # The forced prefix set's first band is the steady one, (1 - epsilon) times the box.
+        rng = np.random.default_rng(2300 + d)
+        M = rng.standard_normal((d, d))
+        limits = rng.uniform(0.3, 2.0, size=d)
+        limits[0] *= first_row_scale
+        verts = parallelotope_vertices(M, limits, limits.copy())
+        assert verts.tobytes() == full_corner_solve(M, limits, limits).tobytes()
+        assert verts.tobytes() == (-verts[::-1]).tobytes()
+
+    def test_asymmetric_box_solves_every_corner(self, rng):
+        for d in (1, 2, 5):
+            M = rng.standard_normal((d, d))
+            lower, upper = rng.uniform(0.3, 2.0, size=d), rng.uniform(0.3, 2.0, size=d)
+            verts = parallelotope_vertices(M, lower, upper)
+            assert verts.tobytes() == full_corner_solve(M, lower, upper).tobytes()
+
+    def test_overflowing_symmetric_solve_declined(self):
+        # The half solve overflows to infinite vertices; the caller falls back to qhull.
+        assert parallelotope_vertices(np.diag([1e-300, 1.0]), np.full(2, 1e300), np.full(2, 1e300)) is None
 
 
 class TestPairsMaximum:

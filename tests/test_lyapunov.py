@@ -35,6 +35,7 @@ from conftest import (
     golden_systems,
     lp_seeded_vertices,
     make_siso,
+    random_spd_matrix,
     random_stable_matrix,
     refuse_lps,
     two_output_systems,
@@ -119,6 +120,37 @@ class TestLevels:
     def test_r2_empty_rejected(self):
         with pytest.raises(ValueError):
             compute_r2(np.eye(2), np.empty((0, 2)))
+
+
+def numpy_inscribed_level(denoms, box, scale):
+    """r1 as the array formula: the oracle of the plain-float `_inscribed_level`."""
+    bounds = scale * np.minimum(box.y_lower, box.y_upper)
+    with np.errstate(divide="ignore"):
+        levels = np.where(denoms > 0.0, bounds**2 / denoms, np.inf)
+    return float(np.min(levels))
+
+
+class TestInscribedLevelOnFloats:
+    def test_bitwise_the_array_formula(self, rng):
+        for trial in range(60):
+            q = 1 + trial % 3
+            n = int(rng.integers(q, 5))
+            P = random_spd_matrix(rng, n)
+            C = rng.standard_normal((q, n)) * 10.0 ** rng.uniform(-3, 3, size=(q, 1))
+            if q > 1 and trial % 5 == 0:
+                C[rng.integers(q)] = 0.0
+            box = OutputBox(10.0 ** rng.uniform(-3, 3, size=q), 10.0 ** rng.uniform(-3, 3, size=q))
+            scale = 1.0 - float(rng.uniform())  # in (0, 1]
+            denoms = lyapunov._inverse_forms(P, C)
+            expected = numpy_inscribed_level(denoms, box, scale)
+            assert lyapunov._inscribed_level(denoms, box, scale).hex() == expected.hex()
+            assert compute_r1(P, C, box, scale).hex() == expected.hex()
+
+    def test_negative_denominator_refused(self):
+        with pytest.raises(NumericalError, match="negative"):
+            lyapunov._inscribed_level(np.array([0.5, -1e-300]), unit_box(q=2), 1.0)
+        with pytest.raises(NumericalError, match="negative"):
+            compute_r1(-np.eye(2), np.eye(2), unit_box(q=2))
 
 
 class TestSigma:
@@ -300,6 +332,18 @@ class TestComposedBounds:
         # epsilon**2 underflows below about 1e-162, so r1 reads 0.0.
         with pytest.raises(NumericalError, match="inscribed level 0.0 is not positive"):
             bound_m2_forced(make_siso(0.5, b=1.0), unit_box(), 1e-200)
+
+    def test_inscribed_level_overflow_is_numerical(self):
+        # 1e200 squared overflows, so r1 reads inf; C has a nonzero row, so the level is not unbounded.
+        with pytest.raises(NumericalError, match="overflow"):
+            bound_m2_unforced(LtiSystem(A=[[0.5]], C=[[1.0]]), OutputBox([1e200], [1e200]))
+        with pytest.raises(NumericalError, match="overflow"):
+            compute_r1(np.eye(2), [[1.0, 0.0], [0.0, 0.0]], OutputBox([1e200, 1.0], [1e200, 1.0]))
+
+    def test_all_zero_output_rows_refused_with_huge_limits(self):
+        # No row bounds anything, so no limit is squared and none can overflow.
+        with pytest.raises(ValueError, match="every output row of C is zero"):
+            compute_r1(np.eye(2), np.zeros((2, 2)), OutputBox([1e200, 1.0], [1e200, 1.0]))
 
     def test_circumscribing_level_below_inscribed_raises(self, monkeypatch):
         monkeypatch.setattr(lyapunov, "compute_r2", lambda *args, **kwargs: 0.5)
@@ -618,3 +662,35 @@ def test_m2_reports_bitwise_golden():
     assert got.keys() == expected.keys()
     for name in expected:
         assert got[name] == expected[name], name
+
+
+M2_PANEL_DIGESTS = {
+    "study": "b6d52a2f204cf838ebce793238a5dcf5a7d7a843332381764394e6a3b5beac2a",
+    "bounds": "d0d69eddec734f21106ab8c157571ad65bfbb00a1e0894e5d139742f0c89a176",
+    "mimo": "70b0d02a3b25c0063506f4eed702dfbbba8a657e063da5c31f530924d4883c59",
+}
+
+
+def m2_panel_digest(panel) -> str:
+    """Over `panel` in pool-id order: the unforced m2 call, then the forced call at epsilon = 0.01.
+
+    Per call: `m`, the float.hex of r1 and r2, the vertex count and the vertex path.
+    """
+    digest = hashlib.sha256()
+    for _, (sys, box) in sorted(panel.items()):
+        for rep in (bound_m2_unforced(sys, box), bound_m2_forced(sys, box, 0.01)):
+            d = rep.diagnostics
+            fields = (rep.m, d["r1"].hex(), d["r2"].hex(), d["vertices"], d["vertex_path"])
+            digest.update(" ".join(map(str, fields)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(M2_PANEL_DIGESTS))
+def test_bench_panel_m2_bitwise_golden(bench_workloads, workload):
+    """Every m2 call on a benchmark panel reports the recorded numbers, to the last bit.
+
+    The `bounds` panel reaches order 9 (forced d = 10, 1024 corners), past
+    the orders `m2_reports.json` covers.  A change meant to move m2
+    records the digests again.
+    """
+    assert m2_panel_digest(bench_workloads.panel(workload)) == M2_PANEL_DIGESTS[workload]
