@@ -538,6 +538,17 @@ def _brute_force_vertices(poly: Polytope) -> np.ndarray:
     return _dedupe(np.asarray(points), VERTEX_DEDUP)
 
 
+@lru_cache(maxsize=2 * VERTEX_DIM_CAP)
+def _corner_mask(d: int, symmetric: bool) -> np.ndarray:
+    """Read-only mask of the corners `parallelotope_vertices` solves: entry (k, j) is bit j of k.
+
+    The rows are k < 2^(d-1) when `symmetric`, k < 2^d otherwise.
+    """
+    mask = ((np.arange(2 ** (d - 1) if symmetric else 2**d)[:, None] >> np.arange(d)) & 1) == 1
+    mask.flags.writeable = False
+    return mask
+
+
 def parallelotope_vertices(M, lower, upper) -> np.ndarray | None:
     """Vertices of {x : -lower <= M x <= upper} for a square nonsingular M.
 
@@ -546,6 +557,7 @@ def parallelotope_vertices(M, lower, upper) -> np.ndarray | None:
     is clear.  On a symmetric box (lower == upper) only the 2^(d-1)
     corners with bit d - 1 clear are solved; the rest are their mirror
     images, returned in the same order and bitwise equal to solving them.
+    The corner masks are built once per dimension (`_corner_mask`).
     Returns None, so that the caller can fall back to
     `enumerate_vertices`, when M is not square or is singular, when a
     width lower + upper is not positive, when two corners could map to
@@ -569,8 +581,7 @@ def parallelotope_vertices(M, lower, upper) -> np.ndarray | None:
     # On a symmetric box corner 2^d - 1 - k is minus corner k, and an LU
     # solve commutes exactly with negation.
     symmetric = np.array_equal(lower, upper)
-    bits = (np.arange(2 ** (d - 1) if symmetric else 2**d)[:, None] >> np.arange(d)) & 1
-    corners = np.where(bits == 1, -lower, upper)
+    corners = np.where(_corner_mask(d, symmetric), -lower, upper)
     try:
         verts = np.linalg.solve(M, corners.T).T
     except np.linalg.LinAlgError:

@@ -10,7 +10,7 @@ from scipy.spatial import QhullError
 
 from masbound import LpError, Polytope, UnboundedPolytopeError
 from masbound import geometry
-from masbound.config import LP_TOL_RANGE
+from masbound.config import LP_TOL_RANGE, VERTEX_DIM_CAP
 from masbound.geometry import (
     WarmLp,
     _dedupe,
@@ -668,8 +668,17 @@ class TestParallelotopeVertices:
         assert verts.tobytes() == full_corner_solve(M, limits, limits).tobytes()
         assert verts.tobytes() == (-verts[::-1]).tobytes()
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_corner_masks_read_only_and_built_once(self, symmetric):
+        for d in range(1, VERTEX_DIM_CAP + 1):
+            k = 2 ** (d - 1) if symmetric else 2**d
+            mask = geometry._corner_mask(d, symmetric)
+            assert mask.dtype == bool and not mask.flags.writeable
+            assert np.array_equal(mask, ((np.arange(k)[:, None] >> np.arange(d)) & 1) == 1)
+            assert geometry._corner_mask(d, symmetric) is mask
+
     def test_asymmetric_box_solves_every_corner(self, rng):
-        for d in (1, 2, 5):
+        for d in (1, 2, 5, 9):
             M = rng.standard_normal((d, d))
             lower, upper = rng.uniform(0.3, 2.0, size=d), rng.uniform(0.3, 2.0, size=d)
             verts = parallelotope_vertices(M, lower, upper)
