@@ -15,22 +15,17 @@ system, and sigma mode "paper" reads the same value).  What depends on
 the system alone is computed once per system (`model.per_system`) and
 shared by every call on it, both regimes and both sigma modes: P with
 Q = I from the unchecked one-LU kernel `linalg.kron_lyapunov`,
-lambda_max(P), the r1 denominators c_j P^{-1} c_j', the forced
-regime's basis F of range(H0) from `linalg.range_basis`, and the
-prefix set's matrix in each regime: C A^t for t = 0..n-1, and the
-steady block [0, F] over [C A^t, F].  Both matrices are stacked from
-`model.output_bands`, so their bits are those of its product order.
-The report's `P` is that shared, read-only array.  A call stacks only
-the box limits (the steady band's scaled by 1 - epsilon) against the
-stored matrix, and both vertex paths read it: the closed form as it is,
-qhull as the rows +M_b, -M_b band by band (`model.band_rows` order).
-The checks on them (P positive definite, sigma < 1, r1 > 0, r2 >= r1)
-run on every call.  The decay factor reads lambda_min(Q) = 1 without
-an eigen-solve of Q.  r1 is taken on plain floats.  On a symmetric box
-the closed-form vertex path solves half the parallelotope corners and
-mirrors the rest (`geometry.parallelotope_vertices`, whose corner masks
-are built once per dimension); r2 still runs over every vertex, since
-one einsum over half the array can round its last bit otherwise.
+lambda_max(P), the r1 denominators c_j P^{-1} c_j', and the forced
+regime's basis of range(H0) from `linalg.range_basis`.  The report's
+`P` is that shared, read-only array.  The checks on them (P positive
+definite, sigma < 1, r1 > 0, r2 >= r1) run on every call.  The decay
+factor reads lambda_min(Q) = 1 without an eigen-solve of Q.  r1 is
+taken on plain floats, and r2 from the vertex array the core built,
+without the input checks of the public `compute_r2`.  On a symmetric
+box the closed-form vertex path solves half the parallelotope corners
+and mirrors the rest (`geometry.parallelotope_vertices`, whose corner
+masks are built once per dimension); r2 still runs over every vertex,
+since one einsum over half the array can round its last bit otherwise.
 """
 
 from __future__ import annotations
@@ -51,10 +46,7 @@ SIGMA_MODES = ("eq25", "paper")
 
 
 def _prefix_bands(sys: LtiSystem, box: OutputBox, horizon: int, feed=None, epsilon: float = 1.0):
-    """The bands of the prefix set: the steady-state band (with `feed`), then t = 0..horizon.
-
-    For `build_O_prefix`; m2 reads its stored matrices instead.
-    """
+    """The bands of the prefix set: the steady-state band (with `feed`), then t = 0..horizon."""
     return list(itertools.islice(output_bands(sys, box, feed, epsilon), horizon + 1 + (feed is not None)))
 
 
@@ -62,17 +54,18 @@ def _halfspaces(bands) -> Polytope:
     return Polytope(*band_rows(bands))
 
 
-def _prefix_vertices(M: np.ndarray, lower: np.ndarray, upper: np.ndarray, q: int, lp_tol: float) -> tuple[np.ndarray, str]:
-    """Vertices of {v : -lower <= M v <= upper}, the stacked bands of q rows each.
+def _prefix_vertices(bands, lp_tol: float) -> tuple[np.ndarray, str]:
+    """Closed-form vertices when the stacked bands form a parallelotope, qhull otherwise.
 
-    Closed form when M is a parallelotope's, qhull on the bands' rows
-    otherwise.  Returns the vertices and the path that found them,
-    "closed_form" or "qhull".
+    Returns the vertices and the path that found them, "closed_form" or "qhull".
     """
-    verts = parallelotope_vertices(M, lower, upper)
+    verts = parallelotope_vertices(
+        np.vstack([M for M, _, _ in bands]),
+        np.concatenate([lower for _, lower, _ in bands]),
+        np.concatenate([upper for _, _, upper in bands]),
+    )
     if verts is not None:
         return verts, "closed_form"
-    bands = zip(M.reshape(-1, q, M.shape[1]), lower.reshape(-1, q), upper.reshape(-1, q))
     return enumerate_vertices(_halfspaces(bands), lp_tol=lp_tol).vertices, "qhull"
 
 
@@ -230,28 +223,6 @@ def _input_basis(sys: LtiSystem) -> np.ndarray | None:
     return range_basis(H0) if np.any(H0) else None
 
 
-def _stacked_bands(sys: LtiSystem, count: int, feed=None) -> np.ndarray:
-    """The matrices M_b of the first `count` bands of `output_bands`, stacked; their limits are not read."""
-    unit = OutputBox(np.ones(sys.q), np.ones(sys.q))
-    return np.vstack([M for M, _, _ in itertools.islice(output_bands(sys, unit, feed), count)])
-
-
-@per_system
-def _prefix_matrix(sys: LtiSystem) -> np.ndarray:
-    """The unforced prefix set's matrix: C A^t for t = 0..n-1, stacked; once per system."""
-    return _stacked_bands(sys, sys.n)
-
-
-@per_system
-def _forced_prefix_matrix(sys: LtiSystem) -> np.ndarray | None:
-    """The forced prefix set's matrix: [0, F], then [C A^t, F] for t = 0..n-1; once per system.
-
-    F is `_input_basis`; None when H0 = 0, which has no basis.
-    """
-    F = _input_basis(sys)
-    return None if F is None else _stacked_bands(sys, sys.n + 1, F)
-
-
 def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode: str, lp_tol: float) -> BoundReport:
     """Both regimes; `epsilon is None` is the unforced one: scale 1, no input feed.
 
@@ -265,16 +236,9 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
     r1 = _inscribed_level(denoms, box, scale)
     if not r1 > 0.0:
         raise NumericalError(f"inscribed level {r1!r} is not positive; the scaled limits underflow when squared")
-    lower, upper = [box.y_lower] * sys.n, [box.y_upper] * sys.n
     # H0 u is pinned to zero at epsilon = 1, and a zero H0 has no basis.
-    M = None if epsilon is None or epsilon == 1.0 else _forced_prefix_matrix(sys)
-    if M is None:
-        M = _prefix_matrix(sys)
-    else:
-        # The steady band comes first, against (1 - epsilon) times the box.
-        lower.insert(0, (1.0 - epsilon) * box.y_lower)
-        upper.insert(0, (1.0 - epsilon) * box.y_upper)
-    verts, path = _prefix_vertices(M, np.concatenate(lower), np.concatenate(upper), box.q, lp_tol)
+    feed = None if epsilon is None or epsilon == 1.0 else _input_basis(sys)
+    verts, path = _prefix_vertices(_prefix_bands(sys, box, sys.n - 1, feed, scale), lp_tol)
     # Over every vertex, mirrored ones too (see the module docstring).
     r2 = _circumscribed_level(P, verts[:, : sys.n])
     m = _steps(r1, r2, log_sigma)
@@ -286,8 +250,8 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
     boundary = False
     if log_sigma > -math.inf and r1 < r2:
         ratio = math.log(r1 / r2) / log_sigma
-        # Where floats lie 1e-9 or more apart, each one near an integer is one.
-        boundary = math.ulp(ratio) < 1e-9 and abs(ratio - round(ratio)) < 1e-9
+        # From 2^52 on every float is an integer, so the window says nothing.
+        boundary = abs(ratio) < 2.0**52 and abs(ratio - round(ratio)) < 1e-9
     diagnostics = {
         "sigma": sigma,
         "sigma_mode": sigma_mode,

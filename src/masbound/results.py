@@ -19,9 +19,8 @@ class BoundReport:
     ("closed_form" or "qhull"); in the forced regime also "epsilon".
     "boundary_integer" flags a near tie: log(r1/r2)/log(sigma) within
     1e-9 of an integer, where the floor that gives m could round either
-    way.  It is False where floats near that ratio lie 1e-9 or more
-    apart (from 2^23 on): there the only float within the window is
-    the integer itself, so the flag would say nothing about a tie.
+    way.  It is False from 2^52 on, where every float is an integer and
+    the window would flag every ratio.
     """
 
     method: str

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import sys as _sys
@@ -24,14 +23,13 @@ from masbound.config import VERTEX_DIM_CAP
 from masbound.geometry import enumerate_vertices
 from masbound.linalg import solve_discrete_lyapunov
 from masbound.lyapunov import (
-    SIGMA_MODES,
     bound_m2,
     build_O_prefix,
     compute_r1,
     compute_r2,
     compute_sigma,
 )
-from masbound.model import band_rows, output_bands, stable_dc_gain
+from masbound.model import stable_dc_gain
 from masbound.montecarlo import StudyConfig, random_stable_system
 from conftest import (
     golden_systems,
@@ -530,79 +528,6 @@ class TestVertexDiagnostics:
         assert bound_m2_forced(sys, unit_box(), 0.1).diagnostics["vertices"] == 8
 
 
-class TestPrefixMatrices:
-    """The prefix set's matrix, per system and regime, read by both vertex paths."""
-
-    @staticmethod
-    def systems(rng):
-        """Fresh systems with q = 1 and q = 2, the last one with a rank-deficient H0."""
-        for q, m_in in ((1, 1), (2, 1), (2, 2)):
-            n = 3
-            yield LtiSystem(
-                A=random_stable_matrix(rng, n), B=rng.standard_normal((n, m_in)), C=rng.standard_normal((q, n))
-            )
-        yield LtiSystem(A=[[0.5, 0.1], [0.0, 0.3]], B=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], C=np.eye(2))
-
-    def test_bitwise_the_stacked_output_bands(self, rng):
-        for sys in self.systems(rng):
-            box = OutputBox(rng.uniform(0.3, 2.0, size=sys.q), rng.uniform(0.3, 2.0, size=sys.q))
-            F = lyapunov._input_basis(sys)
-            for matrix, count, feed in ((lyapunov._prefix_matrix, sys.n, None), (lyapunov._forced_prefix_matrix, sys.n + 1, F)):
-                bands = itertools.islice(output_bands(sys, box, feed), count)
-                expected = np.vstack([M for M, _, _ in bands])
-                got = matrix(sys)
-                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-                assert not got.flags.writeable
-
-    def test_unforced_matrix_where_the_input_is_pinned(self, monkeypatch):
-        # At epsilon = 1 H0 u is pinned to zero; a zero H0 has no basis.
-        A, B, C = np.array([[0.5, 0.2], [-0.1, 0.3]]), np.array([[1.0], [-2.0]]), np.array([[1.0, 0.5]])
-        zero_gain = LtiSystem(A=A, B=B, C=C, D=-(C @ np.linalg.solve(np.eye(2) - A, B)))
-        assert lyapunov._forced_prefix_matrix(zero_gain) is None
-        seen = []
-        original = lyapunov._prefix_vertices
-        monkeypatch.setattr(lyapunov, "_prefix_vertices", lambda *args: seen.append(args[:3]) or original(*args))
-        bound_m2_forced(zero_gain, unit_box(), 0.2)
-        sys = LtiSystem(A=A, B=B, C=C)
-        bound_m2_forced(sys, unit_box(), 1.0)
-        bound_m2_forced(sys, unit_box(), 0.2)
-        assert seen[0][0] is lyapunov._prefix_matrix(zero_gain)
-        assert seen[1][0] is lyapunov._prefix_matrix(sys)
-        assert seen[2][0] is lyapunov._forced_prefix_matrix(sys)
-        assert [len(lower) for _, lower, _ in seen] == [2, 2, 3]
-
-    def test_built_once_per_system(self, monkeypatch, rng):
-        # Each matrix is stacked from one pass over `output_bands`.
-        calls = []
-        monkeypatch.setattr(lyapunov, "output_bands", lambda *args: calls.append(1) or output_bands(*args))
-        for sys in self.systems(rng):
-            calls.clear()
-            boxes = (unit_box(sys.q), OutputBox(rng.uniform(0.3, 2.0, size=sys.q), rng.uniform(0.3, 2.0, size=sys.q)))
-            for box, mode in itertools.product(boxes, SIGMA_MODES):
-                bound_m2_unforced(sys, box, sigma_mode=mode)
-                for epsilon in (0.01, 0.3):
-                    bound_m2_forced(sys, box, epsilon, sigma_mode=mode)
-            assert len(calls) == 2
-
-    def test_qhull_halfspaces_bitwise_the_band_rows(self, monkeypatch, rng):
-        polytopes = []
-        original = lyapunov.enumerate_vertices
-        monkeypatch.setattr(lyapunov, "enumerate_vertices", lambda poly, **kw: polytopes.append(poly) or original(poly, **kw))
-        for sys in self.systems(rng):
-            if sys.q == 1:
-                continue
-            box = OutputBox(rng.uniform(0.3, 2.0, size=sys.q), rng.uniform(0.3, 2.0, size=sys.q))
-            for epsilon in (None, 0.1):
-                polytopes.clear()
-                if epsilon is None:
-                    rep, feed, scale = bound_m2_unforced(sys, box), None, 1.0
-                else:
-                    rep, feed, scale = bound_m2_forced(sys, box, epsilon), lyapunov._input_basis(sys), epsilon
-                assert rep.diagnostics["vertex_path"] == "qhull"
-                G, h = band_rows(lyapunov._prefix_bands(sys, box, sys.n - 1, feed, scale))
-                assert [(p.G.tobytes(), p.h.tobytes()) for p in polytopes] == [(G.tobytes(), h.tobytes())]
-
-
 class TestWorkPerCall:
     def test_one_eigen_decomposition_and_no_scipy_solvers(self, monkeypatch, rng):
         # Every masbound module that imported `eigenvalues` by name is
@@ -695,15 +620,26 @@ class TestGuards:
         assert unforced.diagnostics["sigma"] == forced.diagnostics["sigma"] == 1.0
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-    def test_no_tie_reported_where_floats_are_coarser_than_the_window(self):
-        # log(r1/r2)/log(sigma) is about 4.8e16 here, where every float is
-        # an integer; the 1e-9 tie window says nothing at that spacing.
+    def test_no_tie_reported_where_every_float_is_an_integer(self):
+        # log(r1/r2)/log(sigma) is about 4.8e16 here, past 2^52, where the
+        # 1e-9 tie window would flag every ratio.
         sys = LtiSystem(A=[[0.5, 1e8], [0.0, 0.5]], B=[[1.0], [1.0]], C=[[1.0, 0.0]])
         for rep in (bound_m2_unforced(sys, unit_box()), bound_m2_forced(sys, unit_box(), 0.01)):
             d = rep.diagnostics
             ratio = math.log(d["r1"] / d["r2"]) / math.log1p(-1.0 / lyapunov._lyapunov_data(sys)[1])
             assert ratio > 2.0**52
             assert d["boundary_integer"] is False
+
+    def test_tie_reported_below_two_to_the_52(self, monkeypatch):
+        # A ratio of exactly 2^30, where floats lie 2^-22 apart, is still a tie.
+        sys = make_siso(0.5)
+        r1 = bound_m2_unforced(sys, unit_box()).diagnostics["r1"]
+        log_sigma = math.log(0.25) / 2.0**30
+        monkeypatch.setattr(lyapunov, "_circumscribed_level", lambda *args: 4.0 * r1)
+        monkeypatch.setattr(lyapunov, "_decay_factor", lambda *args: (math.exp(log_sigma), log_sigma))
+        rep = bound_m2_unforced(sys, unit_box())
+        assert rep.m == 2**30
+        assert rep.diagnostics["boundary_integer"] is True
 
     def test_tie_reported_within_the_window(self):
         # Scalar, forced at epsilon = 1/2: r1 = eps^2 P and r2 = (2 - eps)^2 P,
@@ -787,25 +723,3 @@ def test_bench_panel_m2_bitwise_golden(bench_workloads, workload):
     """
     assert m2_panel_digest(bench_workloads.panel(workload)) == M2_PANEL_DIGESTS[workload]
 
-
-def test_warm_m2_reads_the_stored_prefix_matrices(bench_workloads, monkeypatch):
-    """Once a system's matrices are stored, m2 builds no band again and reports bitwise the same.
-
-    `lyapunov` imports `output_bands` by name, so that name is the one patched.
-    """
-
-    def fields(rep):
-        d = rep.diagnostics
-        return rep.m, d["r1"].hex(), d["r2"].hex(), d["sigma"].hex(), d["vertices"], d["vertex_path"], d["boundary_integer"]
-
-    panel = bench_workloads.panel("bounds")
-    calls = [(bound_m2_unforced, ()), (bound_m2_forced, (bench_workloads.EPSILON,))]
-    warm = {pid: [fields(fn(sys, box, *args)) for fn, args in calls] for pid, (sys, box) in panel.items()}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("m2 built its prefix bands again")
-
-    monkeypatch.setattr(lyapunov, "output_bands", refuse)
-    monkeypatch.setattr(lyapunov, "_prefix_bands", refuse)
-    for pid, (sys, box) in panel.items():
-        assert [fields(fn(sys, box, *args)) for fn, args in calls] == warm[pid]
