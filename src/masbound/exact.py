@@ -129,19 +129,25 @@ class MasResult:
 
 
 def _prune(bands: Bands, lp_tol: float) -> Polytope:
-    """Drop the one-sided rows of `bands` that the remaining ones imply, one at a time in `Bands.polytope` order."""
+    """Drop the one-sided rows of `bands` that the remaining ones imply, one at a time in `Bands.polytope` order.
+
+    Each side is relaxed (bound inf, an absent side) while its row is
+    decided, and restored with its own bound if it cuts; the LPs run on
+    ranged rows throughout.  Returns the sides left, `Bands.polytope` of
+    the `WarmLp`'s bands.
+    """
     lp = WarmLp(bands, lp_tol)
     rows = bands.polytope
     left = rows.nrows
-    for i in range(rows.nrows):
+    for i, (row, side) in enumerate(zip(*bands.sides())):
         if left == 1:
             break
-        lp.relax(i)
+        lp.set_bound(row, side, math.inf)
         if lp.is_redundant(rows.G[i], rows.h[i]):
             left -= 1
         else:
-            lp.restore(i)
-    return lp.polytope
+            lp.set_bound(row, side, rows.h[i])
+    return lp.bands.polytope
 
 
 def _norm(v) -> float:

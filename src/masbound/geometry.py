@@ -2,12 +2,15 @@
 
 The LP backend is scipy's HiGHS interface: `linprog` for one-off LPs,
 and `WarmLp`, one persistent HiGHS model re-solved from its previous
-basis, for the long runs of redundancy checks of the exact index.  A
-`WarmLp` holds the bands {x : -lower <= M x <= upper} its caller gives
-it (`Bands`), one HiGHS row per band row.  It borrows its model on its
-first solve from a per-process free list of cleared models and gives it
-back when it is collected, so a process builds about one model however
-many `WarmLp`s it makes.
+basis, for the long runs of redundancy checks of the exact index.
+Rows cross module boundaries in one format, `Bands`: the bands
+{x : -lower <= M x <= upper}, a side whose bound is inf absent, listed
+as one-sided rows only by `Bands.polytope`.  A `WarmLp` holds the bands
+its caller gives it, one HiGHS row per band row, and relaxes a side by
+making it absent.  It borrows its model on its first solve from a
+per-process free list of cleared models and gives it back when it is
+collected, so a process builds about one model however many `WarmLp`s
+it makes.
 Vertex enumeration goes through qhull's halfspace intersection, seeded
 at the origin when it lies well inside and at the Chebyshev center
 (one LP) otherwise.  Boundedness is certified without LPs: the rows
@@ -234,9 +237,12 @@ def _dense_layout(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 class Bands:
     """Bands {x : -lower <= M x <= upper} stacked row by row; band b is rows ends[b - 1]:ends[b], from row 0.
 
-    A side whose bound is inf is absent.  Iterating gives each band's
-    (M, lower, upper).  `polytope` lists the present sides as one-sided
-    rows G x <= h: each band's upper sides, then its lower sides.
+    The one row format that crosses a module boundary: the exact
+    construction, its prune and the prefix sets all hold their rows as
+    `Bands`.  A side whose bound is inf is absent.  Iterating gives each
+    band's (M, lower, upper).  `polytope` lists the present sides as
+    one-sided rows G x <= h: each band's upper sides, then its lower
+    sides, the order `sides` gives.
     """
 
     M: np.ndarray
@@ -250,21 +256,19 @@ class Bands:
 
     def sides(self) -> tuple[np.ndarray, np.ndarray]:
         """(band row, side) of each row of `polytope`, side 0 the upper side and 1 the lower."""
-        side, row = np.nonzero(np.isfinite((self.upper, self.lower)))
+        # ndarray methods: for the few rows of a prefix set numpy's
+        # function wrappers cost more than the work.
+        side, row = np.isfinite((self.upper, self.lower)).nonzero()
         # Stable: within a band and side the rows keep their order.
-        order = np.argsort(2 * np.searchsorted(self.ends, row, side="right") + side, kind="stable")
+        order = (2 * np.asarray(self.ends).searchsorted(row, "right") + side).argsort(kind="stable")
         return row[order], side[order]
 
     @property
     def polytope(self) -> Polytope:
-        return _one_sided(self, *self.sides())
-
-
-def _one_sided(bands: Bands, row, side) -> Polytope:
-    """The rows G x <= h of the band rows `row` on their sides `side` (0 upper, 1 lower)."""
-    M = bands.M[row]
-    upper = side == 0
-    return Polytope(np.where(upper[:, None], M, -M), np.where(upper, bands.upper[row], bands.lower[row]))
+        row, side = self.sides()
+        M = self.M[row]
+        upper = side == 0
+        return Polytope(np.where(upper[:, None], M, -M), np.where(upper, self.upper[row], self.lower[row]))
 
 
 class WarmLp:
@@ -273,35 +277,34 @@ class WarmLp:
     HiGHS row i is band row i, a two-sided (ranged) row where both sides
     are present: HiGHS stores such rows natively, so a band of mirrored
     pairs solves with one row per pair.  A side whose bound is inf is
-    absent.  Bands are appended with `add_band`, and one-sided rows are
-    switched off and on with `relax` and `restore`, which take the index
-    of a row in `Bands.polytope` order (each band's upper sides, then its
-    lower sides) and move only that side of its HiGHS row.  Between
-    solves only the objective changes, so each solve starts from the
-    previous basis.  The model runs primal simplex: most solves of the
-    exact index only change the objective, which leaves the last basis
-    primal feasible, and primal simplex carries on from it where HiGHS's
-    default, dual simplex, starts from a basis the new objective makes
-    dual infeasible.  A band appended after a cut, or a side restored
-    while pruning, is as a rule violated by the last optimum, so the next
-    solve first regains feasibility.  Dual simplex on ranged rows was at
-    most a few percent faster, and far slower on ill-conditioned forced
-    instances.
+    absent, and a relaxed side is an absent side.  Bands are appended
+    with `add_band`, and `set_bound` moves one side of one band row, inf
+    relaxing it; `bands` shows the rows held, so `bands.polytope` lists
+    exactly the active sides.  Between solves only the objective
+    changes, so each solve starts from the previous basis.  The model
+    runs primal simplex: most solves of the exact index only change the
+    objective, which leaves the last basis primal feasible, and primal
+    simplex carries on from it where HiGHS's default, dual simplex,
+    starts from a basis the new objective makes dual infeasible.  A band
+    appended after a cut, or a side restored while pruning, is as a rule
+    violated by the last optimum, so the next solve first regains
+    feasibility.  Dual simplex on ranged rows was at most a few percent
+    faster, and far slower on ill-conditioned forced instances.
 
     The model is borrowed on the first `maximize` from the per-process
     free list of its class (a new one is built only when the list is
-    empty), its options are set, and every band added so far is passed
-    in one batch (a relaxed side without its bound), so a `WarmLp` that
-    never solves holds none.  When the `WarmLp` is collected the model
-    is cleared and goes back to the list; two live `WarmLp`s never share
-    one.  The rows are kept in arrays that double when full.  Presolve
-    is off and the primal and dual tolerances are `lp_tol`; the
-    constructor raises ValueError when HiGHS refuses an option (a
-    tolerance below 1e-10, say) instead of solving at its own default,
-    and checks each accepted `lp_tol` only once per process.  A solve
-    that ends without a definitive status is re-run cold, and then
-    answered by `lp_maximize`.  Without scipy's private HiGHS class
-    every answer comes from `lp_maximize` on the active sides.
+    empty), its options are set, and every band held so far is passed
+    in one batch, so a `WarmLp` that never solves holds none.  When the
+    `WarmLp` is collected the model is cleared and goes back to the
+    list; two live `WarmLp`s never share one.  The rows are kept in
+    arrays that double when full.  Presolve is off and the primal and
+    dual tolerances are `lp_tol`; the constructor raises ValueError when
+    HiGHS refuses an option (a tolerance below 1e-10, say) instead of
+    solving at its own default, and checks each accepted `lp_tol` only
+    once per process.  A solve that ends without a definitive status is
+    re-run cold, and then answered by `lp_maximize`.  Without scipy's
+    private HiGHS class every answer comes from `lp_maximize` on
+    `bands.polytope`.
     """
 
     def __init__(self, bands, lp_tol: float = LP_TOL):
@@ -317,31 +320,19 @@ class WarmLp:
                 pool.append(model)
             _ACCEPTED_LP_TOLS.add(lp_tol)
         bands = list(bands)
-        # Each row's matrix row, its (upper, lower) bounds, and which of
-        # those sides are present and not relaxed.
+        # Each row's matrix row and its (upper, lower) bounds.
         self._M = np.empty((16, np.shape(bands[0][0])[1]))
         self._bound = np.empty((16, 2))
-        self._on = np.empty((16, 2), dtype=bool)
         self._n = 0
         self._ends = []
-        # `Bands.sides()` of the rows held, once `relax` or `restore` needs it.
-        self._sides = None
         for band in bands:
             self.add_band(*band)
 
     @property
     def bands(self) -> Bands:
-        """The bands added so far, relaxed sides included."""
+        """The bands held, a relaxed side absent; views of the `WarmLp`'s own arrays, so `set_bound` shows in them."""
         n = self._n
         return Bands(self._M[:n], self._bound[:n, 1], self._bound[:n, 0], tuple(self._ends))
-
-    @property
-    def polytope(self) -> Polytope:
-        """The active sides as rows G x <= h, in `Bands.polytope` order."""
-        bands = self.bands
-        row, side = bands.sides()
-        keep = self._on[row, side]
-        return _one_sided(bands, row[keep], side[keep])
 
     def add_band(self, M, lower, upper) -> None:
         """Append the band {x : -lower <= M x <= upper}; a side whose bound is inf is absent."""
@@ -349,15 +340,13 @@ class WarmLp:
         n, k = self._n, len(M)
         if n + k > len(self._M):
             cap = max(2 * len(self._M), n + k)
-            self._M, self._bound, self._on = (_grown(a, cap) for a in (self._M, self._bound, self._on))
+            self._M, self._bound = _grown(self._M, cap), _grown(self._bound, cap)
         bound = self._bound[n : n + k]
         self._M[n : n + k] = M
         bound[:, 0] = upper
         bound[:, 1] = lower
-        self._on[n : n + k] = np.isfinite(bound)
         self._n = n + k
         self._ends.append(self._n)
-        self._sides = None
         if self._model is not None:
             self._pass_rows(M, -bound[:, 1], bound[:, 0])
 
@@ -382,7 +371,7 @@ class WarmLp:
 
     @property
     def _highs(self):
-        """The HiGHS model, borrowed on first use and given every band added so far."""
+        """The HiGHS model, borrowed on first use and given every band held so far."""
         if self._model is None:
             highs_cls, maximize, _, _ = self._backend
             pool, model = _borrow_model(highs_cls)
@@ -393,32 +382,20 @@ class WarmLp:
             n, d = self._n, self._M.shape[1]
             model.addVars(d, np.full(d, -np.inf), np.full(d, np.inf))
             self._cols = np.arange(d, dtype=np.int32)
-            held = np.where(self._on[:n], self._bound[:n], np.inf)
-            self._pass_rows(self._M[:n], -held[:, 1], held[:, 0])
+            self._pass_rows(self._M[:n], -self._bound[:n, 1], self._bound[:n, 0])
         return self._model
 
-    def _switch(self, i: int, on: bool) -> None:
-        """Turn one-sided row i on or off, and give its HiGHS row the bounds of its active sides."""
-        if self._sides is None:
-            self._sides = self.bands.sides()
-        row, side = int(self._sides[0][i]), int(self._sides[1][i])
-        self._on[row, side] = on
+    def set_bound(self, row: int, side: int, bound: float) -> None:
+        """Set the upper (side 0) or lower (side 1) bound of band row `row`; inf relaxes that side."""
+        self._bound[row, side] = bound
         if self._model is not None:
-            upper, lower = np.where(self._on[row], self._bound[row], np.inf)
-            self._model.changeRowBounds(row, -lower, upper)
-
-    def relax(self, i: int) -> None:
-        """Drop one-sided row i, in `Bands.polytope` order, from the set; its index stays reserved."""
-        self._switch(i, False)
-
-    def restore(self, i: int) -> None:
-        self._switch(i, True)
+            self._model.changeRowBounds(row, -self._bound[row, 1], self._bound[row, 0])
 
     def maximize(self, c) -> LpOutcome:
-        """Maximize c.x over the active sides: status and optimum as in `lp_maximize`."""
+        """Maximize c.x over the bands held: status and optimum as in `lp_maximize`."""
         c = np.atleast_1d(np.asarray(c, dtype=float))
         if self._backend is None:
-            return lp_maximize(c, self.polytope, lp_tol=self.lp_tol)
+            return lp_maximize(c, self.bands.polytope, lp_tol=self.lp_tol)
         d = self._M.shape[1]
         if c.shape != (d,):
             raise ValueError(f"objective has length {c.size}, polytope dimension is {d}")
@@ -433,13 +410,13 @@ class WarmLp:
             highs.run()
             status = definitive.get(highs.getModelStatus())
             if status is None:
-                return lp_maximize(c, self.polytope, lp_tol=self.lp_tol)
+                return lp_maximize(c, self.bands.polytope, lp_tol=self.lp_tol)
         if status != "optimal":
             return LpOutcome(status=status)
         return LpOutcome(status="optimal", optimum=float(highs.getObjectiveValue()))
 
     def is_redundant(self, row, rhs: float) -> bool:
-        """`is_redundant` against the active sides."""
+        """`is_redundant` against the bands held."""
         return _certify_redundant(row, rhs, self.maximize, self.lp_tol) >= 0
 
 

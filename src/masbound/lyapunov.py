@@ -37,36 +37,30 @@ import numpy as np
 
 from .config import LP_TOL
 from .errors import NumericalError
-from .geometry import Polytope, enumerate_vertices, parallelotope_vertices
+from .geometry import Bands, Polytope, enumerate_vertices, parallelotope_vertices
 from .linalg import kron_lyapunov, range_basis, spectral_radius, sym_eig_extremes
-from .model import LtiSystem, OutputBox, band_rows, check_problem, output_bands, per_system, stable_dc_gain
+from .model import LtiSystem, OutputBox, check_problem, output_bands, per_system, stable_dc_gain
 from .results import BoundReport
 
 SIGMA_MODES = ("eq25", "paper")
 
 
-def _prefix_bands(sys: LtiSystem, box: OutputBox, horizon: int, feed=None, epsilon: float = 1.0):
-    """The bands of the prefix set: the steady-state band (with `feed`), then t = 0..horizon."""
-    return list(itertools.islice(output_bands(sys, box, feed, epsilon), horizon + 1 + (feed is not None)))
+def _prefix_bands(sys: LtiSystem, box: OutputBox, horizon: int, feed=None, epsilon: float = 1.0) -> Bands:
+    """The prefix set as one `Bands`: the steady-state band (with `feed`), then t = 0..horizon, stacked once."""
+    bands = list(itertools.islice(output_bands(sys, box, feed, epsilon), horizon + 1 + (feed is not None)))
+    M, lower, upper = (np.concatenate(part) for part in zip(*bands))
+    return Bands(M, lower, upper, tuple(itertools.accumulate(len(M) for M, _, _ in bands)))
 
 
-def _halfspaces(bands) -> Polytope:
-    return Polytope(*band_rows(bands))
-
-
-def _prefix_vertices(bands, lp_tol: float) -> tuple[np.ndarray, str]:
+def _prefix_vertices(bands: Bands, lp_tol: float) -> tuple[np.ndarray, str]:
     """Closed-form vertices when the stacked bands form a parallelotope, qhull otherwise.
 
     Returns the vertices and the path that found them, "closed_form" or "qhull".
     """
-    verts = parallelotope_vertices(
-        np.vstack([M for M, _, _ in bands]),
-        np.concatenate([lower for _, lower, _ in bands]),
-        np.concatenate([upper for _, _, upper in bands]),
-    )
+    verts = parallelotope_vertices(bands.M, bands.lower, bands.upper)
     if verts is not None:
         return verts, "closed_form"
-    return enumerate_vertices(_halfspaces(bands), lp_tol=lp_tol).vertices, "qhull"
+    return enumerate_vertices(bands.polytope, lp_tol=lp_tol).vertices, "qhull"
 
 
 def build_O_prefix(sys: LtiSystem, box: OutputBox, horizon: int, epsilon: float | None = None) -> Polytope:
@@ -83,8 +77,8 @@ def build_O_prefix(sys: LtiSystem, box: OutputBox, horizon: int, epsilon: float 
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     check_problem(sys, box, epsilon)
     if epsilon is None:
-        return _halfspaces(_prefix_bands(sys, box, horizon))
-    return _halfspaces(_prefix_bands(sys, box, horizon, stable_dc_gain(sys), epsilon))
+        return _prefix_bands(sys, box, horizon).polytope
+    return _prefix_bands(sys, box, horizon, stable_dc_gain(sys), epsilon).polytope
 
 
 def compute_r1(P, C, box: OutputBox, scale: float = 1.0) -> float:

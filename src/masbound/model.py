@@ -284,16 +284,6 @@ def output_bands(sys: LtiSystem, box: OutputBox, feed=None, epsilon: float = 1.0
         M = M @ sys.A
 
 
-def band_rows(bands) -> tuple[np.ndarray, np.ndarray]:
-    """Halfspace rows (G, h) of bands: +M_b <= upper_b then -M_b <= lower_b, band by band."""
-    rows = []
-    rhs = []
-    for M, lower, upper in bands:
-        rows += [M, -M]
-        rhs += [upper, lower]
-    return np.vstack(rows), np.concatenate(rhs)
-
-
 # ---------------------------------------------------------------------------
 # JSON system description (consumed by the CLI)
 # ---------------------------------------------------------------------------

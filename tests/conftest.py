@@ -208,6 +208,18 @@ def force_unknown(monkeypatch, cold_resolves: bool) -> list[int]:
     return restarts
 
 
+def bitwise(a, b) -> bool:
+    """Whether two arrays have the same shape, dtype and bytes."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def reference_rows(bands) -> tuple[np.ndarray, np.ndarray]:
+    """The one-sided rows (G, h) of two-sided bands: per band +M then -M, with rhs upper then lower."""
+    G = [part for M, _, _ in bands for part in (M, -M)]
+    h = [part for _, lower, upper in bands for part in (upper, lower)]
+    return np.vstack(G), np.concatenate(h)
+
+
 def upper_sides(poly) -> list[tuple]:
     """The rows of a polytope as one band whose lower sides are all absent, in a list of bands for `WarmLp`."""
     return [(poly.G, np.full(poly.nrows, np.inf), poly.h)]

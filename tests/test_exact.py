@@ -25,7 +25,7 @@ from masbound import exact, geometry, linalg
 from masbound.config import ZERO_ROW
 from masbound.geometry import is_redundant
 from masbound.lyapunov import build_O_prefix
-from masbound.model import band_rows, output_bands, stable_dc_gain
+from masbound.model import output_bands, stable_dc_gain
 from conftest import (
     count_models,
     exact_cases,
@@ -33,6 +33,7 @@ from conftest import (
     golden_systems,
     make_siso,
     random_stable_matrix,
+    reference_rows,
     run_exact,
     scalar_interval_t_star,
     two_output_systems,
@@ -335,7 +336,7 @@ def count_lps(monkeypatch) -> list[int]:
 def spy_highs_rows(monkeypatch) -> list[tuple[int, int, int, int]]:
     """A list that gains (HiGHS rows, band rows, one-sided rows, absent sides) per `WarmLp.maximize` call.
 
-    Relaxed sides count as one-sided rows; a side whose bound is inf is absent.
+    A side whose bound is inf is absent, a side the prune relaxed included.
     """
     if geometry._HIGHS is None:
         pytest.skip("this scipy has no persistent HiGHS class")
@@ -374,7 +375,7 @@ def replay_decisions(sys, box, epsilon=None):
     feed = None if epsilon is None else stable_dc_gain(sys)
     bands = output_bands(sys, box, feed, 1.0 if epsilon is None else epsilon)
     start = list(itertools.islice(bands, 1 if epsilon is None else 2))
-    G, h = band_rows(start)
+    G, h = reference_rows(start)
     plus = [row for M, _, _ in start for row in M]  # the "+" rows, in the order they were accepted
     d = G.shape[1]
     symmetric = np.array_equal(box.y_lower, box.y_upper)
@@ -383,7 +384,7 @@ def replay_decisions(sys, box, epsilon=None):
     verdicts = []
     decisions = screened = closed = slab = 0
     for t in itertools.count():
-        rows, rhs = band_rows([next(bands)])
+        rows, rhs = reference_rows([next(bands)])
         poly = Polytope(G, h)
         rank = np.linalg.matrix_rank(G)
         mirrored = rank == d and all(np.any(np.all(G == -g, axis=1)) for g in G)
@@ -449,10 +450,14 @@ class TestMirroredRows:
         res = run_exact(*case)
         solved = len(held)
         res.polytope  # the prune's LPs
-        assert solved < len(held)
-        assert all(highs == band_rows and sides + absent == 2 * highs for highs, band_rows, sides, absent in held)
-        assert any(absent for *_, absent in held) == one_sided
-        assert held[-1][2] == res.rows.nrows
+        built, pruned = held[:solved], held[solved:]
+        assert pruned
+        assert all(highs == rows and sides + absent == 2 * highs for highs, rows, sides, absent in held)
+        assert any(absent for *_, absent in built) == one_sided
+        # Some cases decide every row without an LP.
+        assert not built or built[-1][2] == res.rows.nrows
+        # Each prune LP holds every band row, with the side it decides relaxed, so absent.
+        assert all(rows == len(res.bands.M) and sides < res.rows.nrows for _, rows, sides, _ in pruned)
 
     @pytest.mark.parametrize("case", asymmetric_cases())
     def test_asymmetric_box_spends_2q_lps_per_step(self, monkeypatch, case):

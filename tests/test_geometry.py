@@ -22,6 +22,7 @@ from masbound.geometry import (
     parallelotope_vertices,
 )
 from conftest import (
+    bitwise,
     brute_force_vertices,
     count_models,
     exact_cases,
@@ -163,12 +164,23 @@ class TestOneOffLpTolerance:
 
 
 def assert_matches_cold(lp, objectives):
-    """Each warm solve has the status, and the optimum within 1e-9, of `lp_maximize` on the active rows."""
+    """Each warm solve has the status, and the optimum within 1e-9, of `lp_maximize` on the active sides."""
     for c in objectives:
-        warm, cold = lp.maximize(c), lp_maximize(c, lp.polytope)
+        warm, cold = lp.maximize(c), lp_maximize(c, lp.bands.polytope)
         assert warm.status == cold.status
         if cold.status == "optimal":
             assert warm.optimum == pytest.approx(cold.optimum, abs=1e-9)
+
+
+def side_switches(lp):
+    """(relax, restore) of one-sided row i of `lp`, indexed in `Bands.polytope` order of the bands held now.
+
+    `relax(i)` sets the side's bound to inf; `restore(i)` sets it back to
+    its bound as held now.
+    """
+    row, side = lp.bands.sides()
+    h = lp.bands.polytope.h
+    return (lambda i: lp.set_bound(row[i], side[i], np.inf)), (lambda i: lp.set_bound(row[i], side[i], h[i]))
 
 
 class TestWarmLp:
@@ -180,18 +192,19 @@ class TestWarmLp:
             G, h = random_bounded_polytope(rng, d, 2 * d + 4)
             lp = WarmLp(upper_sides(Polytope(G[: 2 * d], h[: 2 * d])))
             lp.add_band(G[2 * d :], np.full(len(h) - 2 * d, np.inf), h[2 * d :])
+            relax, restore = side_switches(lp)
             for step in range(12):
                 if step == 4:
-                    lp.relax(2 * d)
-                    lp.relax(0)
+                    relax(2 * d)
+                    relax(0)
                 if step == 8:
-                    lp.restore(0)
+                    restore(0)
                 c = rng.standard_normal(d)
                 warm = lp.maximize(c)
-                cold = lp_maximize(c, lp.polytope)
+                cold = lp_maximize(c, lp.bands.polytope)
                 assert warm.status == cold.status == "optimal"
                 assert warm.optimum == pytest.approx(cold.optimum, abs=1e-9)
-            assert lp.polytope.nrows == G.shape[0] - 1
+            assert lp.bands.polytope.nrows == G.shape[0] - 1
 
     def test_lp_tol_reaches_highs(self):
         if geometry._HIGHS is None:
@@ -209,7 +222,7 @@ class TestWarmLp:
     @pytest.mark.parametrize("build_first", [False, True])
     def test_many_batches_match_cold_solves(self, rng, build_first):
         # Many small batches, with the model built before them or only
-        # after the relax and restore.
+        # after the sides are relaxed and restored.
         d = 3
         G, h = random_bounded_polytope(rng, d, 160)
         lp = WarmLp(upper_sides(Polytope(G[: 2 * d], h[: 2 * d])))
@@ -218,14 +231,15 @@ class TestWarmLp:
         for start in range(2 * d, len(h), 5):
             rhs = h[start : start + 5]
             lp.add_band(G[start : start + 5], np.full(len(rhs), np.inf), rhs)
-        lp.relax(1)
-        lp.relax(len(h) - 1)
-        lp.restore(1)
+        relax, restore = side_switches(lp)
+        relax(1)
+        relax(len(h) - 1)
+        restore(1)
         assert (lp._model is not None) == build_first
         keep = np.ones(len(h), dtype=bool)
         keep[-1] = False
         cold = Polytope(G[keep], h[keep])
-        assert np.array_equal(lp.polytope.G, cold.G) and np.array_equal(lp.polytope.h, cold.h)
+        assert np.array_equal(lp.bands.polytope.G, cold.G) and np.array_equal(lp.bands.polytope.h, cold.h)
         for c in rng.standard_normal((10, d)):
             warm = lp.maximize(c)
             assert warm.status == "optimal"
@@ -260,8 +274,8 @@ class TestWarmLp:
         assert_matches_cold(lp, rng.standard_normal((6, 3)))
         assert lp._model.getNumRow() == 4
         # The one-sided view: the upper sides, then the lower sides.
-        assert np.array_equal(lp.polytope.G, np.vstack([M, -M]))
-        assert np.array_equal(lp.polytope.h, np.concatenate([upper, lower]))
+        assert np.array_equal(lp.bands.polytope.G, np.vstack([M, -M]))
+        assert np.array_equal(lp.bands.polytope.h, np.concatenate([upper, lower]))
 
     @pytest.mark.parametrize("build_first", [False, True])
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -274,11 +288,11 @@ class TestWarmLp:
             lp.maximize(np.ones(3))
         objectives = rng.standard_normal((6, 3))
         # The upper side of row 0, the lower side of row 1, then row 1 whole; then back.
-        for step in (lp.relax, lp.restore):
+        for step in side_switches(lp):
             for i in (0, 5, 1):
                 step(i)
                 assert_matches_cold(lp, objectives)
-        assert lp.polytope.nrows == 8
+        assert lp.bands.polytope.nrows == 8
 
     @pytest.mark.parametrize("build_first", [False, True])
     def test_band_with_absent_sides_matches_cold_solves(self, rng, build_first):
@@ -297,14 +311,41 @@ class TestWarmLp:
             assert lp._highs.getNumRow() == 7
         # The box's six sides, then the band's upper sides (rows 0, 2) and lower sides (rows 1, 2).
         sides = np.vstack([np.eye(3), -np.eye(3), M[[0, 2]], -M[[1, 2]]])
-        assert np.array_equal(lp.polytope.G, sides)
-        assert np.array_equal(lp.polytope.h, [2.0] * 6 + [0.5, 0.4, 0.3, 0.6])
+        assert np.array_equal(lp.bands.polytope.G, sides)
+        assert np.array_equal(lp.bands.polytope.h, [2.0] * 6 + [0.5, 0.4, 0.3, 0.6])
+        relax, restore = side_switches(lp)
         for i in range(6, 10):
-            lp.relax(i)
+            relax(i)
             assert_matches_cold(lp, objectives)
-            lp.restore(i)
+            restore(i)
             assert_matches_cold(lp, objectives)
-        assert np.array_equal(lp.polytope.G, sides)
+        assert np.array_equal(lp.bands.polytope.G, sides)
+
+    @pytest.mark.parametrize("build_first", [False, True])
+    def test_set_bound_round_trip(self, rng, build_first):
+        # Relaxing a side shows it as inf in `bands` and drops exactly its
+        # row from `bands.polytope`; its own bound brings the rows back bitwise.
+        M = rng.standard_normal((4, 3))
+        upper, lower = rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
+        lower[2] = np.inf
+        lp = WarmLp([(np.eye(3), np.full(3, 2.0), np.full(3, 2.0)), (M, lower, upper)])
+        if build_first:
+            lp.maximize(np.ones(3))
+        objectives = rng.standard_normal((6, 3))
+        start = lp.bands.polytope
+        for i, (row, side) in enumerate(zip(*lp.bands.sides())):
+            lp.set_bound(row, side, np.inf)
+            assert np.isinf((lp.bands.upper, lp.bands.lower)[side][row])
+            keep = np.arange(start.nrows) != i
+            relaxed = lp.bands.polytope
+            assert bitwise(relaxed.G, start.G[keep]) and bitwise(relaxed.h, start.h[keep])
+            if build_first:
+                assert_matches_cold(lp, objectives)
+            lp.set_bound(row, side, start.h[i])
+            restored = lp.bands.polytope
+            assert bitwise(restored.G, start.G) and bitwise(restored.h, start.h)
+        assert (lp._model is not None) == build_first
+        assert_matches_cold(lp, objectives)
 
     def test_live_warm_lps_hold_distinct_models(self, monkeypatch):
         built = count_models(monkeypatch)
@@ -367,22 +408,24 @@ class TestWarmLp:
 
     def test_relaxed_row_no_longer_bounds(self):
         lp = WarmLp(box_band())
+        relax, restore = side_switches(lp)
         assert lp.maximize([1.0, 0.0]).optimum == pytest.approx(1.0)
-        lp.relax(0)
+        relax(0)
         assert lp.maximize([1.0, 0.0]).status == "unbounded"
-        lp.restore(0)
+        restore(0)
         assert lp.maximize([1.0, 0.0]).optimum == pytest.approx(1.0)
 
     def test_rows_relaxed_before_the_first_solve(self):
-        # The model is built on the first solve, without the relaxed row's bound.
+        # The model is built on the first solve, with the relaxed side absent.
         lp = WarmLp(box_band())
         lp.add_band([[1.0, 1.0]], [np.inf], [1.5])
-        lp.relax(0)
+        relax, restore = side_switches(lp)
+        relax(0)
         assert lp._model is None
         assert lp.maximize([1.0, 0.0]).optimum == pytest.approx(2.5)
-        lp.restore(0)
+        restore(0)
         assert lp.maximize([1.0, 1.0]).optimum == pytest.approx(1.5)
-        lp.relax(4)
+        relax(4)
         assert lp.maximize([1.0, 1.0]).optimum == pytest.approx(2.0)
 
     def test_cold_restart_on_unknown_status(self, monkeypatch):
@@ -408,7 +451,7 @@ class TestWarmLp:
         real = geometry.lp_maximize
         monkeypatch.setattr(geometry, "lp_maximize", lambda c, poly, **k: calls.append(poly.nrows) or real(c, poly, **k))
         lp = WarmLp(box_band())
-        lp.relax(0)
+        side_switches(lp)[0](0)
         assert lp.maximize([1.0, 0.0]).status == "unbounded"
         assert lp.is_redundant([1.0, 0.0], 0.5) is False
         assert calls == [3, 3]

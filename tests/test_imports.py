@@ -1,9 +1,12 @@
-"""Every name a module of `src/masbound` imports is used in that module.
+"""Every name a module of `src/masbound` imports is used in that module, and every private helper is used.
 
-A static `ast` scan: a name counts as used when it appears as a name
-anywhere in the module (an attribute chain `np.linalg.eig` uses `np`),
-or when the module lists it in its own `__all__` (the package's
-re-exports).  `from __future__` imports are exempt.
+Static `ast` scans.  An imported name counts as used when it appears as
+a name anywhere in the module (an attribute chain `np.linalg.eig` uses
+`np`), or when the module lists it in its own `__all__` (the package's
+re-exports).  `from __future__` imports are exempt.  A private top-level
+function or class, or a private method, counts as used when its name
+appears anywhere in the package as a name or an attribute; dunder
+methods are exempt.
 """
 
 import ast
@@ -53,3 +56,54 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """The private top-level functions and classes, and private methods, that no module of `sources` uses.
+
+    `sources` maps a file name to its source; each entry is "name (file:line)".
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for defn in [node, *members]:
+                if isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if _private(defn.name) and defn.name not in used:
+                        unused.append(f"{defn.name} ({file}:{defn.lineno})")
+    return unused
+
+
+def test_scan_finds_an_unused_helper():
+    sources = {
+        "a.py": (
+            "def _used():\n"
+            "    return 1\n"
+            "def _unused():\n"
+            "    return _used()\n"
+            "class _Dead:\n"
+            "    def __init__(self):\n"
+            "        self._called()\n"
+            "    def _method(self):\n"
+            "        pass\n"
+        ),
+        "b.py": "from .a import _Dead\nclass Live:\n    def _called(self):\n        pass\n    def _gone(self):\n        pass\n",
+    }
+    # An import is not a use.
+    assert unused_private_definitions(sources) == ["_unused (a.py:3)", "_Dead (a.py:5)", "_method (a.py:8)", "_gone (b.py:5)"]
+
+
+def test_no_unused_private_helper():
+    assert unused_private_definitions({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}) == []

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import sys as _sys
@@ -29,14 +30,16 @@ from masbound.lyapunov import (
     compute_r2,
     compute_sigma,
 )
-from masbound.model import stable_dc_gain
+from masbound.model import output_bands, stable_dc_gain
 from masbound.montecarlo import StudyConfig, random_stable_system
 from conftest import (
+    bitwise,
     golden_systems,
     lp_seeded_vertices,
     make_siso,
     random_spd_matrix,
     random_stable_matrix,
+    reference_rows,
     refuse_lps,
     two_output_systems,
     unit_box,
@@ -90,6 +93,37 @@ class TestPrefixSets:
         sys = make_siso(0.5, b=1.0)
         poly = build_O_prefix(sys, unit_box(), horizon=0, epsilon=1.0)
         assert np.allclose(poly.h[:2], 0.0)  # H0 u <= 0 and -H0 u <= 0
+
+
+def prefix_band_cases():
+    """(sys, box, feed, epsilon): q = 1 and q = 2, unforced, forced, epsilon = 1, and a rank-deficient H0."""
+    siso = LtiSystem(A=[[0.6, 0.2], [-0.1, 0.4]], B=[[1.0], [0.5]], C=[[1.0, -0.5]])
+    mimo = LtiSystem(
+        A=[[0.5, 0.1, 0.0], [0.0, 0.3, 0.2], [0.1, 0.0, -0.4]], B=[[1.0], [0.0], [2.0]], C=[[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]
+    )
+    wide = LtiSystem(A=[[0.5, 0.1], [0.0, 0.3]], B=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], C=np.eye(2))
+    box2 = OutputBox(y_lower=[0.5, 2.0], y_upper=[1.5, 1.0])
+    return [
+        pytest.param(siso, unit_box(), None, 1.0, id="q1"),
+        pytest.param(siso, unit_box(), stable_dc_gain(siso), 0.1, id="q1_forced"),
+        pytest.param(mimo, box2, None, 1.0, id="q2"),
+        pytest.param(mimo, box2, stable_dc_gain(mimo), 0.2, id="q2_forced"),
+        pytest.param(mimo, box2, stable_dc_gain(mimo), 1.0, id="epsilon_one"),
+        pytest.param(wide, unit_box(q=2), lyapunov._input_basis(wide), 0.1, id="rank_deficient_h0"),
+    ]
+
+
+@pytest.mark.parametrize("sys, box, feed, epsilon", prefix_band_cases())
+def test_prefix_bands_stack_the_output_bands(sys, box, feed, epsilon):
+    # The first n bands of `output_bands` (n + 1 with the steady-state
+    # band), stacked; their one-sided rows are the reference layout.
+    bands = lyapunov._prefix_bands(sys, box, sys.n - 1, feed, epsilon)
+    ref = list(itertools.islice(output_bands(sys, box, feed, epsilon), sys.n + (feed is not None)))
+    for got, parts in zip((bands.M, bands.lower, bands.upper), zip(*ref)):
+        assert bitwise(got, np.concatenate(parts))
+    assert bands.ends == tuple(box.q * (b + 1) for b in range(len(ref)))  # q rows a band
+    G, h = reference_rows(ref)
+    assert bitwise(bands.polytope.G, G) and bitwise(bands.polytope.h, h)
 
 
 class TestLevels:
@@ -434,7 +468,7 @@ class TestClosedFormPrefix:
         # the first two columns of H0 already span its range.
         H0 = stable_dc_gain(sys)
         bands = lyapunov._prefix_bands(sys, box, sys.n - 1, H0[:, :2], 0.1)
-        verts = enumerate_vertices(lyapunov._halfspaces(bands)).vertices
+        verts = enumerate_vertices(bands.polytope).vertices
         P = rep.diagnostics["P"]
         assert rep.diagnostics["r2"] == pytest.approx(compute_r2(P, verts, proj_dim=sys.n), rel=1e-9)
 
@@ -489,7 +523,7 @@ class TestSeveralOutputsWithoutLps:
             H0 = stable_dc_gain(sys)
             for epsilon, feed in ((None, None), (0.01, scipy.linalg.orth(H0))):
                 bands = lyapunov._prefix_bands(sys, box, sys.n - 1, feed, 1.0 if epsilon is None else epsilon)
-                poly = lyapunov._halfspaces(bands)
+                poly = bands.polytope
                 cases.append((sys, box, epsilon, lp_seeded_vertices(poly.G, poly.h)))
         refuse_lps(monkeypatch)
         for sys, box, epsilon, oracle in cases:
@@ -510,7 +544,7 @@ class TestSeveralOutputsWithoutLps:
         box = unit_box(2)
         oracles = []
         for epsilon, feed in ((1.0, None), (0.01, scipy.linalg.orth(stable_dc_gain(sys)))):
-            poly = lyapunov._halfspaces(lyapunov._prefix_bands(sys, box, sys.n - 1, feed, epsilon))
+            poly = lyapunov._prefix_bands(sys, box, sys.n - 1, feed, epsilon).polytope
             oracles.append(lp_seeded_vertices(poly.G, poly.h))
         refuse_lps(monkeypatch)
         for rep, oracle in zip((bound_m2_unforced(sys, box), bound_m2_forced(sys, box, 0.01)), oracles):
