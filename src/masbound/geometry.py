@@ -13,9 +13,14 @@ collected, so a process builds about one model however many `WarmLp`s
 it makes.
 Vertex enumeration goes through qhull's halfspace intersection, seeded
 at the origin when it lies well inside and at the Chebyshev center
-(one LP) otherwise.  Boundedness is certified without LPs: the rows
-must have full rank, and the origin must lie strictly inside qhull's
-dual hull.
+(one LP) otherwise.  Boundedness is certified without LPs: the origin
+must lie strictly inside qhull's dual hull, which also proves that the
+rows have full rank, so the rank is tested (one SVD) only when the
+origin-seeded qhull gives no answer.  Duplicate vertices are ruled out
+by one sorted projection when no two lie close, and removed with a
+KD-tree pair query otherwise.  A `Polytope` checks its arrays when it
+is built; the polytopes vertex enumeration derives from a checked one
+reuse its arrays unchecked.
 A combinatorial active-set sweep, behind an LP bounding box, serves as
 a fallback when qhull rejects a degenerate instance.
 Parallelotopes {x : -lower <= M x <= upper} with a square nonsingular M
@@ -82,6 +87,7 @@ _CENTRED = 1e-6
 _FAR = 1e12
 # HiGHS's `simplex_strategy` value for primal simplex.
 _PRIMAL_SIMPLEX = 4
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -99,11 +105,20 @@ class Polytope:
             raise ValueError(f"inconsistent halfspace data: G {G.shape}, h {h.shape}")
         if not (np.all(np.isfinite(G)) and np.all(np.isfinite(h))):
             raise ValueError("halfspace data must be finite")
+        vertices = None if self.vertices is None else np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        self._set(G, h, vertices)
+
+    def _set(self, G, h, vertices) -> None:
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
-        if self.vertices is not None:
-            V = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-            object.__setattr__(self, "vertices", V)
+        object.__setattr__(self, "vertices", vertices)
+
+    @classmethod
+    def _trusted(cls, G: np.ndarray, h: np.ndarray, vertices: np.ndarray | None = None) -> Polytope:
+        """The polytope of arrays as `__post_init__` leaves them (`vertices` 2-D float or None), not checked again."""
+        poly = object.__new__(cls)
+        poly._set(G, h, vertices)
+        return poly
 
     @property
     def dim(self) -> int:
@@ -456,17 +471,40 @@ def bounding_box(poly: Polytope, lp_tol: float = LP_TOL) -> tuple[np.ndarray, np
     return lo, hi
 
 
+@lru_cache(maxsize=VERTEX_DIM_CAP)
+def _probe_direction(d: int) -> np.ndarray:
+    """Read-only unit vector of R^d, fixed and generic: no coordinate axis, so tied coordinates do not tie on it."""
+    u = np.random.default_rng(d).standard_normal(d)
+    u /= np.linalg.norm(u)
+    u.flags.writeable = False
+    return u
+
+
 def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     """Keep each point unless it lies within tol of an earlier kept point.
 
-    Candidate pairs come from a KD-tree query with a slightly widened
-    radius; each is then confirmed with the same distance test as a
+    First a certificate that no two points are that close: since
+    |u.(p - q)| <= |p - q| for the unit `_probe_direction` u, every
+    point is kept, in a copy, when each two neighbouring sorted
+    projections u.p lie farther apart than the slightly widened radius
+    of the KD-tree query below plus a margin for the rounding of the
+    projections.  Otherwise candidate pairs come from that KD-tree
+    query; each is then confirmed with the same distance test as a
     plain first-occurrence sweep, so the kept points and their order do
     not depend on the tree's rounding.
     """
     if len(points) == 0:
         return np.array([])
-    pairs = cKDTree(points).query_pairs(tol * (1.0 + 1e-6), output_type="ndarray")
+    d = points.shape[1]
+    radius = tol * (1.0 + 1e-6)
+    # A gap takes two projections, each off by at most about d eps |p|,
+    # and |p| <= sqrt(d) max|p_i|.
+    margin = 2 * (d + 2) * _EPS * math.sqrt(d) * np.abs(points).max()
+    probe = points @ _probe_direction(d)
+    probe.sort()
+    if (probe[1:] - probe[:-1] > radius + margin).all():
+        return points.copy()
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     dropped = np.zeros(len(points), dtype=bool)
     # Sorted by the later index, every earlier point's fate is settled
     # before it is compared with a later one.
@@ -476,14 +514,17 @@ def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     return points[~dropped]
 
 
-def _drop_zero_rows(poly: Polytope, lp_tol: float) -> Polytope:
+def _drop_zero_rows(poly: Polytope, lp_tol: float) -> tuple[Polytope, np.ndarray]:
+    """(`poly` without its rows of norm below ZERO_ROW, the norms of the rows kept)."""
     norms = np.linalg.norm(poly.G, axis=1)
     zero = norms < ZERO_ROW
     if not zero.any():
-        return poly
+        return poly, norms
     if np.any(poly.h[zero] < -lp_tol):
         raise UnboundedPolytopeError("zero row with negative bound: polytope is empty")
-    return Polytope(poly.G[~zero], poly.h[~zero])
+    work = Polytope._trusted(poly.G[~zero], poly.h[~zero])
+    # Norms of the new, C-ordered rows: numpy may sum a strided G's rows in another order.
+    return work, np.linalg.norm(work.G, axis=1)
 
 
 def _brute_force_vertices(poly: Polytope) -> np.ndarray:
@@ -633,8 +674,8 @@ def _qhull_vertices(Gn, hn, center, radius: float) -> np.ndarray | None:
     """
     # Unbounded input divides by zero offsets in scipy's intersections.
     with np.errstate(divide="ignore", invalid="ignore"):
-        inter = HalfspaceIntersection(np.hstack([Gn, -hn[:, None]]), center)
-    if not np.all(inter.dual_equations[:, -1] < -1.0 / (_FAR * radius)):
+        inter = HalfspaceIntersection(np.concatenate((Gn, -hn[:, None]), axis=1), center)
+    if not (inter.dual_equations[:, -1] < -1.0 / (_FAR * radius)).all():
         return None
     return np.asarray(inter.intersections, dtype=float)
 
@@ -646,12 +687,12 @@ def _origin_seeded_vertices(Gn, hn) -> np.ndarray | None:
     qhull fails, when the set looks unbounded, or when the origin sits
     closer than `_CENTRED` times the set's extent to a facet.
     """
-    radius = float(np.min(hn))
+    radius = float(hn.min())
     try:
         verts = _qhull_vertices(Gn, hn, np.zeros(Gn.shape[1]), radius)
     except QhullError:
         return None
-    if verts is None or radius <= _CENTRED * np.max(np.linalg.norm(verts, axis=1)):
+    if verts is None or radius <= _CENTRED * np.linalg.norm(verts, axis=1).max():
         return None
     return verts
 
@@ -660,29 +701,34 @@ def enumerate_vertices(poly: Polytope, lp_tol: float = LP_TOL) -> Polytope:
     """Convert a bounded halfspace description to its vertex set.
 
     Returns a copy of the polytope with `vertices` filled in
-    (deduplicated, each verified feasible).  Raises
-    UnboundedPolytopeError for unbounded or empty input and ValueError
-    above `VERTEX_DIM_CAP`.  No LP runs when the origin lies strictly
-    inside: boundedness comes from the rank of G and qhull's dual hull.
+    (deduplicated, each verified feasible), sharing the arrays of `poly`.
+    Raises UnboundedPolytopeError for unbounded or empty input and
+    ValueError above `VERTEX_DIM_CAP`.  No LP runs when the origin lies
+    strictly inside: boundedness comes from qhull's dual hull, and the
+    rank of G is tested only when that does not answer.
     """
     d = poly.dim
     if d > VERTEX_DIM_CAP:
         raise ValueError(f"dimension {d} exceeds the vertex-enumeration cap {VERTEX_DIM_CAP}")
-    work = _drop_zero_rows(poly, lp_tol)
+    work, norms = _drop_zero_rows(poly, lp_tol)
     if d == 1:
-        return Polytope(poly.G, poly.h, vertices=_interval_vertices(work))
+        return Polytope._trusted(poly.G, poly.h, _interval_vertices(work))
 
     # Normalize rows for qhull conditioning; the feasible set is unchanged.
-    norms = np.linalg.norm(work.G, axis=1)
     Gn = work.G / norms[:, None]
     hn = work.h / norms
-    if np.linalg.matrix_rank(Gn) < d:
-        # The null space of G lies in the recession cone.
-        raise UnboundedPolytopeError(f"constraint rows have rank below the dimension {d}")
     verts = None
-    if np.min(hn) > _FLAT:
+    # A bounded set needs d + 1 rows.  An accepted answer puts the origin
+    # at least 1e-6 / min(hn) inside the dual hull of the points Gn_i /
+    # hn_i (`_CENTRED`), so the smallest singular value of Gn is at
+    # least 1e-6, far above the sqrt(k) max(k, d) eps below which
+    # `matrix_rank` counts a rank deficit in k rows.
+    if len(hn) > d and hn.min() > _FLAT:
         verts = _origin_seeded_vertices(Gn, hn)
     if verts is None:
+        if np.linalg.matrix_rank(Gn) < d:
+            # The null space of G lies in the recession cone.
+            raise UnboundedPolytopeError(f"constraint rows have rank below the dimension {d}")
         center, radius = chebyshev_center(Polytope(Gn, hn), lp_tol=lp_tol)
         _require_full_dimension(radius, 0.0)
         try:
@@ -700,8 +746,8 @@ def enumerate_vertices(poly: Polytope, lp_tol: float = LP_TOL) -> Polytope:
     verts = _dedupe(verts, VERTEX_DEDUP)
     # Guard against qhull round-off escaping the feasible set.
     slack = work.G @ verts.T - work.h[:, None]
-    if np.max(slack) > VERTEX_FEASIBILITY:
+    if slack.max() > VERTEX_FEASIBILITY:
         verts = _brute_force_vertices(work)
         if verts.size == 0:
             raise UnboundedPolytopeError("vertex enumeration failed feasibility screening")
-    return Polytope(poly.G, poly.h, vertices=verts)
+    return Polytope._trusted(poly.G, poly.h, verts)

@@ -58,6 +58,39 @@ MAXIMIZERS = (lp_maximize, warm_maximize)
 REDUNDANCY_CHECKS = (is_redundant, warm_is_redundant)
 
 
+class TestPolytopeChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_refused(self, bad):
+        G, h = box2d().G.copy(), box2d().h.copy()
+        G[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Polytope(G, box2d().h)
+        h[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Polytope(box2d().G, h)
+
+    def test_row_counts_must_agree(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            Polytope(np.eye(2), np.ones(3))
+        with pytest.raises(ValueError, match="inconsistent"):
+            Polytope(np.eye(2), np.ones((2, 1)))
+
+    def test_lists_and_one_row_promoted_to_float_arrays(self):
+        listed = Polytope([[1, 0], [0, 1]], [1, 2], vertices=[0, 0])
+        assert bitwise(listed.G, np.eye(2)) and bitwise(listed.h, np.array([1.0, 2.0]))
+        assert bitwise(listed.vertices, np.zeros((1, 2)))
+        one_row = Polytope(np.array([1, -2]), 3)
+        assert bitwise(one_row.G, np.array([[1.0, -2.0]])) and bitwise(one_row.h, np.array([3.0]))
+
+    def test_bands_polytope_checks_a_present_side(self):
+        M = np.array([[1.0, 0.0], [np.inf, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            geometry.Bands(M, np.ones(2), np.array([1.0, np.inf]), (2,)).polytope
+        # Row 1 holds inf in M but both of its sides are absent, so it lists no row.
+        poly = geometry.Bands(M, np.array([1.0, np.inf]), np.array([1.0, np.inf]), (2,)).polytope
+        assert bitwise(poly.G, np.array([[1.0, 0.0], [-1.0, -0.0]]))
+
+
 class TestLp:
     def test_optimal_on_box(self):
         out = lp_maximize([1.0, 0.0], box2d())
@@ -538,6 +571,30 @@ class TestUnboundedness:
         with pytest.raises(UnboundedPolytopeError, match="rank"):
             enumerate_vertices(slab)
 
+    @pytest.mark.parametrize(
+        "G, h",
+        [
+            ([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0]),
+            ([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0]),
+            ([[1.0, 1.0], [0.0, 0.0], [-2.0, -2.0]], [1.0, 1.0, 1.0]),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 1.0, 1.0]),
+        ],
+    )
+    def test_too_few_nonzero_rows_fail_the_rank_test(self, monkeypatch, G, h):
+        # Fewer than d + 1 nonzero rows of rank below d: neither qhull nor an LP may run.
+        def refuse(*args, **kwargs):
+            raise AssertionError("qhull was called")
+
+        refuse_lps(monkeypatch)
+        monkeypatch.setattr(geometry, "HalfspaceIntersection", refuse)
+        with pytest.raises(UnboundedPolytopeError, match="rank"):
+            enumerate_vertices(Polytope(G, h))
+
+    def test_d_rows_of_full_rank(self):
+        # A cone with its apex inside: the rank test passes and the Chebyshev LP finds it unbounded.
+        with pytest.raises(UnboundedPolytopeError, match="unbounded inscribed balls"):
+            enumerate_vertices(Polytope(np.eye(2), [1.0, 1.0]))
+
     def test_full_rank_unbounded_set(self):
         # A cone around the origin: full rank, every vertex but one at infinity.
         cone = Polytope([[-1.0, 0.5], [-1.0, -0.5], [1.0, 3.0]], [1.0, 1.0, 1.0])
@@ -825,6 +882,72 @@ class TestDedupe:
             assert mine.shape == oracle.shape
             assert np.array_equal(mine, oracle)
             assert len(oracle) < len(cloud)
+
+    def separated_cloud(self, rng, d, n=80, scale=1.0):
+        """n points at least 1e-3 * scale apart, in a cube of side 2 * scale."""
+        cloud = rng.uniform(-scale, scale, size=(n, d))
+        while len(dedupe_oracle(cloud, 1e-3 * scale)) < n:
+            cloud = rng.uniform(-scale, scale, size=(n, d))
+        return cloud
+
+    def test_no_pair_returns_a_copy_without_a_tree(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a KD-tree was built")
+
+        monkeypatch.setattr(geometry, "cKDTree", refuse)
+        for d in (1, 2, 3, 6, VERTEX_DIM_CAP):
+            cloud = self.separated_cloud(rng, d)
+            mine = _dedupe(cloud, self.tol)
+            assert bitwise(mine, cloud)
+            assert not np.shares_memory(mine, cloud)
+
+    def test_tied_first_coordinates(self, monkeypatch, rng):
+        # Points that share their first coordinate, as the vertices of
+        # the two-output prefix sets often do, still separate on the probe.
+        real_tree = geometry.cKDTree
+        for d in (2, 3, 5):
+            rest = self.separated_cloud(rng, d - 1)
+            cloud = np.column_stack([np.where(np.arange(80) < 40, 0.25, -0.25), rest])
+            monkeypatch.setattr(geometry, "cKDTree", None)
+            assert bitwise(_dedupe(cloud, self.tol), cloud)
+            monkeypatch.setattr(geometry, "cKDTree", real_tree)
+            with_pairs = np.vstack([cloud, cloud[:10] + np.append(0.0, np.full(d - 1, 0.4 * self.tol))])
+            mine = _dedupe(with_pairs, self.tol)
+            assert bitwise(mine, dedupe_oracle(with_pairs, self.tol))
+            assert bitwise(mine, cloud)
+
+    @pytest.mark.parametrize("factor, kept", [(1.0 - 1e-7, 1), (1.0 + 1e-7, 2)])
+    def test_pair_at_the_radius_along_the_probe(self, rng, factor, kept):
+        # Apart by tol (1 -+ 1e-7) along the probe direction, just inside
+        # or outside tol: the certificate cannot hold, the tree decides.
+        for d in (1, 2, 4, 8):
+            cloud = self.separated_cloud(rng, d, n=30)
+            shifted = cloud[7] + factor * self.tol * geometry._probe_direction(d)
+            with_pair = np.vstack([cloud, shifted])
+            mine = _dedupe(with_pair, self.tol)
+            assert bitwise(mine, dedupe_oracle(with_pair, self.tol))
+            assert len(mine) == len(cloud) + kept - 1
+
+    def test_large_coordinates(self, rng):
+        # Near 1e8 the rounding margin of the projections exceeds tol.
+        for d in (2, 3, 6):
+            for scale in (1e4, 1e6, 1e8):
+                cloud = self.separated_cloud(rng, d, n=40, scale=scale)
+                pairs = cloud[:8] + rng.choice([0.3, 0.9, 1.5], size=(8, 1)) * self.tol * rng.standard_normal((8, d))
+                for points in (cloud, np.vstack([cloud, pairs])):
+                    assert bitwise(_dedupe(points, self.tol), dedupe_oracle(points, self.tol))
+
+    def test_projection_rounding_is_covered(self, rng):
+        # A pair 0.9 tol apart whose projections, near 1e8, may round a
+        # float spacing (up to about 1.5e-8 > tol) apart: only the margin
+        # stops the certificate from keeping both.
+        for _ in range(200):
+            d = int(rng.integers(2, 4))
+            p = np.append(rng.uniform(0.5e8, 1.5e8), rng.uniform(-1.0, 1.0, size=d - 1))
+            q = p.copy()
+            q[1] += 0.9 * self.tol
+            pair = np.array([p, q])
+            assert bitwise(_dedupe(pair, self.tol), dedupe_oracle(pair, self.tol))
 
     def test_empty_input(self):
         empty = np.empty((0, 3))

@@ -19,7 +19,7 @@ from masbound import (
     bound_m2_unforced,
     exact_t_star_forced,
 )
-from masbound import lyapunov
+from masbound import geometry, lyapunov
 from masbound.config import VERTEX_DIM_CAP
 from masbound.geometry import enumerate_vertices
 from masbound.linalg import solve_discrete_lyapunov
@@ -597,6 +597,24 @@ class TestWorkPerCall:
             bound_m2_forced(sys, box, 0.1)
             bound_m2_forced(sys, box, 1.0)
             assert len(calls) == 1
+
+    def test_qhull_call_checks_its_rows_once(self, monkeypatch, rng):
+        # The prefix set's arrays are checked once, when `Bands.polytope`
+        # builds them; vertex enumeration reuses them unchecked and, with
+        # the origin well inside, needs no rank test.
+        checks, ranks, hulls = [], [], []
+        post_init = geometry.Polytope.__post_init__
+        matrix_rank = np.linalg.matrix_rank
+        hull = geometry.HalfspaceIntersection
+        monkeypatch.setattr(geometry.Polytope, "__post_init__", lambda self: checks.append(1) or post_init(self))
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: ranks.append(1) or matrix_rank(*a, **k))
+        monkeypatch.setattr(geometry, "HalfspaceIntersection", lambda *a, **k: hulls.append(1) or hull(*a, **k))
+        sys, box = next(two_output_systems(rng))
+        rep = bound_m2_unforced(sys, box)
+        assert rep.diagnostics["vertex_path"] == "qhull"
+        assert len(checks) <= 1
+        assert ranks == []
+        assert hulls == [1]
 
     def test_only_p_is_eigen_solved(self, monkeypatch, rng):
         # lambda_min(Q) of Q = I is 1 without an eigen-solve; lambda_max(P)
