@@ -323,7 +323,10 @@ class WarmLp:
     """
 
     def __init__(self, bands, lp_tol: float = LP_TOL):
-        """Hold `bands`, each (M, lower, upper), as `add_band` would one by one; a `Bands` gives its own."""
+        """Hold `bands`, at least one, each (M, lower, upper), as `add_band` would one by one; a `Bands` gives its own."""
+        bands = list(bands)
+        if not bands:
+            raise ValueError("WarmLp needs at least one band, which fixes the dimension")
         self.lp_tol = lp_tol
         self._backend = _HIGHS
         self._model = None
@@ -334,7 +337,6 @@ class WarmLp:
             finally:
                 pool.append(model)
             _ACCEPTED_LP_TOLS.add(lp_tol)
-        bands = list(bands)
         # Each row's matrix row and its (upper, lower) bounds.
         self._M = np.empty((16, np.shape(bands[0][0])[1]))
         self._bound = np.empty((16, 2))

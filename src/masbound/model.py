@@ -126,8 +126,8 @@ def per_system(fn):
 
     One value in the same `__dict__` is replaced rather than stored
     once: `powerseries` keeps there how far the `m1` recursion has been
-    stepped, a tuple whose array is read-only, and a call that steps
-    further stores a longer record in its place.  Two threads may each
+    stepped, tuples of plain floats that no caller can change, and a
+    call that steps further stores a longer record in its place.  Two threads may each
     store one; every record holds the same numbers for the steps it
     covers.
     """
@@ -145,7 +145,7 @@ def per_system(fn):
 
 @dataclass(frozen=True)
 class OutputBox:
-    """Per-output limits: -y_lower[j] <= y_j <= y_upper[j], all limits > 0."""
+    """Per-output limits: -y_lower[j] <= y_j <= y_upper[j], for at least one output, all limits finite and > 0."""
 
     y_lower: np.ndarray
     y_upper: np.ndarray
@@ -155,10 +155,12 @@ class OutputBox:
         hi = np.atleast_1d(np.asarray(self.y_upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError(f"y_lower/y_upper must be equal-length vectors, got {lo.shape}, {hi.shape}")
-        if not (np.all(lo > 0.0) and np.all(hi > 0.0)):
-            raise ValueError("all box limits must be strictly positive (origin interior)")
+        if lo.size == 0:
+            raise ValueError("box needs at least one output")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("box limits must be finite")
+        if not (np.all(lo > 0.0) and np.all(hi > 0.0)):
+            raise ValueError("all box limits must be strictly positive (origin interior)")
         object.__setattr__(self, "y_lower", lo)
         object.__setattr__(self, "y_upper", hi)
 

@@ -23,14 +23,14 @@ definition the loop follows.
 beta(t) does not depend on the box or epsilon either, so the recursion
 is stepped once per system.  The system keeps, beside the `per_system`
 values, a record of how far it has been stepped: the plain sums of the
-positive and of the negative coefficients of beta(t) for t = n .. T, one
-read-only float64 array, and beta(T); 16 bytes per step reached plus one
-beta.  A call decides the steps up to T on the stored sums in one numpy
-pass, whose left side, taken elementwise, is bitwise the loop's.  Only a
-stop beyond them runs the loop, from beta(T + 1), and that call then
-replaces the record whole by the longer one.  A near-tie among the
-stored steps re-steps beta(t) from the polynomial (or reads beta(T)) for
-`condition_forced`; a cap error stores the steps it reached; a
+positive and of the negative coefficients of beta(t) for t = n .. T, two
+tuples of floats, and beta(T); about 64 bytes per step reached plus one
+beta.  A call decides the stored steps one by one with the loop's own
+expressions, so it reaches the same decision, slack and error as the
+loop would.  Only a stop beyond them runs the loop, from beta(T + 1), and
+that call then replaces the record whole by the longer one.  A near-tie
+or a cap among the stored steps re-steps beta(t) from the polynomial,
+exactly as the loop steps it; a cap error stores the steps it reached; a
 divergence, like a failed `per_system` computation, stores nothing and
 is met again by the next call.  So every report and error is bitwise the
 same whatever was asked of the system before.  `diagnostics["stop_slack"]`
@@ -127,9 +127,10 @@ def _char_poly(sys: LtiSystem) -> tuple[float, ...]:
 
 
 # The key, in the system's `__dict__` beside `per_system`'s values, of the
-# record of how far the recursion has been stepped: (sums, beta(T)), where
-# sums[0, i] and sums[1, i] are the plain sums of the positive and of the
-# negative coefficients of beta(n + i), for n + i = n .. T.
+# record of how far the recursion has been stepped: (pos_sums, neg_sums,
+# beta(T)), where pos_sums[i] and neg_sums[i] are the plain sums of the
+# positive and of the negative coefficients of beta(n + i), for
+# n + i = n .. T.
 _RECORD = f"{__name__}.recursion"
 
 
@@ -153,23 +154,18 @@ def _cap_error(step_cap, rho: float, t: int, beta) -> IterationCapError:
 
 
 def _store(sys: LtiSystem, record, sums: tuple[list[float], list[float]], beta: list[float]) -> None:
-    """Store the record extended by the steps of `sums`, ending at `beta`.
-
-    `sums` starts at the step after the record's last, or at step n without one.
-    """
-    stored = np.array(sums) if record is None else np.concatenate([record[0], sums], axis=1)
-    stored.setflags(write=False)
-    sys.__dict__[_RECORD] = (stored, tuple(beta))
+    """Store `record` extended by the steps of `sums`, which start at the step after its last, ending at `beta`."""
+    sys.__dict__[_RECORD] = (record[0] + tuple(sums[0]), record[1] + tuple(sums[1]), tuple(beta))
 
 
 def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -> BoundReport:
     """Both regimes; `epsilon is None` is the unforced one, the forced rule at epsilon = 1.
 
     There the weights 1 + g*0 and g + 0 and the threshold are bitwise the
-    unforced rule's 1, g and 1.  The record's steps, up to its last, T,
-    are decided on its sums, up to the step at which the loop would raise
-    the cap error (a near-tie at T reads the stored beta(T)); the loop
-    goes on from T + 1.
+    unforced rule's 1, g and 1.  Each step of the record, up to its last,
+    T, is decided on its stored sums with the loop's slack, near-tie and
+    cap tests, re-stepping beta(t) for a near-tie or a cap; the loop goes
+    on from beta(T + 1).
     """
     rho = check_problem(sys, box, epsilon)
     g = gamma(box)
@@ -178,21 +174,17 @@ def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -
     band = _TIE_BAND * eps
     c = _char_poly(sys)
     n = len(c)
-    record = sys.__dict__.get(_RECORD)
-    if record is None:
-        beta, t = _beta_at(c, 0), n
-    else:
-        stored, last_beta = record
-        # The loop raises the cap error at step n + capped; the record ends at step n + last.
-        capped, last = max(step_cap, 0), stored.shape[1] - 1
-        k = min(last, capped) + 1
-        slack = eps - (w_pos * stored[0, :k] - w_neg * stored[1, :k])
-        for i in (slack >= -band).nonzero()[0].tolist():
-            if slack[i] > band or condition_forced(np.array(last_beta if i == last else _beta_at(c, i)), g, eps):
-                return _report(sys, epsilon, n + i, float(slack[i]), g, rho)
-        if k > capped:
-            raise _cap_error(step_cap, rho, n + capped, last_beta if capped == last else _beta_at(c, capped))
-        beta, t = _beta_at(c, 1, last_beta), n + k
+    record = sys.__dict__.get(_RECORD, ((), (), None))
+    pos_sums, neg_sums, last_beta = record
+    t = n
+    for pos, neg in zip(pos_sums, neg_sums):
+        slack = eps - (w_pos * pos - w_neg * neg)
+        if slack >= -band and (slack > band or condition_forced(np.array(_beta_at(c, t - n)), g, eps)):
+            return _report(sys, epsilon, t, slack, g, rho)
+        if t - n >= step_cap:
+            raise _cap_error(step_cap, rho, t, _beta_at(c, t - n))
+        t += 1
+    beta = _beta_at(c, 0) if last_beta is None else _beta_at(c, 1, last_beta)
     sums = ([], [])
     add_pos, add_neg = sums[0].append, sums[1].append
     c0, c_rest = c[0], c[1:]

@@ -287,6 +287,11 @@ class TestWarmLp:
             with pytest.raises(ValueError, match="primal_feasibility_tolerance"):
                 WarmLp(box_band(), lp_tol=1e-13)
 
+    def test_no_band_refused(self):
+        # The first band fixes the dimension.
+        with pytest.raises(ValueError, match="at least one band"):
+            WarmLp([])
+
     def test_returned_model_is_cleared(self, monkeypatch):
         count_models(monkeypatch)
         lp = WarmLp(box_band())

@@ -1,4 +1,4 @@
-"""Every name a module of `src/masbound` imports is used in that module, and every private helper is used.
+"""Every name a module of `src/masbound` imports is used in that module, and every private helper and constant is used.
 
 Static `ast` scans.  An imported name counts as used when it appears as
 a name anywhere in the module (an attribute chain `np.linalg.eig` uses
@@ -6,7 +6,10 @@ a name anywhere in the module (an attribute chain `np.linalg.eig` uses
 re-exports).  `from __future__` imports are exempt.  A private top-level
 function or class, or a private method, counts as used when its name
 appears anywhere in the package as a name or an attribute; dunder
-methods are exempt.
+methods are exempt.  A private name bound by a top-level assignment
+(`_TIE = 1e-6`) counts as used when its own module reads it, or when
+any module names it as an attribute (`powerseries._RECORD`); being
+assigned again is not a use.
 """
 
 import ast
@@ -62,19 +65,32 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _assigned(node: ast.stmt) -> list[ast.Name]:
+    """The names a top-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        return [n for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target]
+    return []
+
+
 def unused_private_definitions(sources: dict[str, str]) -> list[str]:
-    """The private top-level functions and classes, and private methods, that no module of `sources` uses.
+    """The private top-level functions, classes and assigned names, and private methods, that no module of `sources` uses.
 
     `sources` maps a file name to its source; each entry is "name (file:line)".
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    used = set()
-    for tree in trees.values():
+    used, attributes, read = set(), set(), {}
+    for file, tree in trees.items():
+        read[file] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
+                if not isinstance(node.ctx, ast.Store):
+                    read[file].add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                attributes.add(node.attr)
     unused = []
     for file, tree in trees.items():
         for node in tree.body:
@@ -83,6 +99,9 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
                 if isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     if _private(defn.name) and defn.name not in used:
                         unused.append(f"{defn.name} ({file}:{defn.lineno})")
+            for name in _assigned(node):
+                if _private(name.id) and name.id not in read[file] | attributes:
+                    unused.append(f"{name.id} ({file}:{name.lineno})")
     return unused
 
 
@@ -103,6 +122,25 @@ def test_scan_finds_an_unused_helper():
     }
     # An import is not a use.
     assert unused_private_definitions(sources) == ["_unused (a.py:3)", "_Dead (a.py:5)", "_method (a.py:8)", "_gone (b.py:5)"]
+
+
+def test_scan_finds_an_unused_private_name():
+    sources = {
+        "a.py": (
+            "_READ = 1\n"
+            "_ATTR: float = 2.0\n"
+            "_GONE, _PAIR = 3, 4\n"
+            "_SAME = 5\n"
+            "_REBOUND = 6\n"
+            "_REBOUND = 7\n"
+            "__version__ = '0'\n"
+            "def f():\n"
+            "    return _READ + _PAIR\n"
+        ),
+        "b.py": "import a\n_SAME = 8\nx = a._ATTR + _SAME\n",
+    }
+    # A name read in another module under its own binding is not a use.
+    assert unused_private_definitions(sources) == ["_GONE (a.py:3)", "_SAME (a.py:4)", "_REBOUND (a.py:5)", "_REBOUND (a.py:6)"]
 
 
 def test_no_unused_private_helper():

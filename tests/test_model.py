@@ -76,6 +76,18 @@ class TestTypes:
         with pytest.raises(ValueError, match="positive"):
             OutputBox([1.0], [-1.0])
 
+    def test_box_requires_an_output(self):
+        with pytest.raises(ValueError, match="at least one output"):
+            OutputBox([], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_box_limits_checked_for_finiteness_first(self, bad):
+        # A NaN compares false with 0, so a positivity test first would call it non-positive.
+        with pytest.raises(ValueError, match="finite"):
+            OutputBox([1.0, bad], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            OutputBox([1.0], [bad])
+
 
 class TestPerSystem:
     def test_value_is_stored_once_and_read_only(self):

@@ -274,7 +274,7 @@ class TestNearTies:
     def warm(sys):
         """Step the system's stored recursion past t = 3, where the rules under test have stopped."""
         bound_m1_forced(sys, unit_box(), 0.01)
-        assert sys.__dict__[powerseries._RECORD][0].shape[1] > 3
+        assert len(sys.__dict__[powerseries._RECORD][0]) > 3
 
     @pytest.mark.parametrize("warmed", [False, True])
     @pytest.mark.parametrize("epsilon", [None, 0.5])
@@ -335,20 +335,21 @@ class TestRecordReuse:
     def test_call_past_the_record_evaluates_only_new_steps(self, monkeypatch):
         sys = slow_rotation()
         run_m1(sys, unit_box(), None)
-        last = sys.__dict__[powerseries._RECORD][0].shape[1] - 1
+        last = len(sys.__dict__[powerseries._RECORD][0]) - 1
         stores = spy_store(monkeypatch)
         expected = reference_m1(sys, unit_box(), 0.01)
         assert run_m1(sys, unit_box(), 0.01) == expected
         [(record, sums)] = stores
-        assert record[0].shape[1] == last + 1
+        assert len(record[0]) == last + 1
         # The loop evaluates steps n + last + 1 .. m + 1, the stop.
         assert len(sums[0]) == expected[0] + 1 - sys.n - last
 
     @pytest.mark.parametrize("epsilon", [None, 0.5])
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
-    def test_tie_at_the_last_step_reads_the_stored_beta(self, monkeypatch, epsilon, ulps):
+    def test_tie_at_the_last_step_re_steps_beta(self, monkeypatch, epsilon, ulps):
         # A first call stores the recursion up to its stop; a second decides
-        # the same near-tie, at or before the record's last step, without a store.
+        # the same near-tie, at or before the record's last step, on beta
+        # re-stepped from the polynomial and without a store.
         name, a = TestNearTies.RULES[epsilon]
         if ulps:
             a = float(np.nextafter(a, a * 2.0 if ulps > 0 else 0.0))
