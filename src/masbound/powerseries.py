@@ -15,10 +15,11 @@ reads the characteristic polynomial of A, which depends on the system
 alone and so is computed once per system (`model.per_system`) for both
 regimes and every box, steps a list of plain floats with the operations
 of `beta_step`, so every beta(t) is bitwise its value, and tests the
-stop rule on plain sums.  A left side near the threshold goes to
-`condition_forced` on the numpy array, so every stop decision is the
-rule's.  `beta_init`, `beta_step` and the `condition_*` rules are the
-definition the loop follows.
+stop rule with the rule's own arithmetic: the sums of the positive and
+of the negative coefficients, each added in index order (`_split_sums`),
+weighted and compared with the threshold, with no tolerance and no
+second path near it.  `beta_init`, `beta_step` and the `condition_*`
+rules are the definition the loop follows.
 
 beta(t) does not depend on the box or epsilon either, so the recursion
 is stepped once per system.  The system keeps, beside the `per_system`
@@ -28,11 +29,12 @@ tuples of floats, and beta(T); about 64 bytes per step reached plus one
 beta.  A call decides the stored steps one by one with the loop's own
 expressions, so it reaches the same decision, slack and error as the
 loop would.  Only a stop beyond them runs the loop, from beta(T + 1), and
-that call then replaces the record whole by the longer one.  A near-tie
-or a cap among the stored steps re-steps beta(t) from the polynomial,
-exactly as the loop steps it; a cap error stores the steps it reached; a
-divergence, like a failed `per_system` computation, stores nothing and
-is met again by the next call.  So every report and error is bitwise the
+that call then replaces the record whole by the longer one.  A cap
+among the stored steps takes its last state from the stored beta(T) at
+T, and re-steps beta(t) from the polynomial, exactly as the loop steps
+it, before T; a cap error stores the steps it reached; a divergence,
+like a failed `per_system` computation, stores nothing and is met again
+by the next call.  So every report and error is bitwise the
 same whatever was asked of the system before.  `diagnostics["stop_slack"]`
 is epsilon (1 unforced) less the left side at the stop step, from the
 plain sums.
@@ -80,14 +82,18 @@ def beta_step(state: BetaState, c) -> BetaState:
     last = b[-1]
     nxt = np.empty_like(b)
     nxt[0] = -c[0] * last
-    if b.size > 1:
-        nxt[1:] = b[:-1] - c[1:] * last
+    nxt[1:] = b[:-1] - c[1:] * last
     return BetaState(t=state.t + 1, beta=nxt)
 
 
-def _split_sums(beta: np.ndarray) -> tuple[float, float]:
-    pos = float(beta[beta > 0.0].sum())
-    neg = float(beta[beta < 0.0].sum())
+def _split_sums(beta: list[float]) -> tuple[float, float]:
+    """The sums of the positive and of the negative entries of `beta`, each added in index order."""
+    pos = neg = 0.0
+    for b in beta:
+        if b > 0.0:
+            pos += b
+        elif b < 0.0:
+            neg += b
     return pos, neg
 
 
@@ -100,24 +106,18 @@ def condition_unforced(beta, g: float) -> bool:
 def condition_forced(beta, g: float, epsilon: float) -> bool:
     """Tightened stop rule for the constant-input case.
 
-    (1 + g(1-eps)) * pos_sum - (g + (1-eps)) * neg_sum <= eps.
-    At epsilon = 1 this reduces exactly to the unforced rule.
+    (1 + g(1-eps)) * pos_sum - (g + (1-eps)) * neg_sum <= eps, where
+    pos_sum and neg_sum add the positive and the negative coefficients in
+    index order; there is no tolerance.  At epsilon = 1 this reduces
+    exactly to the unforced rule.
     """
     if g < 1.0:
         raise ValueError(f"asymmetry ratio must be >= 1, got {g}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    pos, neg = _split_sums(beta)
+    pos, neg = _split_sums(np.atleast_1d(np.asarray(beta, dtype=float)).tolist())
     lhs = (1.0 + g * (1.0 - epsilon)) * pos - (g + (1.0 - epsilon)) * neg
     return lhs <= epsilon
-
-
-# A left side within this relative distance of the threshold is decided
-# by `condition_forced` on the numpy array: numpy may sum in another
-# order, and the plain sums of same-sign terms are within a few ulps of
-# its sums.
-_TIE_BAND = 1e-9
 
 
 @per_system
@@ -162,16 +162,18 @@ def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -
     """Both regimes; `epsilon is None` is the unforced one, the forced rule at epsilon = 1.
 
     There the weights 1 + g*0 and g + 0 and the threshold are bitwise the
-    unforced rule's 1, g and 1.  Each step of the record, up to its last,
-    T, is decided on its stored sums with the loop's slack, near-tie and
-    cap tests, re-stepping beta(t) for a near-tie or a cap; the loop goes
-    on from beta(T + 1).
+    unforced rule's 1, g and 1.  Every step is decided by `slack >= 0`, on
+    the index-order sums of `_split_sums` and the rule's own weights, which
+    for finite floats holds exactly when the rule's left side is at most
+    epsilon; no step has a second test.  Each step of the record, up to its
+    last, T, is decided on its stored sums; a cap there takes its last state
+    from the stored beta(T), or re-steps beta(t) before T; the loop goes on
+    from beta(T + 1).
     """
     rho = check_problem(sys, box, epsilon)
     g = gamma(box)
     eps = 1.0 if epsilon is None else epsilon
     w_pos, w_neg = 1.0 + g * (1.0 - eps), g + (1.0 - eps)
-    band = _TIE_BAND * eps
     c = _char_poly(sys)
     n = len(c)
     record = sys.__dict__.get(_RECORD, ((), (), None))
@@ -179,16 +181,17 @@ def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -
     t = n
     for pos, neg in zip(pos_sums, neg_sums):
         slack = eps - (w_pos * pos - w_neg * neg)
-        if slack >= -band and (slack > band or condition_forced(np.array(_beta_at(c, t - n)), g, eps)):
+        if slack >= 0.0:
             return _report(sys, epsilon, t, slack, g, rho)
         if t - n >= step_cap:
-            raise _cap_error(step_cap, rho, t, _beta_at(c, t - n))
+            raise _cap_error(step_cap, rho, t, last_beta if t - n == len(pos_sums) - 1 else _beta_at(c, t - n))
         t += 1
     beta = _beta_at(c, 0) if last_beta is None else _beta_at(c, 1, last_beta)
     sums = ([], [])
     add_pos, add_neg = sums[0].append, sums[1].append
     c0, c_rest = c[0], c[1:]
     while True:
+        # `_split_sums` inline, to save a call per step.
         pos = neg = 0.0
         for b in beta:
             if b > 0.0:
@@ -205,16 +208,15 @@ def _bound_m1(sys: LtiSystem, box: OutputBox, epsilon: float | None, step_cap) -
         add_neg(neg)
         # eps - lhs, for lhs = w_pos * pos - w_neg * neg, is bitwise -(lhs - eps).
         slack = eps - (w_pos * pos - w_neg * neg)
-        if slack >= -band and (slack > band or condition_forced(np.array(beta), g, eps)):
+        if slack >= 0.0 or t - n >= step_cap:
             break
-        if t - n >= step_cap:
-            _store(sys, record, sums, beta)
-            raise _cap_error(step_cap, rho, t, beta)
         last = beta[-1]
         beta = [-c0 * last] + [b - ci * last for b, ci in zip(beta, c_rest)]
         t += 1
     _store(sys, record, sums, beta)
-    return _report(sys, epsilon, t, slack, g, rho)
+    if slack >= 0.0:
+        return _report(sys, epsilon, t, slack, g, rho)
+    raise _cap_error(step_cap, rho, t, beta)
 
 
 def _report(sys: LtiSystem, epsilon: float | None, t: int, slack: float, g: float, rho: float) -> BoundReport:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +120,15 @@ class TestStopConditions:
         with pytest.raises(ValueError):
             condition_unforced([0.1], 0.5)
 
+    def test_sums_taken_in_index_order(self):
+        # Added in index order these eight coefficients sum to exactly 1.0;
+        # numpy's pairwise sum reads 1.0000000000000002.
+        beta = [0.1, 0.075, 0.05, 0.1, 0.05, 0.05, 0.05, 0.5250000000000001]
+        assert condition_unforced(beta, 1.0) is True
+        assert condition_forced(beta, 1.0, 1.0) is True
+        assert condition_unforced([-b for b in beta], 1.0) is True
+        assert condition_unforced([*beta, 1e-15], 1.0) is False
+
 
 class TestBoundUnforced:
     def test_scalar_contraction(self):
@@ -230,8 +241,8 @@ class TestSoundnessAgainstExact:
             assert bound_m1_unforced(make_siso(a), box).m == 0
 
 
-def run_m1(sys, box, epsilon):
-    rep = bound_m1_unforced(sys, box) if epsilon is None else bound_m1_forced(sys, box, epsilon)
+def run_m1(sys, box, epsilon, **kw):
+    rep = bound_m1_unforced(sys, box, **kw) if epsilon is None else bound_m1_forced(sys, box, epsilon, **kw)
     return rep.m, rep.iterations, rep.diagnostics
 
 
@@ -249,26 +260,28 @@ def test_float_recursion_matches_numpy_reference(case):
     assert run_m1(*case) == reference_m1(*case)
 
 
+def spy(monkeypatch, name):
+    """The arguments of every call of `powerseries.<name>`."""
+    calls = []
+    real = getattr(powerseries, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(powerseries, name, wrapped)
+    return calls
+
+
 class TestNearTies:
     # A scalar system has beta(1) = [a], and the box [-0.5, 1] gives g = 2,
     # so the left side at t = 1 is 2|a| for the unforced rule (a < 0) and,
     # at epsilon = 0.5, 2a against the threshold 0.5 for the forced rule.
-    # Both regimes decide near-ties with the forced rule (at epsilon = 1
-    # for the unforced one).
+    # Both regimes decide every step, ties included, with the rule's own
+    # index-order sums inside `_bound_m1`; `condition_forced` (which
+    # `condition_unforced` calls) is never called.
     BOX = OutputBox([0.5], [1.0])
-    RULES = {None: ("condition_forced", -0.5), 0.5: ("condition_forced", 0.25)}
-
-    @staticmethod
-    def spy(monkeypatch, name):
-        calls = []
-        real = getattr(powerseries, name)
-
-        def wrapped(*args):
-            calls.append(real(*args))
-            return calls[-1]
-
-        monkeypatch.setattr(powerseries, name, wrapped)
-        return calls
+    TIES = {None: -0.5, 0.5: 0.25}
 
     @staticmethod
     def warm(sys):
@@ -279,30 +292,30 @@ class TestNearTies:
     @pytest.mark.parametrize("warmed", [False, True])
     @pytest.mark.parametrize("epsilon", [None, 0.5])
     @pytest.mark.parametrize("ulps, stops_at_once", [(-1, True), (0, True), (1, False)])
-    def test_threshold_and_neighbours_go_to_exact_rule(self, monkeypatch, epsilon, ulps, stops_at_once, warmed):
-        # On a warmed system the tie lies among the stored sums; beta(1) is re-stepped for the rule.
-        name, a = self.RULES[epsilon]
+    def test_threshold_and_neighbours_decided_by_the_one_rule(self, monkeypatch, epsilon, ulps, stops_at_once, warmed):
+        # On a warmed system the tie lies among the stored sums.
+        a = self.TIES[epsilon]
         if ulps:
             a = float(np.nextafter(a, a * 2.0 if ulps > 0 else 0.0))
         sys = make_siso(a, b=1.0)
         if warmed:
             self.warm(sys)
-        calls = self.spy(monkeypatch, name)
+        expected = reference_m1(sys, self.BOX, epsilon)
+        calls = spy(monkeypatch, "condition_forced")
         result = run_m1(sys, self.BOX, epsilon)
-        assert calls and calls[0] is stops_at_once
+        assert calls == []
         assert result[0] == (0 if stops_at_once else 1)
-        assert result == reference_m1(sys, self.BOX, epsilon)
+        assert result == expected
 
     @pytest.mark.parametrize("warmed", [False, True])
     @pytest.mark.parametrize("epsilon", [None, 0.5])
-    def test_clear_decisions_skip_exact_rule(self, monkeypatch, epsilon, warmed):
-        name, _ = self.RULES[epsilon]
+    def test_clear_decisions_by_the_one_rule(self, monkeypatch, epsilon, warmed):
         sys = LtiSystem(A=[[0.0, 1.0], [-0.25, 1.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
         if warmed:
             self.warm(sys)
-        # The reference runs before the spy: its unforced rule calls the forced one.
+        # The reference runs before the spy: it calls the rules themselves.
         expected = reference_m1(sys, self.BOX, epsilon)
-        calls = self.spy(monkeypatch, name)
+        calls = spy(monkeypatch, "condition_forced")
         assert run_m1(sys, self.BOX, epsilon) == expected
         assert calls == []
 
@@ -346,17 +359,78 @@ class TestRecordReuse:
 
     @pytest.mark.parametrize("epsilon", [None, 0.5])
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
-    def test_tie_at_the_last_step_re_steps_beta(self, monkeypatch, epsilon, ulps):
+    def test_tie_at_the_last_step_decided_from_the_stored_sums(self, monkeypatch, epsilon, ulps):
         # A first call stores the recursion up to its stop; a second decides
-        # the same near-tie, at or before the record's last step, on beta
-        # re-stepped from the polynomial and without a store.
-        name, a = TestNearTies.RULES[epsilon]
+        # the same tie, at or before the record's last step, on the stored
+        # sums alone: no store, no re-stepped beta and no `condition_forced`.
+        a = TestNearTies.TIES[epsilon]
         if ulps:
             a = float(np.nextafter(a, a * 2.0 if ulps > 0 else 0.0))
         sys = make_siso(a, b=1.0)
         expected = reference_m1(sys, TestNearTies.BOX, epsilon)
         assert run_m1(sys, TestNearTies.BOX, epsilon) == expected
         stores = spy_store(monkeypatch)
-        calls = TestNearTies.spy(monkeypatch, name)
+        re_steps = spy(monkeypatch, "_beta_at")
+        calls = spy(monkeypatch, "condition_forced")
         assert run_m1(sys, TestNearTies.BOX, epsilon) == expected
-        assert calls and stores == []
+        assert stores == re_steps == calls == []
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    def test_cap_at_the_last_step_reads_the_stored_beta(self, monkeypatch, epsilon):
+        # (1 - 1e-9) I_2 seen through its first state stops only after
+        # billions of steps, so each call meets its cap.  The first stores
+        # the steps up to the cap; the second meets the cap at the record's
+        # last step and takes its last state from the stored beta(T).
+        sys = LtiSystem(A=(1.0 - 1e-9) * np.eye(2), B=[[1.0], [0.0]], C=[[1.0, 0.0]])
+        cap = 200
+        with pytest.raises(IterationCapError) as first:
+            run_m1(sys, unit_box(), epsilon, step_cap=cap)
+        re_steps = spy(monkeypatch, "_beta_at")
+        with pytest.raises(IterationCapError) as second:
+            run_m1(sys, unit_box(), epsilon, step_cap=cap)
+        assert all(steps <= 1 for _, steps, *_ in re_steps)
+        assert str(second.value) == str(first.value)
+        last, reference = second.value.last_state, first.value.last_state
+        assert last.t == reference.t == sys.n + cap
+        assert np.array_equal(last.beta, reference.beta)
+        # A smaller cap falls among the stored steps and re-steps beta to it.
+        with pytest.raises(IterationCapError) as third:
+            run_m1(sys, unit_box(), epsilon, step_cap=cap // 2)
+        c = char_poly_coeffs(sys.A)
+        state = beta_init(c)
+        for _ in range(cap // 2):
+            state = beta_step(state, c)
+        assert third.value.last_state.t == state.t
+        assert np.array_equal(third.value.last_state.beta, state.beta)
+
+
+M1_PANEL_DIGESTS = {
+    "study": "b87652454eec6437f3fce2456f4d2e93571dbfca3276b5f96ca00ae25dc89ac9",
+    "bounds": "5e17030ac5d3d1ea2b391a3b2780bb30ef771218915569e619e368ab35c61376",
+    "mimo": "c1eaf70b1a46db9840a8d8fcefd757d786892ba48c21ac4e133a8b82589679f3",
+}
+
+
+def m1_panel_digest(panel) -> str:
+    """Over `panel` in pool-id order: m1 at epsilon None (unforced), 0.01, 0.3 and 1.0 on each system.
+
+    Per call: `m`, `iterations`, `stop_t` and the float.hex of `stop_slack`.
+    """
+    digest = hashlib.sha256()
+    for _, (sys, box) in sorted(panel.items()):
+        for epsilon in (None, 0.01, 0.3, 1.0):
+            m, iterations, d = run_m1(sys, box, epsilon)
+            fields = (m, iterations, d["stop_t"], d["stop_slack"].hex())
+            digest.update(" ".join(map(str, fields)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(M1_PANEL_DIGESTS))
+def test_bench_panel_m1_bitwise_golden(bench_workloads, workload):
+    """Every m1 call on a benchmark panel reports the recorded numbers, to the last bit.
+
+    The calls on one system run in turn, so the later ones read the
+    recursion the earlier ones stored.  A change meant to move m1
+    records the digests again.
+    """
+    assert m1_panel_digest(bench_workloads.panel(workload)) == M1_PANEL_DIGESTS[workload]
