@@ -34,7 +34,9 @@ from .montecarlo import (
 _METHOD_STAGES = {"power-series": ("m1",), "lyapunov": ("m2",), "both": ("m1", "m2")}
 METHODS = tuple(_METHOD_STAGES)
 # The diagnostics a `bound` report carries, in JSON order, where its method gives them.
-_REPORTED = ("sigma", "sigma_mode", "r1", "r2")
+_REPORTED = ("m2_paper", "sigma", "sigma_paper", "r1", "r2")
+# The most points `--grid` may give; each runs the exact index and both bounds.
+MAX_GRID_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +86,7 @@ def _cmd_bound(args) -> int:
     suffix = "_forced" if args.forced else ""
     for name in _METHOD_STAGES[args.method]:
         t0 = time.perf_counter()
-        res = STAGES[name + suffix](sys_, box, epsilon, lp_tol, args.sigma_mode)
+        res = STAGES[name + suffix](sys_, box, epsilon, lp_tol)
         report[name] = res.m
         report[f"{name}_wall_time_s"] = time.perf_counter() - t0
         report.update((key, res.diagnostics[key]) for key in _REPORTED if key in res.diagnostics)
@@ -103,7 +105,7 @@ def _cmd_exact(args) -> int:
     lp_tol = cfg.from_env()
     sys_, box, epsilon = _load_input(args)
     t0 = time.perf_counter()
-    result = STAGES["t_star_forced" if args.forced else "t_star"](sys_, box, epsilon, lp_tol, None)
+    result = STAGES["t_star_forced" if args.forced else "t_star"](sys_, box, epsilon, lp_tol)
     wall = time.perf_counter() - t0
     if args.emit_polytope:
         _atomic_write(args.emit_polytope, _polytope_csv(result.polytope))
@@ -150,19 +152,21 @@ def _parse_grid(spec: str) -> list[float]:
     if start <= 0:
         raise ValueError(f"--grid start is the swept lower limit and must be > 0, got {spec!r}")
     count = math.floor(points) + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"--grid gives {count} points, above the limit of {MAX_GRID_POINTS}, got {spec!r}")
     return [start + i * step for i in range(count)]
 
 
 def _cmd_sweep(args) -> int:
     lp_tol = cfg.from_env()
+    grid = _parse_grid(args.grid)
     if args.input is not None:
         sys_, box, _ = load_system(args.input)
         y_upper = float(box.y_upper[0])
     else:
         sys_ = demo_system()
         y_upper = 1.0
-    grid = _parse_grid(args.grid)
-    rows = asymmetry_sweep(sys_, y_upper, grid, sigma_mode=args.sigma_mode, lp_tol=lp_tol)
+    rows = asymmetry_sweep(sys_, y_upper, grid, lp_tol=lp_tol)
     _atomic_write(args.out, sweep_to_csv_text(rows))
     print(json.dumps({"points": len(rows), "out": args.out}))
     return 0
@@ -177,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--method", choices=METHODS, default="both")
     p_bound.add_argument("--forced", action="store_true", help="constant-input regime")
     p_bound.add_argument("--epsilon", type=float, default=None, help="steady-state margin in (0, 1]")
-    p_bound.add_argument("--sigma-mode", choices=("eq25", "paper"), default="eq25")
     p_bound.set_defaults(func=_cmd_bound)
 
     p_exact = sub.add_parser("exact", help="exact admissibility index and halfspace description")
@@ -199,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--input", default=None, help="JSON system description (default: built-in demo)")
     p_sweep.add_argument("--grid", default="0.1:2.0:0.1", help="lower-limit grid start:stop:step")
     p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.add_argument("--sigma-mode", choices=("eq25", "paper"), default="eq25")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -8,12 +8,18 @@ an upper bound on the admissibility index.  No LP runs unless the vertex
 enumeration needs its Chebyshev center or fallback; `lp_tol` is their
 tolerance.
 
+`m` is always the bound with eq. (25)'s decay factor
+1 - lambda_min(Q)/lambda_max(P), which holds for every stable A.  Beside
+it each report carries the paper's numerical variant, `m2_paper` on the
+same levels with sigma = rho(A)^2 (`sigma_paper`): exact for normal A,
+but not a bound for non-normal A.
+
 The unforced regime is the constant-input one with no input, so both
 `bound_m2_*` run one core, `_bound_m2`.  It passes `model.check_problem`,
 which reads the system's spectral radius (A is decomposed once per
-system, and sigma mode "paper" reads the same value).  What depends on
+system, and `sigma_paper` squares the same value).  What depends on
 the system alone is computed once per system (`model.per_system`) and
-shared by every call on it, both regimes and both sigma modes: P with
+shared by every call on it, both regimes: P with
 Q = I from the unchecked one-LU kernel `linalg.kron_lyapunov`,
 lambda_max(P), the r1 denominators c_j P^{-1} c_j', and the forced
 regime's basis of range(H0) from `linalg.range_basis`.  The report's
@@ -217,7 +223,7 @@ def _input_basis(sys: LtiSystem) -> np.ndarray | None:
     return range_basis(H0) if np.any(H0) else None
 
 
-def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode: str, lp_tol: float) -> BoundReport:
+def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, lp_tol: float) -> BoundReport:
     """Both regimes; `epsilon is None` is the unforced one: scale 1, no input feed.
 
     Its vertices are n-dim, so the projection onto n coordinates keeps them.
@@ -225,7 +231,7 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
     check_problem(sys, box, epsilon)
     P, lam_max_p, denoms = _lyapunov_data(sys)
     # lambda_min(I) = 1, with no eigen-solve of Q.
-    sigma, log_sigma = _decay_factor(sys.rho, lam_max_p, 1.0, sigma_mode)
+    sigma, log_sigma = _decay_factor(None, lam_max_p, 1.0, "eq25")
     scale = 1.0 if epsilon is None else epsilon
     r1 = _inscribed_level(denoms, box, scale)
     if not r1 > 0.0:
@@ -246,9 +252,12 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
         ratio = math.log(r1 / r2) / log_sigma
         # From 2^52 on every float is an integer, so the window says nothing.
         boundary = abs(ratio) < 2.0**52 and abs(ratio - round(ratio)) < 1e-9
+    # check_problem holds rho(A) below 1, so bound_m2 takes its square.
+    sigma_paper = sys.rho**2
     diagnostics = {
         "sigma": sigma,
-        "sigma_mode": sigma_mode,
+        "m2_paper": bound_m2(r1, r2, sigma_paper),
+        "sigma_paper": sigma_paper,
         "r1": r1,
         "r2": r2,
         "P": P,
@@ -263,23 +272,12 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, sigma_mode:
     )
 
 
-def bound_m2_unforced(
-    sys: LtiSystem,
-    box: OutputBox,
-    sigma_mode: str = "eq25",
-    lp_tol: float = LP_TOL,
-) -> BoundReport:
+def bound_m2_unforced(sys: LtiSystem, box: OutputBox, lp_tol: float = LP_TOL) -> BoundReport:
     """Level-set upper bound for the autonomous system (Q = I)."""
-    return _bound_m2(sys, box, None, sigma_mode, lp_tol)
+    return _bound_m2(sys, box, None, lp_tol)
 
 
-def bound_m2_forced(
-    sys: LtiSystem,
-    box: OutputBox,
-    epsilon: float,
-    sigma_mode: str = "eq25",
-    lp_tol: float = LP_TOL,
-) -> BoundReport:
+def bound_m2_forced(sys: LtiSystem, box: OutputBox, epsilon: float, lp_tol: float = LP_TOL) -> BoundReport:
     """Level-set upper bound for the constant-input system.
 
     The prefix set depends on u only through w = H0 u, so it is
@@ -289,4 +287,4 @@ def bound_m2_forced(
     or zero DC gain) the prefix set is the unforced one, and at
     epsilon = 1 the bound coincides exactly with the unforced one.
     """
-    return _bound_m2(sys, box, epsilon, sigma_mode, lp_tol)
+    return _bound_m2(sys, box, epsilon, lp_tol)

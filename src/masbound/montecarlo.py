@@ -4,10 +4,11 @@ Generates random stable single-output systems (with the documented
 rejection rules), computes the exact admissibility index and both upper
 bounds in the unforced and constant-input regimes for each through
 `STAGES`, which the CLI and the sweep run as well, and aggregates
-tightness statistics.  Each row also carries `m2_paper*`, `m2` with the
-paper's decay factor rho(A)^2 on the same levels, which `run_study` logs
-where it falls below `t*`.  Also provides the constraint-asymmetry sweep
-on a built-in oscillatory third-order demo system.
+tightness statistics.  Each row also carries `m2_paper*`, which the `m2`
+reports give beside `m`: the same levels with the paper's decay factor
+rho(A)^2, not a bound for non-normal A, which `run_study` logs where it
+falls below `t*`.  Also provides the constraint-asymmetry sweep on a
+built-in oscillatory third-order demo system.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from scipy.linalg import block_diag
 from .config import LP_TOL, OBSERVABILITY_THRESHOLD, STABILITY_THRESHOLD
 from .errors import IterationCapError, MasboundError
 from .exact import exact_t_star_forced, exact_t_star_unforced
-from .lyapunov import bound_m2, bound_m2_forced, bound_m2_unforced
+from .lyapunov import bound_m2_forced, bound_m2_unforced
 from .model import LtiSystem, OutputBox, validate
 from .powerseries import bound_m1_forced, bound_m1_unforced
 
@@ -71,8 +73,8 @@ class StudyRow:
     m2_forced: int | None = None
     epsilon: float | None = None
     status: str = "ok"
-    # Not in the CSV: m2 and m2_forced with sigma mode "paper" (rho(A)^2),
-    # and each stage's seconds, keyed by its CSV column.
+    # Not in the CSV: the m2 reports' "m2_paper" (sigma = rho(A)^2), and
+    # each stage's seconds, keyed by its CSV column.
     m2_paper: int | None = None
     m2_paper_forced: int | None = None
     times: dict = field(default_factory=dict)
@@ -137,18 +139,18 @@ def random_stable_system(seed: int, config: StudyConfig = StudyConfig()) -> tupl
 
 
 # The method table: each study CSV column, in column order, and its call
-# (sys, box, epsilon, lp_tol, sigma_mode), which forwards only the
-# arguments its entry point takes.  Each call looks its entry point up
-# here when it runs, so a patched `montecarlo.<entry point>` takes
-# effect.  A "_forced" column is the constant-input regime of the column
-# without the suffix, and needs an input.
+# (sys, box, epsilon, lp_tol), which forwards only the arguments its
+# entry point takes.  Each call looks its entry point up here when it
+# runs, so a patched `montecarlo.<entry point>` takes effect.  A
+# "_forced" column is the constant-input regime of the column without
+# the suffix, and needs an input.
 STAGES = {
-    "t_star": lambda sys, box, eps, tol, mode: exact_t_star_unforced(sys, box, lp_tol=tol),
-    "m1": lambda sys, box, eps, tol, mode: bound_m1_unforced(sys, box),
-    "m2": lambda sys, box, eps, tol, mode: bound_m2_unforced(sys, box, sigma_mode=mode, lp_tol=tol),
-    "t_star_forced": lambda sys, box, eps, tol, mode: exact_t_star_forced(sys, box, eps, lp_tol=tol),
-    "m1_forced": lambda sys, box, eps, tol, mode: bound_m1_forced(sys, box, eps),
-    "m2_forced": lambda sys, box, eps, tol, mode: bound_m2_forced(sys, box, eps, sigma_mode=mode, lp_tol=tol),
+    "t_star": lambda sys, box, eps, tol: exact_t_star_unforced(sys, box, lp_tol=tol),
+    "m1": lambda sys, box, eps, tol: bound_m1_unforced(sys, box),
+    "m2": lambda sys, box, eps, tol: bound_m2_unforced(sys, box, lp_tol=tol),
+    "t_star_forced": lambda sys, box, eps, tol: exact_t_star_forced(sys, box, eps, lp_tol=tol),
+    "m1_forced": lambda sys, box, eps, tol: bound_m1_forced(sys, box, eps),
+    "m2_forced": lambda sys, box, eps, tol: bound_m2_forced(sys, box, eps, lp_tol=tol),
 }
 
 
@@ -183,7 +185,7 @@ def compute_study_row(
         res = None
         t0 = time.perf_counter()
         try:
-            res = call(sys, box, config.epsilon, LP_TOL, "eq25")
+            res = call(sys, box, config.epsilon, LP_TOL)
         except IterationCapError:
             tags.append(f"capped:{column}")
             continue
@@ -197,9 +199,7 @@ def compute_study_row(
             row.times[column] = time.perf_counter() - t0
         setattr(row, column, _value(column, res))
         if column.startswith("m2"):
-            # m2_paper*: the same levels r1, r2 with sigma mode "paper".
-            paper = bound_m2(res.diagnostics["r1"], res.diagnostics["r2"], row.rho**2)
-            setattr(row, "m2_paper" + column[2:], paper)
+            setattr(row, "m2_paper" + column[2:], res.diagnostics["m2_paper"])
     if tags:
         row.status = ";".join(tags)
     return row
@@ -213,10 +213,10 @@ def run_study(
     """Compute rows for `count` systems and the summary statistics.
 
     Deterministic for a fixed config, independent of the worker count:
-    each row depends only on (seed, system_id).  At most `count` workers
-    start, since the pool forks them all up front.  Pass `systems` to
-    bypass generation (length must equal count); that path runs inline.
-    Rows come back in system-id order on every path.
+    each row depends only on (seed, system_id).  The pool forks its
+    workers up front, so at most min(jobs, count, usable CPUs) start.
+    Pass `systems` to bypass generation (length must equal count); that
+    path runs inline.  Rows come back in system-id order on every path.
     """
     if systems is not None:
         if len(systems) != config.count:
@@ -227,12 +227,13 @@ def run_study(
     elif jobs <= 1:
         rows = [compute_study_row(i, config) for i in range(config.count)]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, config.count)) as pool:
+        workers = min(jobs, config.count, _usable_cpus())
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(
                 pool.map(
                     functools.partial(compute_study_row, config=config),
                     range(config.count),
-                    chunksize=max(1, config.count // (4 * jobs)),
+                    chunksize=max(1, config.count // (4 * workers)),
                 )
             )
     for row in rows:
@@ -247,6 +248,13 @@ def run_study(
                     t_ref,
                 )
     return rows, summarize(rows)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pairs(rows: list[StudyRow], a: str, b: str) -> list[tuple]:
@@ -305,6 +313,7 @@ class SweepRow:
     t_star: int
     m1: int
     m2: int
+    m2_paper: int
 
 
 def demo_system() -> LtiSystem:
@@ -319,10 +328,9 @@ def asymmetry_sweep(
     sys: LtiSystem,
     y_upper: float,
     y_lower_grid,
-    sigma_mode: str = "eq25",
     lp_tol: float = LP_TOL,
 ) -> list[SweepRow]:
-    """Exact index and both bounds while the lower limit sweeps a grid.
+    """Exact index, both bounds and `m2_paper` while the lower limit sweeps a grid.
 
     Single-output systems only; the upper limit stays fixed so the grid
     controls the asymmetry ratio.
@@ -332,13 +340,13 @@ def asymmetry_sweep(
     out = []
     for y_l in y_lower_grid:
         box = OutputBox(np.array([float(y_l)]), np.array([float(y_upper)]))
-        values = {c: _value(c, STAGES[c](sys, box, None, lp_tol, sigma_mode)) for c in ("t_star", "m1", "m2")}
-        out.append(SweepRow(y_lower=float(y_l), **values))
+        t_star, m1, m2 = (STAGES[c](sys, box, None, lp_tol) for c in ("t_star", "m1", "m2"))
+        out.append(SweepRow(float(y_l), t_star.t_star, m1.m, m2.m, m2.diagnostics["m2_paper"]))
     return out
 
 
 def sweep_to_csv_text(rows: list[SweepRow]) -> str:
-    lines = ["y_l,t_star,m1,m2"]
+    lines = ["y_l,t_star,m1,m2,m2_paper"]
     for r in rows:
-        lines.append(f"{_cell(r.y_lower)},{r.t_star},{r.m1},{r.m2}")
+        lines.append(f"{_cell(r.y_lower)},{r.t_star},{r.m1},{r.m2},{r.m2_paper}")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -225,11 +227,12 @@ class TestSweep:
         )
         assert code == 0 and report["points"] == 3
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "y_l,t_star,m1,m2"
+        assert lines[0] == "y_l,t_star,m1,m2,m2_paper"
         assert len(lines) == 4
         for line in lines[1:]:
-            y_l, t_star, m1, m2 = line.split(",")
+            y_l, t_star, m1, m2, m2_paper = line.split(",")
             assert int(t_star) <= int(m1) <= int(m2)
+            assert int(m2_paper) <= int(m2)
 
     def test_bad_grid(self, capsys, tmp_path):
         assert main(["sweep-asymmetry", "--grid", "nope", "--out", str(tmp_path / "x.csv")]) == 1
@@ -259,6 +262,30 @@ class TestSweep:
             [0.1 + 0.1 * i for i in range(20)]
         )
         assert _parse_grid("1.0:1.0:0.5") == [1.0]
+
+    def test_grid_above_the_point_limit_refused_before_it_is_built(self):
+        from masbound.cli import MAX_GRID_POINTS, _parse_grid
+
+        assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match=f"--grid gives {MAX_GRID_POINTS + 1} points"):
+            _parse_grid(f"1:{MAX_GRID_POINTS + 1}:1")
+        # 1.9e9 points: the list alone would take tens of GB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"--grid gives 1\d{9} points, above the limit"):
+                _parse_grid("0.1:2.0:1e-9")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_grid_above_the_point_limit_exits_one(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["sweep-asymmetry", "--grid", "0.1:2.0:1e-9", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: --grid gives 1\d{9} points, above the limit of \d+, got '0.1:2.0:1e-9'\n", captured.err)
+        assert not out.exists()
 
 
 class TestEnvTolerance:
@@ -327,10 +354,8 @@ class TestUsage:
             ["sweep-asymmetry", "--grid=--"],
             ["sweep-asymmetry", "--input=--"],
             ["sweep-asymmetry", "--out=--"],
-            ["sweep-asymmetry", "--sigma-mode=--"],
             ["bound", "SCALAR", "--epsilon=--", "--forced"],
             ["bound", "SCALAR", "--method=--"],
-            ["bound", "SCALAR", "--sigma-mode=--"],
             ["exact", "SCALAR", "--epsilon=--", "--forced"],
             ["exact", "SCALAR", "--emit-polytope=--"],
             ["montecarlo", "--count=--"],
@@ -350,6 +375,17 @@ class TestUsage:
         option = next(arg for arg in argv if arg.endswith("=--")).removesuffix("=--")
         assert f"error: argument {option}: expected one argument" in captured.err
         assert list(tmp_path.iterdir()) == [Path(scalar_file)]
+
+    @pytest.mark.parametrize("argv", [["bound", "SCALAR"], ["sweep-asymmetry"]])
+    def test_sigma_mode_is_not_an_option(self, capsys, tmp_path, scalar_file, argv):
+        # m2 is always eq. (25)'s bound; the paper's variant is reported beside it.
+        args = [scalar_file if arg == "SCALAR" else arg for arg in argv]
+        assert main([*args, "--out", str(tmp_path / "x.csv")] if argv[0] == "sweep-asymmetry" else args) == 0
+        capsys.readouterr()
+        assert main([*args, "--sigma-mode", "paper"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip("\n").endswith("error: unrecognized arguments: --sigma-mode paper")
 
     def test_usage_error_names_the_problem(self, capsys, scalar_file):
         assert main(["bound", scalar_file, "--method", "nope"]) == 1

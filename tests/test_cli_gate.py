@@ -1,11 +1,11 @@
 """Byte-for-byte gate on the CLI's output.
 
 Fixes, against `data/cli_outputs.json`:
-- the `bound` JSON, wall-time keys dropped, for every method, sigma mode
-  and regime on a symmetric (`sym_box.json`) and an asymmetric
-  (`asym_box.json`) two-output box;
+- the `bound` JSON, wall-time keys dropped, for every method and regime
+  on a symmetric (`sym_box.json`) and an asymmetric (`asym_box.json`)
+  two-output box;
 - the `exact` JSON, wall time dropped, in both regimes on both inputs;
-- the SHA-256 of the default `sweep-asymmetry` CSV in both sigma modes.
+- the SHA-256 of the default `sweep-asymmetry` CSV.
 
 Re-record only for a change that moves a reported value on purpose:
 `PYTHONPATH=src python tests/test_cli_gate.py`.
@@ -27,7 +27,6 @@ GOLDEN = DATA / "cli_outputs.json"
 INPUTS = ("sym_box.json", "asym_box.json")
 REGIMES = ((), ("--forced", "--epsilon", "0.1"))
 METHODS = ("power-series", "lyapunov", "both")
-SIGMA_MODES = ("eq25", "paper")
 
 
 def cases() -> list[list[str]]:
@@ -35,11 +34,9 @@ def cases() -> list[list[str]]:
     for name in INPUTS:
         for regime in REGIMES:
             for method in METHODS:
-                for mode in SIGMA_MODES:
-                    out.append(["bound", name, "--method", method, "--sigma-mode", mode, *regime])
+                out.append(["bound", name, "--method", method, *regime])
             out.append(["exact", name, *regime])
-    for mode in SIGMA_MODES:
-        out.append(["sweep-asymmetry", "--sigma-mode", mode])
+    out.append(["sweep-asymmetry"])
     return out
 
 

@@ -22,7 +22,7 @@ from masbound import (
     exact_t_star_unforced,
 )
 from masbound import exact, geometry, linalg
-from masbound.config import ZERO_ROW
+from masbound.config import LP_TOL, ZERO_ROW
 from masbound.geometry import is_redundant
 from masbound.lyapunov import build_O_prefix
 from masbound.model import output_bands, stable_dc_gain
@@ -759,6 +759,13 @@ class TestLpBackends:
         eager = real(res.bands, res.lp_tol)
         assert np.array_equal(first.G, eager.G) and np.array_equal(first.h, eager.h)
         assert first.nrows < res.rows.nrows
+
+    def test_prune_keeps_a_lone_row_without_an_lp(self, monkeypatch):
+        calls = count_lps(monkeypatch)
+        bands = geometry.Bands(np.array([[1.0, 2.0]]), np.array([np.inf]), np.array([3.0]), (1,))
+        pruned = exact._prune(bands, LP_TOL)
+        assert calls == []
+        assert pruned.G.tolist() == [[1.0, 2.0]] and pruned.h.tolist() == [3.0]
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

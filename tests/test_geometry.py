@@ -567,6 +567,17 @@ class TestVertexEnumeration:
         result = enumerate_vertices(Polytope(G, h))
         assert len(result.vertices) == 4
 
+    def test_vertices_outside_the_set_fall_back_to_brute_force(self, monkeypatch):
+        # qhull round-off 1e-6 outside the square fails the feasibility guard.
+        qhull = geometry._qhull_vertices
+        monkeypatch.setattr(geometry, "_qhull_vertices", lambda *args: qhull(*args) * (1.0 + 1e-6))
+        verts = enumerate_vertices(box2d()).vertices
+        corners = [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
+        assert sorted(map(tuple, verts.tolist())) == sorted(map(tuple, corners))
+        monkeypatch.setattr(geometry, "_brute_force_vertices", lambda poly: np.empty((0, 2)))
+        with pytest.raises(UnboundedPolytopeError, match="failed feasibility screening"):
+            enumerate_vertices(box2d())
+
 
 class TestUnboundedness:
     def test_rank_deficient_rows(self, monkeypatch):

@@ -618,7 +618,7 @@ class TestWorkPerCall:
 
     def test_only_p_is_eigen_solved(self, monkeypatch, rng):
         # lambda_min(Q) of Q = I is 1 without an eigen-solve; lambda_max(P)
-        # needs one, once per system across both regimes and sigma modes.
+        # needs one, once per system across both regimes and repeated calls.
         solved = []
         original = lyapunov.sym_eig_extremes
         monkeypatch.setattr(lyapunov, "sym_eig_extremes", lambda M: solved.append(M) or original(M))
@@ -626,8 +626,8 @@ class TestWorkPerCall:
         reports = [
             bound_m2_unforced(sys, unit_box()),
             bound_m2_forced(sys, unit_box(), 0.1),
-            bound_m2_unforced(sys, unit_box(), sigma_mode="paper"),
-            bound_m2_forced(sys, unit_box(), 0.1, sigma_mode="paper"),
+            bound_m2_unforced(sys, unit_box()),
+            bound_m2_forced(sys, unit_box(), 0.1),
         ]
         assert len(solved) == 1
         assert all(rep.diagnostics["P"] is solved[0] for rep in reports)
@@ -693,10 +693,17 @@ class TestGuards:
         assert rep.m == 2**30
         assert rep.diagnostics["boundary_integer"] is True
 
-    def test_tie_reported_within_the_window(self):
-        # Scalar, forced at epsilon = 1/2: r1 = eps^2 P and r2 = (2 - eps)^2 P,
-        # so with sigma = a^2 ("paper") the ratio is log(1/3)/log(a) = 1 at a = 1/3.
-        rep = bound_m2_forced(make_siso(1.0 / 3.0, b=1.0), unit_box(), 0.5, sigma_mode="paper")
+    def test_tie_reported_within_the_window(self, monkeypatch):
+        # r2 = 64 (1 + 1e-11) r1 and sigma = 1/4: the ratio is about 3 + 7e-12, not 3 but within 1e-9 of it.
+        sys = make_siso(0.5)
+        r1 = bound_m2_unforced(sys, unit_box()).diagnostics["r1"]
+        log_sigma = math.log(0.25)
+        monkeypatch.setattr(lyapunov, "_circumscribed_level", lambda *args: 64.0 * (1.0 + 1e-11) * r1)
+        monkeypatch.setattr(lyapunov, "_decay_factor", lambda *args: (0.25, log_sigma))
+        rep = bound_m2_unforced(sys, unit_box())
+        ratio = math.log(r1 / (64.0 * (1.0 + 1e-11) * r1)) / log_sigma
+        assert ratio != 3.0 and abs(ratio - 3.0) < 1e-9
+        assert rep.m == 3
         assert rep.diagnostics["boundary_integer"] is True
 
     def test_paper_decay_factor_one_refused(self):
@@ -775,3 +782,25 @@ def test_bench_panel_m2_bitwise_golden(bench_workloads, workload):
     """
     assert m2_panel_digest(bench_workloads.panel(workload)) == M2_PANEL_DIGESTS[workload]
 
+
+M2_PAPER_PANEL_DIGESTS = {
+    "study": "53fd5ecb43d9181fa28c152a65b368261be0ae0bafd982c83f4a534c9d47e058",
+    "bounds": "585b024ca0b0c78997c2383d2fb44e0af9c5494b85042357f28896d07c0ea5e6",
+    "mimo": "4c061501404dc37af8aeed6a5cd438ac694015d2fff47182f65fffed023763a7",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(M2_PAPER_PANEL_DIGESTS))
+def test_bench_panel_m2_paper_bitwise_golden(bench_workloads, workload):
+    """The paper's rho(A)^2 variant beside every m2 on a benchmark panel, to the last bit.
+
+    Same calls as `m2_panel_digest`; per call `m2_paper` and the
+    float.hex of `sigma_paper`.  Recorded when the variant was still
+    computed by a separate call with sigma = rho(A)^2 in place of
+    eq. (25)'s factor, so these digests tie the diagnostic to that call.
+    """
+    digest = hashlib.sha256()
+    for _, (sys, box) in sorted(bench_workloads.panel(workload).items()):
+        for rep in (bound_m2_unforced(sys, box), bound_m2_forced(sys, box, 0.01)):
+            digest.update(f"{rep.diagnostics['m2_paper']} {rep.diagnostics['sigma_paper'].hex()}".encode() + b"\n")
+    assert digest.hexdigest() == M2_PAPER_PANEL_DIGESTS[workload]

@@ -1,5 +1,6 @@
 import inspect
 import logging
+import os
 import time
 
 import numpy as np
@@ -11,13 +12,12 @@ from masbound import (
     LtiSystem,
     NumericalError,
     OutputBox,
-    bound_m2_forced,
-    bound_m2_unforced,
     demo_system,
     run_study,
 )
 from masbound import montecarlo
 from masbound.linalg import spectral_radius
+from masbound.lyapunov import bound_m2, compute_sigma
 from masbound.model import validate
 from masbound.montecarlo import (
     CSV_HEADER,
@@ -67,6 +67,28 @@ class TestGenerator:
             assert sys.n == 3
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The worker counts `run_study` asks of its pool, which maps in this process and starts none."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    return seen
+
+
 class TestStudy:
     def test_injected_scalar_row(self):
         cfg = StudyConfig(count=1, seed=7)
@@ -90,31 +112,23 @@ class TestStudy:
         rows_parallel, _ = run_study(cfg, jobs=2)
         assert rows_to_csv_text(rows_serial) == rows_to_csv_text(rows_parallel)
 
-    def test_workers_capped_at_count(self, monkeypatch):
-        seen = []
-
-        class RecordingPool:
-            """Records the worker count and maps in this process; starts none."""
-
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    def test_workers_capped_at_count(self, recording_pool, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
         cfg = StudyConfig(count=1, seed=5)
         rows, _ = run_study(cfg, jobs=64)
-        assert seen == [1]
+        assert recording_pool == [1]
         assert rows_to_csv_text(rows) == rows_to_csv_text(run_study(cfg)[0])
         run_study(StudyConfig(count=3, seed=5), jobs=2)
-        assert seen == [1, 2]
+        assert recording_pool == [1, 2]
+
+    def test_workers_capped_at_usable_cpus(self, recording_pool, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert montecarlo._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        cfg = StudyConfig(count=3, seed=5)
+        rows, _ = run_study(cfg, jobs=5000)
+        assert recording_pool == [2]
+        assert rows_to_csv_text(rows) == rows_to_csv_text(run_study(cfg)[0])
 
     def test_soundness_on_small_batch(self):
         cfg = StudyConfig(count=8, seed=99)
@@ -161,14 +175,15 @@ class TestStudy:
         assert row.m2_forced is None and row.m2 is not None
 
     def test_m2_paper_is_the_paper_sigma_mode(self):
+        # The paper's step count taken afresh from the report's levels and rho(A)^2.
         cfg = StudyConfig(count=1, seed=2026)
         for i in range(20):
             sys, box = random_stable_system(system_seed(2026, i), cfg)
             row = compute_study_row(i, cfg, system=(sys, box))
-            assert row.m2_paper == bound_m2_unforced(sys, box, sigma_mode="paper").m
-            assert row.m2_paper_forced == bound_m2_forced(
-                sys, box, cfg.epsilon, sigma_mode="paper"
-            ).m
+            for column in ("m2", "m2_forced"):
+                d = montecarlo.STAGES[column](sys, box, cfg.epsilon, montecarlo.LP_TOL).diagnostics
+                sigma = compute_sigma(sys.A, d["P"], np.eye(sys.n), "paper")
+                assert getattr(row, column.replace("m2", "m2_paper")) == bound_m2(d["r1"], d["r2"], sigma)
 
     def test_paper_undershoot_logged(self, caplog):
         system = random_stable_system(system_seed(2026, 44))
@@ -250,7 +265,7 @@ class TestStages:
         )
         sys, box = object(), object()
         # None of these is an entry point's default, so a dropped argument shows.
-        given = {"epsilon": 0.25, "lp_tol": 1e-7, "sigma_mode": "paper"}
+        given = {"epsilon": 0.25, "lp_tol": 1e-7}
         assert montecarlo.STAGES[column](sys, box, *given.values()) == "result"
         (call,) = calls
         taken = {k: v for k, v in given.items() if k in signature.parameters}

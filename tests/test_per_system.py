@@ -35,7 +35,6 @@ from masbound import (
 )
 from masbound.config import POWER_SERIES_STEP_CAP, STABILITY_THRESHOLD
 from masbound.errors import MasboundError
-from masbound.lyapunov import SIGMA_MODES
 from masbound.montecarlo import (
     StudyConfig,
     asymmetry_sweep,
@@ -142,7 +141,7 @@ class TestOneSolvePerSystem:
             warnings.simplefilter("always")
             bound_m2_unforced(sys, unit_box())
             bound_m2_forced(sys, unit_box(), 0.1)
-            bound_m2_unforced(sys, unit_box(), sigma_mode="paper")
+            bound_m2_unforced(sys, unit_box())
             assert [w.category for w in caught] == [LinAlgWarning]
             bound_m2_unforced(system(), unit_box())
         assert [w.category for w in caught] == [LinAlgWarning, LinAlgWarning]
@@ -163,17 +162,11 @@ def hard_cases(draw):
 
 
 def bound_calls(box, epsilon):
-    """The m1 and m2 calls of a case, by name: both regimes (forced when epsilon is given), both sigma modes."""
-    calls = {"m1": lambda s: bound_m1_unforced(s, box)}
-    calls.update({f"m2 {mode}": lambda s, mode=mode: bound_m2_unforced(s, box, sigma_mode=mode) for mode in SIGMA_MODES})
+    """The m1 and m2 calls of a case, by name: both regimes (forced when epsilon is given)."""
+    calls = {"m1": lambda s: bound_m1_unforced(s, box), "m2": lambda s: bound_m2_unforced(s, box)}
     if epsilon is not None:
         calls["m1_forced"] = lambda s: bound_m1_forced(s, box, epsilon)
-        calls.update(
-            {
-                f"m2_forced {mode}": lambda s, mode=mode: bound_m2_forced(s, box, epsilon, sigma_mode=mode)
-                for mode in SIGMA_MODES
-            }
-        )
+        calls["m2_forced"] = lambda s: bound_m2_forced(s, box, epsilon)
     return calls
 
 
@@ -187,7 +180,8 @@ def outcome(call, sys):
     if rep.method == "power-series":
         return rep.m, rep.iterations
     assert not d["P"].flags.writeable
-    return rep.m, *(float(d[key]).hex() for key in ("r1", "r2", "sigma")), d["P"].tobytes()
+    hexes = (float(d[key]).hex() for key in ("r1", "r2", "sigma", "sigma_paper"))
+    return rep.m, d["m2_paper"], *hexes, d["P"].tobytes()
 
 
 def fresh(sys):
@@ -226,7 +220,7 @@ def test_results_bitwise_whatever_the_call_order(case):
             t_star = run_exact(fresh(sys), box, eps).t_star
         except MasboundError:
             continue
-        for name in ("m1" + suffix, f"m2{suffix} eq25"):
+        for name in ("m1" + suffix, "m2" + suffix):
             m = alone[name][0]
             if isinstance(m, int):
                 assert t_star <= m, name
