@@ -18,6 +18,7 @@ from masbound import (
     bound_m2_forced,
     bound_m2_unforced,
     exact_t_star_forced,
+    exact_t_star_unforced,
 )
 from masbound import geometry, lyapunov
 from masbound.config import VERTEX_DIM_CAP
@@ -709,6 +710,53 @@ class TestGuards:
     def test_paper_decay_factor_one_refused(self):
         with pytest.raises(NumericalError, match="decay factor"):
             compute_sigma(np.eye(1), np.eye(1), np.eye(1), mode="paper")
+
+
+class TestPaperVariant:
+    """`m2_paper` and `sigma_paper`, reported beside every `m2`."""
+
+    @pytest.mark.parametrize("epsilon", [None, 0.1, 1.0])
+    def test_same_levels_with_rho_squared(self, rng, epsilon):
+        for _ in range(6):
+            n = int(rng.integers(1, 4))
+            sys = LtiSystem(
+                A=random_stable_matrix(rng, n),
+                B=rng.standard_normal((n, 1)),
+                C=rng.standard_normal((1, n)),
+            )
+            box = OutputBox(rng.uniform(0.3, 2.0, size=1), rng.uniform(0.3, 2.0, size=1))
+            rep = bound_m2_unforced(sys, box) if epsilon is None else bound_m2_forced(sys, box, epsilon)
+            d = rep.diagnostics
+            sigma = compute_sigma(sys.A, d["P"], np.eye(n), mode="paper")
+            assert d["sigma_paper"] == sigma
+            assert d["sigma_paper"] == pytest.approx(np.max(np.abs(np.linalg.eigvals(sys.A))) ** 2, rel=1e-9, abs=1e-15)
+            assert d["m2_paper"] == bound_m2(d["r1"], d["r2"], sigma)
+            assert isinstance(d["m2_paper"], int)
+
+    def test_agrees_with_m2_for_symmetric_A(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(1, 5))
+            S = rng.standard_normal((n, n))
+            S = 0.5 * (S + S.T)
+            A = S * (rng.uniform(0.2, 0.95) / np.max(np.abs(np.linalg.eigvalsh(S))))
+            sys = LtiSystem(A=A, B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)))
+            for rep in (bound_m2_unforced(sys, unit_box()), bound_m2_forced(sys, unit_box(), 0.2)):
+                d = rep.diagnostics
+                assert d["sigma_paper"] == pytest.approx(d["sigma"], rel=1e-10)
+                if not d["boundary_integer"]:
+                    assert d["m2_paper"] == rep.m
+
+    @pytest.mark.parametrize("epsilon", [None, 0.1])
+    def test_not_a_bound_for_non_normal_A(self, epsilon):
+        # Nilpotent A: rho(A)^2 = 0 gives m2_paper = 0, yet y(1) = 10 x2 still constrains.
+        sys = LtiSystem(A=[[0.0, 10.0], [0.0, 0.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
+        if epsilon is None:
+            rep, t_star = bound_m2_unforced(sys, unit_box()), exact_t_star_unforced(sys, unit_box()).t_star
+        else:
+            rep, t_star = bound_m2_forced(sys, unit_box(), epsilon), exact_t_star_forced(sys, unit_box(), epsilon).t_star
+        assert rep.diagnostics["sigma_paper"] == 0.0
+        assert rep.diagnostics["sigma"] == pytest.approx(1 - 1 / 101)
+        assert rep.diagnostics["m2_paper"] == 0 < t_star <= rep.m
 
 
 M2_REPORTS = Path(__file__).parent / "data" / "m2_reports.json"

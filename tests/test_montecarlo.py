@@ -130,6 +130,13 @@ class TestStudy:
         assert recording_pool == [2]
         assert rows_to_csv_text(rows) == rows_to_csv_text(run_study(cfg)[0])
 
+    @pytest.mark.parametrize(("cpu_count", "usable"), [(3, 3), (None, 1)])
+    def test_usable_cpus_without_affinity(self, monkeypatch, cpu_count, usable):
+        # Where the platform has no sched_getaffinity, os.cpu_count() decides; it may not know.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert montecarlo._usable_cpus() == usable
+
     def test_soundness_on_small_batch(self):
         cfg = StudyConfig(count=8, seed=99)
         rows, summary = run_study(cfg)
