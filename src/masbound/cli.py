@@ -17,7 +17,6 @@ import os
 import sys
 import time
 
-from . import config as cfg
 from .errors import MasboundError
 from .model import load_system
 from .montecarlo import (
@@ -78,7 +77,6 @@ def _load_input(args):
 
 
 def _cmd_bound(args) -> int:
-    lp_tol = cfg.from_env()
     sys_, box, epsilon = _load_input(args)
     report: dict = {"regime": "forced" if args.forced else "unforced"}
     if args.forced:
@@ -86,7 +84,7 @@ def _cmd_bound(args) -> int:
     suffix = "_forced" if args.forced else ""
     for name in _METHOD_STAGES[args.method]:
         t0 = time.perf_counter()
-        res = STAGES[name + suffix](sys_, box, epsilon, lp_tol)
+        res = STAGES[name + suffix](sys_, box, epsilon)
         report[name] = res.m
         report[f"{name}_wall_time_s"] = time.perf_counter() - t0
         report.update((key, res.diagnostics[key]) for key in _REPORTED if key in res.diagnostics)
@@ -102,10 +100,9 @@ def _polytope_csv(poly) -> str:
 
 
 def _cmd_exact(args) -> int:
-    lp_tol = cfg.from_env()
     sys_, box, epsilon = _load_input(args)
     t0 = time.perf_counter()
-    result = STAGES["t_star_forced" if args.forced else "t_star"](sys_, box, epsilon, lp_tol)
+    result = STAGES["t_star_forced" if args.forced else "t_star"](sys_, box, epsilon)
     wall = time.perf_counter() - t0
     if args.emit_polytope:
         _atomic_write(args.emit_polytope, _polytope_csv(result.polytope))
@@ -158,7 +155,6 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    lp_tol = cfg.from_env()
     grid = _parse_grid(args.grid)
     if args.input is not None:
         sys_, box, _ = load_system(args.input)
@@ -166,7 +162,7 @@ def _cmd_sweep(args) -> int:
     else:
         sys_ = demo_system()
         y_upper = 1.0
-    rows = asymmetry_sweep(sys_, y_upper, grid, lp_tol=lp_tol)
+    rows = asymmetry_sweep(sys_, y_upper, grid)
     _atomic_write(args.out, sweep_to_csv_text(rows))
     print(json.dumps({"points": len(rows), "out": args.out}))
     return 0

@@ -1,25 +1,16 @@
-"""Numeric tolerances and caps.
+"""Numeric tolerances and caps, all fixed constants.
 
-One tolerance is settable: `lp_tol`, taken by every function that solves
-an LP.  It is both the HiGHS primal/dual feasibility tolerance and the
-slack of the redundancy certificate, and defaults to `LP_TOL`.  The
-MASBOUND_TOL environment variable overrides it (see :func:`from_env`)
-for the CLI commands that read it: bound, exact and sweep-asymmetry.
-Every other tolerance below is a fixed constant.
+`LP_TOL` is the tolerance of every LP the package solves: both the HiGHS
+primal/dual feasibility tolerance and the slack of the redundancy
+certificate.  No argument or environment variable changes it, so `t*`,
+`m1` and `m2` depend on the problem alone: system, box and epsilon.
 """
 
-from __future__ import annotations
-
-import os
-
-ENV_TOL_VAR = "MASBOUND_TOL"
-
+# HiGHS refuses feasibility tolerances below 1e-10.  A looser one lets the
+# redundancy slack accept rows that cut by less than it: at 1e-5 and 1e-4
+# the forced exact index of seed-2026 study systems drops below its value
+# at 1e-9.
 LP_TOL = 1e-9
-# HiGHS refuses feasibility tolerances below 1e-10.  Above 1e-6 the looser
-# redundancy slack accepts rows that cut by less than it, and the forced
-# exact index drops below its value at LP_TOL (at 1e-5 and 1e-4 on study
-# systems of the seed-2026 generator).
-LP_TOL_RANGE = (1e-10, 1e-6)
 # Vertex handling.
 VERTEX_DEDUP = 1e-8
 VERTEX_FEASIBILITY = 1e-8
@@ -41,21 +32,3 @@ VERTEX_DIM_CAP = 12
 STABILITY_THRESHOLD = 0.999
 OBSERVABILITY_THRESHOLD = 1e-4
 
-
-def from_env() -> float:
-    """The LP tolerance: MASBOUND_TOL if set, else `LP_TOL`.
-
-    The variable must parse as a float inside `LP_TOL_RANGE`; anything
-    else raises ValueError with the offending text.
-    """
-    raw = os.environ.get(ENV_TOL_VAR)
-    if raw is None:
-        return LP_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_TOL_VAR} must be a float, got {raw!r}") from None
-    lo, hi = LP_TOL_RANGE
-    if not lo <= value <= hi:
-        raise ValueError(f"{ENV_TOL_VAR} must lie in [{lo:g}, {hi:g}], got {value:g}")
-    return value

@@ -25,7 +25,7 @@ and lambda' h <= b, so r T = sum lambda_i (g_i T).  Each g_i T is a row
 of a step <= t and holds on O_t (it was accepted, or found redundant for
 a larger set), so row (t + 1, k) is redundant with respect to O_t.  Each
 step therefore decides only its live rows, those whose last verdict was
-"cut"; a row whose maximum lies below rhs + lp_tol - _TIE * rhs is
+"cut"; a row whose maximum lies below rhs + LP_TOL - _TIE * rhs is
 retired for the rest of the call.  A redundant verdict inside that band,
 which the LP's tolerance could have flipped, keeps its row live, as does
 a row below ZERO_ROW, which is redundant by tolerance and costs no LP.
@@ -39,7 +39,7 @@ decision is made in one of three ways:
 
 - span: while the accepted rows have rank below the dimension d, a row
   whose component outside their span exceeds _SPAN times its norm and
-  _FLOOR times lp_tol cuts.  The set contains the origin (box limits are
+  _FLOOR times LP_TOL cuts.  The set contains the origin (box limits are
   positive) and so every multiple of that component, and the row's LP is
   unbounded.  The span is held as an orthonormal basis that must cover
   every accepted row: a row that lies off it by more than _ROUNDOFF but
@@ -60,7 +60,7 @@ decision is made in one of three ways:
   -lower <= m.x <= upper, so on a symmetric box the LPs run on half as
   many rows as one-sided inequalities.
 
-A closed-form maximum within _TIE * rhs of rhs + lp_tol goes to the LP.
+A closed-form maximum within _TIE * rhs of rhs + LP_TOL goes to the LP.
 A screened or closed-form verdict is the one the LP reaches in exact
 arithmetic, taken only where it is clear of the LP's tolerance, so the
 accepted rows are those of one LP per decision, in the same order.  A
@@ -83,9 +83,9 @@ from .geometry import Bands, Polytope, WarmLp, _certify_redundant, pairs_maximum
 from .model import LtiSystem, OutputBox, check_problem, output_bands, stable_dc_gain
 
 # A row whose component outside the accepted rows' span exceeds _SPAN
-# times its norm and _FLOOR times lp_tol cuts without an LP.  HiGHS
+# times its norm and _FLOOR times LP_TOL cuts without an LP.  HiGHS
 # reports such LPs unbounded once that component is well above its dual
-# tolerance lp_tol; on the benchmark panels the smallest screened
+# tolerance LP_TOL; on the benchmark panels the smallest screened
 # component is 1.9e-5 of its row and 1.6e-4 in absolute terms.
 _SPAN = 1e-6
 _FLOOR = 1e3
@@ -93,7 +93,7 @@ _FLOOR = 1e3
 # norm, but not by enough to join the basis, widens the set's span
 # without a reliable basis vector; span screening then stops.
 _ROUNDOFF = 1e-12
-# A closed-form maximum within _TIE * rhs of rhs + lp_tol goes to the LP,
+# A closed-form maximum within _TIE * rhs of rhs + LP_TOL goes to the LP,
 # and a row is retired only when its maximum lies below that band.
 _TIE = 1e-6
 
@@ -107,8 +107,8 @@ class MasResult:
     side present only where it cut.  `rows` lists them as
     one-sided inequalities (`Bands.polytope`: each band's upper sides,
     then its lower sides); `polytope` prunes them to the non-redundant
-    ones on first access, with the LP tolerance `lp_tol` the
-    construction used.  For the forced regime all live in (z0, u)
+    ones on first access.  Both the construction and the prune run every
+    LP at `LP_TOL`.  For the forced regime all live in (z0, u)
     coordinates; add (I - A)^{-1} B u to the first n components to
     recover x0.
     """
@@ -117,7 +117,6 @@ class MasResult:
     bands: Bands
     regime: str
     epsilon: float | None = None
-    lp_tol: float = LP_TOL
 
     @cached_property
     def rows(self) -> Polytope:
@@ -125,10 +124,10 @@ class MasResult:
 
     @cached_property
     def polytope(self) -> Polytope:
-        return _prune(self.bands, self.lp_tol)
+        return _prune(self.bands)
 
 
-def _prune(bands: Bands, lp_tol: float) -> Polytope:
+def _prune(bands: Bands) -> Polytope:
     """Drop the one-sided rows of `bands` that the remaining ones imply, one at a time in `Bands.polytope` order.
 
     Each side is relaxed (bound inf, an absent side) while its row is
@@ -136,7 +135,7 @@ def _prune(bands: Bands, lp_tol: float) -> Polytope:
     ranged rows throughout.  Returns the sides left, `Bands.polytope` of
     the `WarmLp`'s bands.
     """
-    lp = WarmLp(bands, lp_tol)
+    lp = WarmLp(bands)
     rows = bands.polytope
     left = rows.nrows
     for i, (row, side) in enumerate(zip(*bands.sides())):
@@ -197,7 +196,7 @@ def _leads(M, basis) -> bool:
     return _norm(_residual(row, basis[:-1])) > _SPAN * _norm(row)
 
 
-def _iterate(bands, first: int, step_cap: int, lp_tol: float):
+def _iterate(bands, first: int, step_cap: int):
     """Shared constraint-addition loop.
 
     The first `first` bands (time step 0 included) make up the starting
@@ -205,7 +204,7 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     symmetric (lower == upper) so is every band and every set built, and
     a "-" row takes the verdict of its "+" row.  Each step decides only
     the live rows: a row leaves them for good once its slack, rhs +
-    lp_tol less its maximum over the accepted rows, exceeds _TIE * rhs,
+    LP_TOL less its maximum over the accepted rows, exceeds _TIE * rhs,
     since by the shift argument of the module docstring the same output's
     row stays redundant at every later step.  A row is decided by the
     span screen while the accepted rows have rank below the dimension d
@@ -226,7 +225,7 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     bounds = np.concatenate([upper, lower])
     rhs = bounds.tolist()
     # The accepted rows, held once: the closed form reads them from here.
-    lp = WarmLp(start, lp_tol)
+    lp = WarmLp(start)
     accepted = lp.bands
     d = accepted.M.shape[1]
     span = np.empty((d, d))
@@ -235,21 +234,21 @@ def _iterate(bands, first: int, step_cap: int, lp_tol: float):
     paired = len(accepted.M) <= d + 1
 
     def slack(k):
-        """rhs + lp_tol less row k's maximum over the accepted rows; the row cuts where it is negative."""
+        """rhs + LP_TOL less row k's maximum over the accepted rows; the row cuts where it is negative."""
         row, bound = rows[k], rhs[k]
         norm = _norm(row)
         if norm < ZERO_ROW:
             # Redundant by tolerance, not by a maximum: slack 0 keeps it live.
-            return min(_certify_redundant(row, bound, lp.maximize, lp_tol), 0.0)
+            return min(_certify_redundant(row, bound, lp.maximize), 0.0)
         if screen:
             res = residuals[k] = _residual(row, span[:rank])
-            if _norm(res) > max(_SPAN * norm, _FLOOR * lp_tol):
+            if _norm(res) > max(_SPAN * norm, _FLOOR * LP_TOL):
                 return -math.inf
         if closed:
             top = pairs_maximum(row, accepted.M, accepted.lower, accepted.upper)
-            if top is not None and abs(bound + lp_tol - top) > _TIE * bound:
-                return bound + lp_tol - top
-        return _certify_redundant(row, bound, lp.maximize, lp_tol)
+            if top is not None and abs(bound + LP_TOL - top) > _TIE * bound:
+                return bound + LP_TOL - top
+        return _certify_redundant(row, bound, lp.maximize)
 
     # Row k of a band is output k % q, "+" below q and "-" from q on.
     live = list(range(q if symmetric else 2 * q))
@@ -289,7 +288,6 @@ def exact_t_star_unforced(
     sys: LtiSystem,
     box: OutputBox,
     step_cap: int = EXACT_STEP_CAP,
-    lp_tol: float = LP_TOL,
 ) -> MasResult:
     """Exact admissibility index of the autonomous system.
 
@@ -297,8 +295,8 @@ def exact_t_star_unforced(
     is guaranteed to terminate.
     """
     check_problem(sys, box)
-    t_star, bands = _iterate(output_bands(sys, box), 1, step_cap, lp_tol)
-    return MasResult(t_star=t_star, bands=bands, regime="unforced", lp_tol=lp_tol)
+    t_star, bands = _iterate(output_bands(sys, box), 1, step_cap)
+    return MasResult(t_star=t_star, bands=bands, regime="unforced")
 
 
 def exact_t_star_forced(
@@ -306,7 +304,6 @@ def exact_t_star_forced(
     box: OutputBox,
     epsilon: float,
     step_cap: int = EXACT_STEP_CAP,
-    lp_tol: float = LP_TOL,
 ) -> MasResult:
     """Exact admissibility index of the epsilon-tightened constant-input set.
 
@@ -315,5 +312,5 @@ def exact_t_star_forced(
     unforced one.
     """
     check_problem(sys, box, epsilon)
-    t_star, bands = _iterate(output_bands(sys, box, stable_dc_gain(sys), epsilon), 2, step_cap, lp_tol)
-    return MasResult(t_star=t_star, bands=bands, regime="forced", epsilon=epsilon, lp_tol=lp_tol)
+    t_star, bands = _iterate(output_bands(sys, box, stable_dc_gain(sys), epsilon), 2, step_cap)
+    return MasResult(t_star=t_star, bands=bands, regime="forced", epsilon=epsilon)

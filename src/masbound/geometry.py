@@ -2,7 +2,8 @@
 
 The LP backend is scipy's HiGHS interface: `linprog` for one-off LPs,
 and `WarmLp`, one persistent HiGHS model re-solved from its previous
-basis, for the long runs of redundancy checks of the exact index.
+basis, for the long runs of redundancy checks of the exact index.  Every
+LP runs at the one tolerance `config.LP_TOL`, which no caller sets.
 Rows cross module boundaries in one format, `Bands`: the bands
 {x : -lower <= M x <= upper}, a side whose bound is inf absent, listed
 as one-sided rows only by `Bands.polytope`.  A `WarmLp` holds the bands
@@ -34,13 +35,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, linprog
+from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, QhullError, cKDTree
 
 from .config import LP_TOL, VERTEX_DEDUP, VERTEX_DIM_CAP, VERTEX_FEASIBILITY, ZERO_ROW
@@ -73,8 +73,6 @@ _HIGHS = _probe_highs()
 # Cleared HiGHS models that no WarmLp holds, keyed by class: a model
 # goes back to the list of its own class only.
 _FREE_MODELS: dict[type, list] = {}
-# The lp_tol values whose WarmLp options HiGHS has accepted.
-_ACCEPTED_LP_TOLS: set[float] = set()
 
 # An interior point whose inscribed radius is below _FLAT times
 # max(1, extent of the set) does not make the set full-dimensional.
@@ -87,6 +85,10 @@ _CENTRED = 1e-6
 _FAR = 1e12
 # HiGHS's `simplex_strategy` value for primal simplex.
 _PRIMAL_SIMPLEX = 4
+# The feasibility tolerances of every LP, one-off or warm.
+_TOLERANCES = {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL}
+# The options a HiGHS model gets when it is built; `clearModel` keeps them.
+_MODEL_OPTIONS = {"output_flag": False, "presolve": "off", "simplex_strategy": _PRIMAL_SIMPLEX, **_TOLERANCES}
 _EPS = np.finfo(float).eps
 
 
@@ -141,39 +143,27 @@ class LpOutcome:
     dual: np.ndarray | None = None
 
 
-def _highs_options(lp_tol: float) -> dict:
-    return {"primal_feasibility_tolerance": lp_tol, "dual_feasibility_tolerance": lp_tol}
-
-
-def _linprog(c, A_ub, b_ub, bounds, lp_tol: float):
-    """HiGHS on min c.x subject to A_ub x <= b_ub, re-solved without presolve on failure.
+def _linprog(c, A_ub, b_ub, bounds):
+    """HiGHS on min c.x subject to A_ub x <= b_ub at `LP_TOL`, re-solved without presolve on failure.
 
     HiGHS presolve can report "infeasible" for unbounded instances; the
-    simplex classification without presolve is trustworthy.  `linprog`
-    only warns when HiGHS refuses an option and then solves at HiGHS's
-    default; that warning is raised as ValueError here, as in `WarmLp`.
+    simplex classification without presolve is trustworthy.
     """
     kwargs = dict(A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    options = _highs_options(lp_tol)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", OptimizeWarning)
-        try:
-            res = linprog(c, **kwargs, options=options)
-            if res.status != 0:
-                res = linprog(c, **kwargs, options={**options, "presolve": False})
-        except OptimizeWarning as exc:
-            raise ValueError(f"HiGHS refused lp_tol = {lp_tol!r} for {', '.join(options)}: {exc}") from None
+    res = linprog(c, **kwargs, options=_TOLERANCES)
+    if res.status != 0:
+        res = linprog(c, **kwargs, options={**_TOLERANCES, "presolve": False})
     return res
 
 
-def lp_maximize(c, poly: Polytope, lp_tol: float = LP_TOL) -> LpOutcome:
+def lp_maximize(c, poly: Polytope) -> LpOutcome:
     """Maximize c.x over the polytope, classifying the outcome."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.shape != (poly.dim,):
         raise ValueError(f"objective has length {c.size}, polytope dimension is {poly.dim}")
     if poly.nrows == 0:
         raise ValueError("polytope has no inequalities")
-    res = _linprog(-c, poly.G, poly.h, (None, None), lp_tol)
+    res = _linprog(-c, poly.G, poly.h, (None, None))
     if res.status == 0:
         return LpOutcome(
             status="optimal",
@@ -188,42 +178,53 @@ def lp_maximize(c, poly: Polytope, lp_tol: float = LP_TOL) -> LpOutcome:
     raise LpError(f"LP solver failed (status {res.status}): {res.message}")
 
 
-def _certify_redundant(row, rhs: float, maximize, lp_tol: float) -> float:
-    """The slack rhs + lp_tol - max(row . x) of {row . x <= rhs}, with `maximize(row)` solving the LP.
+def _certify_redundant(row, rhs: float, maximize) -> float:
+    """The slack rhs + LP_TOL - max(row . x) of {row . x <= rhs}, with `maximize(row)` solving the LP.
 
     The row is redundant when the slack is >= 0; an unbounded maximum
     gives -inf.  A row below ZERO_ROW has maximum 0.
     """
     row = np.atleast_1d(np.asarray(row, dtype=float))
     if math.sqrt(row @ row) < ZERO_ROW:
-        if rhs >= -lp_tol:
-            return rhs + lp_tol
+        if rhs >= -LP_TOL:
+            return rhs + LP_TOL
         raise LpError("all-zero row with negative bound: polytope is empty")
     out = maximize(row)
     if out.status == "unbounded":
         return -np.inf
     if out.status == "infeasible":
         raise LpError("redundancy check against an empty polytope")
-    return rhs + lp_tol - out.optimum
+    return rhs + LP_TOL - out.optimum
 
 
-def is_redundant(row, rhs: float, poly: Polytope, lp_tol: float = LP_TOL) -> bool:
+def is_redundant(row, rhs: float, poly: Polytope) -> bool:
     """True when adding {row . x <= rhs} would not cut the polytope.
 
     Certified by maximizing the row over the current polytope; an
     unbounded maximum means the row does cut, an infeasible polytope is
     reported as an error.
     """
-    return _certify_redundant(row, rhs, lambda c: lp_maximize(c, poly, lp_tol=lp_tol), lp_tol) >= 0
+    return _certify_redundant(row, rhs, lambda c: lp_maximize(c, poly)) >= 0
 
 
-def _borrow_model(highs_cls):
-    """(free list of `highs_cls`, a cleared model taken from it or a new one)."""
+def _borrow_model(highs_cls, ok):
+    """(free list of `highs_cls`, a cleared model taken from it or a new one given `_MODEL_OPTIONS`).
+
+    `ok` is HiGHS's OK status.
+    """
     pool = _FREE_MODELS.setdefault(highs_cls, [])
-    try:
+    if pool:
         return pool, pool.pop()
-    except IndexError:
-        return pool, highs_cls()
+    model = highs_cls()
+    _set_options(model, ok)
+    return pool, model
+
+
+def _set_options(model, ok) -> None:
+    """Give a new model `_MODEL_OPTIONS`, raising ValueError where HiGHS does not answer `ok`."""
+    for name, value in _MODEL_OPTIONS.items():
+        if model.setOptionValue(name, value) != ok:
+            raise ValueError(f"HiGHS refused option {name} = {value!r}")
 
 
 def _give_back(pool, model) -> None:
@@ -307,36 +308,27 @@ class WarmLp:
     faster, and far slower on ill-conditioned forced instances.
 
     The model is borrowed on the first `maximize` from the per-process
-    free list of its class (a new one is built only when the list is
-    empty), its options are set, and every band held so far is passed
-    in one batch, so a `WarmLp` that never solves holds none.  When the
-    `WarmLp` is collected the model is cleared and goes back to the
-    list; two live `WarmLp`s never share one.  The rows are kept in
-    arrays that double when full.  Presolve is off and the primal and
-    dual tolerances are `lp_tol`; the constructor raises ValueError when
-    HiGHS refuses an option (a tolerance below 1e-10, say) instead of
-    solving at its own default, and checks each accepted `lp_tol` only
-    once per process.  A solve that ends without a definitive status is
-    re-run cold, and then answered by `lp_maximize`.  Without scipy's
-    private HiGHS class every answer comes from `lp_maximize` on
-    `bands.polytope`.
+    free list of its class, and every band held so far is passed in one
+    batch, so a `WarmLp` that never solves holds none.  A model is built
+    only when the list is empty, and its options are set then, once:
+    presolve off, primal simplex, and primal and dual tolerances
+    `LP_TOL`.  HiGHS keeps them when the model is cleared, and a refused
+    option raises ValueError instead of solving at HiGHS's default.
+    When the `WarmLp` is collected the model is cleared and goes back to
+    the list; two live `WarmLp`s never share one.  The rows are kept in
+    arrays that double when full.  A solve that ends without a
+    definitive status is re-run cold, and then answered by
+    `lp_maximize`.  Without scipy's private HiGHS class every answer
+    comes from `lp_maximize` on `bands.polytope`.
     """
 
-    def __init__(self, bands, lp_tol: float = LP_TOL):
+    def __init__(self, bands):
         """Hold `bands`, at least one, each (M, lower, upper), as `add_band` would one by one; a `Bands` gives its own."""
         bands = list(bands)
         if not bands:
             raise ValueError("WarmLp needs at least one band, which fixes the dimension")
-        self.lp_tol = lp_tol
         self._backend = _HIGHS
         self._model = None
-        if self._backend is not None and lp_tol not in _ACCEPTED_LP_TOLS:
-            pool, model = _borrow_model(self._backend[0])
-            try:
-                self._set_options(model)
-            finally:
-                pool.append(model)
-            _ACCEPTED_LP_TOLS.add(lp_tol)
         # Each row's matrix row and its (upper, lower) bounds.
         self._M = np.empty((16, np.shape(bands[0][0])[1]))
         self._bound = np.empty((16, 2))
@@ -367,18 +359,6 @@ class WarmLp:
         if self._model is not None:
             self._pass_rows(M, -bound[:, 1], bound[:, 0])
 
-    def _set_options(self, highs) -> None:
-        _, _, _, ok = self._backend
-        options = {
-            "output_flag": False,
-            "presolve": "off",
-            "simplex_strategy": _PRIMAL_SIMPLEX,
-            **_highs_options(self.lp_tol),
-        }
-        for name, value in options.items():
-            if highs.setOptionValue(name, value) != ok:
-                raise ValueError(f"HiGHS refused option {name} = {value!r}")
-
     def _pass_rows(self, M, lower, upper) -> None:
         """Give HiGHS the rows lower <= M x <= upper."""
         # Dense rows: HiGHS drops the zero entries itself.
@@ -390,11 +370,10 @@ class WarmLp:
     def _highs(self):
         """The HiGHS model, borrowed on first use and given every band held so far."""
         if self._model is None:
-            highs_cls, maximize, _, _ = self._backend
-            pool, model = _borrow_model(highs_cls)
+            highs_cls, maximize, _, ok = self._backend
+            pool, model = _borrow_model(highs_cls, ok)
             weakref.finalize(self, _give_back, pool, model).atexit = False
             self._model = model
-            self._set_options(model)
             model.changeObjectiveSense(maximize)
             n, d = self._n, self._M.shape[1]
             model.addVars(d, np.full(d, -np.inf), np.full(d, np.inf))
@@ -412,7 +391,7 @@ class WarmLp:
         """Maximize c.x over the bands held: status and optimum as in `lp_maximize`."""
         c = np.atleast_1d(np.asarray(c, dtype=float))
         if self._backend is None:
-            return lp_maximize(c, self.bands.polytope, lp_tol=self.lp_tol)
+            return lp_maximize(c, self.bands.polytope)
         d = self._M.shape[1]
         if c.shape != (d,):
             raise ValueError(f"objective has length {c.size}, polytope dimension is {d}")
@@ -427,23 +406,23 @@ class WarmLp:
             highs.run()
             status = definitive.get(highs.getModelStatus())
             if status is None:
-                return lp_maximize(c, self.bands.polytope, lp_tol=self.lp_tol)
+                return lp_maximize(c, self.bands.polytope)
         if status != "optimal":
             return LpOutcome(status=status)
         return LpOutcome(status="optimal", optimum=float(highs.getObjectiveValue()))
 
     def is_redundant(self, row, rhs: float) -> bool:
         """`is_redundant` against the bands held."""
-        return _certify_redundant(row, rhs, self.maximize, self.lp_tol) >= 0
+        return _certify_redundant(row, rhs, self.maximize) >= 0
 
 
-def chebyshev_center(poly: Polytope, lp_tol: float = LP_TOL) -> tuple[np.ndarray, float]:
+def chebyshev_center(poly: Polytope) -> tuple[np.ndarray, float]:
     """Center and radius of the largest inscribed ball."""
     norms = np.linalg.norm(poly.G, axis=1)
     d = poly.dim
     c = np.zeros(d + 1)
     c[-1] = -1.0  # maximize the radius
-    res = _linprog(c, np.hstack([poly.G, norms[:, None]]), poly.h, [(None, None)] * d + [(0, None)], lp_tol)
+    res = _linprog(c, np.hstack([poly.G, norms[:, None]]), poly.h, [(None, None)] * d + [(0, None)])
     if res.status == 2:
         raise UnboundedPolytopeError("polytope is empty")
     if res.status == 3:
@@ -453,7 +432,7 @@ def chebyshev_center(poly: Polytope, lp_tol: float = LP_TOL) -> tuple[np.ndarray
     return np.asarray(res.x[:d], dtype=float), float(res.x[-1])
 
 
-def bounding_box(poly: Polytope, lp_tol: float = LP_TOL) -> tuple[np.ndarray, np.ndarray]:
+def bounding_box(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise (lower, upper) bounds; raises if any direction is unbounded."""
     d = poly.dim
     lo = np.empty(d)
@@ -462,8 +441,8 @@ def bounding_box(poly: Polytope, lp_tol: float = LP_TOL) -> tuple[np.ndarray, np
     for i in range(d):
         e[:] = 0.0
         e[i] = 1.0
-        up = lp_maximize(e, poly, lp_tol=lp_tol)
-        down = lp_maximize(-e, poly, lp_tol=lp_tol)
+        up = lp_maximize(e, poly)
+        down = lp_maximize(-e, poly)
         if up.status == "infeasible" or down.status == "infeasible":
             raise UnboundedPolytopeError("polytope is empty")
         if up.status == "unbounded" or down.status == "unbounded":
@@ -516,13 +495,13 @@ def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     return points[~dropped]
 
 
-def _drop_zero_rows(poly: Polytope, lp_tol: float) -> tuple[Polytope, np.ndarray]:
+def _drop_zero_rows(poly: Polytope) -> tuple[Polytope, np.ndarray]:
     """(`poly` without its rows of norm below ZERO_ROW, the norms of the rows kept)."""
     norms = np.linalg.norm(poly.G, axis=1)
     zero = norms < ZERO_ROW
     if not zero.any():
         return poly, norms
-    if np.any(poly.h[zero] < -lp_tol):
+    if np.any(poly.h[zero] < -LP_TOL):
         raise UnboundedPolytopeError("zero row with negative bound: polytope is empty")
     work = Polytope._trusted(poly.G[~zero], poly.h[~zero])
     # Norms of the new, C-ordered rows: numpy may sum a strided G's rows in another order.
@@ -699,7 +678,7 @@ def _origin_seeded_vertices(Gn, hn) -> np.ndarray | None:
     return verts
 
 
-def enumerate_vertices(poly: Polytope, lp_tol: float = LP_TOL) -> Polytope:
+def enumerate_vertices(poly: Polytope) -> Polytope:
     """Convert a bounded halfspace description to its vertex set.
 
     Returns a copy of the polytope with `vertices` filled in
@@ -712,7 +691,7 @@ def enumerate_vertices(poly: Polytope, lp_tol: float = LP_TOL) -> Polytope:
     d = poly.dim
     if d > VERTEX_DIM_CAP:
         raise ValueError(f"dimension {d} exceeds the vertex-enumeration cap {VERTEX_DIM_CAP}")
-    work, norms = _drop_zero_rows(poly, lp_tol)
+    work, norms = _drop_zero_rows(poly)
     if d == 1:
         return Polytope._trusted(poly.G, poly.h, _interval_vertices(work))
 
@@ -731,12 +710,12 @@ def enumerate_vertices(poly: Polytope, lp_tol: float = LP_TOL) -> Polytope:
         if np.linalg.matrix_rank(Gn) < d:
             # The null space of G lies in the recession cone.
             raise UnboundedPolytopeError(f"constraint rows have rank below the dimension {d}")
-        center, radius = chebyshev_center(Polytope(Gn, hn), lp_tol=lp_tol)
+        center, radius = chebyshev_center(Polytope(Gn, hn))
         _require_full_dimension(radius, 0.0)
         try:
             verts = _qhull_vertices(Gn, hn, center, radius)
         except QhullError:
-            lo, hi = bounding_box(work, lp_tol=lp_tol)  # brute force cannot see unboundedness
+            lo, hi = bounding_box(work)  # brute force cannot see unboundedness
             _require_full_dimension(radius, np.max(hi - lo))
             verts = _brute_force_vertices(work)
         else:

@@ -5,8 +5,8 @@ inscribed in the state-space constraint set and the smallest one
 circumscribing the n-step admissible prefix set.  The worst-case decay
 factor of V along trajectories converts the ratio of their levels into
 an upper bound on the admissibility index.  No LP runs unless the vertex
-enumeration needs its Chebyshev center or fallback; `lp_tol` is their
-tolerance.
+enumeration needs its Chebyshev center or fallback, which run at
+`config.LP_TOL`.
 
 `m` is always the bound with eq. (25)'s decay factor
 1 - lambda_min(Q)/lambda_max(P), which holds for every stable A.  Beside
@@ -41,7 +41,6 @@ import math
 
 import numpy as np
 
-from .config import LP_TOL
 from .errors import NumericalError
 from .geometry import Bands, Polytope, enumerate_vertices, parallelotope_vertices
 from .linalg import kron_lyapunov, range_basis, spectral_radius, sym_eig_extremes
@@ -58,7 +57,7 @@ def _prefix_bands(sys: LtiSystem, box: OutputBox, horizon: int, feed=None, epsil
     return Bands(M, lower, upper, tuple(itertools.accumulate(len(M) for M, _, _ in bands)))
 
 
-def _prefix_vertices(bands: Bands, lp_tol: float) -> tuple[np.ndarray, str]:
+def _prefix_vertices(bands: Bands) -> tuple[np.ndarray, str]:
     """Closed-form vertices when the stacked bands form a parallelotope, qhull otherwise.
 
     Returns the vertices and the path that found them, "closed_form" or "qhull".
@@ -66,7 +65,7 @@ def _prefix_vertices(bands: Bands, lp_tol: float) -> tuple[np.ndarray, str]:
     verts = parallelotope_vertices(bands.M, bands.lower, bands.upper)
     if verts is not None:
         return verts, "closed_form"
-    return enumerate_vertices(bands.polytope, lp_tol=lp_tol).vertices, "qhull"
+    return enumerate_vertices(bands.polytope).vertices, "qhull"
 
 
 def build_O_prefix(sys: LtiSystem, box: OutputBox, horizon: int, epsilon: float | None = None) -> Polytope:
@@ -157,31 +156,30 @@ def compute_sigma(A, P, Q, mode: str = "eq25") -> float:
     chain proves for every A.  mode "paper" uses the spectral-radius
     square rho(A)^2 (exact for normal A, optimistic for non-normal A).
     """
-    lam_min_q = sym_eig_extremes(Q)[0] if mode == "eq25" else None
-    lam_max_p = sym_eig_extremes(P)[1] if mode == "eq25" else None
-    rho = spectral_radius(A) if mode == "paper" else None
-    return _decay_factor(rho, lam_max_p, lam_min_q, mode)[0]
-
-
-def _decay_factor(rho: float | None, lam_max_p: float | None, lam_min_q: float | None, mode: str) -> tuple[float, float]:
-    """(`compute_sigma`, log of the factor) given rho(A) (read by mode "paper"), lambda_max(P) and lambda_min(Q) (read by "eq25").
-
-    In mode "eq25" the log is log1p(-lambda_min(Q)/lambda_max(P)): once
-    lambda_max(P) exceeds about 2^53 lambda_min(Q) the factor itself
-    rounds to 1, but its log stays negative.  Only a factor whose log is
-    not negative is refused; a factor at or below 0 has log -inf.
-    """
     if mode not in SIGMA_MODES:
         raise ValueError(f"unknown sigma mode {mode!r}; expected one of {SIGMA_MODES}")
-    if mode == "paper":
-        sigma = rho**2
-        log_sigma = math.log(sigma) if sigma > 0.0 else -math.inf
-    else:
-        if lam_min_q <= 0.0 or lam_max_p <= 0.0:
-            raise NumericalError("Lyapunov pair lost positive definiteness")
-        ratio = lam_min_q / lam_max_p
-        sigma = 1.0 - ratio
-        log_sigma = math.log1p(-ratio) if ratio < 1.0 else -math.inf
+    if mode == "eq25":
+        lam_min_q = sym_eig_extremes(Q)[0]
+        return _decay_factor(sym_eig_extremes(P)[1], lam_min_q)[0]
+    sigma = spectral_radius(A) ** 2
+    if sigma >= 1.0:
+        raise NumericalError(f"decay factor {sigma:.6g} >= 1; Lyapunov data is inconsistent")
+    return sigma
+
+
+def _decay_factor(lam_max_p: float, lam_min_q: float) -> tuple[float, float]:
+    """(eq. (25)'s factor 1 - lambda_min(Q)/lambda_max(P), its log).
+
+    The log is log1p(-lambda_min(Q)/lambda_max(P)): once lambda_max(P)
+    exceeds about 2^53 lambda_min(Q) the factor itself rounds to 1, but
+    its log stays negative.  Only a factor whose log is not negative is
+    refused; a factor at or below 0 has log -inf.
+    """
+    if lam_min_q <= 0.0 or lam_max_p <= 0.0:
+        raise NumericalError("Lyapunov pair lost positive definiteness")
+    ratio = lam_min_q / lam_max_p
+    sigma = 1.0 - ratio
+    log_sigma = math.log1p(-ratio) if ratio < 1.0 else -math.inf
     if not log_sigma < 0.0:
         raise NumericalError(f"decay factor {sigma:.6g} >= 1; Lyapunov data is inconsistent")
     return max(sigma, 0.0), log_sigma
@@ -223,7 +221,7 @@ def _input_basis(sys: LtiSystem) -> np.ndarray | None:
     return range_basis(H0) if np.any(H0) else None
 
 
-def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, lp_tol: float) -> BoundReport:
+def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None) -> BoundReport:
     """Both regimes; `epsilon is None` is the unforced one: scale 1, no input feed.
 
     Its vertices are n-dim, so the projection onto n coordinates keeps them.
@@ -231,14 +229,14 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, lp_tol: flo
     check_problem(sys, box, epsilon)
     P, lam_max_p, denoms = _lyapunov_data(sys)
     # lambda_min(I) = 1, with no eigen-solve of Q.
-    sigma, log_sigma = _decay_factor(None, lam_max_p, 1.0, "eq25")
+    sigma, log_sigma = _decay_factor(lam_max_p, 1.0)
     scale = 1.0 if epsilon is None else epsilon
     r1 = _inscribed_level(denoms, box, scale)
     if not r1 > 0.0:
         raise NumericalError(f"inscribed level {r1!r} is not positive; the scaled limits underflow when squared")
     # H0 u is pinned to zero at epsilon = 1, and a zero H0 has no basis.
     feed = None if epsilon is None or epsilon == 1.0 else _input_basis(sys)
-    verts, path = _prefix_vertices(_prefix_bands(sys, box, sys.n - 1, feed, scale), lp_tol)
+    verts, path = _prefix_vertices(_prefix_bands(sys, box, sys.n - 1, feed, scale))
     # Over every vertex, mirrored ones too (see the module docstring).
     r2 = _circumscribed_level(P, verts[:, : sys.n])
     m = _steps(r1, r2, log_sigma)
@@ -272,12 +270,12 @@ def _bound_m2(sys: LtiSystem, box: OutputBox, epsilon: float | None, lp_tol: flo
     )
 
 
-def bound_m2_unforced(sys: LtiSystem, box: OutputBox, lp_tol: float = LP_TOL) -> BoundReport:
+def bound_m2_unforced(sys: LtiSystem, box: OutputBox) -> BoundReport:
     """Level-set upper bound for the autonomous system (Q = I)."""
-    return _bound_m2(sys, box, None, lp_tol)
+    return _bound_m2(sys, box, None)
 
 
-def bound_m2_forced(sys: LtiSystem, box: OutputBox, epsilon: float, lp_tol: float = LP_TOL) -> BoundReport:
+def bound_m2_forced(sys: LtiSystem, box: OutputBox, epsilon: float) -> BoundReport:
     """Level-set upper bound for the constant-input system.
 
     The prefix set depends on u only through w = H0 u, so it is
@@ -287,4 +285,4 @@ def bound_m2_forced(sys: LtiSystem, box: OutputBox, epsilon: float, lp_tol: floa
     or zero DC gain) the prefix set is the unforced one, and at
     epsilon = 1 the bound coincides exactly with the unforced one.
     """
-    return _bound_m2(sys, box, epsilon, lp_tol)
+    return _bound_m2(sys, box, epsilon)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import block_diag
 
-from .config import LP_TOL, OBSERVABILITY_THRESHOLD, STABILITY_THRESHOLD
+from .config import OBSERVABILITY_THRESHOLD, STABILITY_THRESHOLD
 from .errors import IterationCapError, MasboundError
 from .exact import exact_t_star_forced, exact_t_star_unforced
 from .lyapunov import bound_m2_forced, bound_m2_unforced
@@ -139,18 +139,18 @@ def random_stable_system(seed: int, config: StudyConfig = StudyConfig()) -> tupl
 
 
 # The method table: each study CSV column, in column order, and its call
-# (sys, box, epsilon, lp_tol), which forwards only the arguments its
-# entry point takes.  Each call looks its entry point up here when it
-# runs, so a patched `montecarlo.<entry point>` takes effect.  A
-# "_forced" column is the constant-input regime of the column without
-# the suffix, and needs an input.
+# (sys, box, epsilon), which forwards only the arguments its entry point
+# takes.  Each call looks its entry point up here when it runs, so a
+# patched `montecarlo.<entry point>` takes effect.  A "_forced" column is
+# the constant-input regime of the column without the suffix, and needs
+# an input.
 STAGES = {
-    "t_star": lambda sys, box, eps, tol: exact_t_star_unforced(sys, box, lp_tol=tol),
-    "m1": lambda sys, box, eps, tol: bound_m1_unforced(sys, box),
-    "m2": lambda sys, box, eps, tol: bound_m2_unforced(sys, box, lp_tol=tol),
-    "t_star_forced": lambda sys, box, eps, tol: exact_t_star_forced(sys, box, eps, lp_tol=tol),
-    "m1_forced": lambda sys, box, eps, tol: bound_m1_forced(sys, box, eps),
-    "m2_forced": lambda sys, box, eps, tol: bound_m2_forced(sys, box, eps, lp_tol=tol),
+    "t_star": lambda sys, box, eps: exact_t_star_unforced(sys, box),
+    "m1": lambda sys, box, eps: bound_m1_unforced(sys, box),
+    "m2": lambda sys, box, eps: bound_m2_unforced(sys, box),
+    "t_star_forced": lambda sys, box, eps: exact_t_star_forced(sys, box, eps),
+    "m1_forced": lambda sys, box, eps: bound_m1_forced(sys, box, eps),
+    "m2_forced": lambda sys, box, eps: bound_m2_forced(sys, box, eps),
 }
 
 
@@ -185,7 +185,7 @@ def compute_study_row(
         res = None
         t0 = time.perf_counter()
         try:
-            res = call(sys, box, config.epsilon, LP_TOL)
+            res = call(sys, box, config.epsilon)
         except IterationCapError:
             tags.append(f"capped:{column}")
             continue
@@ -241,7 +241,7 @@ def run_study(
             t_ref = row.t_star if label == "unforced" else row.t_star_forced
             if bound_val is not None and t_ref is not None and bound_val < t_ref:
                 logger.warning(
-                    "sigma mode 'paper' undershoots on system %d (%s): m2_paper=%d < t*=%d",
+                    "m2_paper (sigma = rho(A)^2) falls below t* on system %d (%s): m2_paper=%d < t*=%d",
                     row.system_id,
                     label,
                     bound_val,
@@ -324,12 +324,7 @@ def demo_system() -> LtiSystem:
     )
 
 
-def asymmetry_sweep(
-    sys: LtiSystem,
-    y_upper: float,
-    y_lower_grid,
-    lp_tol: float = LP_TOL,
-) -> list[SweepRow]:
+def asymmetry_sweep(sys: LtiSystem, y_upper: float, y_lower_grid) -> list[SweepRow]:
     """Exact index, both bounds and `m2_paper` while the lower limit sweeps a grid.
 
     Single-output systems only; the upper limit stays fixed so the grid
@@ -340,7 +335,7 @@ def asymmetry_sweep(
     out = []
     for y_l in y_lower_grid:
         box = OutputBox(np.array([float(y_l)]), np.array([float(y_upper)]))
-        t_star, m1, m2 = (STAGES[c](sys, box, None, lp_tol) for c in ("t_star", "m1", "m2"))
+        t_star, m1, m2 = (STAGES[c](sys, box, None) for c in ("t_star", "m1", "m2"))
         out.append(SweepRow(float(y_l), t_star.t_star, m1.m, m2.m, m2.diagnostics["m2_paper"]))
     return out
 

@@ -226,14 +226,9 @@ def upper_sides(poly) -> list[tuple]:
 
 
 def count_models(monkeypatch) -> list[int]:
-    """A list that gains one entry per HiGHS model constructed.
-
-    The once-per-process option check of the default lp_tol runs first,
-    on an uncounted model, so the count does not depend on test order.
-    """
+    """A list that gains one entry per HiGHS model constructed."""
     if geometry._HIGHS is None:
         pytest.skip("this scipy has no persistent HiGHS class")
-    geometry.WarmLp([(np.eye(1), np.ones(1), np.ones(1))])
     highs_cls, *rest = geometry._HIGHS
     built = []
 

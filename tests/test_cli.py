@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -7,10 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from masbound import config as cfg
-from masbound import exact_t_star_forced
 from masbound.cli import main
-from masbound.montecarlo import random_stable_system, system_seed
 
 
 @pytest.fixture
@@ -288,57 +284,36 @@ class TestSweep:
         assert not out.exists()
 
 
+# One command of each kind that read MASBOUND_TOL or runs LPs; the last
+# option, when it names a file, gets the output path.
+ENV_CASES = {
+    "bound": ["bound", str(DATA / "asym_box.json"), "--forced", "--epsilon", "0.1"],
+    "exact": ["exact", str(DATA / "asym_box.json"), "--forced", "--epsilon", "0.1", "--emit-polytope"],
+    "montecarlo": ["montecarlo", "--count", "5", "--seed", "3", "--out"],
+    "sweep-asymmetry": ["sweep-asymmetry", "--grid", "0.5:1.0:0.5", "--out"],
+}
+
+
 class TestEnvTolerance:
-    def test_env_override_applied(self, monkeypatch):
-        monkeypatch.setenv(cfg.ENV_TOL_VAR, "1e-6")
-        assert cfg.from_env() == 1e-6
-
-    def test_env_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv(cfg.ENV_TOL_VAR, "banana")
-        with pytest.raises(ValueError):
-            cfg.from_env()
-
-    def test_env_reaches_cli(self, monkeypatch, capsys, scalar_file):
-        monkeypatch.setenv(cfg.ENV_TOL_VAR, "-1.0")
-        assert main(["exact", scalar_file]) == 1
-
-    @pytest.mark.parametrize("raw", ["0.2", "1e-5", "1e-13"])
-    def test_env_out_of_range_rejected(self, monkeypatch, capsys, scalar_file, raw):
-        # Above the range the forced exact index can drop (1e-5, 1e-4) or
-        # fail with non-definitive LP statuses; below it HiGHS refuses the
-        # tolerance.
-        monkeypatch.setenv(cfg.ENV_TOL_VAR, raw)
-        assert main(["exact", scalar_file]) == 1
-        assert "[1e-10, 1e-06]" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("raw", ["1e-10", "1e-6"])
-    def test_env_range_ends_accepted(self, monkeypatch, capsys, scalar_file, raw):
-        monkeypatch.setenv(cfg.ENV_TOL_VAR, raw)
-        assert cfg.from_env() == float(raw)
-        code, out = run_json(capsys, ["exact", scalar_file])
-        assert code == 0 and out["t_star"] == 0
-
-    @pytest.mark.parametrize("system_id, t_star", [(19, 41), (110, 17)])
-    def test_range_top_keeps_forced_t_star(self, system_id, t_star):
-        # At 1e-5 and 1e-4 these study systems lose one step of forced t*.
-        sys, box = random_stable_system(system_seed(2026, system_id))
-        for lp_tol in (cfg.LP_TOL, cfg.LP_TOL_RANGE[1]):
-            assert exact_t_star_forced(sys, box, 0.01, lp_tol=lp_tol).t_star == t_star
-
-    def test_montecarlo_uses_default_tolerances(self, monkeypatch, capsys, tmp_path):
-        argv = ["montecarlo", "--count", "5", "--seed", "3", "--out"]
-        monkeypatch.delenv(cfg.ENV_TOL_VAR, raising=False)
-        code, default_summary = run_json(capsys, argv + [str(tmp_path / "default.csv")])
-        assert code == 0
-        monkeypatch.setenv(cfg.ENV_TOL_VAR, "0.2")
-        code, summary = run_json(capsys, argv + [str(tmp_path / "env.csv")])
-        assert code == 0
-        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
-        assert summary == default_summary
-
-    def test_unset_returns_defaults(self, monkeypatch):
-        monkeypatch.delenv(cfg.ENV_TOL_VAR, raising=False)
-        assert cfg.from_env() == cfg.LP_TOL
+    @pytest.mark.parametrize("command", ENV_CASES)
+    def test_tolerance_variable_changes_nothing(self, monkeypatch, capsys, tmp_path, command):
+        # MASBOUND_TOL once set the LP tolerance; no command reads it now,
+        # and every LP runs at LP_TOL.
+        argv = ENV_CASES[command]
+        out = tmp_path / "out"
+        if argv[-1].startswith("--"):
+            argv = [*argv, str(out)]
+        seen = []
+        for value in (None, "0.2"):
+            if value is None:
+                monkeypatch.delenv("MASBOUND_TOL", raising=False)
+            else:
+                monkeypatch.setenv("MASBOUND_TOL", value)
+            code, report = run_json(capsys, argv)
+            assert code == 0
+            report = {k: v for k, v in report.items() if not k.endswith("wall_time_s")}
+            seen.append((report, out.read_bytes() if out.exists() else None))
+        assert seen[0] == seen[1]
 
 
 class TestUsage:

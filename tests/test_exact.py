@@ -22,7 +22,7 @@ from masbound import (
     exact_t_star_unforced,
 )
 from masbound import exact, geometry, linalg
-from masbound.config import LP_TOL, ZERO_ROW
+from masbound.config import ZERO_ROW
 from masbound.geometry import is_redundant
 from masbound.lyapunov import build_O_prefix
 from masbound.model import output_bands, stable_dc_gain
@@ -756,14 +756,14 @@ class TestLpBackends:
         first = res.polytope
         assert res.polytope is first
         assert calls == [1]
-        eager = real(res.bands, res.lp_tol)
+        eager = real(res.bands)
         assert np.array_equal(first.G, eager.G) and np.array_equal(first.h, eager.h)
         assert first.nrows < res.rows.nrows
 
     def test_prune_keeps_a_lone_row_without_an_lp(self, monkeypatch):
         calls = count_lps(monkeypatch)
         bands = geometry.Bands(np.array([[1.0, 2.0]]), np.array([np.inf]), np.array([3.0]), (1,))
-        pruned = exact._prune(bands, LP_TOL)
+        pruned = exact._prune(bands)
         assert calls == []
         assert pruned.G.tolist() == [[1.0, 2.0]] and pruned.h.tolist() == [3.0]
 

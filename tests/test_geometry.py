@@ -10,11 +10,10 @@ from scipy.spatial import QhullError
 
 from masbound import LpError, Polytope, UnboundedPolytopeError
 from masbound import geometry
-from masbound.config import LP_TOL_RANGE, VERTEX_DIM_CAP
+from masbound.config import LP_TOL, VERTEX_DIM_CAP
 from masbound.geometry import (
     WarmLp,
     _dedupe,
-    chebyshev_center,
     enumerate_vertices,
     is_redundant,
     lp_maximize,
@@ -173,29 +172,6 @@ class TestRedundancy:
                 assert redundant(row, rhs, Polytope(G, h)) == expected
 
 
-ONE_OFF_LPS = {
-    "lp_maximize": lambda lp_tol: lp_maximize([1.0, 1.0], box2d(), lp_tol=lp_tol),
-    "is_redundant": lambda lp_tol: is_redundant([1.0, 0.0], 2.0, box2d(), lp_tol=lp_tol),
-    "chebyshev_center": lambda lp_tol: chebyshev_center(box2d(), lp_tol=lp_tol),
-}
-
-
-class TestOneOffLpTolerance:
-    @pytest.mark.parametrize("name", sorted(ONE_OFF_LPS))
-    def test_refused_lp_tol_raises(self, name):
-        # linprog itself only warns and solves at HiGHS's own 1e-7; the
-        # refusal must raise whatever the caller's warning filters are.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ValueError, match="primal_feasibility_tolerance"):
-                ONE_OFF_LPS[name](1e-13)
-
-    @pytest.mark.parametrize("name", sorted(ONE_OFF_LPS))
-    def test_range_ends_accepted(self, name):
-        for lp_tol in LP_TOL_RANGE:
-            ONE_OFF_LPS[name](lp_tol)
-
-
 def assert_matches_cold(lp, objectives):
     """Each warm solve has the status, and the optimum within 1e-9, of `lp_maximize` on the active sides."""
     for c in objectives:
@@ -239,13 +215,6 @@ class TestWarmLp:
                 assert warm.optimum == pytest.approx(cold.optimum, abs=1e-9)
             assert lp.bands.polytope.nrows == G.shape[0] - 1
 
-    def test_lp_tol_reaches_highs(self):
-        if geometry._HIGHS is None:
-            pytest.skip("this scipy has no persistent HiGHS class")
-        lp = WarmLp(box_band(), lp_tol=1e-6)
-        for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
-            assert lp._highs.getOptionValue(name)[1] == 1e-6
-
     def test_primal_simplex(self):
         # Most solves only change the objective, which keeps the last basis primal feasible.
         if geometry._HIGHS is None:
@@ -277,15 +246,6 @@ class TestWarmLp:
             warm = lp.maximize(c)
             assert warm.status == "optimal"
             assert warm.optimum == pytest.approx(lp_maximize(c, cold).optimum, abs=1e-9)
-
-    def test_refused_lp_tol_raises(self):
-        # HiGHS keeps its own 1e-7 for a tolerance below 1e-10.  Only
-        # accepted tolerances are remembered, so every construction raises.
-        if geometry._HIGHS is None:
-            pytest.skip("this scipy has no persistent HiGHS class")
-        for _ in range(2):
-            with pytest.raises(ValueError, match="primal_feasibility_tolerance"):
-                WarmLp(box_band(), lp_tol=1e-13)
 
     def test_no_band_refused(self):
         # The first band fixes the dimension.
@@ -394,17 +354,54 @@ class TestWarmLp:
         assert first._model is not second._model
         assert built == [1, 1]
 
-    def test_borrower_gets_its_own_lp_tol(self, monkeypatch):
+    def test_borrowed_again_model_keeps_its_options(self, monkeypatch):
+        # `clearModel` keeps the options set when the model was built.
         count_models(monkeypatch)
-        loose = WarmLp(box_band(), lp_tol=1e-6)
-        loose.maximize([1.0, 0.0])
-        model = loose._model
-        del loose
-        default = WarmLp(box_band())
-        default.maximize([1.0, 0.0])
-        assert default._model is model
-        for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
-            assert model.getOptionValue(name)[1] == 1e-9
+        first = WarmLp(box_band())
+        first.maximize([1.0, 0.0])
+        model = first._model
+        del first
+        again = WarmLp(box_band())
+        assert again.maximize([1.0, 1.0]).optimum == pytest.approx(2.0)
+        assert again._model is model
+        options = {
+            "primal_feasibility_tolerance": LP_TOL,
+            "dual_feasibility_tolerance": LP_TOL,
+            "presolve": "off",
+            "simplex_strategy": 4,  # primal simplex
+        }
+        assert {name: model.getOptionValue(name)[1] for name in options} == options
+
+    def test_refused_option_raises_and_is_not_pooled(self, monkeypatch):
+        # HiGHS keeps its own 1e-7 for a tolerance below 1e-10; the refusal
+        # raises instead of solving at that default.
+        built = count_models(monkeypatch)
+        monkeypatch.setitem(geometry._MODEL_OPTIONS, "primal_feasibility_tolerance", 1e-13)
+        with pytest.raises(ValueError, match="refused option primal_feasibility_tolerance = 1e-13"):
+            WarmLp(box_band()).maximize([1.0, 0.0])
+        assert built == [1]
+        assert geometry._FREE_MODELS[geometry._HIGHS[0]] == []
+
+    def test_options_set_only_on_models_built(self, monkeypatch):
+        built = count_models(monkeypatch)
+        counted = geometry._HIGHS[0]
+        names = []
+        real = counted.setOptionValue
+
+        def counting(model, name, value):
+            names.append(name)
+            return real(model, name, value)
+
+        monkeypatch.setattr(counted, "setOptionValue", counting)
+        # Three live at once build three models; six more in turn borrow them.
+        live = [WarmLp(box_band()) for _ in range(3)]
+        for lp in live:
+            lp.maximize([1.0, 0.0])
+        del live, lp
+        for _ in range(6):
+            assert WarmLp(box_band()).maximize([0.0, 1.0]).optimum == pytest.approx(1.0)
+        assert built == [1, 1, 1]
+        assert names == 3 * list(geometry._MODEL_OPTIONS)
 
     def test_free_list_is_kept_per_class(self, monkeypatch):
         if geometry._HIGHS is None:

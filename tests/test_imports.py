@@ -9,7 +9,8 @@ appears anywhere in the package as a name or an attribute; dunder
 methods are exempt.  A private name bound by a top-level assignment
 (`_TIE = 1e-6`) counts as used when its own module reads it, or when
 any module names it as an attribute (`powerseries._RECORD`); being
-assigned again is not a use.
+assigned again is not a use.  No module reads the environment
+(`os.environ`, `os.getenv`), so no output depends on it.
 """
 
 import ast
@@ -145,3 +146,32 @@ def test_scan_finds_an_unused_private_name():
 
 def test_no_unused_private_helper():
     assert unused_private_definitions({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}) == []
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Each `os.environ` or `os.getenv` (or bytes twin) that `source` names, as an attribute or an import, as "name (line N)"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names if alias.name in _ENVIRONMENT]
+    return found
+
+
+def test_scan_finds_an_environment_read():
+    source = (
+        "import os\n"
+        "from os import getenv, path\n"
+        "tol = float(os.environ.get('TOL', '1e-9'))\n"
+        "where = os.path.join(os.getcwd(), 'x')\n"
+    )
+    assert environment_reads(source) == ["getenv (line 2)", "environ (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_read(path):
+    assert environment_reads(path.read_text()) == []

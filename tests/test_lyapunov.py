@@ -23,7 +23,7 @@ from masbound import (
 from masbound import geometry, lyapunov
 from masbound.config import VERTEX_DIM_CAP
 from masbound.geometry import enumerate_vertices
-from masbound.linalg import solve_discrete_lyapunov
+from masbound.linalg import solve_discrete_lyapunov, spectral_radius
 from masbound.lyapunov import (
     bound_m2,
     build_O_prefix,
@@ -710,6 +710,14 @@ class TestGuards:
     def test_paper_decay_factor_one_refused(self):
         with pytest.raises(NumericalError, match="decay factor"):
             compute_sigma(np.eye(1), np.eye(1), np.eye(1), mode="paper")
+
+    def test_paper_sigma_is_rho_squared(self, rng):
+        # Mode "paper" reads A alone: P and Q need not even be symmetric.
+        for _ in range(5):
+            n = int(rng.integers(1, 5))
+            A = random_stable_matrix(rng, n)
+            other = rng.standard_normal((n, n))
+            assert compute_sigma(A, other, other, mode="paper") == spectral_radius(A) ** 2
 
 
 class TestPaperVariant:

@@ -188,7 +188,7 @@ class TestStudy:
             sys, box = random_stable_system(system_seed(2026, i), cfg)
             row = compute_study_row(i, cfg, system=(sys, box))
             for column in ("m2", "m2_forced"):
-                d = montecarlo.STAGES[column](sys, box, cfg.epsilon, montecarlo.LP_TOL).diagnostics
+                d = montecarlo.STAGES[column](sys, box, cfg.epsilon).diagnostics
                 sigma = compute_sigma(sys.A, d["P"], np.eye(sys.n), "paper")
                 assert getattr(row, column.replace("m2", "m2_paper")) == bound_m2(d["r1"], d["r2"], sigma)
 
@@ -197,7 +197,7 @@ class TestStudy:
         with caplog.at_level(logging.WARNING, logger="masbound.montecarlo"):
             run_study(StudyConfig(count=1, seed=2026), systems=[system])
         assert caplog.messages == [
-            "sigma mode 'paper' undershoots on system 0 (unforced): m2_paper=0 < t*=1"
+            "m2_paper (sigma = rho(A)^2) falls below t* on system 0 (unforced): m2_paper=0 < t*=1"
         ]
 
     def test_csv_shape(self):
@@ -263,6 +263,11 @@ class TestStages:
     def test_columns_are_the_csv_stage_columns(self):
         assert list(montecarlo.STAGES) == list(ENTRY_POINTS) == CSV_HEADER.split(",")[4:10]
 
+    @pytest.mark.parametrize("column", ENTRY_POINTS)
+    def test_stage_takes_sys_box_epsilon(self, column):
+        # No tolerance or other setting rides along: every LP runs at LP_TOL.
+        assert list(inspect.signature(montecarlo.STAGES[column]).parameters) == ["sys", "box", "eps"]
+
     @pytest.mark.parametrize("column, entry", ENTRY_POINTS.items())
     def test_stage_looks_up_its_entry_point_when_it_runs(self, monkeypatch, column, entry):
         signature = inspect.signature(getattr(montecarlo, entry))
@@ -271,8 +276,8 @@ class TestStages:
             montecarlo, entry, lambda *args, **kwargs: calls.append(signature.bind(*args, **kwargs)) or "result"
         )
         sys, box = object(), object()
-        # None of these is an entry point's default, so a dropped argument shows.
-        given = {"epsilon": 0.25, "lp_tol": 1e-7}
+        # Not an entry point's default, so a dropped argument shows.
+        given = {"epsilon": 0.25}
         assert montecarlo.STAGES[column](sys, box, *given.values()) == "result"
         (call,) = calls
         taken = {k: v for k, v in given.items() if k in signature.parameters}
