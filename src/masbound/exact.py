@@ -35,7 +35,7 @@ decided every row.
 On a symmetric box (lower == upper) every band, and so every set built,
 is symmetric about the origin: max(-r.x) = max(r.x), so one decision
 settles a row and its mirror, and retiring a "+" row retires both.  A
-decision is made in one of three ways:
+decision is made in one of four ways:
 
 - span: while the accepted rows have rank below the dimension d, a row
   whose component outside their span exceeds _SPAN times its norm and
@@ -52,6 +52,16 @@ decision is made in one of three ways:
   d x d block well conditioned, since `pairs_maximum` catches only an
   exactly singular one; with d pairs it always holds.  A value that is
   not finite goes to the LP.
+- witness: the optimal points of the call's last _POOL LPs are held, and
+  a row cuts when some held point p has r.p above rhs + LP_TOL by more
+  than _TIE * rhs (|r.p| on a symmetric box, where -p is in the set
+  too).  Every held point lies in the accepted set: a point joins right
+  after its LP, and every row of a step is decided against the same
+  set; when a step adds a band, each point is divided by
+  max(1, m.p / upper, -m.p / lower) over the band's present sides.  The
+  set is convex and holds the origin, so p shrunk towards the origin
+  stays in it and now meets the new band.  The upkeep is one product of
+  the held points with the new band's rows per step.
 - LP: every other row, over the persistent model of `geometry.WarmLp`,
   which the call borrows from the process's free list at its first LP.
   The accepted rows are held there once, as bands: the starting bands,
@@ -60,12 +70,14 @@ decision is made in one of three ways:
   -lower <= m.x <= upper, so on a symmetric box the LPs run on half as
   many rows as one-sided inequalities.
 
-A closed-form maximum within _TIE * rhs of rhs + LP_TOL goes to the LP.
-A screened or closed-form verdict is the one the LP reaches in exact
-arithmetic, taken only where it is clear of the LP's tolerance, so the
-accepted rows are those of one LP per decision, in the same order.  A
-closed-form "redundant" is clear of the tie band and always retires its
-row.
+A closed-form maximum within _TIE * rhs of rhs + LP_TOL goes to the LP,
+as does a row that no held point shows to cut clear of that band.  A
+screened, closed-form or witnessed verdict is the one the LP reaches in
+exact arithmetic (the LP's maximum is at least r.p), taken only where it
+is clear of the LP's tolerance, so the accepted rows are those of one LP
+per decision, in the same order.  A closed-form "redundant" is clear of
+the tie band and always retires its row; a witnessed row cuts and stays
+live.
 """
 
 from __future__ import annotations
@@ -96,6 +108,10 @@ _ROUNDOFF = 1e-12
 # A closed-form maximum within _TIE * rhs of rhs + LP_TOL goes to the LP,
 # and a row is retired only when its maximum lies below that band.
 _TIE = 1e-6
+# The optimal points of a call's last _POOL LPs are held as witnesses.
+# On the mimo benchmark panel pools of 1, 2, 4, 8 and 16 points leave
+# 586, 543, 485, 426 and 424 of its 625 LPs.
+_POOL = 8
 
 
 @dataclass(frozen=True)
@@ -196,6 +212,22 @@ def _leads(M, basis) -> bool:
     return _norm(_residual(row, basis[:-1])) > _SPAN * _norm(row)
 
 
+def _witnessed(row, bound: float, points, symmetric: bool) -> float | None:
+    """rhs + LP_TOL less row.p for the held point p with the largest row.p, when that exceeds rhs + LP_TOL by more than _TIE * rhs; else None.
+
+    `points` lie in the accepted set, so a value above the bound proves
+    that the row cuts.  On a symmetric set -p lies in it too, and |row.p|
+    is taken.
+    """
+    values = (points @ row).tolist()
+    if not values:
+        return None
+    top = max(map(abs, values)) if symmetric else max(values)
+    if top - (bound + LP_TOL) > _TIE * bound:
+        return bound + LP_TOL - top
+    return None
+
+
 def _iterate(bands, first: int, step_cap: int):
     """Shared constraint-addition loop.
 
@@ -210,12 +242,13 @@ def _iterate(bands, first: int, step_cap: int):
     span screen while the accepted rows have rank below the dimension d
     and the basis span[:rank] (rank None once `_extend` gives up) covers
     their span, by the closed form while they are d or d + 1 two-sided
-    rows of rank d whose first d each joined the basis (`_leads`), and by
-    an LP otherwise.  The accepted rows are held once, as the bands of
-    the call's `WarmLp`: the starting bands, then per step the outputs
-    that cut, each side present only where it cut.  The basis and the
-    step's rows live in arrays allocated once per call.  Returns (t_star,
-    accepted bands).
+    rows of rank d whose first d each joined the basis (`_leads`), as a
+    cut by a held LP optimum (`_witnessed`), and by an LP otherwise.  The
+    accepted rows are held once, as the bands of the call's `WarmLp`: the
+    starting bands, then per step the outputs that cut, each side present
+    only where it cut.  The basis, the held points and the step's rows
+    live in arrays allocated once per call; after each band the held
+    points are shrunk into it.  Returns (t_star, accepted bands).
     """
     start = list(itertools.islice(bands, first))
     # Every later band has the limits of the starting set's last band.
@@ -232,6 +265,18 @@ def _iterate(bands, first: int, step_cap: int):
     rank = _extend(span, 0, accepted.M)
     # Whether every accepted row is two-sided and there are at most d + 1.
     paired = len(accepted.M) <= d + 1
+    # The optimal points of the last _POOL LPs, slot `solved % _POOL` next.
+    points = np.empty((_POOL, d))
+    solved = 0
+
+    def solve(c):
+        """`lp.maximize(c)`, its optimal point kept in `points`."""
+        nonlocal solved
+        out = lp.maximize(c)
+        if out.argmax is not None:
+            points[solved % _POOL] = out.argmax
+            solved += 1
+        return out
 
     def slack(k):
         """rhs + LP_TOL less row k's maximum over the accepted rows; the row cuts where it is negative."""
@@ -248,7 +293,10 @@ def _iterate(bands, first: int, step_cap: int):
             top = pairs_maximum(row, accepted.M, accepted.lower, accepted.upper)
             if top is not None and abs(bound + LP_TOL - top) > _TIE * bound:
                 return bound + LP_TOL - top
-        return _certify_redundant(row, bound, lp.maximize)
+        gap = _witnessed(row, bound, points[:solved], symmetric)
+        if gap is not None:
+            return gap
+        return _certify_redundant(row, bound, solve)
 
     # Row k of a band is output k % q, "+" below q and "-" from q on.
     live = list(range(q if symmetric else 2 * q))
@@ -274,6 +322,12 @@ def _iterate(bands, first: int, step_cap: int):
         cut = np.full(2 * q, np.inf)
         cut[fresh] = bounds[fresh]
         lp.add_band(M[outputs], cut[q:][outputs], cut[:q][outputs])
+        if solved:
+            # Shrink each held point towards the origin into the new band.
+            held = points[:solved]
+            level = held @ M[outputs].T
+            scale = np.maximum(level / cut[:q][outputs], -level / cut[q:][outputs]).max(axis=1)
+            held /= np.maximum(scale, 1.0)[:, None]
         if screen:
             # Negating the mirror's residual could flip the sign of a zero entry, so only the row's own is reused.
             rank = _extend(span, rank, M[outputs], residuals.get(outputs[0]))

@@ -48,7 +48,7 @@ from .errors import LpError, UnboundedPolytopeError
 
 _HIGHS_METHODS = (
     "addRows", "addVars", "changeColsCost", "changeObjectiveSense", "changeRowBounds",
-    "clearModel", "clearSolver", "getModelStatus", "getObjectiveValue", "run", "setOptionValue",
+    "clearModel", "clearSolver", "getModelStatus", "getObjectiveValue", "getSolution", "run", "setOptionValue",
 )
 
 
@@ -388,7 +388,7 @@ class WarmLp:
             self._model.changeRowBounds(row, -self._bound[row, 1], self._bound[row, 0])
 
     def maximize(self, c) -> LpOutcome:
-        """Maximize c.x over the bands held: status and optimum as in `lp_maximize`."""
+        """Maximize c.x over the bands held: status, optimum and argmax as in `lp_maximize`."""
         c = np.atleast_1d(np.asarray(c, dtype=float))
         if self._backend is None:
             return lp_maximize(c, self.bands.polytope)
@@ -409,7 +409,11 @@ class WarmLp:
                 return lp_maximize(c, self.bands.polytope)
         if status != "optimal":
             return LpOutcome(status=status)
-        return LpOutcome(status="optimal", optimum=float(highs.getObjectiveValue()))
+        return LpOutcome(
+            status="optimal",
+            optimum=float(highs.getObjectiveValue()),
+            argmax=np.array(highs.getSolution().col_value),
+        )
 
     def is_redundant(self, row, rhs: float) -> bool:
         """`is_redundant` against the bands held."""

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgetrs
 from scipy.spatial import HalfspaceIntersection
 
-from masbound import LtiSystem, OutputBox, config, exact_t_star_forced, exact_t_star_unforced, geometry
+from masbound import LtiSystem, OutputBox, config, exact_t_star_forced, exact_t_star_unforced, geometry, linalg
 from masbound.linalg import char_poly_coeffs, spectral_radius
 from masbound.model import gamma
 from masbound.montecarlo import StudyConfig, random_stable_system, system_seed
@@ -99,6 +100,24 @@ def refuse_lps(monkeypatch):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(geometry, "linprog", refuse)
+
+
+def offset_lu_solves(monkeypatch, scale: float) -> None:
+    """Offset every LU solve of `linalg.kron_lyapunov` by `scale` times the norm of the first solution.
+
+    The first solve gives P plus the offset; each defect correction then
+    removes the offset it sees and adds its own, so P stays that far from
+    the solution and the residual gate sees it.
+    """
+    offset = []
+
+    def solve(lu, piv, b):
+        x, info = dgetrs(lu, piv, b)
+        if not offset:
+            offset.append(scale * np.linalg.norm(x))
+        return x + offset[0], info
+
+    monkeypatch.setattr(linalg, "dgetrs", solve)
 
 
 def match_point_sets(P1, P2, tol):

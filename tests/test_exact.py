@@ -22,11 +22,12 @@ from masbound import (
     exact_t_star_unforced,
 )
 from masbound import exact, geometry, linalg
-from masbound.config import ZERO_ROW
+from masbound.config import LP_TOL, ZERO_ROW
 from masbound.geometry import is_redundant
 from masbound.lyapunov import build_O_prefix
 from masbound.model import output_bands, stable_dc_gain
 from conftest import (
+    bitwise,
     count_models,
     exact_cases,
     force_unknown,
@@ -333,6 +334,21 @@ def count_lps(monkeypatch) -> list[int]:
     return calls
 
 
+def count_witnessed(monkeypatch) -> list[int]:
+    """A list that gains one entry per row `exact._witnessed` proves to cut."""
+    witnessed = []
+    real = exact._witnessed
+
+    def spy(*args):
+        gap = real(*args)
+        if gap is not None:
+            witnessed.append(1)
+        return gap
+
+    monkeypatch.setattr(exact, "_witnessed", spy)
+    return witnessed
+
+
 def spy_highs_rows(monkeypatch) -> list[tuple[int, int, int, int]]:
     """A list that gains (HiGHS rows, band rows, one-sided rows, absent sides) per `WarmLp.maximize` call.
 
@@ -430,12 +446,13 @@ class TestMirroredRows:
     @pytest.mark.parametrize("case", symmetric_cases())
     def test_symmetric_box_spends_q_lps_per_step(self, monkeypatch, case):
         calls = count_lps(monkeypatch)
+        witnessed = count_witnessed(monkeypatch)
         res = run_exact(*case)
         t_star, _, decisions, screened, closed, slab = replay_decisions(*case)
         assert res.t_star == t_star > 0
         assert decisions <= case[0].q * (res.t_star + 1)
         assert screened > 0
-        assert len(calls) == decisions - screened - closed - slab
+        assert len(calls) + len(witnessed) == decisions - screened - closed - slab
 
     @pytest.mark.parametrize(
         "case, one_sided",
@@ -462,12 +479,13 @@ class TestMirroredRows:
     @pytest.mark.parametrize("case", asymmetric_cases())
     def test_asymmetric_box_spends_2q_lps_per_step(self, monkeypatch, case):
         calls = count_lps(monkeypatch)
+        witnessed = count_witnessed(monkeypatch)
         res = run_exact(*case)
         t_star, _, decisions, screened, closed, slab = replay_decisions(*case)
         assert res.t_star == t_star
         assert decisions < 2 * case[0].q * (res.t_star + 1)
         assert screened > 0
-        assert len(calls) == decisions - screened - closed - slab
+        assert len(calls) + len(witnessed) == decisions - screened - closed - slab
 
 
 def non_normal_draw(seed: int, n: int) -> LtiSystem:
@@ -498,6 +516,89 @@ def test_non_normal_draws_keep_their_index(seed, n, unforced, forced):
     assert exact_t_star_forced(sys, box, 0.05).t_star == forced
 
 
+class TestWitnessedRows:
+    """A row that the optimal point of an earlier LP proves to cut is decided without an LP, and no result moves."""
+
+    @staticmethod
+    def check(case) -> list[float]:
+        """Run `case` checking each witnessed cut with a cold LP, then with `_witnessed` declining.
+
+        Every witnessed verdict is a cut for a cold LP, on a fresh
+        `WarmLp` of the bands held at that moment, and t*, the bands and
+        the pruned set are bitwise those of the run that solves an LP for
+        every such row.  Returns, per witnessed row, rhs + LP_TOL less the
+        largest row.p over the held points p, their mirrors -p left out.
+        """
+        held = []
+
+        class Held(geometry.WarmLp):
+            def __init__(self, bands):
+                super().__init__(bands)
+                held.append(self)
+
+        witnessed = []
+        real = exact._witnessed
+
+        def spy(row, bound, points, symmetric):
+            gap = real(row, bound, points, symmetric)
+            if gap is not None:
+                assert gap < 0
+                # A fresh model: one-off `linprog` gives no status on some non-normal draws.
+                assert not geometry.WarmLp(held[-1].bands).is_redundant(row, bound)
+                witnessed.append(bound + LP_TOL - (points @ row).max())
+            return gap
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(exact, "WarmLp", Held)
+            monkeypatch.setattr(exact, "_witnessed", spy)
+            res = run_exact(*case)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(exact, "_witnessed", lambda *args: None)
+            ref = run_exact(*case)
+        assert res.t_star == ref.t_star
+        assert res.bands.ends == ref.bands.ends
+        for got, want in zip(
+            (res.bands.M, res.bands.lower, res.bands.upper, res.polytope.G, res.polytope.h),
+            (ref.bands.M, ref.bands.lower, ref.bands.upper, ref.polytope.G, ref.polytope.h),
+        ):
+            assert bitwise(got, want)
+        return witnessed
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(exact_cases())
+    @example(asymmetric_cases()[0])
+    @example(asymmetric_cases()[1])
+    @example(asymmetric_cases()[2])
+    def test_witnessed_rows_cut_and_change_nothing(self, case):
+        self.check(case)
+
+    @pytest.mark.parametrize("epsilon", [None, 0.05])
+    @pytest.mark.parametrize("seed, n", [(30, 5), (37, 4), (47, 4), (47, 5), (59, 5)])
+    def test_non_normal_draws(self, seed, n, epsilon):
+        # Ill-conditioned LPs, whose optimal points sit on rows with entries in the hundreds.
+        assert self.check((non_normal_draw(seed, n), unit_box(2), epsilon))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("over, cuts", [(0.5, False), (2.0, True)])
+    def test_witness_must_clear_the_tie_band(self, symmetric, over, cuts):
+        # The held point (0, top) proves that the row (0, 1) with bound 2
+        # cuts only when top exceeds 2 + LP_TOL by more than _TIE * 2.
+        top = 2.0 + LP_TOL + over * exact._TIE * 2.0
+        points = np.array([[5.0, 0.0], [0.0, top]])
+        gap = exact._witnessed(np.array([0.0, 1.0]), 2.0, points, symmetric)
+        assert (gap == 2.0 + LP_TOL - top) if cuts else gap is None
+
+    @pytest.mark.parametrize("symmetric, cuts", [(False, False), (True, True)])
+    def test_mirror_point_counts_only_on_a_symmetric_box(self, symmetric, cuts):
+        gap = exact._witnessed(np.array([1.0, 0.0]), 1.0, np.array([[-2.0, 0.0]]), symmetric)
+        assert (gap == 1.0 + LP_TOL - 2.0) if cuts else gap is None
+
+    def test_symmetric_box_takes_the_mirror_point(self):
+        # The set is symmetric, so -p lies in it with p: here a row is
+        # witnessed to cut at -p where no held p alone shows it.
+        assert any(gap >= 0 for gap in self.check(symmetric_cases()[2]))
+
+
 class TestRetiredRows:
     """A row redundant clear of the tie band is not decided again."""
 
@@ -509,13 +610,14 @@ class TestRetiredRows:
     def test_redundant_rows_stay_redundant(self, case):
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = count_lps(monkeypatch)
+            witnessed = count_witnessed(monkeypatch)
             res = run_exact(*case)
         t_star, verdicts, decisions, screened, closed, slab = replay_decisions(*case)
         assert res.t_star == t_star
         for k in range(len(verdicts[0])):
             history = [step[k] for step in verdicts]
             assert history == sorted(history)  # no redundant verdict is ever followed by a cut
-        assert len(calls) == decisions - screened - closed - slab
+        assert len(calls) + len(witnessed) == decisions - screened - closed - slab
 
     @pytest.mark.parametrize("gap, lps", [(1e-8, 3), (1e-4, 1)])
     def test_redundant_verdict_in_the_tie_band_keeps_its_row_live(self, monkeypatch, gap, lps):
@@ -688,11 +790,12 @@ class TestDecisionsWithoutLps:
 
         monkeypatch.setattr(exact, "pairs_maximum", pairs_maximum)
         calls = count_lps(monkeypatch)
+        witnessed = count_witnessed(monkeypatch)
         res = exact_t_star_unforced(sys, box)
         t_star, _, decisions, screened, closed, slab = replay_decisions(sys, box)
         assert res.t_star == t_star
         assert slabs == [] and slab == 0
-        assert len(calls) == decisions - screened - closed - slab > 0
+        assert len(calls) + len(witnessed) == decisions - screened - closed - slab > 0
         assert_same_result(res, *reference_exact(sys, box))
 
     def test_closed_form_tie_goes_to_the_lp(self, monkeypatch):
@@ -887,6 +990,26 @@ def test_several_output_results_bitwise_golden():
             for part in (res.rows.G, res.rows.h):
                 digest.update(np.ascontiguousarray(part).tobytes())
     assert digest.hexdigest() == "64e0c85cbd2432214d83d3f7e1eab469624d0ef4aba652349068871f9bd55319"
+
+
+# Construction LPs (`WarmLp.maximize`) of each panel's exact calls; with
+# no witness point they were 601, 390 and 625.
+PANEL_LPS = {"study": 433, "bounds": 203, "mimo": 426}
+
+
+@pytest.mark.parametrize("workload", sorted(PANEL_LPS))
+def test_bench_panel_lp_counts(monkeypatch, bench_workloads, workload):
+    """The exact calls of a benchmark panel solve the recorded number of LPs, a gate on their cost that reads no clock.
+
+    Over the panel in pool-id order: the unforced call, then the forced
+    call at epsilon = 0.01, without pruning.  The benchmark's own tracing
+    counts only one-off LPs, not those of `WarmLp`.
+    """
+    calls = count_lps(monkeypatch)
+    for _, (sys, box) in sorted(bench_workloads.panel(workload).items()):
+        exact_t_star_unforced(sys, box)
+        exact_t_star_forced(sys, box, 0.01)
+    assert len(calls) == PANEL_LPS[workload]
 
 
 PANEL_DIGESTS = {

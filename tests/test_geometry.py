@@ -479,6 +479,27 @@ class TestWarmLp:
         assert out.status == "optimal" and out.optimum == pytest.approx(2.0)
         assert calls
 
+    @pytest.mark.parametrize("path", ["warm", "cold restart", "linprog after restart", "no private class"])
+    def test_argmax_attains_the_optimum_on_every_side(self, monkeypatch, rng, path):
+        # Random bounded sets: a box of one-sided rows, then a band with both sides present.
+        if path == "cold restart":
+            force_unknown(monkeypatch, cold_resolves=True)
+        elif path == "linprog after restart":
+            force_unknown(monkeypatch, cold_resolves=False)
+        elif path == "no private class":
+            monkeypatch.setattr(geometry, "_HIGHS", None)
+        for _ in range(5):
+            d = int(rng.integers(2, 5))
+            G, h = random_bounded_polytope(rng, d, 2 * d + 4)
+            lp = WarmLp(upper_sides(Polytope(G[: 2 * d], h[: 2 * d])))
+            lp.add_band(G[2 * d :], rng.uniform(0.3, 2.0, len(h) - 2 * d), h[2 * d :])
+            poly = lp.bands.polytope
+            for c in rng.standard_normal((6, d)):
+                out = lp.maximize(c)
+                assert out.status == "optimal"
+                assert abs(c @ out.argmax - out.optimum) <= LP_TOL
+                assert np.all(poly.G @ out.argmax <= poly.h + LP_TOL)
+
     def test_without_private_highs_class(self, monkeypatch):
         monkeypatch.setattr(geometry, "_HIGHS", None)
         # Every answer, the redundancy verdict included, is `lp_maximize` on the active rows.

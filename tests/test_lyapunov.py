@@ -23,7 +23,7 @@ from masbound import (
 from masbound import geometry, lyapunov
 from masbound.config import VERTEX_DIM_CAP
 from masbound.geometry import enumerate_vertices
-from masbound.linalg import solve_discrete_lyapunov, spectral_radius
+from masbound.linalg import kron_lyapunov, solve_discrete_lyapunov, spectral_radius
 from masbound.lyapunov import (
     bound_m2,
     build_O_prefix,
@@ -32,12 +32,13 @@ from masbound.lyapunov import (
     compute_sigma,
 )
 from masbound.model import output_bands, stable_dc_gain
-from masbound.montecarlo import StudyConfig, random_stable_system
+from masbound.montecarlo import StudyConfig, random_stable_system, system_seed
 from conftest import (
     bitwise,
     golden_systems,
     lp_seeded_vertices,
     make_siso,
+    offset_lu_solves,
     random_spd_matrix,
     random_stable_matrix,
     reference_rows,
@@ -718,6 +719,38 @@ class TestGuards:
             A = random_stable_matrix(rng, n)
             other = rng.standard_normal((n, n))
             assert compute_sigma(A, other, other, mode="paper") == spectral_radius(A) ** 2
+
+
+def large_a_draws(bench_workloads):
+    """Draws with ||A||_F in the hundreds whose accurate Lyapunov solves the gate once refused.
+
+    The bench's two-output generator at orders 3 and 5, and an order-10
+    study draw of seed 7.
+    """
+    config = StudyConfig(seed=7, order_min=10, order_max=10)
+    return {
+        "mimo-10112": bench_workloads.random_mimo_system(10112),
+        "mimo-10171": bench_workloads.random_mimo_system(10171),
+        "study-7-18": random_stable_system(system_seed(config.seed, 18), config),
+    }
+
+
+class TestLargeSystemMatrix:
+    """The residual gate scales its rounding floor by ||A||_F^2: rounding in A^T P A is not a failed solve."""
+
+    @pytest.mark.parametrize("name", ["mimo-10112", "mimo-10171", "study-7-18"])
+    def test_accurate_solve_answers(self, bench_workloads, name):
+        sys, box = large_a_draws(bench_workloads)[name]
+        assert np.linalg.norm(sys.A, "fro") > 100
+        assert bound_m2_unforced(sys, box).m >= exact_t_star_unforced(sys, box).t_star
+        assert bound_m2_forced(sys, box, 0.01).m >= exact_t_star_forced(sys, box, 0.01).t_star
+
+    @pytest.mark.parametrize("name", ["mimo-10112", "mimo-10171", "study-7-18"])
+    def test_perturbed_solve_refused(self, monkeypatch, bench_workloads, name):
+        sys, _ = large_a_draws(bench_workloads)[name]
+        offset_lu_solves(monkeypatch, 1e-6)
+        with pytest.raises(NumericalError, match="Lyapunov residual"):
+            kron_lyapunov(sys.A, np.eye(sys.n))
 
 
 class TestPaperVariant:
