@@ -78,6 +78,11 @@ is clear of the LP's tolerance, so the accepted rows are those of one LP
 per decision, in the same order.  A closed-form "redundant" is clear of
 the tie band and always retires its row; a witnessed row cuts and stays
 live.
+
+A step makes one pass over its live rows: it decides each, keeps those
+that stay live and notes the bound of each side that cut.  Those bounds
+alone make up the step's band, inf for a side that did not cut, and its
+matrix is the step's own when every output cut.
 """
 
 from __future__ import annotations
@@ -188,11 +193,11 @@ def _extend(span, rank: int, rows, first=None) -> int | None:
     """
     for i, row in enumerate(rows):
         res = first if i == 0 and first is not None else _residual(row, span[:rank])
-        norm = _norm(row)
-        if norm >= ZERO_ROW and _norm(res) > _SPAN * norm:
-            span[rank] = res / _norm(res)
+        norm, off = _norm(row), _norm(res)
+        if norm >= ZERO_ROW and off > _SPAN * norm:
+            span[rank] = res / off
             rank += 1
-        elif _norm(res) > _ROUNDOFF * norm:
+        elif off > _ROUNDOFF * norm:
             return None
     return rank
 
@@ -246,25 +251,30 @@ def _iterate(bands, first: int, step_cap: int):
     cut by a held LP optimum (`_witnessed`), and by an LP otherwise.  The
     accepted rows are held once, as the bands of the call's `WarmLp`: the
     starting bands, then per step the outputs that cut, each side present
-    only where it cut.  The basis, the held points and the step's rows
-    live in arrays allocated once per call; after each band the held
-    points are shrunk into it.  Returns (t_star, accepted bands).
+    only where it cut.  A step makes one pass over its live rows, which
+    leaves the rows still live and each side's bound where its row cut,
+    inf (absent) elsewhere; the step's band is read from those bounds, and
+    is the step's matrix itself when every output cut.  On a symmetric box
+    only the "+" rows are decided, so the step's rows are that matrix.
+    The basis and the held points live in arrays allocated once per call;
+    after each band the held points are shrunk into it in place, by one
+    product with the band.  The closed form reads the `WarmLp`'s bands
+    only in the steps where it runs.  Returns (t_star, accepted bands).
     """
     start = list(itertools.islice(bands, first))
     # Every later band has the limits of the starting set's last band.
     symmetric = all(np.array_equal(lower, upper) for _, lower, upper in start)
     _, lower, upper = start[-1]
     q = len(lower)
-    bounds = np.concatenate([upper, lower])
-    rhs = bounds.tolist()
+    rhs = upper.tolist() + lower.tolist()
     # The accepted rows, held once: the closed form reads them from here.
     lp = WarmLp(start)
     accepted = lp.bands
-    d = accepted.M.shape[1]
+    n_accepted, d = accepted.M.shape
     span = np.empty((d, d))
     rank = _extend(span, 0, accepted.M)
     # Whether every accepted row is two-sided and there are at most d + 1.
-    paired = len(accepted.M) <= d + 1
+    paired = n_accepted <= d + 1
     # The optimal points of the last _POOL LPs, slot `solved % _POOL` next.
     points = np.empty((_POOL, d))
     solved = 0
@@ -298,40 +308,50 @@ def _iterate(bands, first: int, step_cap: int):
             return gap
         return _certify_redundant(row, bound, solve)
 
-    # Row k of a band is output k % q, "+" below q and "-" from q on.
+    # Row k of a band is output k % q, "+" below q and "-" from q on; on
+    # a symmetric box only the "+" rows, the band's own, are decided.
     live = list(range(q if symmetric else 2 * q))
-    rows = np.empty((2 * q, d))
     for t in range(step_cap + 1):
         M = next(bands)[0]
-        rows[:q] = M
-        np.negative(M, out=rows[q:])
+        rows = M if symmetric else np.concatenate((M, -M))
         screen = rank is not None and rank < d
         accepted = lp.bands if paired and rank == d else None
         closed = accepted is not None and _leads(accepted.M, span)
         # The screen's residual of each row it saw, by row.
         residuals = {}
-        slacks = [slack(k) for k in live]
-        fresh = [k for k, gap in zip(live, slacks) if gap < 0]
-        live = [k for k, gap in zip(live, slacks) if gap <= _TIE * rhs[k]]
+        # Each side's bound where its row cut, inf (absent) elsewhere.
+        cut = [math.inf] * (2 * q)
+        kept = []
+        for k in live:
+            gap = slack(k)
+            if gap < 0:
+                cut[k] = rhs[k]
+            if gap <= _TIE * rhs[k]:
+                kept.append(k)
+        live = kept
         if symmetric:
-            fresh += [k + q for k in fresh]
-        if not fresh:
+            cut[q:] = cut[:q]
+        outputs = [k for k in range(q) if min(cut[k], cut[k + q]) < math.inf]
+        if not outputs:
             return t, lp.bands
         # The outputs that cut, each side bounded only where it cut.
-        outputs = sorted({k % q for k in fresh})
-        cut = np.full(2 * q, np.inf)
-        cut[fresh] = bounds[fresh]
-        lp.add_band(M[outputs], cut[q:][outputs], cut[:q][outputs])
+        band_upper, band_lower = [cut[k] for k in outputs], [cut[k + q] for k in outputs]
+        band = M if len(outputs) == q else M[outputs]
+        lp.add_band(band, band_lower, band_upper)
         if solved:
-            # Shrink each held point towards the origin into the new band.
-            held = points[:solved]
-            level = held @ M[outputs].T
-            scale = np.maximum(level / cut[:q][outputs], -level / cut[q:][outputs]).max(axis=1)
-            held /= np.maximum(scale, 1.0)[:, None]
+            # Shrink each held point towards the origin into the new band:
+            # divide it by max(1, m.p / upper, -m.p / lower) over the band's rows m.
+            level = points[:solved] @ band.T
+            above = level / band_upper
+            np.negative(level, out=level)
+            level /= band_lower
+            np.maximum(above, level, out=level)
+            points[:solved] /= np.maximum(level.max(axis=1, keepdims=True), 1.0)
         if screen:
             # Negating the mirror's residual could flip the sign of a zero entry, so only the row's own is reused.
-            rank = _extend(span, rank, M[outputs], residuals.get(outputs[0]))
-        paired = paired and len(fresh) == 2 * len(outputs) and len(lp.bands.M) <= d + 1
+            rank = _extend(span, rank, band, residuals.get(outputs[0]))
+        n_accepted += len(outputs)
+        paired = paired and n_accepted <= d + 1 and math.inf not in band_upper + band_lower
     raise IterationCapError(
         f"admissibility index not determined within {step_cap} steps",
         cap=step_cap,

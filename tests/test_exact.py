@@ -349,6 +349,14 @@ def count_witnessed(monkeypatch) -> list[int]:
     return witnessed
 
 
+def count_closed_form(monkeypatch) -> list[int]:
+    """A list that gains one entry per `exact.pairs_maximum` call."""
+    calls = []
+    real = exact.pairs_maximum
+    monkeypatch.setattr(exact, "pairs_maximum", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 def spy_highs_rows(monkeypatch) -> list[tuple[int, int, int, int]]:
     """A list that gains (HiGHS rows, band rows, one-sided rows, absent sides) per `WarmLp.maximize` call.
 
@@ -830,6 +838,72 @@ class TestDecisionsWithoutLps:
             assert built == [1]
 
 
+def reference_extend(span, rank: int, rows) -> int | None:
+    """`exact._extend` with `np.linalg.norm` taken afresh at every use."""
+    for row in rows:
+        res = exact._residual(row, span[:rank])
+        norm = np.linalg.norm(row)
+        if norm >= ZERO_ROW and np.linalg.norm(res) > exact._SPAN * norm:
+            span[rank] = res / np.linalg.norm(res)
+            rank += 1
+        elif np.linalg.norm(res) > exact._ROUNDOFF * norm:
+            return None
+    return rank
+
+
+class TestSpanHelpers:
+    """`_norm`, `_residual` and `_extend`, against numpy's own norm."""
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_norm_is_numpy_norm_bitwise(self, length):
+        rng = np.random.default_rng(length)
+        for scale in (1e-13, 1e-6, 1.0, 1e6):
+            v = scale * rng.standard_normal(length)
+            assert exact._norm(v) == np.linalg.norm(v)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_extend_matches_a_reference_that_takes_every_norm_afresh(self, seed):
+        # Rows of random rank, some a combination of earlier rows plus a
+        # perturbation near the _SPAN and _ROUNDOFF thresholds.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 7))
+        rows = rng.standard_normal((int(rng.integers(1, d + 3)), d))
+        for i in range(1, len(rows)):
+            if rng.random() < 0.4:
+                rows[i] = rng.standard_normal(i) @ rows[:i] + 10.0 ** rng.uniform(-14, -4) * rng.standard_normal(d)
+        span, expected = np.full((d, d), np.nan), np.full((d, d), np.nan)
+        # The rows in two calls, the second from the basis the first built.
+        cut = int(rng.integers(0, len(rows) + 1))
+        rank, want = exact._extend(span, 0, rows[:cut]), reference_extend(expected, 0, rows[:cut])
+        assert rank == want
+        if rank is not None:
+            rank, want = exact._extend(span, rank, rows[cut:]), reference_extend(expected, want, rows[cut:])
+            assert rank == want
+        if rank is not None:
+            assert span[:rank].tobytes() == expected[:rank].tobytes()
+
+    @pytest.mark.parametrize("off", [2e-12, 1e-10, 1e-7, 0.999e-6])
+    def test_extend_gives_up_on_a_row_between_roundoff_and_span(self, off):
+        # The row's component off span(e0) is `off` times its norm, to within rounding.
+        span = np.full((3, 3), np.nan)
+        span[0] = [1.0, 0.0, 0.0]
+        row = np.array([np.sqrt(1.0 - off**2), off, 0.0])
+        assert exact._extend(span, 1, np.array([row, [0.0, 0.0, 1.0]])) is None
+        assert np.isnan(span[1:]).all()
+
+    def test_extend_passes_over_a_row_below_zero_row(self):
+        span = np.full((3, 3), np.nan)
+        span[0] = [1.0, 0.0, 0.0]
+        # Below ZERO_ROW a row never joins: a row in the span is passed
+        # over, and the rows after it still join.
+        rows = np.array([[0.5 * ZERO_ROW, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        assert exact._extend(span, 1, rows) == 2
+        assert np.array_equal(span[:2], np.eye(3)[:2]) and np.isnan(span[2]).all()
+        # Off the span it cannot join, and the basis gives up.
+        assert exact._extend(span, 2, np.array([[0.0, 0.0, 0.5 * ZERO_ROW]])) is None
+        assert np.isnan(span[2]).all()
+
+
 class TestLpBackends:
     """Every LP backend of the exact path gives the same index and rows."""
 
@@ -1012,8 +1086,26 @@ def test_bench_panel_lp_counts(monkeypatch, bench_workloads, workload):
     assert len(calls) == PANEL_LPS[workload]
 
 
+# (rows `_witnessed` proves to cut, `pairs_maximum` calls) of each
+# panel's exact calls: the LP count cannot see a decision that moves
+# between the closed form and a witness, nor can the digests below.
+PANEL_LP_FREE = {"study": (168, 260), "bounds": (187, 97), "mimo": (199, 144)}
+
+
+@pytest.mark.parametrize("workload", sorted(PANEL_LP_FREE))
+def test_bench_panel_lp_free_decision_counts(monkeypatch, bench_workloads, workload):
+    """The exact calls of a benchmark panel, as in `test_bench_panel_lp_counts`, make the recorded witnessed cuts and closed-form calls."""
+    witnessed = count_witnessed(monkeypatch)
+    closed = count_closed_form(monkeypatch)
+    for _, (sys, box) in sorted(bench_workloads.panel(workload).items()):
+        exact_t_star_unforced(sys, box)
+        exact_t_star_forced(sys, box, 0.01)
+    assert (len(witnessed), len(closed)) == PANEL_LP_FREE[workload]
+
+
 PANEL_DIGESTS = {
     "study": "2ddb3a6ff17b8c9556a074128939f077e880c3eb8b4d3298274b49a45dbcc17f",
+    "bounds": "b23788314b3748a099c42a28746af395c3c8476b6a204a97e129517e609109af",
     "mimo": "d704e9533254260616e0164c6d7f74a4cc5a758731fa49837036741835224e3d",
 }
 
